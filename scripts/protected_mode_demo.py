@@ -17,7 +17,7 @@ from vibrolang import (
     TrajectoryConfig,
     energy_envelope,
     fit_decay_rate,
-    simulate_pair,
+    simulate,
 )
 
 
@@ -39,7 +39,7 @@ def main():
 
     runs = {}
     for label, q0 in (("minus", (1.0, -1.0)), ("plus", (1.0, 1.0))):
-        traj = simulate_pair(1.0, bath, args.j, TrajectoryConfig(
+        traj = simulate(1.0, bath, (-args.j, args.j), TrajectoryConfig(
             t_max=t_max, q0=q0, store_every=8))
         runs[label] = traj
 

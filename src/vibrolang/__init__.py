@@ -15,7 +15,6 @@ from .errors import (
 )
 from .model import (
     ChainModes,
-    ContinuumBath,
     DiscreteBath,
     MoleculeParams,
     SpectralDensity,
@@ -24,7 +23,6 @@ from .model import (
     derived_markov_params,
     electron_phonon_couplings,
     kelvin_to_angfreq,
-    occupation,
     vibron_phonon_couplings,
 )
 from .kernels import (
@@ -45,8 +43,7 @@ from .microsim import (
     dyson_first_order,
     energy_envelope,
     fit_decay_rate,
-    simulate_pair,
-    simulate_single,
+    simulate,
 )
 from .spectra import (
     LineSpectrum,
@@ -65,7 +62,6 @@ from .spectra import (
 )
 from .cavity import (
     CavityParams,
-    PolaritonState,
     effective_rabi,
     molecular_response,
     polariton_populations,

@@ -15,15 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernels import KernelParams
+from .kernels import KernelParams, relaxation_params
 from .model import MoleculeParams, SpectralDensity, ThermalState
 from .spectra import (
+    _correlation_response,
+    absorption_discrete,
     debye_waller,
     franck_condon,
-    phonon_correlation,
-    displacement_correlation_vibron,
-    response_transform,
-    vibron_lines,
 )
 
 
@@ -49,18 +47,6 @@ class CavityParams:
             raise DomainError("g must be >= 0")
 
 
-@dataclass(frozen=True)
-class PolaritonState:
-    """Upper/lower polariton bookkeeping for the rate-equation dynamics."""
-
-    omega_plus: float
-    omega_minus: float
-    gamma_plus: float
-    gamma_minus: float
-    kappa_plus: float
-    kappa_minus: float
-
-
 def molecular_response(detuning, molecule: MoleculeParams, kp: KernelParams,
                        thermal: ThermalState, sd: SpectralDensity | None = None,
                        markovian=False, n_max=None, t_horizon=None, dt=None):
@@ -75,36 +61,17 @@ def molecular_response(detuning, molecule: MoleculeParams, kp: KernelParams,
     <B B^dag><D D^dag> is used instead.
     """
     detuning = np.asarray(detuning, dtype=float)
-    gamma = molecule.gamma
     if sd is None or sd.coupling == 0:
-        from .kernels import relaxation_params
-
         if molecule.lam == 0:
-            out = 1.0 / (gamma - 1j * detuning)
+            out = 1.0 / (molecule.gamma - 1j * detuning)
             return out if out.ndim else complex(out)
-        nu_p, gamma_p = relaxation_params(kp, markovian=markovian)
-        nbar = thermal.occupation(kp.nu) if thermal.temperature > 0 else 0.0
-        lines = vibron_lines(molecule.lam, nbar, nu_p, gamma_p, gamma,
-                             n_max=n_max)
+        lines = absorption_discrete(None, molecule, kp, thermal, n_max=n_max,
+                                    markovian=markovian).lines
         pos, wt, wid = lines.T
         out = np.sum(wt / (wid - 1j * (detuning[..., None] - pos)), axis=-1)
         return out if out.ndim else complex(out)
-    # continuum path: transform of the damped product correlation
-    scales = [32.0 * gamma, sd.omega_max]
-    if molecule.lam > 0:
-        scales.append(kp.nu)
-    if dt is None:
-        dt = min(2.0 * math.pi / (32.0 * max(scales)),
-                 1.0 / (8.0 * max(scales)))
-    if t_horizon is None:
-        t_horizon = 12.0 / gamma
-    n = int(np.ceil(t_horizon / dt)) + 1
-    t = np.arange(n) * dt
-    corr = phonon_correlation(t, sd, thermal)
-    if molecule.lam > 0:
-        corr = corr * displacement_correlation_vibron(t, molecule, kp, thermal,
-                                                      markovian=markovian)
-    return response_transform(detuning, corr, gamma, dt)
+    return _correlation_response(detuning, molecule, kp, sd, thermal,
+                                 markovian, t_horizon, dt)[0]
 
 
 def transmission(detuning, cavity: CavityParams, molecule: MoleculeParams,
@@ -119,7 +86,7 @@ def transmission(detuning, cavity: CavityParams, molecule: MoleculeParams,
     """
     detuning = np.asarray(detuning, dtype=float)
     if cavity.g > 0:
-        _, gamma_p = _relax(kp, markovian)
+        _, gamma_p = relaxation_params(kp, markovian=markovian)
         if gamma_p < cavity.kappa:
             warnings.warn(
                 "Gamma' < kappa: vibrational relaxation slower than the "
@@ -133,12 +100,6 @@ def transmission(detuning, cavity: CavityParams, molecule: MoleculeParams,
     den = cavity.g**2 * h + cavity.kappa - 1j * (detuning - cavity.delta_c)
     t_amp = cavity.kappa / den
     return t_amp, np.abs(t_amp) ** 2
-
-
-def _relax(kp, markovian):
-    from .kernels import relaxation_params
-
-    return relaxation_params(kp, markovian=markovian)
 
 
 def effective_rabi(g, f_fc, f_dw=1.0):

@@ -14,9 +14,11 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import copy
+import functools
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -26,7 +28,7 @@ import jsonschema
 
 from . import cavity as cavity_mod
 from . import kernels, microsim, spectra, svg
-from .errors import ConfigError, VibrolangError
+from .errors import ConfigError, DomainError, VibrolangError
 from .model import (
     DiscreteBath,
     MoleculeParams,
@@ -204,17 +206,39 @@ _SCHEMAS = {
 }
 
 
+# built once: jsonschema.validate would check each schema against the
+# metaschema again on every call
+_VALIDATORS = {cmd: jsonschema.validators.validator_for(schema)(schema)
+               for cmd, schema in _SCHEMAS.items()}
+
+
+def _non_finite_path(node, path=()):
+    """Path of the first NaN or infinite number in a parsed config, or None."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else path
+    if isinstance(node, (dict, list)):
+        keys = node if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            found = _non_finite_path(node[key], path + (key,))
+            if found is not None:
+                return found
+    return None
+
+
 def validate_config(cfg):
     if not isinstance(cfg, dict) or "command" not in cfg:
         raise ConfigError("config must be an object with a 'command' key")
     cmd = cfg["command"]
     if cmd not in _SCHEMAS:
         raise ConfigError(f"unknown command {cmd!r}")
-    try:
-        jsonschema.validate(cfg, _SCHEMAS[cmd])
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(_VALIDATORS[cmd].iter_errors(cfg))
+    if exc is not None:
         path = ".".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config field {path}: {exc.message}") from exc
+    bad = _non_finite_path(cfg)
+    if bad is not None:
+        path = ".".join(str(p) for p in bad)
+        raise ConfigError(f"config field {path}: numbers must be finite")
     return cfg
 
 
@@ -240,6 +264,19 @@ def load_preset(name):
 # config -> domain objects
 
 
+def _builder(build):
+    """A domain rule that a config value breaks is a config error, not a
+    numeric failure."""
+    @functools.wraps(build)
+    def wrapped(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except DomainError as exc:
+            raise ConfigError(f"config value out of domain: {exc}") from exc
+    return wrapped
+
+
+@_builder
 def _bath_from(cfg):
     q = cfg.get("qfactor", "inf")
     return DiscreteBath(
@@ -263,6 +300,7 @@ def _traj_from(cfg, seed_override=None):
     )
 
 
+@_builder
 def _molecule_from(cfg):
     return MoleculeParams(
         omega0=cfg.get("omega0", 0.0), gamma=cfg["gamma"], nu=cfg["nu"],
@@ -270,6 +308,7 @@ def _molecule_from(cfg):
     )
 
 
+@_builder
 def _kernel_from(cfg, nu):
     return kernels.KernelParams(
         gamma_m=cfg["gamma_m"], omega_max=cfg["omega_max"], nu=nu,
@@ -277,6 +316,7 @@ def _kernel_from(cfg, nu):
     )
 
 
+@_builder
 def _sd_from(cfg):
     return SpectralDensity(
         kind=cfg["kind"], coupling=cfg["coupling"],
@@ -284,10 +324,19 @@ def _sd_from(cfg):
     )
 
 
+@_builder
 def _thermal_from(cfg, nu):
     if "nbar" in cfg:
         return ThermalState.from_occupation(cfg["nbar"], nu)
     return ThermalState(cfg.get("temperature", 0.0))
+
+
+@_builder
+def _cavity_from(cfg):
+    return cavity_mod.CavityParams(
+        delta_c=cfg.get("delta_c", 0.0), kappa=cfg["kappa"], g=cfg["g"],
+        eta_c=cfg.get("eta_c", 0.0),
+    )
 
 
 def _grid_from(cfg):
@@ -328,7 +377,7 @@ def _meta_artifact(name, payload):
 def _handle_relaxation(cfg, seed):
     bath = _bath_from(cfg["bath"])
     tcfg = _traj_from(cfg["trajectory"], seed)
-    traj = microsim.simulate_single(cfg["nu"], bath, tcfg)
+    traj = microsim.simulate(cfg["nu"], bath, (0,), tcfg)
     out = [Artifact("trajectory.csv", traj.to_csv(), len(traj.times),
                     curves=[(traj.times, traj.E, "E_nu")],
                     labels=("t", "E"), logy=True)]
@@ -353,8 +402,8 @@ def _handle_collective(cfg, seed):
     elif excite == "plus":
         tr["q0"], tr["p0"] = [1.0, 1.0], [0.0, 0.0]
     tcfg = _traj_from(tr, seed)
-    traj = microsim.simulate_pair(cfg["nu"], _bath_from(cfg["bath"]),
-                                  cfg["j"], tcfg)
+    traj = microsim.simulate(cfg["nu"], _bath_from(cfg["bath"]),
+                             (-cfg["j"], cfg["j"]), tcfg)
     return [
         Artifact("trajectory.csv", traj.to_csv(), len(traj.times),
                  curves=[(traj.times, traj.e_plus, "E+"),
@@ -405,22 +454,22 @@ def _handle_absorption(cfg, seed):
 
 def _handle_phonon_wing(cfg, seed):
     sd = _sd_from(cfg["sd"])
-    thermal = ThermalState(cfg.get("temperature", 0.0))
+    thermal = _thermal_from(cfg, None)
     observable = cfg.get("observable", "spectrum")
     out = []
     if observable == "debye-waller":
         tg = cfg.get("temp_grid", {"min": 0.0, "max": 4.0, "n": 41})
         temps = np.linspace(tg["min"], tg["max"], tg["n"])
-        vals = np.array([spectra.debye_waller(sd, ThermalState(t))
-                         for t in temps])
+        vals = np.array([spectra.debye_waller(
+            sd, _thermal_from({"temperature": t}, None)) for t in temps])
         text, rows = _csv("temperature,f_dw", [temps, vals])
         out.append(Artifact("debye_waller.csv", text, rows,
                             curves=[(temps, vals, "f_DW")],
                             labels=("T", "f_DW")))
         out.append(_meta_artifact("debye_waller.meta.json", {"config": cfg}))
         return out
-    gamma = cfg.get("gamma", 0.05)
-    mol = MoleculeParams(omega0=0.0, gamma=gamma, nu=1.0, lam=0.0)
+    mol = _molecule_from({"gamma": cfg.get("gamma", 0.05), "nu": 1.0,
+                          "lam": 0.0})
     grid = _grid_from(cfg["grid"]) if "grid" in cfg else np.linspace(
         -sd.omega_max, 2.0 * sd.omega_max, 1201)
     values, meta = spectra.absorption_full(grid, mol, None, sd, thermal)
@@ -448,11 +497,7 @@ def _handle_cavity(cfg, seed):
     mol = _molecule_from(cfg["molecule"])
     kp = _kernel_from(cfg["kernel"], mol.nu)
     thermal = _thermal_from(cfg, mol.nu)
-    cav = cavity_mod.CavityParams(
-        delta_c=cfg["cavity"].get("delta_c", 0.0),
-        kappa=cfg["cavity"]["kappa"], g=cfg["cavity"]["g"],
-        eta_c=cfg["cavity"].get("eta_c", 0.0),
-    )
+    cav = _cavity_from(cfg["cavity"])
     sd = _sd_from(cfg["sd"]) if "sd" in cfg else None
     grid = _grid_from(cfg["grid"])
     t_amp, t2 = cavity_mod.transmission(

@@ -53,18 +53,6 @@ class KernelParams:
             )
 
 
-@dataclass(frozen=True)
-class ComplexKernel:
-    """Frequency-domain kernel value, Gamma(omega) = real + i*imag."""
-
-    real: float
-    imag: float
-
-    @property
-    def value(self):
-        return self.real + 1j * self.imag
-
-
 def _j1_over_x(x):
     """J1(x)/x with the series limit 1/2 - x^2/16 + x^4/384 near x = 0."""
     x = np.asarray(x, dtype=float)
@@ -274,24 +262,6 @@ def momentum_correlation_numeric(tau, kp: KernelParams, thermal: ThermalState,
     return np.array([one(s) for s in tau])
 
 
-def fourier_causal_numeric(f, omega, t_max, samples_per_cycle=40):
-    """Numeric one-sided Fourier transform int_0^{t_max} f(t) e^{i omega t} dt.
-
-    Composite-Simpson oracle; `f` must vanish for t < 0 and decay within
-    the window.  Used to cross-check the closed-form kernel transforms.
-    """
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    # resolve the fastest oscillation present: kernel itself + probe frequency
-    w_fast = float(np.max(np.abs(omega))) + 2.0 * abs(t_max) / max(t_max, 1e-300)
-    n = int(np.ceil(t_max * samples_per_cycle * max(w_fast, 1.0) / (2 * np.pi)))
-    n += n % 2  # Simpson needs an even interval count
-    t = np.linspace(0.0, t_max, n + 1)
-    ft = np.asarray(f(t), dtype=complex)
-    phase = np.exp(1j * np.outer(omega, t))
-    vals = integrate.simpson(phase * ft, x=t, axis=-1)
-    return vals if len(vals) > 1 else complex(vals[0])
-
-
 def kernel_fourier_numeric(omega, kp: KernelParams, j=None, t_max=None,
                            samples_per_cycle=60):
     """Numeric transform of gamma_time (j=None) or collective_gamma_time (j>=1).
@@ -315,23 +285,3 @@ def kernel_fourier_numeric(omega, kp: KernelParams, j=None, t_max=None,
     vals = integrate.simpson(phase * ft, x=t, axis=-1)
     return vals if len(vals) > 1 else complex(vals[0])
 
-
-def kernel_spectrum_fft(kp: KernelParams, j=None, t_max=None, dt=None):
-    """Whole-curve FFT of the time kernel.
-
-    Returns (omega_grid, values) with values[k] ~= Gamma(omega_grid[k]) under
-    the package Fourier convention.  Chunked evaluation would be permitted to
-    run in parallel; the output is deterministic either way.
-    """
-    if t_max is None:
-        t_max = 400.0 / kp.omega_max
-    if dt is None:
-        dt = 2.0 * np.pi / (64.0 * kp.omega_max)
-    n = int(2 ** np.ceil(np.log2(t_max / dt)))
-    t = np.arange(n) * dt
-    ft = gamma_time(t, kp) if j is None else collective_gamma_time(t, j, kp)
-    # one-sided transform with e^{+i omega t}: conjugate-FFT ordering
-    spec = np.conj(np.fft.fft(np.conj(ft))) * dt
-    omega = 2.0 * np.pi * np.fft.fftfreq(n, d=dt)
-    order = np.argsort(omega)
-    return omega[order], spec[order]

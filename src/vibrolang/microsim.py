@@ -1,11 +1,11 @@
-"""Classical microscopic dynamics of one or two vibrons coupled to the
-discrete phonon chain, plus first-order scattering amplitudes.
+"""Classical microscopic dynamics of vibrons coupled to the discrete phonon
+chain, plus first-order scattering amplitudes.
 
-The linear equations of motion are
+The linear equations of motion of M vibrons (m = 1..M) are
 
-    Qdot = nu P,     Pdot = -nu Q + sum_k alpha_k q_k,
+    Qdot_m = nu P_m,     Pdot_m = -nu Q_m + sum_k alpha_mk q_k,
     qdot_k = omega_k p_k,
-    pdot_k = -omega_k q_k + alpha_k Q - gamma_k^ph p_k,
+    pdot_k = -omega_k q_k + sum_m alpha_mk Q_m - gamma_k^ph p_k,
 
 integrated with fixed-step RK4 (the system is linear; the stability region
 is well characterized and RK4 keeps the brute-force oracle simple).
@@ -23,8 +23,7 @@ from .model import (
     DiscreteBath,
     build_chain,
     chain_eigenmodes,
-    pair_vibron_phonon_couplings,
-    MoleculeParams,
+    vibron_phonon_couplings,
 )
 
 
@@ -34,7 +33,7 @@ class TrajectoryConfig:
 
     dt        : fixed RK4 step; must satisfy dt <= 2 pi / (20 omega_max)
     t_max     : horizon
-    q0, p0    : initial vibron quadratures (per molecule for pair runs)
+    q0, p0    : initial vibron quadratures (one value, or one per molecule)
     thermal_phonons : sample phonon initial conditions from the classical
                       thermal distribution instead of starting at rest
     seed      : RNG seed recorded for reproducibility
@@ -43,8 +42,8 @@ class TrajectoryConfig:
 
     dt: float | None = None
     t_max: float = 10.0
-    q0: float | tuple[float, float] = 1.0
-    p0: float | tuple[float, float] = 0.0
+    q0: float | tuple[float, ...] = 1.0
+    p0: float | tuple[float, ...] = 0.0
     thermal_phonons: bool = False
     seed: int = 0
     store_every: int = 1
@@ -64,9 +63,10 @@ class TrajectoryConfig:
 class Trajectory:
     """Sampled trajectory of the vibron observables.
 
-    For single-molecule runs Q, P, E have shape (nt,).  For pair runs Q, P
-    have shape (2, nt) and E holds (E1, E2); e_plus/e_minus are the energies
-    of the collective quadratures (Q1 +- Q2)/sqrt(2), (P1 +- P2)/sqrt(2).
+    For single-molecule runs Q, P, E have shape (nt,); for M molecules they
+    have shape (M, nt), one row per molecule.  Pair runs also carry
+    e_plus/e_minus, the energies of the collective quadratures
+    (Q1 +- Q2)/sqrt(2), (P1 +- P2)/sqrt(2).
     """
 
     times: np.ndarray
@@ -83,27 +83,25 @@ class Trajectory:
         return self.Q.ndim == 2
 
     def to_csv(self) -> str:
+        """Columns t, then Q_m,P_m for each molecule, then E_1..E_M, then
+        Eplus,Eminus for a pair."""
+        Q, P, E = (np.atleast_2d(x) for x in (self.Q, self.P, self.E))
+        m = len(Q)
+        header = ["t"]
+        cols = [self.times]
+        for i in range(m):
+            header += ["Q%d" % (i + 1), "P%d" % (i + 1)]
+            cols += [Q[i], P[i]]
+        header += ["E%d" % (i + 1) for i in range(m)]
+        cols += list(E)
+        if m == 2:
+            header += ["Eplus", "Eminus"]
+            cols += [self.e_plus, self.e_minus]
+        fmt = ",".join(["%.12e"] * len(cols)) + "\n"
         buf = io.StringIO()
-        if not self.pair:
-            buf.write("t,Q1,P1,E1\n")
-            for i in range(len(self.times)):
-                buf.write(
-                    "%.12e,%.12e,%.12e,%.12e\n"
-                    % (self.times[i], self.Q[i], self.P[i], self.E[i])
-                )
-        else:
-            buf.write("t,Q1,P1,Q2,P2,E1,E2,Eplus,Eminus\n")
-            for i in range(len(self.times)):
-                buf.write(
-                    "%.12e,%.12e,%.12e,%.12e,%.12e,%.12e,%.12e,%.12e,%.12e\n"
-                    % (
-                        self.times[i],
-                        self.Q[0, i], self.P[0, i],
-                        self.Q[1, i], self.P[1, i],
-                        self.E[0, i], self.E[1, i],
-                        self.e_plus[i], self.e_minus[i],
-                    )
-                )
+        buf.write(",".join(header) + "\n")
+        for row in np.column_stack(cols).tolist():
+            buf.write(fmt % tuple(row))
         return buf.getvalue()
 
 
@@ -135,91 +133,34 @@ def _rk4(deriv, y0, dt, n_steps, store_every, observers):
     return out[:row]
 
 
-def simulate_single(molecule: MoleculeParams | float, bath: DiscreteBath,
-                    cfg: TrajectoryConfig) -> Trajectory:
-    """Integrate one vibron against the N-cell chain.
+def simulate(nu: float, bath: DiscreteBath, sites,
+             cfg: TrajectoryConfig) -> Trajectory:
+    """Integrate M identical vibrons at chain sites N+1+s, s in `sites`.
 
-    `molecule` may be a MoleculeParams or simply the vibron frequency nu.
-    Raises InstabilityError if the vibron energy exceeds 10x its initial
+    `sites` holds distinct integer offsets from the central cell: (0,) is a
+    single molecule at the centre, (-j, j) a pair at N+1 -+ j.  Initial
+    quadratures may be given per molecule as tuples in `cfg`.  Raises
+    InstabilityError if the summed vibron energy exceeds 10x its initial
     value (a symptom of a step-size/stability failure in this passive model).
     """
     if not isinstance(bath, DiscreteBath):
-        raise VariantError("simulate_single requires a discrete bath")
-    nu = molecule.nu if isinstance(molecule, MoleculeParams) else float(molecule)
-    chain = build_chain(bath, nu)
-    w = chain.frequencies
-    a = chain.alpha
-    gph = np.zeros_like(w) if np.isinf(bath.qfactor) else w / bath.qfactor
-
-    dt = cfg.resolved_dt(bath.omega_max)
-    n_steps = int(np.ceil(cfg.t_max / dt))
-    nm = len(w)
-
-    rng = np.random.default_rng(cfg.seed)
-    q0ph, p0ph = (
-        _thermal_phonon_sample(rng, w, bath.temperature)
-        if cfg.thermal_phonons
-        else (np.zeros(nm), np.zeros(nm))
-    )
-    y0 = np.concatenate(([cfg.q0, cfg.p0], q0ph, p0ph))
-
-    def deriv(y):
-        Q, P = y[0], y[1]
-        q = y[2:2 + nm]
-        p = y[2 + nm:]
-        dy = np.empty_like(y)
-        dy[0] = nu * P
-        dy[1] = -nu * Q + a @ q
-        dy[2:2 + nm] = w * p
-        dy[2 + nm:] = -w * q + a * Q - gph * p
-        return dy
-
-    def observers(y):
-        Q, P = y[0], y[1]
-        q = y[2:2 + nm]
-        p = y[2 + nm:]
-        e_vib = 0.5 * (Q * Q + P * P)
-        h_tot = (
-            nu * e_vib
-            + 0.5 * np.sum(w * (q * q + p * p))
-            - Q * np.sum(a * q)
-        )
-        return np.array([Q, P, e_vib, h_tot])
-
-    rows = _rk4(deriv, y0, dt, n_steps, cfg.store_every, observers)
-    times = np.arange(len(rows)) * dt * cfg.store_every
-    e0 = rows[0, 2]
-    if e0 > 0 and np.max(rows[:, 2]) > 10.0 * e0:
-        raise InstabilityError("vibron energy grew beyond 10x its initial value")
-    return Trajectory(
-        times=times, Q=rows[:, 0], P=rows[:, 1], E=rows[:, 2],
-        total_energy=rows[:, 3],
-        meta={"dt": dt, "seed": cfg.seed, "n_modes": nm},
-    )
-
-
-def simulate_pair(nu: float, bath: DiscreteBath, j: int,
-                  cfg: TrajectoryConfig) -> Trajectory:
-    """Integrate two identical vibrons at sites N+1 -+ j of the chain.
-
-    Initial quadratures may be given per molecule as tuples in `cfg`; the
-    output includes the collective-mode energies E+- of
-    (Q1 +- Q2)/sqrt(2), (P1 +- P2)/sqrt(2).
-    """
-    if not isinstance(bath, DiscreteBath):
-        raise VariantError("simulate_pair requires a discrete bath")
-    if j < 1 or int(j) != j:
-        raise DomainError("half-separation j must be a positive integer")
+        raise VariantError("simulate requires a discrete bath")
+    if len(sites) == 0 or len(set(sites)) != len(sites):
+        raise DomainError("sites must be non-empty and distinct")
     w = chain_eigenmodes(bath)
-    a1, a2 = pair_vibron_phonon_couplings(bath, nu, j)
+    A = np.array([vibron_phonon_couplings(bath, nu, w, site=s) for s in sites])
     gph = np.zeros_like(w) if np.isinf(bath.qfactor) else w / bath.qfactor
 
     dt = cfg.resolved_dt(bath.omega_max)
     n_steps = int(np.ceil(cfg.t_max / dt))
-    nm = len(w)
+    m, nm = A.shape
 
-    q0 = np.broadcast_to(np.asarray(cfg.q0, dtype=float), (2,))
-    p0 = np.broadcast_to(np.asarray(cfg.p0, dtype=float), (2,))
+    try:
+        q0 = np.broadcast_to(np.asarray(cfg.q0, dtype=float), (m,))
+        p0 = np.broadcast_to(np.asarray(cfg.p0, dtype=float), (m,))
+    except ValueError as exc:
+        raise ConfigError("q0 and p0 take one value or one per molecule") \
+            from exc
     rng = np.random.default_rng(cfg.seed)
     q0ph, p0ph = (
         _thermal_phonon_sample(rng, w, bath.temperature)
@@ -228,50 +169,50 @@ def simulate_pair(nu: float, bath: DiscreteBath, j: int,
     )
     y0 = np.concatenate((q0, p0, q0ph, p0ph))
 
+    # np.dot, not @: at fig3 size the (M,) x (M, n_modes) product is about
+    # 4x faster through np.dot
     def deriv(y):
-        Q = y[0:2]
-        P = y[2:4]
-        q = y[4:4 + nm]
-        p = y[4 + nm:]
+        Q = y[:m]
+        P = y[m:2 * m]
+        q = y[2 * m:2 * m + nm]
+        p = y[2 * m + nm:]
         dy = np.empty_like(y)
-        dy[0:2] = nu * P
-        dy[2] = -nu * Q[0] + a1 @ q
-        dy[3] = -nu * Q[1] + a2 @ q
-        dy[4:4 + nm] = w * p
-        dy[4 + nm:] = -w * q + a1 * Q[0] + a2 * Q[1] - gph * p
+        dy[:m] = nu * P
+        dy[m:2 * m] = -nu * Q + np.dot(A, q)
+        dy[2 * m:2 * m + nm] = w * p
+        dy[2 * m + nm:] = -w * q + np.dot(Q, A) - gph * p
         return dy
 
     def observers(y):
-        Q = y[0:2]
-        P = y[2:4]
-        q = y[4:4 + nm]
-        p = y[4 + nm:]
-        e1 = 0.5 * (Q[0] ** 2 + P[0] ** 2)
-        e2 = 0.5 * (Q[1] ** 2 + P[1] ** 2)
-        ep = 0.25 * ((Q[0] + Q[1]) ** 2 + (P[0] + P[1]) ** 2)
-        em = 0.25 * ((Q[0] - Q[1]) ** 2 + (P[0] - P[1]) ** 2)
+        Q = y[:m]
+        P = y[m:2 * m]
+        q = y[2 * m:2 * m + nm]
+        p = y[2 * m + nm:]
+        e_vib = 0.5 * (Q * Q + P * P)
         h_tot = (
-            nu * (e1 + e2)
+            nu * np.sum(e_vib)
             + 0.5 * np.sum(w * (q * q + p * p))
-            - Q[0] * np.sum(a1 * q)
-            - Q[1] * np.sum(a2 * q)
+            - np.dot(Q, np.dot(A, q))
         )
-        return np.array([Q[0], P[0], Q[1], P[1], e1, e2, ep, em, h_tot])
+        return np.concatenate((Q, P, e_vib, [h_tot]))
 
     rows = _rk4(deriv, y0, dt, n_steps, cfg.store_every, observers)
     times = np.arange(len(rows)) * dt * cfg.store_every
-    e0 = rows[0, 4] + rows[0, 5]
-    if e0 > 0 and np.max(rows[:, 4] + rows[:, 5]) > 10.0 * e0:
+    Q, P, E = rows[:, :m].T, rows[:, m:2 * m].T, rows[:, 2 * m:3 * m].T
+    e_sum = np.sum(E, axis=0)
+    if e_sum[0] > 0 and np.max(e_sum) > 10.0 * e_sum[0]:
         raise InstabilityError("vibron energy grew beyond 10x its initial value")
+    e_plus = e_minus = None
+    if m == 2:
+        e_plus = 0.25 * ((Q[0] + Q[1]) ** 2 + (P[0] + P[1]) ** 2)
+        e_minus = 0.25 * ((Q[0] - Q[1]) ** 2 + (P[0] - P[1]) ** 2)
+    if m == 1:
+        Q, P, E = Q[0], P[0], E[0]
     return Trajectory(
-        times=times,
-        Q=np.vstack([rows[:, 0], rows[:, 2]]),
-        P=np.vstack([rows[:, 1], rows[:, 3]]),
-        E=np.vstack([rows[:, 4], rows[:, 5]]),
-        e_plus=rows[:, 6],
-        e_minus=rows[:, 7],
-        total_energy=rows[:, 8],
-        meta={"dt": dt, "seed": cfg.seed, "n_modes": nm, "j": int(j)},
+        times=times, Q=Q, P=P, E=E, e_plus=e_plus, e_minus=e_minus,
+        total_energy=rows[:, 3 * m],
+        meta={"dt": dt, "seed": cfg.seed, "n_modes": nm,
+              "sites": [int(s) for s in sites]},
     )
 
 

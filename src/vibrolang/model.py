@@ -145,39 +145,6 @@ class DiscreteBath:
     def omega_max(self):
         return 2.0 * np.sqrt(self.k0 / self.m0)
 
-    def thermal(self):
-        return ThermalState(self.temperature)
-
-    def to_continuum(self, nu):
-        """Continuum (Brownian) reduction of this chain for a vibron at nu."""
-        _, gamma_m = derived_markov_params(self, nu)
-        return ContinuumBath(
-            omega_max=self.omega_max,
-            gamma_m=gamma_m,
-            temperature=self.temperature,
-        )
-
-
-@dataclass(frozen=True)
-class ContinuumBath:
-    """Continuum phonon bath: band edge omega_max and Markovian rate gamma_m."""
-
-    omega_max: float
-    gamma_m: float
-    temperature: float = 0.0
-
-    def __post_init__(self):
-        if self.omega_max <= 0:
-            raise DomainError("omega_max must be > 0")
-        if self.gamma_m < 0:
-            raise DomainError("gamma_m must be >= 0")
-
-    def thermal(self):
-        return ThermalState(self.temperature)
-
-
-PhononBathSpec = DiscreteBath | ContinuumBath
-
 
 @dataclass(frozen=True)
 class ChainModes:
@@ -249,21 +216,27 @@ def _mode_geometry(bath, site_offset=0):
     )
 
 
-def vibron_phonon_couplings(bath: DiscreteBath, nu, modes=None) -> np.ndarray:
-    """Couplings alpha_k between the vibron and each chain mode.
+def vibron_phonon_couplings(bath: DiscreteBath, nu, modes=None,
+                            site=0) -> np.ndarray:
+    """Couplings alpha_k between a vibron at site N+1+site and each chain mode.
 
-    alpha_k = 2 dk sqrt(1/(N+1)) cos(pi k/2) sin(pi k/(2N+2)) u_zpm x_zpm,
+    alpha_k = 2 dk sqrt(1/(N+1)) cos(pi k (N+1+site)/(2N+2)) sin(pi k/(2N+2))
+              u_zpm x_zpm,
     with u_zpm = (2 m0 omega_k)^(-1/2), x_zpm = (2 mu nu)^(-1/2).
-    Vanishes for odd k (parity selection).
+    Vanishes where the cosine does, k (N+1+site) = N+1 mod 2N+2; at the
+    central site (site = 0) that is every odd k (parity selection).
     """
     _require_discrete(bath)
+    n = bath.n_cells
+    if int(site) != site or abs(site) > n:
+        raise DomainError(f"site offset {site} is not an integer in [-N, N]")
     omega = chain_eigenmodes(bath) if modes is None else np.asarray(modes)
     x_zpm = 1.0 / np.sqrt(2.0 * bath.mu * nu)
     u_zpm = 1.0 / np.sqrt(2.0 * bath.m0 * omega)
-    alpha = bath.dk * _mode_geometry(bath) * u_zpm * x_zpm
-    # cos(pi k (N+1)/(2N+2)) = cos(pi k / 2): kill odd-k residues exactly
-    k = np.arange(1, 2 * bath.n_cells + 2)
-    alpha[k % 2 == 1] = 0.0
+    alpha = bath.dk * _mode_geometry(bath, site) * u_zpm * x_zpm
+    # kill the cosine's floating-point residues at its zeros exactly
+    k = np.arange(1, 2 * n + 2)
+    alpha[k * (n + 1 + site) % (2 * n + 2) == n + 1] = 0.0
     return alpha
 
 
@@ -283,19 +256,6 @@ def electron_phonon_couplings(bath: DiscreteBath, modes=None) -> np.ndarray:
     return lam
 
 
-def pair_vibron_phonon_couplings(bath: DiscreteBath, nu, j: int):
-    """(alpha_k1, alpha_k2) for two identical molecules at sites N+1 -/+ j."""
-    _require_discrete(bath)
-    if j < 1 or int(j) != j:
-        raise DomainError("half-separation j must be a positive integer")
-    omega = chain_eigenmodes(bath)
-    x_zpm = 1.0 / np.sqrt(2.0 * bath.mu * nu)
-    u_zpm = 1.0 / np.sqrt(2.0 * bath.m0 * omega)
-    a1 = bath.dk * _mode_geometry(bath, -j) * u_zpm * x_zpm
-    a2 = bath.dk * _mode_geometry(bath, +j) * u_zpm * x_zpm
-    return a1, a2
-
-
 def build_chain(bath: DiscreteBath, nu) -> ChainModes:
     """Chain modes with both coupling sets filled in."""
     omega = chain_eigenmodes(bath)
@@ -304,11 +264,6 @@ def build_chain(bath: DiscreteBath, nu) -> ChainModes:
         alpha=vibron_phonon_couplings(bath, nu, omega),
         lambda_k=electron_phonon_couplings(bath, omega),
     )
-
-
-def occupation(omega, thermal: ThermalState):
-    """Bose-Einstein occupancy of a mode at `omega` (> 0)."""
-    return thermal.occupation(omega)
 
 
 def derived_markov_params(bath: DiscreteBath, nu):
@@ -330,22 +285,6 @@ def markov_rate_band_form(bath: DiscreteBath):
     when mu = m0."""
     _require_discrete(bath)
     return bath.dk**2 * bath.omega_max / (4.0 * bath.k0**2)
-
-
-def asymmetry_for_rate(gamma_m, omega_max):
-    """Invert Gamma_m = dk^2 omega_max/(4 k0^2) for the ratio dk/k0 (mu = m0)."""
-    if gamma_m < 0 or omega_max <= 0:
-        raise DomainError("need gamma_m >= 0 and omega_max > 0")
-    return np.sqrt(4.0 * gamma_m / omega_max)
-
-
-def vibronic_coupling_microscopic(mu, nu, dx):
-    """Microscopic estimate lambda = dx sqrt(mu nu / 2).
-
-    Convention-dependent helper only; the library takes lambda as direct
-    user input everywhere else.
-    """
-    return dx * np.sqrt(mu * nu / 2.0)
 
 
 def polaron_shift_discrete(modes: ChainModes):

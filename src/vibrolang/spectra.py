@@ -440,6 +440,37 @@ def response_transform(detuning, corr, gamma, dt, chunk=64):
     return out if len(out) > 1 else complex(out[0])
 
 
+def _correlation_response(detuning, molecule: MoleculeParams,
+                          kp: KernelParams | None, sd: SpectralDensity | None,
+                          thermal: ThermalState, markovian, t_horizon, dt):
+    """Damped transform of the product correlation <B B^dag><D D^dag>,
+    each factor present when its coupling is.
+
+    dt resolves the fastest of 32 gamma, nu and omega_max; the horizon
+    defaults to 12/gamma.  Returns (H(detuning), dt, t_horizon).
+    """
+    gamma = molecule.gamma
+    scales = [32.0 * gamma]
+    if molecule.lam > 0 and kp is not None:
+        scales.append(kp.nu)
+    if sd is not None and sd.coupling > 0:
+        scales.append(sd.omega_max)
+    if dt is None:
+        dt = min(2.0 * math.pi / (32.0 * max(scales)),
+                 1.0 / (8.0 * max(scales)))
+    if t_horizon is None:
+        t_horizon = 12.0 / gamma
+    n = int(np.ceil(t_horizon / dt)) + 1
+    t = np.arange(n) * dt
+    corr = np.ones(n, dtype=complex)
+    if molecule.lam > 0 and kp is not None:
+        corr *= displacement_correlation_vibron(t, molecule, kp, thermal,
+                                                markovian=markovian)
+    if sd is not None and sd.coupling > 0:
+        corr *= phonon_correlation(t, sd, thermal)
+    return response_transform(detuning, corr, gamma, dt), dt, t_horizon
+
+
 def absorption_full(detuning_grid, molecule: MoleculeParams,
                     kp: KernelParams | None, sd: SpectralDensity | None,
                     thermal: ThermalState, markovian=False,
@@ -459,25 +490,8 @@ def absorption_full(detuning_grid, molecule: MoleculeParams,
                 "detuning grid spacing exceeds gamma: zero-phonon line "
                 "unresolvable"
             )
-    scales = [32.0 * gamma]
-    if molecule.lam > 0 and kp is not None:
-        scales.append(kp.nu)
-    if sd is not None and sd.coupling > 0:
-        scales.append(sd.omega_max)
-    if dt is None:
-        dt = min(2.0 * math.pi / (32.0 * max(scales)),
-                 1.0 / (8.0 * max(scales)))
-    if t_horizon is None:
-        t_horizon = 12.0 / gamma
-    n = int(np.ceil(t_horizon / dt)) + 1
-    t = np.arange(n) * dt
-    corr = np.ones(n, dtype=complex)
-    if molecule.lam > 0 and kp is not None:
-        corr *= displacement_correlation_vibron(t, molecule, kp, thermal,
-                                                markovian=markovian)
-    if sd is not None and sd.coupling > 0:
-        corr *= phonon_correlation(t, sd, thermal)
-    h = response_transform(detuning_grid, corr, gamma, dt)
+    h, dt, t_horizon = _correlation_response(
+        detuning_grid, molecule, kp, sd, thermal, markovian, t_horizon, dt)
     values = np.real(np.atleast_1d(h)) / gamma
     meta = {
         "dt": dt,

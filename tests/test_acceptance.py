@@ -29,8 +29,7 @@ from vibrolang import (
     gamma_time,
     momentum_correlation,
     momentum_correlation_numeric,
-    simulate_pair,
-    simulate_single,
+    simulate,
     transmission,
     vibron_phonon_couplings,
 )
@@ -73,7 +72,7 @@ def test_criterion_1_markovian_relaxation():
     gm, wm = 0.05, 7.0
     bath = _bath_for(gm, wm, 500, qfactor=50.0)
     t0 = time.time()
-    traj = simulate_single(1.0, bath, TrajectoryConfig(t_max=60.0))
+    traj = simulate(1.0, bath, (0,), TrajectoryConfig(t_max=60.0))
     runtime = time.time() - t0
     # the bare-quadrature energy breathes at twice the crystal-shifted
     # frequency; compare the one-period envelope against the Markov law
@@ -92,7 +91,7 @@ def test_criterion_2_non_markovian_relaxation():
     # omega_max = nu: fitted rate < 0.7 Gamma_m; E(100) >= 2x Markov residual
     gm = 0.05
     bath = _bath_for(gm, 1.0, 500)
-    traj = simulate_single(1.0, bath, TrajectoryConfig(t_max=100.0,
+    traj = simulate(1.0, bath, (0,), TrajectoryConfig(t_max=100.0,
                                                        store_every=4))
     sel = traj.times <= 60.0
     slope, _ = np.polyfit(traj.times[sel], np.log(traj.E[sel] / traj.E[0]), 1)
@@ -143,9 +142,9 @@ def test_criterion_4_collective_protection():
     gm, wm, n, j = 0.02, 24.0, 1250, 1
     bath = _bath_for(gm, wm, n)
     t_max = 3.0 / gm
-    tr_m = simulate_pair(1.0, bath, j, TrajectoryConfig(
+    tr_m = simulate(1.0, bath, (-j, j), TrajectoryConfig(
         t_max=t_max, q0=(1.0, -1.0), store_every=8))
-    tr_p = simulate_pair(1.0, bath, j, TrajectoryConfig(
+    tr_p = simulate(1.0, bath, (-j, j), TrajectoryConfig(
         t_max=t_max, q0=(1.0, 1.0), store_every=8))
     nu_s = gm * wm / 2.0
     period = math.pi / math.sqrt(1.0 - nu_s)

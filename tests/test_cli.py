@@ -1,14 +1,22 @@
 """CLI plumbing: config validation, artifact emission, manifests, sweeps,
 determinism, exit codes."""
 
+import copy
 import hashlib
 import json
 import os
 
+import jsonschema
 import numpy as np
 import pytest
 
-from vibrolang.cli import load_preset, main, run_config, validate_config
+from vibrolang.cli import (
+    _SCHEMAS,
+    load_preset,
+    main,
+    run_config,
+    validate_config,
+)
 from vibrolang.errors import ConfigError
 
 
@@ -65,6 +73,10 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_preset("fig99")
 
+    def test_schemas_are_valid(self):
+        for schema in _SCHEMAS.values():
+            jsonschema.validators.validator_for(schema).check_schema(schema)
+
 
 class TestExitCodes:
     def test_ok(self, tmp_path):
@@ -95,6 +107,36 @@ class TestExitCodes:
         })
         assert main(["phonon-wing", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 1
+
+
+    def _config_error(self, tmp_path, cfg, capsys):
+        path = _write(tmp_path, cfg)
+        code = main([cfg["command"], "--config", path,
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "Traceback" not in err and err.startswith("config error")
+
+    def test_nan_is_config_error(self, tmp_path, capsys):
+        cfg = load_preset("fig4b")
+        cfg["kernel"]["gamma_m"] = float("nan")
+        self._config_error(tmp_path, cfg, capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_nan_sweep_value_is_config_error(self, tmp_path, capsys):
+        cfg = dict(SMALL_ABSORPTION,
+                   sweep={"axis": "nbar", "values": [0.0, float("nan")]})
+        self._config_error(tmp_path, cfg, capsys)
+
+    def test_negative_gamma_is_config_error(self, tmp_path, capsys):
+        cfg = copy.deepcopy(SMALL_ABSORPTION)
+        cfg["molecule"]["gamma"] = -0.1
+        self._config_error(tmp_path, cfg, capsys)
+
+    def test_infinite_nu_is_config_error(self, tmp_path, capsys):
+        cfg = copy.deepcopy(SMALL_ABSORPTION)
+        cfg["molecule"]["nu"] = float("inf")
+        self._config_error(tmp_path, cfg, capsys)
 
 
 class TestArtifacts:

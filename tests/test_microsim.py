@@ -13,8 +13,7 @@ from vibrolang import (
     dyson_first_order,
     energy_envelope,
     fit_decay_rate,
-    simulate_pair,
-    simulate_single,
+    simulate,
 )
 
 
@@ -27,37 +26,49 @@ def _bath(n=80, k0=12.25, gamma_m=0.05, **kw):
 class TestIntegration:
     def test_total_energy_conserved_undamped(self):
         bath = _bath(n=120)
-        traj = simulate_single(1.0, bath, TrajectoryConfig(t_max=20.0))
+        traj = simulate(1.0, bath, (0,), TrajectoryConfig(t_max=20.0))
         h = traj.total_energy
         drift = np.max(np.abs(h - h[0])) / h[0]
         assert drift < 1e-5
 
+    def test_total_energy_conserved_undamped_three_molecules(self):
+        bath = _bath(n=120)
+        traj = simulate(1.0, bath, (-3, 0, 3), TrajectoryConfig(t_max=20.0))
+        assert traj.Q.shape == traj.E.shape == (3, len(traj.times))
+        h = traj.total_energy
+        drift = np.max(np.abs(h - h[0])) / h[0]
+        assert drift < 1e-5
+        header = traj.to_csv().split("\n", 1)[0]
+        assert header == "t,Q1,P1,Q2,P2,Q3,P3,E1,E2,E3"
+
     def test_vibron_energy_decays(self):
         bath = _bath(n=200)
-        traj = simulate_single(1.0, bath, TrajectoryConfig(t_max=30.0))
+        traj = simulate(1.0, bath, (0,), TrajectoryConfig(t_max=30.0))
         assert traj.E[-1] < 0.5 * traj.E[0]
 
     def test_dt_stability_bound_enforced(self):
         bath = _bath(n=20)
         cfg = TrajectoryConfig(dt=1.0, t_max=5.0)
         with pytest.raises(ConfigError):
-            simulate_single(1.0, bath, cfg)
+            simulate(1.0, bath, (0,), cfg)
 
     def test_deterministic_given_seed(self):
         bath = _bath(n=30, temperature=2.0)
         cfg = TrajectoryConfig(t_max=3.0, thermal_phonons=True, seed=7)
-        a = simulate_single(1.0, bath, cfg)
-        b = simulate_single(1.0, bath, cfg)
+        a = simulate(1.0, bath, (0,), cfg)
+        b = simulate(1.0, bath, (0,), cfg)
         np.testing.assert_array_equal(a.Q, b.Q)
         np.testing.assert_array_equal(a.P, b.P)
 
     def test_seed_changes_thermal_run(self):
         bath = _bath(n=30, temperature=2.0)
-        a = simulate_single(
-            1.0, bath, TrajectoryConfig(t_max=3.0, thermal_phonons=True, seed=1)
+        a = simulate(
+            1.0, bath, (0,),
+            TrajectoryConfig(t_max=3.0, thermal_phonons=True, seed=1),
         )
-        b = simulate_single(
-            1.0, bath, TrajectoryConfig(t_max=3.0, thermal_phonons=True, seed=2)
+        b = simulate(
+            1.0, bath, (0,),
+            TrajectoryConfig(t_max=3.0, thermal_phonons=True, seed=2),
         )
         assert np.any(a.Q != b.Q)
 
@@ -74,7 +85,7 @@ class TestIntegration:
         # dt at the formal bound keeps RK4 marginal; expect either clean
         # integration or an InstabilityError -- never silent blowup to NaN
         try:
-            traj = simulate_single(1.0, bath, cfg)
+            traj = simulate(1.0, bath, (0,), cfg)
             assert np.all(np.isfinite(traj.E))
         except InstabilityError:
             pass
@@ -83,8 +94,8 @@ class TestIntegration:
 class TestPair:
     def test_collective_energy_partition(self):
         bath = _bath(n=60)
-        traj = simulate_pair(
-            1.0, bath, 1, TrajectoryConfig(t_max=5.0, q0=(1.0, -1.0))
+        traj = simulate(
+            1.0, bath, (-1, 1), TrajectoryConfig(t_max=5.0, q0=(1.0, -1.0))
         )
         assert traj.pair
         # E+ + E- = E1 + E2 for quadratic energies
@@ -94,8 +105,8 @@ class TestPair:
 
     def test_antisymmetric_start_loads_minus_mode(self):
         bath = _bath(n=60)
-        traj = simulate_pair(
-            1.0, bath, 1, TrajectoryConfig(t_max=1.0, q0=(1.0, -1.0))
+        traj = simulate(
+            1.0, bath, (-1, 1), TrajectoryConfig(t_max=1.0, q0=(1.0, -1.0))
         )
         assert traj.e_minus[0] > 0.99 * (traj.e_plus[0] + traj.e_minus[0])
 
@@ -108,15 +119,15 @@ class TestPair:
         )
         cfg_m = TrajectoryConfig(t_max=20.0, q0=(1.0, -1.0), store_every=4)
         cfg_p = TrajectoryConfig(t_max=20.0, q0=(1.0, 1.0), store_every=4)
-        tr_m = simulate_pair(1.0, bath, 1, cfg_m)
-        tr_p = simulate_pair(1.0, bath, 1, cfg_p)
+        tr_m = simulate(1.0, bath, (-1, 1), cfg_m)
+        tr_p = simulate(1.0, bath, (-1, 1), cfg_p)
         assert tr_m.e_minus[-1] > 2.0 * tr_p.e_plus[-1]
 
 
 class TestCsv:
     def test_single_schema(self):
         bath = _bath(n=20)
-        traj = simulate_single(1.0, bath, TrajectoryConfig(t_max=1.0))
+        traj = simulate(1.0, bath, (0,), TrajectoryConfig(t_max=1.0))
         text = traj.to_csv()
         lines = text.strip().split("\n")
         assert lines[0] == "t,Q1,P1,E1"
@@ -128,8 +139,8 @@ class TestCsv:
 
     def test_pair_schema(self):
         bath = _bath(n=20)
-        traj = simulate_pair(
-            1.0, bath, 1, TrajectoryConfig(t_max=1.0, q0=(1.0, 1.0))
+        traj = simulate(
+            1.0, bath, (-1, 1), TrajectoryConfig(t_max=1.0, q0=(1.0, 1.0))
         )
         lines = traj.to_csv().strip().split("\n")
         assert lines[0] == "t,Q1,P1,Q2,P2,E1,E2,Eplus,Eminus"
@@ -137,7 +148,7 @@ class TestCsv:
 
     def test_csv_round_trip_bytes(self):
         bath = _bath(n=20)
-        traj = simulate_single(1.0, bath, TrajectoryConfig(t_max=1.0))
+        traj = simulate(1.0, bath, (0,), TrajectoryConfig(t_max=1.0))
         text = traj.to_csv()
         lines = text.strip().split("\n")
         rebuilt = lines[0] + "\n" + "\n".join(

@@ -17,15 +17,20 @@ from vibrolang.model import (
     HBAR_OVER_KB_K_PS,
     build_chain,
     markov_rate_band_form,
-    pair_vibron_phonon_couplings,
     polaron_shift_discrete,
 )
+from vibrolang.microsim import TrajectoryConfig, simulate
 
 
 def _bath(n=200, k0=12.25, gamma_m=0.05, **kw):
     omega_max = 2.0 * np.sqrt(k0 / 1.0)
     dk = k0 * np.sqrt(4.0 * gamma_m / omega_max)
     return DiscreteBath(n_cells=n, k0=k0, m0=1.0, dk=dk, **kw)
+
+
+def _pair_couplings(bath, nu, j):
+    return (vibron_phonon_couplings(bath, nu, site=-j),
+            vibron_phonon_couplings(bath, nu, site=j))
 
 
 class TestChainModes:
@@ -66,21 +71,31 @@ class TestChainModes:
 
     def test_pair_couplings_mirror_symmetry(self):
         bath = _bath(n=40)
-        a1, a2 = pair_vibron_phonon_couplings(bath, 1.0, 2)
+        a1, a2 = _pair_couplings(bath, 1.0, 2)
         # modes are symmetric or antisymmetric about the center site
         np.testing.assert_allclose(np.abs(a1), np.abs(a2), atol=1e-12)
+        # even k: symmetric (a1 = a2); odd k: antisymmetric (a1 = -a2)
+        k = np.arange(1, 2 * bath.n_cells + 2)
+        even, odd = k % 2 == 0, k % 2 == 1
+        np.testing.assert_allclose(a1[even], a2[even], atol=1e-12)
+        np.testing.assert_allclose(a1[odd], -a2[odd], atol=1e-12)
 
     def test_pair_couplings_reject_bad_j(self):
         bath = _bath(n=40)
+        cfg = TrajectoryConfig(t_max=0.1)
         with pytest.raises(DomainError):
-            pair_vibron_phonon_couplings(bath, 1.0, 0)
+            simulate(1.0, bath, (0, 0), cfg)
+        with pytest.raises(DomainError):
+            simulate(1.0, bath, (-41, 41), cfg)
+        with pytest.raises(DomainError):
+            vibron_phonon_couplings(bath, 1.0, site=41)
 
     def test_pair_coupling_weight_conserved(self):
         # the symmetric/antisymmetric split preserves the single-molecule
         # total weight: (a1^2 + a2^2)/1 = 2 alpha^2 summed over the band
         bath = _bath(n=120)
         alphas = vibron_phonon_couplings(bath, nu=1.0)
-        a1, a2 = pair_vibron_phonon_couplings(bath, 1.0, 1)
+        a1, a2 = _pair_couplings(bath, 1.0, 1)
         np.testing.assert_allclose(
             np.sum(a1**2 + a2**2), 2.0 * np.sum(alphas**2), rtol=1e-8
         )
