@@ -6,7 +6,6 @@ from .errors import (
     DivergenceError,
     DomainError,
     InstabilityError,
-    QuadratureError,
     RegimeError,
     ResolutionError,
     TruncationError,

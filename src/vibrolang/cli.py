@@ -287,6 +287,14 @@ def _bath_from(cfg):
     )
 
 
+@_builder
+def _nu_from(cfg):
+    """Vibron frequency of the chain commands."""
+    if not cfg["nu"] > 0:
+        raise DomainError("nu must be > 0")
+    return cfg["nu"]
+
+
 def _traj_from(cfg, seed_override=None):
     seed = seed_override if seed_override is not None else cfg.get("seed", 0)
     q0 = cfg.get("q0", 1.0)
@@ -375,14 +383,15 @@ def _meta_artifact(name, payload):
 
 
 def _handle_relaxation(cfg, seed):
+    nu = _nu_from(cfg)
     bath = _bath_from(cfg["bath"])
     tcfg = _traj_from(cfg["trajectory"], seed)
-    traj = microsim.simulate(cfg["nu"], bath, (0,), tcfg)
+    traj = microsim.simulate(nu, bath, (0,), tcfg)
     out = [Artifact("trajectory.csv", traj.to_csv(), len(traj.times),
                     curves=[(traj.times, traj.E, "E_nu")],
                     labels=("t", "E"), logy=True)]
     if cfg.get("theory_overlay", True):
-        _, gm = derived_markov_params(bath, cfg["nu"])
+        _, gm = derived_markov_params(bath, nu)
         e_th = traj.E[0] * np.exp(-gm * traj.times)
         text, rows = _csv("t,E_theory", [traj.times, e_th])
         out.append(Artifact("theory.csv", text, rows,
@@ -402,7 +411,7 @@ def _handle_collective(cfg, seed):
     elif excite == "plus":
         tr["q0"], tr["p0"] = [1.0, 1.0], [0.0, 0.0]
     tcfg = _traj_from(tr, seed)
-    traj = microsim.simulate(cfg["nu"], _bath_from(cfg["bath"]),
+    traj = microsim.simulate(_nu_from(cfg), _bath_from(cfg["bath"]),
                              (-cfg["j"], cfg["j"]), tcfg)
     return [
         Artifact("trajectory.csv", traj.to_csv(), len(traj.times),
@@ -422,14 +431,10 @@ def _handle_absorption(cfg, seed):
     method = cfg.get("method", "discrete")
     markovian = cfg.get("markovian", False)
     meta = {"config": cfg, "method": method}
-    if method == "discrete":
-        spec = spectra.absorption_discrete(grid, mol, kp, thermal,
-                                           markovian=markovian)
-        values = spec.values
-        meta.update({"n_lines": len(spec.lines), **spec.meta})
-    elif method == "bessel":
-        spec = spectra.absorption_bessel(grid, mol, kp, thermal,
-                                         markovian=markovian)
+    if method in ("discrete", "bessel"):
+        absorb = {"discrete": spectra.absorption_discrete,
+                  "bessel": spectra.absorption_bessel}[method]
+        spec = absorb(grid, mol, kp, thermal, markovian=markovian)
         values = spec.values
         meta.update({"n_lines": len(spec.lines), **spec.meta})
     else:
@@ -571,27 +576,33 @@ def _set_axis(cfg, axis, value):
     return cfg
 
 
+def _write(out_dir, name, text, rows=0):
+    """Write one file through a temporary file in the same directory, moved
+    into place with os.replace, so that a failed write leaves the old file
+    intact and no temporary file behind.  Returns its manifest entry."""
+    path = os.path.join(out_dir, name)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return {"file": name, "sha256": hashlib.sha256(text.encode()).hexdigest(),
+            "rows": rows}
+
+
 def _emit(artifacts, out_dir, fmt, prefix=""):
     entries = []
     for art in artifacts:
         name = prefix + art.name
-        path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(art.text)
-        digest = hashlib.sha256(art.text.encode()).hexdigest()
-        entries.append({"file": name, "sha256": digest, "rows": art.rows})
+        entries.append(_write(out_dir, name, art.text, art.rows))
         if fmt == "csv+svg" and art.curves is not None:
-            svg_name = os.path.splitext(name)[0] + ".svg"
             doc = svg.line_plot(art.curves, xlabel=art.labels[0],
                                 ylabel=art.labels[1], logy=art.logy)
-            with open(os.path.join(out_dir, svg_name), "w",
-                      encoding="utf-8", newline="") as fh:
-                fh.write(doc)
-            entries.append({
-                "file": svg_name,
-                "sha256": hashlib.sha256(doc.encode()).hexdigest(),
-                "rows": 0,
-            })
+            entries.append(_write(out_dir, os.path.splitext(name)[0] + ".svg",
+                                  doc))
     return entries
 
 
@@ -633,10 +644,8 @@ def run_config(cfg, out_dir, fmt="csv", seed=None, threads=1):
         results.sort(key=lambda r: r[0])
         for i, value, entries in results:
             manifest["files"].extend(entries)
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(out_dir, "manifest.json",
+           json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 
 

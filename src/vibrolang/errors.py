@@ -26,14 +26,6 @@ class TruncationError(VibrolangError):
     """Series truncation could not reach the requested tail bound."""
 
 
-class QuadratureError(VibrolangError):
-    """Adaptive quadrature failed to converge; carries the achieved estimate."""
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
-
-
 class InstabilityError(VibrolangError):
     """Trajectory integration blew up (energy growth beyond tolerance)."""
 

@@ -23,11 +23,18 @@ from .errors import (
     ResolutionError,
     TruncationError,
 )
-from .kernels import KernelParams, momentum_correlation, relaxation_params
+from .kernels import (
+    KernelParams,
+    _band_rule,
+    momentum_correlation,
+    relaxation_params,
+)
 from .model import MoleculeParams, SpectralDensity, ThermalState
 
 _TAIL_TARGET = 1e-8
 _TAIL_HARD = 1e-6
+# rows of t per (rows x band nodes) phase block in the band integrals
+_ROW_CHUNK = 512
 
 
 # ---------------------------------------------------------------------------
@@ -41,22 +48,20 @@ def franck_condon(lam, nbar=0.0):
     return math.exp(-lam**2 * (1.0 + 2.0 * nbar))
 
 
-def _band_nodes(sd: SpectralDensity, n_nodes):
-    """Gauss-Legendre nodes/weights for int_{omega_min}^{omega_max} g(w) J(w) dw.
-
-    Substituting w = omega_max sin(theta) absorbs the sqrt band-edge factor of
-    J into a smooth cos^2, so the rule converges fast despite the edge.
-    Returns (omega_i, W_i) with W_i already containing J(omega_i) d omega.
-    """
-    th_lo = math.asin(min(1.0, sd.omega_min / sd.omega_max))
-    x, wts = special.roots_legendre(n_nodes)
-    th = 0.5 * (x + 1.0) * (math.pi / 2.0 - th_lo) + th_lo
-    jac = 0.5 * (math.pi / 2.0 - th_lo) * wts
-    omega = sd.omega_max * np.sin(th)
-    p = 1 if sd.kind == "1d" else 3
-    j_over_root = sd.coupling * omega**p / sd.omega_max  # J / sqrt(wm^2-w^2)
-    big_w = j_over_root * sd.omega_max * np.cos(th) ** 2 * sd.omega_max * jac
-    return omega, big_w
+def _density_rule(sd: SpectralDensity, thermal: ThermalState, t_max):
+    """Nodes omega_i and weights J(omega_i) domega_i of `kernels._band_rule`
+    on [omega_min, omega_max] for phases up to omega t_max, graded from
+    omega_min toward the 1d integrands' 1/omega or 1/omega^2 peak at 0 or,
+    with omega_min = 0, toward the pole 2 pi i T of coth(beta omega/2)."""
+    if sd.infrared_divergent and thermal.temperature > 0:
+        raise DivergenceError("1d spectral density with omega_min = 0 at "
+                              "T > 0: the thermal band integrals diverge")
+    th_lo = math.asin(sd.omega_min / sd.omega_max)
+    d = th_lo or math.asinh(2.0 * math.pi * thermal.temperature
+                            / sd.omega_max) or math.inf
+    omega, dw = _band_rule(sd.omega_max, t_max,
+                           [(th_lo, d), (0.5 * math.pi, math.inf)])
+    return omega, spectral_density(omega, sd) * dw
 
 
 def spectral_density(omega, sd: SpectralDensity):
@@ -70,8 +75,13 @@ def spectral_density(omega, sd: SpectralDensity):
     return out if out.ndim else float(out)
 
 
-def debye_waller(sd: SpectralDensity, thermal: ThermalState, n_nodes=2000):
-    """f_DW = exp[- int J(w)/w^2 coth(beta w/2) dw]."""
+def debye_waller(sd: SpectralDensity, thermal: ThermalState):
+    """f_DW = exp[- int J(w)/w^2 coth(beta w/2) dw].
+
+    On `_density_rule` (panels at most pi/8 wide, graded toward omega = 0):
+    80 nodes for a 3d density, 300 for the 1d density with omega_min =
+    1e-4 omega_max; within 6e-14 of adaptive quadrature at T = 0.3 to 1.0.
+    """
     if sd.coupling == 0:
         return 1.0
     if sd.infrared_divergent:
@@ -79,16 +89,18 @@ def debye_waller(sd: SpectralDensity, thermal: ThermalState, n_nodes=2000):
             "1d spectral density with omega_min = 0: the Debye-Waller "
             "integral diverges logarithmically at the infrared end"
         )
-    omega, big_w = _band_nodes(sd, n_nodes)
+    omega, big_w = _density_rule(sd, thermal, 0.0)
     coth = thermal.coth_half_beta(omega)
     return float(np.exp(-np.sum(big_w * coth / omega**2)))
 
 
-def polaron_shift(sd: SpectralDensity, n_nodes=2000):
-    """Electronic frequency renormalization int J(w)/w dw."""
+def polaron_shift(sd: SpectralDensity):
+    """Electronic frequency renormalization int J(w)/w dw, on
+    `_density_rule` as `debye_waller`; within 3e-16 of adaptive quadrature
+    for the 3d and the regularized 1d density."""
     if sd.coupling == 0:
         return 0.0
-    omega, big_w = _band_nodes(sd, n_nodes)
+    omega, big_w = _density_rule(sd, ThermalState(0.0), 0.0)
     return float(np.sum(big_w / omega))
 
 
@@ -105,84 +117,57 @@ def displacement_correlation_vibron(tau, molecule, kp: KernelParams,
     1 at tau = 0 to the Franck-Condon factor at long delay.
     """
     lam = molecule.lam if isinstance(molecule, MoleculeParams) else float(molecule)
-    tau = np.asarray(tau, dtype=float)
     nbar = thermal.occupation(kp.nu) if thermal.temperature > 0 else 0.0
-    if markovian:
-        nu_p, gamma_p = kp.nu, kp.gamma_m
-        corr = ((nbar + 0.5) * np.cos(nu_p * tau)
-                - 0.5j * np.sin(nu_p * tau)) * np.exp(-0.5 * gamma_p * np.abs(tau))
-    else:
-        corr = momentum_correlation(tau, kp, thermal)
+    corr = momentum_correlation(tau, kp, thermal, markovian=markovian)
     out = np.exp(-2.0 * lam**2 * ((nbar + 0.5) - corr))
     return out if np.ndim(out) else complex(out)
 
 
-def phonon_correlation(tau, sd: SpectralDensity, thermal: ThermalState,
-                       n_nodes=None, method="gauss", chunk=512):
+def phonon_correlation(tau, sd: SpectralDensity, thermal: ThermalState):
     """Phonon displacement correlation <D(tau) D^dag(0)> =
     exp[ int J(w)/w^2 (coth(beta w/2)(cos w tau - 1) - i sin w tau) dw ].
 
     |value| <= 1; tends to the Debye-Waller factor at long delay and T = 0.
-    `method` selects the Gauss-Legendre rule or a fine uniform Riemann oracle.
+    On `_density_rule`, 12 rad of phase omega_max max|tau| dtheta a panel:
+    1,580 nodes at omega_max max|tau| = 600 (3d); a 12x finer rule moves
+    the exponent by under 4e-15 of its largest value.
     """
-    if sd.coupling > 0 and sd.kind == "1d" and sd.omega_min == 0 \
-            and thermal.temperature > 0:
-        raise DivergenceError(
-            "1d spectral density with omega_min = 0 at T > 0: the thermal "
-            "part of the correlation exponent diverges"
-        )
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     if sd.coupling == 0:
         out = np.ones(len(tau), dtype=complex)
         return out if len(out) > 1 else complex(out[0])
     tmax = float(np.max(np.abs(tau))) if len(tau) else 0.0
-    if n_nodes is None:
-        n_nodes = int(max(1000, 3.0 * sd.omega_max * tmax))
-    if method == "gauss":
-        omega, big_w = _band_nodes(sd, n_nodes)
-    elif method == "riemann":
-        edges = np.linspace(sd.omega_min, sd.omega_max, n_nodes + 1)
-        omega = 0.5 * (edges[1:] + edges[:-1])
-        big_w = spectral_density(omega, sd) * np.diff(edges)
-    else:
-        raise DomainError(f"unknown method {method!r}")
+    omega, big_w = _density_rule(sd, thermal, tmax)
     coth = thermal.coth_half_beta(omega)
     w_re = big_w * coth / omega**2
     w_im = big_w / omega**2
     out = np.empty(len(tau), dtype=complex)
-    for lo in range(0, len(tau), chunk):
-        tt = tau[lo:lo + chunk, None]
+    for lo in range(0, len(tau), _ROW_CHUNK):
+        tt = tau[lo:lo + _ROW_CHUNK, None]
         phase = omega[None, :] * tt
         expo = (np.cos(phase) - 1.0) @ w_re - 1j * (np.sin(phase) @ w_im)
-        out[lo:lo + chunk] = np.exp(expo)
+        out[lo:lo + _ROW_CHUNK] = np.exp(expo)
     return out if len(out) > 1 else complex(out[0])
 
 
-def dephasing_rate(t, sd: SpectralDensity, thermal: ThermalState,
-                   n_nodes=None, chunk=512):
+def dephasing_rate(t, sd: SpectralDensity, thermal: ThermalState):
     """Instantaneous dephasing rate int J(w)/w coth(beta w/2) sin(w t) dw.
 
     Grows linearly at short times and, for the 3d density, decays to zero
-    through oscillatory cancellation at long times.
+    through oscillatory cancellation at long times.  On `_density_rule`,
+    sized and graded as in `phonon_correlation`.
     """
-    if sd.coupling > 0 and sd.kind == "1d" and sd.omega_min == 0 \
-            and thermal.temperature > 0:
-        raise DivergenceError(
-            "1d spectral density with omega_min = 0 at T > 0: the dephasing "
-            "integral diverges"
-        )
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if sd.coupling == 0:
         out = np.zeros(len(t))
         return out if len(out) > 1 else float(out[0])
     tmax = float(np.max(np.abs(t))) if len(t) else 0.0
-    if n_nodes is None:
-        n_nodes = int(max(1000, 3.0 * sd.omega_max * tmax))
-    omega, big_w = _band_nodes(sd, n_nodes)
+    omega, big_w = _density_rule(sd, thermal, tmax)
     w_eff = big_w * thermal.coth_half_beta(omega) / omega
     out = np.empty(len(t))
-    for lo in range(0, len(t), chunk):
-        out[lo:lo + chunk] = np.sin(t[lo:lo + chunk, None] * omega[None, :]) @ w_eff
+    for lo in range(0, len(t), _ROW_CHUNK):
+        out[lo:lo + _ROW_CHUNK] = \
+            np.sin(t[lo:lo + _ROW_CHUNK, None] * omega[None, :]) @ w_eff
     return out if len(out) > 1 else float(out[0])
 
 
@@ -213,8 +198,8 @@ class LineSpectrum:
     lines    : array of shape (L, 3) with columns (position, weight, width);
                positions are detunings from the zero-phonon line
     gamma    : radiative half-linewidth (sets the P_e normalization)
-    grid     : detuning grid the spectrum was sampled on (optional)
-    values   : P_e/eta^2 on the grid (optional)
+    grid     : detuning grid to sample the spectrum on (optional)
+    values   : P_e/eta^2 on the grid, filled in when a grid is given
     """
 
     lines: np.ndarray
@@ -229,6 +214,9 @@ class LineSpectrum:
             raise DomainError("line weights must be >= 0")
         if np.any(self.lines[:, 2] <= 0):
             raise DomainError("line widths must be > 0")
+        if self.grid is not None:
+            self.grid = np.asarray(self.grid, dtype=float)
+            self.values = self.evaluate(self.grid)
 
     def evaluate(self, detuning):
         """P_e/eta^2 = sum_lines w * width/gamma / (width^2 + (D - pos)^2)."""
@@ -240,10 +228,6 @@ class LineSpectrum:
             axis=-1,
         )
         return out if out.ndim else float(out)
-
-    @property
-    def total_weight(self):
-        return float(np.sum(self.lines[:, 1]))
 
 
 def line_weight_L(n, lam, nbar):
@@ -317,14 +301,10 @@ def absorption_discrete(detuning_grid, molecule: MoleculeParams,
                          n_max=n_max)
     n_used = int(round(2.0 * (np.max(lines[:, 2]) - molecule.gamma) / gamma_p)) \
         if gamma_p > 0 else len(lines)
-    spec = LineSpectrum(lines=lines, gamma=molecule.gamma,
+    return LineSpectrum(lines=lines, gamma=molecule.gamma, grid=detuning_grid,
                         meta={"nbar": nbar, "nu_prime": nu_p,
                               "gamma_prime": gamma_p,
                               "tail": _weight_tail(molecule.lam, nbar, n_used)})
-    if detuning_grid is not None:
-        spec.grid = np.asarray(detuning_grid, dtype=float)
-        spec.values = spec.evaluate(spec.grid)
-    return spec
 
 
 def absorption_bessel(detuning_grid, molecule: MoleculeParams,
@@ -363,12 +343,9 @@ def absorption_bessel(detuning_grid, molecule: MoleculeParams,
             if w > 0:
                 rows.append((n * nu_p, w,
                              molecule.gamma + 0.5 * abs(n) * gamma_p))
-    spec = LineSpectrum(lines=np.array(rows), gamma=molecule.gamma,
+    return LineSpectrum(lines=np.array(rows), gamma=molecule.gamma,
+                        grid=detuning_grid,
                         meta={"nbar": nbar, "validity_arg": arg})
-    if detuning_grid is not None:
-        spec.grid = np.asarray(detuning_grid, dtype=float)
-        spec.values = spec.evaluate(spec.grid)
-    return spec
 
 
 def absorption_multimode_discrete(detuning_grid, molecule: MoleculeParams,
@@ -407,12 +384,8 @@ def absorption_multimode_discrete(detuning_grid, molecule: MoleculeParams,
             for (p1, w1, g1) in rows
             if w0 * w1 > 1e-14
         ]
-    spec = LineSpectrum(lines=np.array(combo), gamma=molecule.gamma,
-                        meta={"modes": mode_table})
-    if detuning_grid is not None:
-        spec.grid = np.asarray(detuning_grid, dtype=float)
-        spec.values = spec.evaluate(spec.grid)
-    return spec
+    return LineSpectrum(lines=np.array(combo), gamma=molecule.gamma,
+                        grid=detuning_grid, meta={"modes": mode_table})
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,7 @@ def _momentum_closure_l2(gamma_m):
     for nbar in (0.0, 1.0):
         th = (ThermalState.from_occupation(nbar, 1.0) if nbar > 0
               else ThermalState(temperature=0.0))
-        num = np.array([momentum_correlation_numeric(t, kp, th) for t in tau])
+        num = momentum_correlation_numeric(tau, kp, th)
         ana = momentum_correlation(tau, kp, th)
         errs.append(float(np.linalg.norm(ana - num) / np.linalg.norm(num)))
     return errs

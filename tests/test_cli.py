@@ -10,6 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from vibrolang import cli
 from vibrolang.cli import (
     _SCHEMAS,
     load_preset,
@@ -138,6 +139,15 @@ class TestExitCodes:
         cfg["molecule"]["nu"] = float("inf")
         self._config_error(tmp_path, cfg, capsys)
 
+    def test_negative_nu_relaxation_is_config_error(self, tmp_path, capsys):
+        self._config_error(tmp_path, dict(SMALL_RELAXATION, nu=-1.0), capsys)
+
+    def test_negative_nu_collective_is_config_error(self, tmp_path, capsys):
+        cfg = {"command": "collective", "nu": -1.0, "j": 1, "excite": "minus",
+               "bath": SMALL_RELAXATION["bath"],
+               "trajectory": SMALL_RELAXATION["trajectory"]}
+        self._config_error(tmp_path, cfg, capsys)
+
 
 class TestArtifacts:
     def test_relaxation_outputs_and_checksums(self, tmp_path):
@@ -159,6 +169,29 @@ class TestArtifacts:
         t1 = (tmp_path / "a" / "trajectory.csv").read_bytes()
         t2 = (tmp_path / "b" / "trajectory.csv").read_bytes()
         assert t1 == t2
+
+    def test_failed_manifest_write_keeps_old_manifest(self, tmp_path,
+                                                      monkeypatch):
+        out = tmp_path / "out"
+        run_config(SMALL_ABSORPTION, str(out))
+        before = (out / "manifest.json").read_bytes()
+        listing = sorted(os.listdir(out))
+        real_open = open
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            if "w" in mode and \
+                    os.path.basename(path).startswith("manifest.json"):
+                def write(text):
+                    raise OSError("disk full")
+                fh.write = write
+            return fh
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            run_config(SMALL_ABSORPTION, str(out))
+        assert (out / "manifest.json").read_bytes() == before
+        assert sorted(os.listdir(out)) == listing
 
     def test_svg_emission(self, tmp_path):
         out = tmp_path / "out"

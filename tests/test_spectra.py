@@ -37,6 +37,21 @@ from vibrolang.spectra import (
 
 KP = KernelParams(gamma_m=0.1, omega_max=1.3, nu=1.0)
 TH0 = ThermalState(temperature=0.0)
+# fig5a's regularized 1d density: its infrared peak sits at omega_min
+SD_1D = SpectralDensity(kind="1d", coupling=0.03, omega_max=3.0,
+                        omega_min=3e-4)
+
+
+def _riemann_phonon_correlation(t, sd, thermal, n_mid):
+    """Phonon correlation as a uniform midpoint sum over [omega_min,
+    omega_max], independent of the graded Gauss-Legendre band rule."""
+    edges = np.linspace(sd.omega_min, sd.omega_max, n_mid + 1)
+    omega = 0.5 * (edges[1:] + edges[:-1])
+    w = spectral_density(omega, sd) * np.diff(edges) / omega**2
+    phase = np.outer(t, omega)
+    coth = thermal.coth_half_beta(omega)
+    return np.exp((np.cos(phase) - 1.0) @ (w * coth)
+                  - 1j * (np.sin(phase) @ w))
 
 
 class TestWeights:
@@ -175,19 +190,33 @@ class TestContinuum:
             np.abs(c), debye_waller(sd, th), rtol=1e-3
         )
 
-    def test_polaron_shift_against_quadrature(self):
-        sd = SpectralDensity(kind="3d", coupling=0.02, omega_max=3.0)
+    @pytest.mark.parametrize("sd", [
+        SpectralDensity(kind="3d", coupling=0.02, omega_max=3.0), SD_1D,
+    ], ids=["3d", "1d"])
+    def test_polaron_shift_against_quadrature(self, sd):
         ref, _ = integrate.quad(
-            lambda w: spectral_density(w, sd) / w, 0.0, 3.0
+            lambda w: spectral_density(w, sd) / w, sd.omega_min, 3.0
         )
         np.testing.assert_allclose(polaron_shift(sd), ref, rtol=1e-8)
+
+    @pytest.mark.parametrize("temp", [0.3, 0.62, 1.0])
+    def test_debye_waller_1d_infrared_peak(self, temp):
+        # the exponent peaks as 1/omega^2 at omega_min; quad split there
+        th = ThermalState(temperature=temp)
+        pts = (SD_1D.omega_min, 3e-3, 0.1, SD_1D.omega_max)
+        expo = sum(integrate.quad(
+            lambda w: spectral_density(w, SD_1D) / w**2
+            * th.coth_half_beta(w), a, b, limit=200, epsabs=0.0,
+            epsrel=1e-13)[0] for a, b in zip(pts[:-1], pts[1:]))
+        np.testing.assert_allclose(debye_waller(SD_1D, th), math.exp(-expo),
+                                   rtol=1e-12, atol=0.0)
 
     def test_riemann_and_gauss_paths_agree(self):
         sd = SpectralDensity(kind="3d", coupling=0.02, omega_max=3.0)
         th = ThermalState(temperature=2.0)
         t = np.linspace(0.0, 20.0, 64)
-        a = phonon_correlation(t, sd, th, method="gauss")
-        b = phonon_correlation(t, sd, th, method="riemann", n_nodes=200000)
+        a = phonon_correlation(t, sd, th)
+        b = _riemann_phonon_correlation(t, sd, th, n_mid=200000)
         assert np.max(np.abs(a - b)) < 1e-4
 
 
