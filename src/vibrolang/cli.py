@@ -28,7 +28,7 @@ import jsonschema
 
 from . import cavity as cavity_mod
 from . import kernels, microsim, spectra, svg
-from .errors import ConfigError, DomainError, VibrolangError
+from .errors import ConfigError, DomainError, TruncationError, VibrolangError
 from .model import (
     DiscreteBath,
     MoleculeParams,
@@ -265,13 +265,14 @@ def load_preset(name):
 
 
 def _builder(build):
-    """A domain rule that a config value breaks is a config error, not a
-    numeric failure."""
+    """A domain rule that a config value breaks, or a series that cannot
+    close for the config's values, is a config error, not a numeric
+    failure."""
     @functools.wraps(build)
     def wrapped(*args, **kwargs):
         try:
             return build(*args, **kwargs)
-        except DomainError as exc:
+        except (DomainError, TruncationError) as exc:
             raise ConfigError(f"config value out of domain: {exc}") from exc
     return wrapped
 
@@ -345,6 +346,13 @@ def _cavity_from(cfg):
         delta_c=cfg.get("delta_c", 0.0), kappa=cfg["kappa"], g=cfg["g"],
         eta_c=cfg.get("eta_c", 0.0),
     )
+
+
+@_builder
+def _comb_order(mol, kp, thermal):
+    """Truncation order of the vibron sideband comb of (lam, nbar(nu))."""
+    nbar = thermal.occupation(kp.nu) if thermal.temperature > 0 else 0.0
+    return spectra.choose_n_max(mol.lam, nbar)
 
 
 def _grid_from(cfg):
@@ -434,7 +442,8 @@ def _handle_absorption(cfg, seed):
     if method in ("discrete", "bessel"):
         absorb = {"discrete": spectra.absorption_discrete,
                   "bessel": spectra.absorption_bessel}[method]
-        spec = absorb(grid, mol, kp, thermal, markovian=markovian)
+        spec = absorb(grid, mol, kp, thermal, markovian=markovian,
+                      n_max=_comb_order(mol, kp, thermal))
         values = spec.values
         meta.update({"n_lines": len(spec.lines), **spec.meta})
     else:
@@ -505,9 +514,11 @@ def _handle_cavity(cfg, seed):
     cav = _cavity_from(cfg["cavity"])
     sd = _sd_from(cfg["sd"]) if "sd" in cfg else None
     grid = _grid_from(cfg["grid"])
+    n_max = _comb_order(mol, kp, thermal) \
+        if sd is None or sd.coupling == 0 else None
     t_amp, t2 = cavity_mod.transmission(
         grid, cav, mol, kp, thermal, sd=sd,
-        markovian=cfg.get("markovian", False),
+        markovian=cfg.get("markovian", False), n_max=n_max,
     )
     g_eff = cavity_mod.effective_rabi_from_params(cav, mol, thermal, mol.nu,
                                                   sd=sd)

@@ -140,8 +140,9 @@ def simulate(nu: float, bath: DiscreteBath, sites,
     `sites` holds distinct integer offsets from the central cell: (0,) is a
     single molecule at the centre, (-j, j) a pair at N+1 -+ j.  Initial
     quadratures may be given per molecule as tuples in `cfg`.  Raises
-    InstabilityError if the summed vibron energy exceeds 10x its initial
-    value (a symptom of a step-size/stability failure in this passive model).
+    InstabilityError if the summed vibron energy is not finite or exceeds
+    10x its initial value (a symptom of a step-size/stability failure in
+    this passive model).
     """
     if not isinstance(bath, DiscreteBath):
         raise VariantError("simulate requires a discrete bath")
@@ -200,6 +201,8 @@ def simulate(nu: float, bath: DiscreteBath, sites,
     times = np.arange(len(rows)) * dt * cfg.store_every
     Q, P, E = rows[:, :m].T, rows[:, m:2 * m].T, rows[:, 2 * m:3 * m].T
     e_sum = np.sum(E, axis=0)
+    if not np.all(np.isfinite(e_sum)):
+        raise InstabilityError("vibron energy is not finite")
     if e_sum[0] > 0 and np.max(e_sum) > 10.0 * e_sum[0]:
         raise InstabilityError("vibron energy grew beyond 10x its initial value")
     e_plus = e_minus = None

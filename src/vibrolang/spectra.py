@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
+from scipy import fft, special
 
 from .errors import (
     DivergenceError,
@@ -33,8 +33,6 @@ from .model import MoleculeParams, SpectralDensity, ThermalState
 
 _TAIL_TARGET = 1e-8
 _TAIL_HARD = 1e-6
-# rows of t per (rows x band nodes) phase block in the band integrals
-_ROW_CHUNK = 512
 
 
 # ---------------------------------------------------------------------------
@@ -123,52 +121,82 @@ def displacement_correlation_vibron(tau, molecule, kp: KernelParams,
     return out if np.ndim(out) else complex(out)
 
 
+def _even_grid(x, name):
+    """(x as a 1-D array, its spacing h, whether x was a scalar) for a grid
+    x_k = x_0 + k h.  Raises DomainError when a point strays from the line
+    through the ends by more than 1e-12 of the grid's largest magnitude, a
+    bound every np.linspace and np.arange grid meets by many orders."""
+    scalar = np.ndim(x) == 0
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    n = len(x)
+    h = (x[-1] - x[0]) / (n - 1) if n > 1 else 0.0
+    if n > 2:
+        stray = np.max(np.abs(x - (x[0] + h * np.arange(n))))
+        if stray > 1e-12 * max(abs(x[0]), abs(x[-1])):
+            raise DomainError(f"{name} grid is not evenly spaced")
+    return x, h, scalar
+
+
+def _phase_sum(t, h, omega, weights):
+    """S_j = sum_i weights_i e^{i omega_i t_j} on the even grid t_j = t_0 + j h;
+    weights of shape (len(omega), K) give K sums side by side.
+
+    With j = a m + c and m ~ sqrt(len(t)), e^{i omega t_j} =
+    e^{i omega (t_0 + a m h)} e^{i omega c h}, so S is one matrix product of
+    two phase tables of about sqrt(len(t)) rows each.  The product runs one
+    matrix-vector product per column: a BLAS matrix-matrix product picks
+    its summation order by thread count, and the output bytes would follow.
+    """
+    m = max(1, math.isqrt(len(t)))
+    coarse = np.exp(1j * np.outer(t[0] + m * h * np.arange(-(-len(t) // m)),
+                                  omega))
+    fine = np.exp(1j * np.outer(omega, h * np.arange(m)))[:, :, None] \
+        * weights.reshape(len(omega), 1, -1)
+    s = np.stack([coarse @ col for col in fine.reshape(len(omega), -1).T],
+                 axis=1)
+    return s.reshape(-1, *weights.shape[1:])[:len(t)]
+
+
 def phonon_correlation(tau, sd: SpectralDensity, thermal: ThermalState):
     """Phonon displacement correlation <D(tau) D^dag(0)> =
-    exp[ int J(w)/w^2 (coth(beta w/2)(cos w tau - 1) - i sin w tau) dw ].
+    exp[ int J(w)/w^2 (coth(beta w/2)(cos w tau - 1) - i sin w tau) dw ]
+    on an evenly spaced tau grid (scalar in, scalar out).
 
     |value| <= 1; tends to the Debye-Waller factor at long delay and T = 0.
     On `_density_rule`, 12 rad of phase omega_max max|tau| dtheta a panel:
     1,580 nodes at omega_max max|tau| = 600 (3d); a 12x finer rule moves
-    the exponent by under 4e-15 of its largest value.
+    the exponent by under 4e-15 of its largest value.  The cos and sin
+    band sums are the real and imaginary parts of `_phase_sum`.
     """
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    if sd.coupling == 0:
+    tau, h, scalar = _even_grid(tau, "tau")
+    if sd.coupling == 0 or len(tau) == 0:
         out = np.ones(len(tau), dtype=complex)
-        return out if len(out) > 1 else complex(out[0])
-    tmax = float(np.max(np.abs(tau))) if len(tau) else 0.0
-    omega, big_w = _density_rule(sd, thermal, tmax)
-    coth = thermal.coth_half_beta(omega)
-    w_re = big_w * coth / omega**2
-    w_im = big_w / omega**2
-    out = np.empty(len(tau), dtype=complex)
-    for lo in range(0, len(tau), _ROW_CHUNK):
-        tt = tau[lo:lo + _ROW_CHUNK, None]
-        phase = omega[None, :] * tt
-        expo = (np.cos(phase) - 1.0) @ w_re - 1j * (np.sin(phase) @ w_im)
-        out[lo:lo + _ROW_CHUNK] = np.exp(expo)
-    return out if len(out) > 1 else complex(out[0])
+    else:
+        omega, big_w = _density_rule(sd, thermal, float(np.max(np.abs(tau))))
+        w_re = big_w * thermal.coth_half_beta(omega) / omega**2
+        w_im = big_w / omega**2
+        s = _phase_sum(tau, h, omega, np.column_stack((w_re, w_im)))
+        out = np.exp(s[:, 0].real - np.sum(w_re) - 1j * s[:, 1].imag)
+    return complex(out[0]) if scalar else out
 
 
 def dephasing_rate(t, sd: SpectralDensity, thermal: ThermalState):
-    """Instantaneous dephasing rate int J(w)/w coth(beta w/2) sin(w t) dw.
+    """Instantaneous dephasing rate int J(w)/w coth(beta w/2) sin(w t) dw on
+    an evenly spaced t grid (scalar in, scalar out).
 
     Grows linearly at short times and, for the 3d density, decays to zero
     through oscillatory cancellation at long times.  On `_density_rule`,
-    sized and graded as in `phonon_correlation`.
+    sized and graded as in `phonon_correlation`; the band sum is
+    `_phase_sum`.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if sd.coupling == 0:
+    t, h, scalar = _even_grid(t, "t")
+    if sd.coupling == 0 or len(t) == 0:
         out = np.zeros(len(t))
-        return out if len(out) > 1 else float(out[0])
-    tmax = float(np.max(np.abs(t))) if len(t) else 0.0
-    omega, big_w = _density_rule(sd, thermal, tmax)
-    w_eff = big_w * thermal.coth_half_beta(omega) / omega
-    out = np.empty(len(t))
-    for lo in range(0, len(t), _ROW_CHUNK):
-        out[lo:lo + _ROW_CHUNK] = \
-            np.sin(t[lo:lo + _ROW_CHUNK, None] * omega[None, :]) @ w_eff
-    return out if len(out) > 1 else float(out[0])
+    else:
+        omega, big_w = _density_rule(sd, thermal, float(np.max(np.abs(t))))
+        w_eff = big_w * thermal.coth_half_beta(omega) / omega
+        out = _phase_sum(t, h, omega, w_eff).imag
+    return float(out[0]) if scalar else out
 
 
 def single_mode_dephasing_rate(t, lam_k, omega_k, thermal: ThermalState):
@@ -392,25 +420,38 @@ def absorption_multimode_discrete(detuning_grid, molecule: MoleculeParams,
 # continuum (correlation-transform) spectra
 
 
-def response_transform(detuning, corr, gamma, dt, chunk=64):
+def response_transform(detuning, corr, gamma, dt):
     """One-sided damped transform H(Delta) = int_0^T e^{(i Delta - gamma) tau}
-    C(tau) d tau for a correlation sampled as corr[j] = C(j dt).
+    C(tau) d tau for a correlation sampled as corr[j] = C(j dt), on an evenly
+    spaced detuning grid (scalar in, scalar out).
 
-    Composite Simpson along the time axis, chunked over the detuning grid.
+    Composite Simpson along the time axis.  With Delta_k = Delta_0 + k d and
+    theta = d dt, H_k = sum_j x_j e^{i theta k j} is a chirp-z transform,
+    evaluated by Bluestein's convolution: kj = (k^2 + j^2 - (k-j)^2)/2.
+    The chirp e^{i theta j^2/2} is built from its exact phase, not as a
+    power of e^{i theta}, whose rounding the power magnifies.
     """
-    detuning = np.atleast_1d(np.asarray(detuning, dtype=float))
+    detuning, step, scalar = _even_grid(detuning, "detuning")
+    m = len(detuning)
+    if m == 0:
+        return np.empty(0, dtype=complex)
     corr = np.asarray(corr, dtype=complex)
-    n = len(corr)
-    if n % 2 == 0:  # Simpson wants an odd number of samples
-        corr = corr[:-1]
-        n -= 1
+    n = len(corr) if len(corr) % 2 else len(corr) - 1  # Simpson: odd count
+    simpson = np.full(n, 2.0)
+    simpson[1::2] = 4.0
+    simpson[[0, -1]] = 1.0
     t = np.arange(n) * dt
-    damped = corr * np.exp(-gamma * t)
-    out = np.empty(len(detuning), dtype=complex)
-    for lo in range(0, len(detuning), chunk):
-        phase = np.exp(1j * np.outer(detuning[lo:lo + chunk], t))
-        out[lo:lo + chunk] = integrate.simpson(phase * damped, dx=dt, axis=-1)
-    return out if len(out) > 1 else complex(out[0])
+    x = corr[:n] * (dt / 3.0 * simpson) \
+        * np.exp((1j * detuning[0] - gamma) * t)
+    j = np.arange(max(n, m), dtype=float)
+    chirp = np.exp(0.5j * (step * dt) * j * j)
+    size = fft.next_fast_len(n + m - 1)
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:m] = chirp[:m].conj()
+    kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
+    conv = fft.ifft(fft.fft(x * chirp[:n], size) * fft.fft(kernel))
+    out = chirp[:m] * conv[:m]
+    return complex(out[0]) if scalar else out
 
 
 def _correlation_response(detuning, molecule: MoleculeParams,

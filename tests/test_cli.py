@@ -5,6 +5,8 @@ import copy
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -137,6 +139,15 @@ class TestExitCodes:
     def test_infinite_nu_is_config_error(self, tmp_path, capsys):
         cfg = copy.deepcopy(SMALL_ABSORPTION)
         cfg["molecule"]["nu"] = float("inf")
+        self._config_error(tmp_path, cfg, capsys)
+
+    @pytest.mark.parametrize("preset", ["fig4b", "fig6a"])
+    def test_unclosable_comb_is_config_error(self, tmp_path, capsys, preset):
+        # lam^2 (1 + 2 nbar) so large that the sideband comb's weight tail
+        # cannot close within its order cap
+        cfg = load_preset(preset)
+        cfg.pop("sweep", None)
+        cfg["nbar"] = 1e300
         self._config_error(tmp_path, cfg, capsys)
 
     def test_negative_nu_relaxation_is_config_error(self, tmp_path, capsys):
@@ -288,6 +299,18 @@ class TestSweep:
         s2 = next(e["sha256"] for e in m_plain["files"]
                   if e["file"].endswith("spectrum.csv"))
         assert s1 == s2
+
+
+class TestImports:
+    def test_cli_import_leaves_out_scipy_signal(self):
+        # scipy.signal costs about 0.5 s to import on every CLI run
+        code = ("import sys, vibrolang.cli; "
+                "sys.exit('scipy.signal' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [os.path.dirname(os.path.dirname(cli.__file__)),
+                          os.environ.get("PYTHONPATH")])))
+        assert subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=120).returncode == 0
 
 
 class TestEnvThreads:

@@ -90,6 +90,13 @@ class TestIntegration:
         except InstabilityError:
             pass
 
+    def test_non_finite_energy_detected(self):
+        # NaN compares false against the 10x bound; it must still be caught
+        bath = _bath(n=20)
+        cfg = TrajectoryConfig(t_max=1.0, q0=float("nan"))
+        with pytest.raises(InstabilityError):
+            simulate(1.0, bath, (0,), cfg)
+
 
 class TestPair:
     def test_collective_energy_partition(self):

@@ -10,6 +10,7 @@ from scipy import integrate
 
 from vibrolang import (
     DivergenceError,
+    DomainError,
     KernelParams,
     MoleculeParams,
     ResolutionError,
@@ -27,6 +28,8 @@ from vibrolang import (
     spectral_density,
 )
 from vibrolang.spectra import (
+    _density_rule,
+    _even_grid,
     absorption_multimode_discrete,
     line_weight_L,
     response_transform,
@@ -52,6 +55,44 @@ def _riemann_phonon_correlation(t, sd, thermal, n_mid):
     coth = thermal.coth_half_beta(omega)
     return np.exp((np.cos(phase) - 1.0) @ (w * coth)
                   - 1j * (np.sin(phase) @ w))
+
+
+def _dense_band_sum(t, sd, thermal):
+    """Phonon correlation and dephasing rate from full (t x omega) cos and
+    sin tables on the band rule's nodes, one block of t rows at a time."""
+    omega, big_w = _density_rule(sd, thermal, float(np.max(np.abs(t))))
+    coth = thermal.coth_half_beta(omega)
+    corr = np.empty(len(t), dtype=complex)
+    rate = np.empty(len(t))
+    for lo in range(0, len(t), 512):
+        phase = np.outer(t[lo:lo + 512], omega)
+        cos, sin = np.cos(phase), np.sin(phase)
+        corr[lo:lo + 512] = np.exp((cos - 1.0) @ (big_w * coth / omega**2)
+                                   - 1j * (sin @ (big_w / omega**2)))
+        rate[lo:lo + 512] = sin @ (big_w * coth / omega)
+    return corr, rate
+
+
+def _simpson_response_transform(detuning, corr, gamma, dt, chunk=64):
+    """Damped transform as a dense composite-Simpson sum over the time axis,
+    one block of detunings at a time."""
+    n = len(corr) if len(corr) % 2 else len(corr) - 1
+    t = np.arange(n) * dt
+    damped = corr[:n] * np.exp(-gamma * t)
+    out = np.empty(len(detuning), dtype=complex)
+    for lo in range(0, len(detuning), chunk):
+        phase = np.exp(1j * np.outer(detuning[lo:lo + chunk], t))
+        out[lo:lo + chunk] = integrate.simpson(phase * damped, dx=dt, axis=-1)
+    return out
+
+
+def _max_rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+# fig6c's phonon density and the cavity workload's 9,601-point tau grid
+SD_6C = SpectralDensity(kind="3d", coupling=0.2, omega_max=3.0)
+TAU_CAVITY = np.arange(9601) / 48.0
 
 
 class TestWeights:
@@ -219,6 +260,51 @@ class TestContinuum:
         b = _riemann_phonon_correlation(t, sd, th, n_mid=200000)
         assert np.max(np.abs(a - b)) < 1e-4
 
+    @pytest.mark.parametrize("temp", [1.3, 0.0])
+    def test_phonon_correlation_matches_dense_sum(self, temp):
+        th = ThermalState(temperature=temp)
+        ref, _ = _dense_band_sum(TAU_CAVITY, SD_6C, th)
+        err = _max_rel(phonon_correlation(TAU_CAVITY, SD_6C, th), ref)
+        assert err <= 1e-12, err
+
+
+class TestGridContract:
+    UNEVEN = np.array([0.0, 1.0, 3.0])
+
+    def test_uneven_grids_rejected(self):
+        sd = SpectralDensity(kind="3d", coupling=0.02, omega_max=3.0)
+        with pytest.raises(DomainError):
+            phonon_correlation(self.UNEVEN, sd, TH0)
+        with pytest.raises(DomainError):
+            dephasing_rate(self.UNEVEN, sd, TH0)
+        with pytest.raises(DomainError):
+            response_transform(self.UNEVEN, np.ones(11), 0.1, 0.1)
+
+    @pytest.mark.parametrize("grid", [
+        np.linspace(-0.6, 0.6, 4001), np.linspace(1000.0, 1000.001, 11),
+        np.linspace(3.0, -2.0, 7), np.arange(0.0, 30.0 / 3.0, 1.0 / 24.0),
+        np.arange(0.0, 100.0, 1e-3), np.arange(-5.0, 5.0, 0.1),
+    ], ids=["cavity", "offset", "descending", "wing-tau", "long", "range"])
+    def test_linspace_and_arange_grids_pass(self, grid):
+        _, h, _ = _even_grid(grid, "test")
+        assert abs(h - (grid[1] - grid[0])) <= 1e-9 * abs(h)
+
+    def test_empty_one_and_scalar_grids(self):
+        sd = SpectralDensity(kind="3d", coupling=0.02, omega_max=3.0)
+        th = ThermalState(temperature=2.0)
+        corr = np.exp(-0.3 * np.arange(101) * 0.1)
+        for fn, args, kind in (
+                (phonon_correlation, (sd, th), complex),
+                (dephasing_rate, (sd, th), float),
+                (response_transform, (corr, 0.05, 0.1), complex)):
+            empty = fn(np.array([]), *args)
+            assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+            one = fn(np.array([2.5]), *args)
+            assert isinstance(one, np.ndarray) and one.shape == (1,)
+            scalar = fn(2.5, *args)
+            assert type(scalar) is kind
+            assert scalar == one[0]
+
 
 class TestDephasing:
     def test_single_mode_short_time_law(self):
@@ -239,6 +325,15 @@ class TestDephasing:
         sd = SpectralDensity(kind="3d", coupling=0.0, omega_max=3.0)
         assert dephasing_rate(1.0, sd, TH0) == 0.0
 
+    def test_continuum_rate_matches_dense_sum(self):
+        # criterion 8's grid and temperature
+        sd = SpectralDensity(kind="3d", coupling=0.02, omega_max=3.0)
+        th = ThermalState(temperature=10.4313)
+        t = np.linspace(0.05, 60.0, 800)
+        _, ref = _dense_band_sum(t, sd, th)
+        err = _max_rel(dephasing_rate(t, sd, th), ref)
+        assert err <= 1e-12, err
+
 
 class TestResponseTransform:
     def test_exponential_correlation_gives_lorentzian(self):
@@ -250,6 +345,18 @@ class TestResponseTransform:
         h = response_transform(det, corr, gamma, dt)
         expect = 1.0 / ((gamma + a) - 1j * det)
         np.testing.assert_allclose(h, expect, rtol=1e-6)
+
+    @pytest.mark.parametrize("n_det", [4001, 1201])
+    def test_chirp_z_matches_dense_simpson(self, n_det):
+        # the cavity workload's sizes: 9,601 samples at fig6b's dt = 1/64
+        dt = 1.0 / 64.0
+        t = np.arange(9601) * dt
+        corr = phonon_correlation(t, SD_6C, ThermalState(temperature=1.3)) \
+            * np.exp(-1j * 0.4 * t)
+        det = np.linspace(-0.6, 0.6, n_det)
+        ref = _simpson_response_transform(det, corr, 0.02, dt)
+        err = _max_rel(response_transform(det, corr, 0.02, dt), ref)
+        assert err <= 1e-12, err
 
     def test_full_spectrum_resolution_guard(self):
         mol = MoleculeParams(omega0=0.0, gamma=1e-4, nu=1.0, lam=0.0)
