@@ -49,35 +49,37 @@ class CavityParams:
 
 def molecular_response(detuning, molecule: MoleculeParams, kp: KernelParams,
                        thermal: ThermalState, sd: SpectralDensity | None = None,
-                       markovian=False, n_max=None, t_horizon=None, dt=None):
+                       markovian=False):
     """Complex molecular response H(delta).
 
-    Without phonons (sd=None) this is the discrete sideband sum
+    Without phonons (sd=None) this is the sum over the vibron's sideband
+    comb (`spectra.vibron_lines`, the lines of `absorption_discrete`)
 
-        H = sum_{n,l} L(n) B(n,l) / [ (gamma + n Gamma'/2) - i(delta-(n-2l)nu') ],
+        H = sum_{n,l} w(n,l) / [ (gamma + n Gamma'/2) - i(delta-(n-2l)nu') ],
 
-    which reduces to the two-level 1/(gamma - i delta) at lam = 0.  With a
-    phonon spectral density the damped transform of the product correlation
-    <B B^dag><D D^dag> is used instead.
+    so Re H/gamma is the discrete absorption spectrum; it reduces to the
+    two-level 1/(gamma - i delta) at lam = 0.  With a phonon spectral
+    density the damped transform of the product correlation
+    <B B^dag><D D^dag> is used instead, on the time grid that
+    `absorption_full` uses.
     """
     detuning = np.asarray(detuning, dtype=float)
     if sd is None or sd.coupling == 0:
         if molecule.lam == 0:
             out = 1.0 / (molecule.gamma - 1j * detuning)
             return out if out.ndim else complex(out)
-        lines = absorption_discrete(None, molecule, kp, thermal, n_max=n_max,
+        lines = absorption_discrete(None, molecule, kp, thermal,
                                     markovian=markovian).lines
         pos, wt, wid = lines.T
         out = np.sum(wt / (wid - 1j * (detuning[..., None] - pos)), axis=-1)
         return out if out.ndim else complex(out)
     return _correlation_response(detuning, molecule, kp, sd, thermal,
-                                 markovian, t_horizon, dt)[0]
+                                 markovian)[0]
 
 
 def transmission(detuning, cavity: CavityParams, molecule: MoleculeParams,
                  kp: KernelParams, thermal: ThermalState,
-                 sd: SpectralDensity | None = None, markovian=False,
-                 **response_kwargs):
+                 sd: SpectralDensity | None = None, markovian=False):
     """Normalized cavity transmission amplitude
 
         T(delta) = kappa / [ g^2 H(delta) + kappa - i(delta - delta_c) ],
@@ -94,7 +96,7 @@ def transmission(detuning, cavity: CavityParams, molecule: MoleculeParams,
                 stacklevel=2,
             )
         h = molecular_response(detuning, molecule, kp, thermal, sd=sd,
-                               markovian=markovian, **response_kwargs)
+                               markovian=markovian)
     else:
         h = 0.0
     den = cavity.g**2 * h + cavity.kappa - 1j * (detuning - cavity.delta_c)

@@ -350,7 +350,8 @@ def _cavity_from(cfg):
 
 @_builder
 def _comb_order(mol, kp, thermal):
-    """Truncation order of the vibron sideband comb of (lam, nbar(nu))."""
+    """Truncation order of the vibron sideband comb of (lam, nbar(nu)); a
+    comb that cannot close within the order cap is a config error."""
     nbar = thermal.occupation(kp.nu) if thermal.temperature > 0 else 0.0
     return spectra.choose_n_max(mol.lam, nbar)
 
@@ -442,8 +443,8 @@ def _handle_absorption(cfg, seed):
     if method in ("discrete", "bessel"):
         absorb = {"discrete": spectra.absorption_discrete,
                   "bessel": spectra.absorption_bessel}[method]
-        spec = absorb(grid, mol, kp, thermal, markovian=markovian,
-                      n_max=_comb_order(mol, kp, thermal))
+        _comb_order(mol, kp, thermal)
+        spec = absorb(grid, mol, kp, thermal, markovian=markovian)
         values = spec.values
         meta.update({"n_lines": len(spec.lines), **spec.meta})
     else:
@@ -514,11 +515,11 @@ def _handle_cavity(cfg, seed):
     cav = _cavity_from(cfg["cavity"])
     sd = _sd_from(cfg["sd"]) if "sd" in cfg else None
     grid = _grid_from(cfg["grid"])
-    n_max = _comb_order(mol, kp, thermal) \
-        if sd is None or sd.coupling == 0 else None
+    if sd is None or sd.coupling == 0:
+        _comb_order(mol, kp, thermal)
     t_amp, t2 = cavity_mod.transmission(
         grid, cav, mol, kp, thermal, sd=sd,
-        markovian=cfg.get("markovian", False), n_max=n_max,
+        markovian=cfg.get("markovian", False),
     )
     g_eff = cavity_mod.effective_rabi_from_params(cav, mol, thermal, mol.nu,
                                                   sd=sd)

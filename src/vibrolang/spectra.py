@@ -32,7 +32,7 @@ from .kernels import (
 from .model import MoleculeParams, SpectralDensity, ThermalState
 
 _TAIL_TARGET = 1e-8
-_TAIL_HARD = 1e-6
+_ORDER_CAP = 250
 
 
 # ---------------------------------------------------------------------------
@@ -258,91 +258,83 @@ class LineSpectrum:
         return out if out.ndim else float(out)
 
 
-def line_weight_L(n, lam, nbar):
-    """Poisson-like vibronic weight L(n) = f_FC lam^(2n)/n! (1+2nbar)^0...
-
-    L(n) = e^{-lam^2(1+2nbar)} lam^(2n)/n!  (the thermal binomial carries the
-    remaining (1+2nbar)^n so that sum_n L(n) sum_l B(n,l) = 1 exactly).
-    """
-    n = np.asarray(n)
-    return franck_condon(lam, nbar) * lam ** (2 * n) / special.factorial(n)
-
-
-def thermal_binomial_B(n, l, nbar):
-    """B(n, l) = C(n, l) (nbar+1)^(n-l) nbar^l."""
-    n = np.asarray(n)
-    l = np.asarray(l)
-    return special.comb(n, l) * (nbar + 1.0) ** (n - l) * nbar**l
-
-
 def choose_n_max(lam, nbar):
     """Truncation order from Poisson concentration, grown until the combined
-    weight tail drops below 1e-8."""
+    weight tail drops below 1e-8.  At most 250, the order whose comb
+    (31,626 pairs) and its (grid x lines) evaluation stay in memory."""
     s = lam**2 * (1.0 + 2.0 * nbar)
-    n_max = int(math.ceil(s) + 10.0 * math.sqrt(s) + 10)
+    n_max = min(int(math.ceil(s) + 10.0 * math.sqrt(s) + 10), _ORDER_CAP) \
+        if s < _ORDER_CAP else _ORDER_CAP
     while _weight_tail(lam, nbar, n_max) > _TAIL_TARGET:
-        n_max = int(n_max * 1.5) + 1
-        if n_max > 100_000:
-            raise TruncationError("weight tail did not close below 1e-8")
+        if n_max == _ORDER_CAP:
+            raise TruncationError(
+                f"weight tail did not close below 1e-8 by order {_ORDER_CAP}")
+        n_max = min(int(n_max * 1.5) + 1, _ORDER_CAP)
     return n_max
 
+
 def _weight_tail(lam, nbar, n_max):
-    """1 - sum_{n<=n_max} L(n) (1+2nbar)^n (exact completeness complement)."""
+    """1 - sum_{n<=n_max} sum_l w(n, l) (exact completeness complement)."""
     s = lam**2 * (1.0 + 2.0 * nbar)
     # P(Poisson(s) >= n_max+1) = regularized lower incomplete gamma P(n_max+1, s)
     return float(special.gammainc(n_max + 1, s)) if s > 0 else 0.0
 
 
-def vibron_lines(lam, nbar, nu_p, gamma_p, gamma, n_max=None):
-    """(position, weight, width) triples of the vibronic sideband comb:
-    weight L(n) B(n, l) at detuning (n-2l) nu', width gamma + n Gamma'/2."""
-    if n_max is None:
-        n_max = choose_n_max(lam, nbar)
-    else:
-        tail = _weight_tail(lam, nbar, n_max)
-        if tail > _TAIL_HARD:
-            raise TruncationError(
-                f"weight tail {tail:.2e} at n_max={n_max} exceeds 1e-6"
-            )
-    rows = []
-    for n in range(n_max + 1):
-        ln = float(line_weight_L(n, lam, nbar))
-        for l in range(n + 1):
-            w = ln * float(thermal_binomial_B(n, l, nbar))
-            if w == 0.0:
-                continue
-            rows.append(((n - 2 * l) * nu_p, w, gamma + 0.5 * n * gamma_p))
-    return np.array(rows) if rows else np.array([(0.0, 1.0, gamma)])
+def _sideband_comb(lam, nbar):
+    """(n, l, w) of the vibron's Franck-Condon comb to order choose_n_max:
+    n - l Stokes and l anti-Stokes quanta with weight
+
+        w = e^{-s} (lam^2 (nbar+1))^{n-l}/(n-l)! (lam^2 nbar)^l/l!,
+
+    s = lam^2 (1 + 2 nbar), a product of two Poisson terms, formed in log
+    space so that no factor over- or underflows.  Pairs run n = 0..n_max,
+    l = 0..n; zero weights are dropped.
+    """
+    n, l = np.tril_indices(choose_n_max(lam, nbar) + 1)
+    stokes, anti = lam**2 * (nbar + 1.0), lam**2 * nbar
+    w = np.exp(special.xlogy(n - l, stokes) - special.gammaln(n - l + 1)
+               + special.xlogy(l, anti) - special.gammaln(l + 1)
+               - lam**2 * (1.0 + 2.0 * nbar))
+    keep = w > 0
+    return n[keep], l[keep], w[keep]
+
+
+def vibron_lines(lam, nbar, nu_p, gamma_p, gamma):
+    """(position, weight, width) rows of the vibronic sideband comb: weight
+    w(n, l) of `_sideband_comb` at detuning (n-2l) nu', width
+    gamma + n Gamma'/2."""
+    n, l, w = _sideband_comb(lam, nbar)
+    return np.column_stack(((n - 2 * l) * nu_p, w, gamma + 0.5 * n * gamma_p))
 
 
 def absorption_discrete(detuning_grid, molecule: MoleculeParams,
                         kp: KernelParams, thermal: ThermalState,
-                        n_max=None, markovian=False) -> LineSpectrum:
+                        markovian=False) -> LineSpectrum:
     """Vibronic absorption spectrum as a double sum of Lorentzian lines,
 
-    P_e/eta^2 = sum_{n,l} L(n) B(n,l) (gamma + n Gamma'/2)/gamma
+    P_e/eta^2 = sum_{n,l} w(n,l) (gamma + n Gamma'/2)/gamma
                 / [ (gamma + n Gamma'/2)^2 + (Delta - (n-2l) nu')^2 ].
     """
     nu_p, gamma_p = relaxation_params(kp, markovian=markovian)
     nbar = thermal.occupation(kp.nu) if thermal.temperature > 0 else 0.0
-    lines = vibron_lines(molecule.lam, nbar, nu_p, gamma_p, molecule.gamma,
-                         n_max=n_max)
-    n_used = int(round(2.0 * (np.max(lines[:, 2]) - molecule.gamma) / gamma_p)) \
-        if gamma_p > 0 else len(lines)
+    lam = molecule.lam
+    lines = vibron_lines(lam, nbar, nu_p, gamma_p, molecule.gamma)
     return LineSpectrum(lines=lines, gamma=molecule.gamma, grid=detuning_grid,
                         meta={"nbar": nbar, "nu_prime": nu_p,
                               "gamma_prime": gamma_p,
-                              "tail": _weight_tail(molecule.lam, nbar, n_used)})
+                              "tail": _weight_tail(lam, nbar,
+                                                   choose_n_max(lam, nbar))})
 
 
 def absorption_bessel(detuning_grid, molecule: MoleculeParams,
                       kp: KernelParams, thermal: ThermalState,
-                      n_max=None, markovian=False) -> LineSpectrum:
-    """Single-index sideband resummation with modified-Bessel weights,
+                      markovian=False) -> LineSpectrum:
+    """Single-index sideband resummation: the comb's weights summed over
+    equal k = n - 2l, the Skellam weights
 
-    w_n = f_FC ((nbar+1)/nbar)^{n/2} I_n(2 lam^2 sqrt(nbar(nbar+1))),
+    w_k = f_FC ((nbar+1)/nbar)^{k/2} I_k(2 lam^2 sqrt(nbar(nbar+1))),
 
-    lines at n nu' with width gamma + |n| Gamma'/2.  Valid when
+    lines at k nu' with width gamma + |k| Gamma'/2.  Valid when
     2 lam^2 sqrt(nbar(nbar+1)) << 1; a warning flags the opposite case.
     """
     nu_p, gamma_p = relaxation_params(kp, markovian=markovian)
@@ -355,65 +347,44 @@ def absorption_bessel(detuning_grid, molecule: MoleculeParams,
             "its stated validity",
             stacklevel=2,
         )
-    if n_max is None:
-        n_max = choose_n_max(lam, nbar)
-    fc = franck_condon(lam, nbar)
-    rows = []
-    if nbar == 0.0:
-        for n in range(n_max + 1):
-            w = fc * lam ** (2 * n) / math.factorial(n)
-            if w > 0:
-                rows.append((n * nu_p, w, molecule.gamma + 0.5 * n * gamma_p))
-    else:
-        ratio = (nbar + 1.0) / nbar
-        for n in range(-n_max, n_max + 1):
-            w = fc * ratio ** (n / 2.0) * float(special.iv(n, arg))
-            if w > 0:
-                rows.append((n * nu_p, w,
-                             molecule.gamma + 0.5 * abs(n) * gamma_p))
-    return LineSpectrum(lines=np.array(rows), gamma=molecule.gamma,
-                        grid=detuning_grid,
+    n, l, w = _sideband_comb(lam, nbar)
+    k = n - 2 * l
+    k_lo = k.min()
+    wk = np.bincount(k - k_lo, weights=w)
+    k = np.flatnonzero(wk) + k_lo
+    lines = np.column_stack((k * nu_p, wk[k - k_lo],
+                             molecule.gamma + 0.5 * np.abs(k) * gamma_p))
+    return LineSpectrum(lines=lines, gamma=molecule.gamma, grid=detuning_grid,
                         meta={"nbar": nbar, "validity_arg": arg})
 
 
 def absorption_multimode_discrete(detuning_grid, molecule: MoleculeParams,
-                                  mode_table, thermal: ThermalState,
-                                  n_max=None) -> LineSpectrum:
+                                  mode_table, thermal: ThermalState
+                                  ) -> LineSpectrum:
     """Brute-force oracle: product over up to 4 explicit phonon/vibron modes.
 
     `mode_table` is a sequence of (omega_k, lam_k, gamma_k_ph) rows.  The
-    spectrum is the multi-index sum with weights prod_k L_k(n_k) B_k(n_k,l_k),
-    line positions sum_k (n_k - 2 l_k) omega_k and widths
-    gamma + sum_k n_k gamma_k_ph (each mode correlation decays as
-    e^{-gamma_k_ph |tau|}).  A single mode with gamma_ph = Gamma'/2 reduces to
-    absorption_discrete.
+    spectrum is the multi-index sum with weights prod_k w_k(n_k, l_k) of
+    each mode's `_sideband_comb`, line positions sum_k (n_k - 2 l_k) omega_k
+    and widths gamma + sum_k n_k gamma_k_ph (each mode correlation decays as
+    e^{-gamma_k_ph |tau|}); products of weight 1e-14 or less are pruned.  A
+    single mode with gamma_ph = Gamma'/2 reduces to absorption_discrete.
     """
     mode_table = [tuple(map(float, row)) for row in mode_table]
     if len(mode_table) > 4:
         raise DomainError("multimode oracle limited to 4 modes (combinatorics)")
-    per_mode = []
+    pos, wt, wid = np.zeros(1), np.ones(1), np.full(1, molecule.gamma)
     for (wk, lk, gk) in mode_table:
         nb = thermal.occupation(wk) if thermal.temperature > 0 else 0.0
-        nm = choose_n_max(lk, nb) if n_max is None else n_max
-        rows = []
-        for n in range(nm + 1):
-            ln = float(line_weight_L(n, lk, nb))
-            for l in range(n + 1):
-                w = ln * float(thermal_binomial_B(n, l, nb))
-                if w > 0:
-                    rows.append(((n - 2 * l) * wk, w, n * gk))
-        per_mode.append(rows)
-    # outer product of the per-mode combs
-    combo = [(0.0, 1.0, molecule.gamma)]
-    for rows in per_mode:
-        combo = [
-            (p0 + p1, w0 * w1, g0 + g1)
-            for (p0, w0, g0) in combo
-            for (p1, w1, g1) in rows
-            if w0 * w1 > 1e-14
-        ]
-    return LineSpectrum(lines=np.array(combo), gamma=molecule.gamma,
-                        grid=detuning_grid, meta={"modes": mode_table})
+        n, l, w = _sideband_comb(lk, nb)
+        wt = np.multiply.outer(wt, w).ravel()
+        keep = wt > 1e-14
+        pos = np.add.outer(pos, (n - 2 * l) * wk).ravel()[keep]
+        wid = np.add.outer(wid, n * gk).ravel()[keep]
+        wt = wt[keep]
+    return LineSpectrum(lines=np.column_stack((pos, wt, wid)),
+                        gamma=molecule.gamma, grid=detuning_grid,
+                        meta={"modes": mode_table})
 
 
 # ---------------------------------------------------------------------------
@@ -456,12 +427,12 @@ def response_transform(detuning, corr, gamma, dt):
 
 def _correlation_response(detuning, molecule: MoleculeParams,
                           kp: KernelParams | None, sd: SpectralDensity | None,
-                          thermal: ThermalState, markovian, t_horizon, dt):
+                          thermal: ThermalState, markovian):
     """Damped transform of the product correlation <B B^dag><D D^dag>,
     each factor present when its coupling is.
 
-    dt resolves the fastest of 32 gamma, nu and omega_max; the horizon
-    defaults to 12/gamma.  Returns (H(detuning), dt, t_horizon).
+    dt resolves the fastest of 32 gamma, nu and omega_max; the horizon is
+    12/gamma.  Returns (H(detuning), dt, t_horizon).
     """
     gamma = molecule.gamma
     scales = [32.0 * gamma]
@@ -469,11 +440,8 @@ def _correlation_response(detuning, molecule: MoleculeParams,
         scales.append(kp.nu)
     if sd is not None and sd.coupling > 0:
         scales.append(sd.omega_max)
-    if dt is None:
-        dt = min(2.0 * math.pi / (32.0 * max(scales)),
-                 1.0 / (8.0 * max(scales)))
-    if t_horizon is None:
-        t_horizon = 12.0 / gamma
+    dt = min(2.0 * math.pi / (32.0 * max(scales)), 1.0 / (8.0 * max(scales)))
+    t_horizon = 12.0 / gamma
     n = int(np.ceil(t_horizon / dt)) + 1
     t = np.arange(n) * dt
     corr = np.ones(n, dtype=complex)
@@ -487,11 +455,11 @@ def _correlation_response(detuning, molecule: MoleculeParams,
 
 def absorption_full(detuning_grid, molecule: MoleculeParams,
                     kp: KernelParams | None, sd: SpectralDensity | None,
-                    thermal: ThermalState, markovian=False,
-                    t_horizon=None, dt=None):
+                    thermal: ThermalState, markovian=False):
     """Full absorption spectrum P_e/eta^2 including vibronic sidebands and
     phonon wings, via the damped transform of the product correlation
-    <B B^dag><D D^dag>.
+    <B B^dag><D D^dag> on the time grid that `_correlation_response`
+    resolves from the parameters.
 
     Detuning is measured from the polaron-shifted transition.  Returns
     (values, meta) with meta carrying the time grid and factors.
@@ -505,7 +473,7 @@ def absorption_full(detuning_grid, molecule: MoleculeParams,
                 "unresolvable"
             )
     h, dt, t_horizon = _correlation_response(
-        detuning_grid, molecule, kp, sd, thermal, markovian, t_horizon, dt)
+        detuning_grid, molecule, kp, sd, thermal, markovian)
     values = np.real(np.atleast_1d(h)) / gamma
     meta = {
         "dt": dt,

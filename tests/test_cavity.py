@@ -11,6 +11,7 @@ from vibrolang import (
     KernelParams,
     MoleculeParams,
     ThermalState,
+    absorption_discrete,
     effective_rabi,
     molecular_response,
     polariton_populations,
@@ -48,6 +49,14 @@ class TestResponse:
         re0 = np.trapezoid(integrand, det) / np.pi
         i0 = len(det) // 2
         assert abs(re0 - h.real[i0]) / abs(h.real[i0]) < 0.02
+
+    def test_comb_route_is_discrete_absorption(self):
+        # one sideband comb, two evaluations: Re H / gamma is the spectrum
+        th = ThermalState.from_occupation(1.0, MOL.nu)
+        det = np.linspace(-10.0, 10.0, 2001)
+        h = molecular_response(det, MOL, KP, th, markovian=True)
+        ref = absorption_discrete(det, MOL, KP, th, markovian=True).values
+        assert np.max(np.abs(h.real / MOL.gamma - ref)) <= 1e-12 * np.max(ref)
 
 
 class TestTransmission:

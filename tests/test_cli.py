@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import jsonschema
 import numpy as np
@@ -141,14 +142,21 @@ class TestExitCodes:
         cfg["molecule"]["nu"] = float("inf")
         self._config_error(tmp_path, cfg, capsys)
 
-    @pytest.mark.parametrize("preset", ["fig4b", "fig6a"])
-    def test_unclosable_comb_is_config_error(self, tmp_path, capsys, preset):
+    @pytest.mark.parametrize("preset, nbar",
+                             [("fig4b", 1e300), ("fig6a", 1e300),
+                              ("fig4b", 4e4)],
+                             ids=["fig4b", "fig6a", "fig4b-nbar4e4"])
+    def test_unclosable_comb_is_config_error(self, tmp_path, capsys, preset,
+                                             nbar):
         # lam^2 (1 + 2 nbar) so large that the sideband comb's weight tail
-        # cannot close within its order cap
+        # cannot close within its order cap; the uncapped first guess at
+        # nbar = 4e4 is order 82,839, about 3.4e9 (n, l) pairs
         cfg = load_preset(preset)
         cfg.pop("sweep", None)
-        cfg["nbar"] = 1e300
+        cfg["nbar"] = nbar
+        start = time.perf_counter()
         self._config_error(tmp_path, cfg, capsys)
+        assert time.perf_counter() - start < 2.0
 
     def test_negative_nu_relaxation_is_config_error(self, tmp_path, capsys):
         self._config_error(tmp_path, dict(SMALL_RELAXATION, nu=-1.0), capsys)

@@ -2,11 +2,12 @@
 factors, dephasing, and the damped response transform."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from vibrolang import (
     DivergenceError,
@@ -16,6 +17,7 @@ from vibrolang import (
     ResolutionError,
     SpectralDensity,
     ThermalState,
+    TruncationError,
     absorption_bessel,
     absorption_discrete,
     absorption_full,
@@ -27,14 +29,16 @@ from vibrolang import (
     polaron_shift,
     spectral_density,
 )
+from vibrolang.kernels import relaxation_params
 from vibrolang.spectra import (
     _density_rule,
     _even_grid,
+    _sideband_comb,
+    _weight_tail,
     absorption_multimode_discrete,
-    line_weight_L,
+    choose_n_max,
     response_transform,
     single_mode_dephasing_rate,
-    thermal_binomial_B,
     vibron_lines,
 )
 
@@ -86,6 +90,48 @@ def _simpson_response_transform(detuning, corr, gamma, dt, chunk=64):
     return out
 
 
+def _line_weight_L(n, lam, nbar):
+    """L(n) = e^{-lam^2(1+2nbar)} lam^(2n)/n!, the thermal factor split off."""
+    return franck_condon(lam, nbar) * lam ** (2 * n) / special.factorial(n)
+
+
+def _thermal_binomial_B(n, l, nbar):
+    """B(n, l) = C(n, l) (nbar+1)^(n-l) nbar^l."""
+    return special.comb(n, l) * (nbar + 1.0) ** (n - l) * nbar**l
+
+
+def _double_loop_comb(lam, nbar, n_max):
+    """{(n, l): L(n) B(n, l)} from the linear-space (n, l) double loop,
+    zero weights dropped."""
+    comb = {}
+    for n in range(n_max + 1):
+        ln = float(_line_weight_L(n, lam, nbar))
+        for l in range(n + 1):
+            w = ln * float(_thermal_binomial_B(n, l, nbar))
+            if w != 0.0:
+                comb[(n, l)] = w
+    return comb
+
+
+def _bessel_weights(lam, nbar, n_max):
+    """{k: f_FC ((nbar+1)/nbar)^{k/2} I_k(2 lam^2 sqrt(nbar(nbar+1)))} for
+    |k| <= n_max, the Poisson weights at nbar = 0; zero weights dropped."""
+    fc = franck_condon(lam, nbar)
+    if nbar == 0.0:
+        w = {k: fc * lam ** (2 * k) / math.factorial(k)
+             for k in range(n_max + 1)}
+    else:
+        arg = 2.0 * lam**2 * math.sqrt(nbar * (nbar + 1.0))
+        ratio = (nbar + 1.0) / nbar
+        w = {k: fc * ratio ** (k / 2.0) * float(special.iv(k, arg))
+             for k in range(-n_max, n_max + 1)}
+    return {k: v for k, v in w.items() if v > 0}
+
+
+COMB_CASES = [(lam, nbar) for lam in (0.3, 0.8, 1.0)
+              for nbar in (0.0, 0.01, 1.0, 3.0)]
+
+
 def _max_rel(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
@@ -109,22 +155,61 @@ class TestWeights:
         lines = vibron_lines(lam, nbar, 1.0, 0.05, 0.01)
         assert abs(np.sum(lines[:, 1]) - 1.0) < 1e-7
 
-    def test_binomial_rows_sum_to_thermal_power(self):
-        nbar = 1.3
-        for n in range(6):
-            total = sum(thermal_binomial_B(n, l, nbar) for l in range(n + 1))
-            np.testing.assert_allclose(
-                total, (1.0 + 2.0 * nbar) ** n, rtol=1e-12
-            )
-
-    def test_line_weight_scaling(self):
-        # L(n) is the Poisson weight with the thermal factor split off
-        lam = 0.8
+    def test_comb_rows_sum_to_poisson(self):
+        # summed over l, the Stokes x anti-Stokes product is Poisson(s) in n
+        lam, nbar = 0.9, 1.3
+        s = lam**2 * (1.0 + 2.0 * nbar)
+        n, _, w = _sideband_comb(lam, nbar)
+        rows = np.bincount(n, weights=w)
+        k = np.arange(len(rows))
         np.testing.assert_allclose(
-            line_weight_L(3, lam, 0.0),
-            math.exp(-lam**2) * lam**6 / 6.0,
-            rtol=1e-12,
-        )
+            rows, np.exp(-s) * s**k / special.factorial(k), rtol=1e-12)
+
+    def test_comb_weight_scaling(self):
+        # at nbar = 0 only Stokes quanta: w(n, 0) = e^{-lam^2} lam^(2n)/n!
+        lam = 0.8
+        n, l, w = _sideband_comb(lam, 0.0)
+        assert not np.any(l)
+        np.testing.assert_allclose(
+            w, np.exp(-lam**2) * lam ** (2 * n) / special.factorial(n),
+            rtol=1e-12)
+
+    @pytest.mark.parametrize("lam, nbar", COMB_CASES)
+    def test_comb_matches_double_loop(self, lam, nbar):
+        n, l, w = _sideband_comb(lam, nbar)
+        ref = _double_loop_comb(lam, nbar, choose_n_max(lam, nbar))
+        assert list(zip(n.tolist(), l.tolist())) == list(ref)
+        np.testing.assert_allclose(w, list(ref.values()), rtol=1e-13)
+
+    @pytest.mark.parametrize("lam, nbar", COMB_CASES)
+    def test_bessel_marginal_matches_iv(self, lam, nbar):
+        mol = MoleculeParams(omega0=0.0, gamma=0.05, nu=1.0, lam=lam)
+        th = ThermalState.from_occupation(nbar, 1.0) if nbar > 0 else TH0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            sp = absorption_bessel(None, mol, KP, th, markovian=True)
+        nu_p, _ = relaxation_params(KP, markovian=True)
+        k = np.round(sp.lines[:, 0] / nu_p).astype(int)
+        got = dict(zip(k.tolist(), sp.lines[:, 1]))
+        ref = _bessel_weights(lam, sp.meta["nbar"],
+                              choose_n_max(lam, sp.meta["nbar"]))
+        top = max(ref.values())
+        for key in set(got) | set(ref):
+            assert abs(got.get(key, 0.0) - ref.get(key, 0.0)) <= 1e-12 * top
+
+    def test_order_cap(self):
+        # s = 160: the first guess, order 296, is capped at 250, where the
+        # tail (1.9e-11) has closed; at s = 181 it has not (5.0e-7)
+        assert choose_n_max(1.0, 79.5) == 250
+        with pytest.raises(TruncationError):
+            choose_n_max(1.0, 90.0)
+
+    def test_large_occupation_comb_is_finite(self):
+        # at nbar = 50, e^{-s} lam^(2n)/n! underflows where (nbar+1)^(n-l)
+        # overflows: only the log-space product keeps every weight finite
+        lines = vibron_lines(1.0, 50.0, 1.0, 0.05, 0.01)
+        assert np.all(np.isfinite(lines))
+        assert abs(np.sum(lines[:, 1]) - 1.0) < 1e-12
 
 
 class TestDiscreteSpectra:
@@ -176,6 +261,39 @@ class TestDiscreteSpectra:
             w = math.exp(-0.25) * 0.25**n / math.factorial(n)
             ref += w * (0.02 / 0.02) / (0.02**2 + (grid - n * 1.0) ** 2)
         np.testing.assert_allclose(multi.values, ref, rtol=1e-6)
+
+    def test_multimode_matches_list_products(self):
+        # the outer products of two thermal combs against the per-line
+        # list products of the double-loop combs, same 1e-14 prune
+        mol = MoleculeParams(omega0=0.0, gamma=0.02, nu=1.0, lam=0.5)
+        th = ThermalState(temperature=0.7)
+        modes = [(1.0, 0.5, 0.03), (0.37, 0.8, 0.01)]
+        multi = absorption_multimode_discrete(None, mol, modes, th)
+        combo = [(0.0, 1.0, mol.gamma)]
+        for wk, lk, gk in modes:
+            nb = th.occupation(wk)
+            rows = [((n - 2 * l) * wk, w, n * gk) for (n, l), w in
+                    _double_loop_comb(lk, nb, choose_n_max(lk, nb)).items()]
+            combo = [(p0 + p1, w0 * w1, g0 + g1)
+                     for (p0, w0, g0) in combo for (p1, w1, g1) in rows
+                     if w0 * w1 > 1e-14]
+        ref = np.array(combo)
+        assert multi.lines.shape == ref.shape
+        np.testing.assert_allclose(multi.lines[:, [0, 2]], ref[:, [0, 2]],
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(multi.lines[:, 1], ref[:, 1], rtol=1e-13)
+
+    def test_tail_recorded_at_comb_order(self):
+        # Gamma' = 0 leaves every width at gamma: the tail is still the one
+        # at the order the comb was built to
+        kp = KernelParams(gamma_m=0.0, omega_max=1.3, nu=1.0)
+        mol = MoleculeParams(omega0=0.0, gamma=0.025, nu=1.0, lam=1.0)
+        th = ThermalState.from_occupation(1.0, 1.0)
+        sp = absorption_discrete(None, mol, kp, th, markovian=True)
+        nbar = sp.meta["nbar"]
+        tail = _weight_tail(1.0, nbar, choose_n_max(1.0, nbar))
+        assert tail > 0.0
+        assert sp.meta["tail"] == tail
 
     def test_emission_mirror_involutive(self):
         grid = np.linspace(-1.0, 3.0, 101)
