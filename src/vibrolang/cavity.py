@@ -19,6 +19,7 @@ from .kernels import KernelParams, relaxation_params
 from .model import MoleculeParams, SpectralDensity, ThermalState
 from .spectra import (
     _correlation_response,
+    _line_sum,
     absorption_discrete,
     debye_waller,
     franck_condon,
@@ -70,8 +71,8 @@ def molecular_response(detuning, molecule: MoleculeParams, kp: KernelParams,
             return out if out.ndim else complex(out)
         lines = absorption_discrete(None, molecule, kp, thermal,
                                     markovian=markovian).lines
-        pos, wt, wid = lines.T
-        out = np.sum(wt / (wid - 1j * (detuning[..., None] - pos)), axis=-1)
+        out = _line_sum(detuning, lines,
+                        lambda d, pos, wt, wid: wt / (wid - 1j * (d - pos)))
         return out if out.ndim else complex(out)
     return _correlation_response(detuning, molecule, kp, sd, thermal,
                                  markovian)[0]

@@ -391,6 +391,11 @@ def _meta_artifact(name, payload):
                     rows=0)
 
 
+def _propagation(traj):
+    """How a chain run was propagated: step, step count and route."""
+    return {k: traj.meta[k] for k in ("dt", "n_steps", "propagator")}
+
+
 def _handle_relaxation(cfg, seed):
     nu = _nu_from(cfg)
     bath = _bath_from(cfg["bath"])
@@ -408,7 +413,8 @@ def _handle_relaxation(cfg, seed):
                             labels=("t", "E"), logy=True))
         out.append(_meta_artifact("run.meta.json",
                                   {"gamma_m": gm, "omega_max": bath.omega_max,
-                                   "config": cfg, "seed": tcfg.seed}))
+                                   "config": cfg, "seed": tcfg.seed,
+                                   **_propagation(traj)}))
     return out
 
 
@@ -420,15 +426,19 @@ def _handle_collective(cfg, seed):
     elif excite == "plus":
         tr["q0"], tr["p0"] = [1.0, 1.0], [0.0, 0.0]
     tcfg = _traj_from(tr, seed)
-    traj = microsim.simulate(_nu_from(cfg), _bath_from(cfg["bath"]),
-                             (-cfg["j"], cfg["j"]), tcfg)
+    bath = _bath_from(cfg["bath"])
+    if cfg["j"] > bath.n_cells:
+        raise ConfigError(f"j={cfg['j']} exceeds bath.n_cells="
+                          f"{bath.n_cells}: the pair sits at N+1 -+ j")
+    traj = microsim.simulate(_nu_from(cfg), bath, (-cfg["j"], cfg["j"]), tcfg)
     return [
         Artifact("trajectory.csv", traj.to_csv(), len(traj.times),
                  curves=[(traj.times, traj.e_plus, "E+"),
                          (traj.times, traj.e_minus, "E-")],
                  labels=("t", "E"), logy=False),
         _meta_artifact("run.meta.json",
-                       {"config": cfg, "seed": tcfg.seed, "j": cfg["j"]}),
+                       {"config": cfg, "seed": tcfg.seed, "j": cfg["j"],
+                        **_propagation(traj)}),
     ]
 
 

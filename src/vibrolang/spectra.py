@@ -248,14 +248,32 @@ class LineSpectrum:
 
     def evaluate(self, detuning):
         """P_e/eta^2 = sum_lines w * width/gamma / (width^2 + (D - pos)^2)."""
-        detuning = np.asarray(detuning, dtype=float)
-        pos, wt, wid = self.lines.T
-        out = np.sum(
-            wt * (wid / self.gamma)
-            / (wid**2 + (detuning[..., None] - pos) ** 2),
-            axis=-1,
-        )
+        out = _line_sum(
+            detuning, self.lines,
+            lambda d, pos, wt, wid:
+                wt * (wid / self.gamma) / (wid**2 + (d - pos) ** 2))
         return out if out.ndim else float(out)
+
+
+# detuning x line elements that `_line_sum` forms at once: 512 kB per real
+# temporary, whatever the size of the comb (larger blocks measured slower)
+_LINE_BLOCK = 1 << 16
+
+
+def _line_sum(detuning, lines, term):
+    """Sum over the comb's (position, weight, width) lines of
+    term(d, pos, wt, wid), d a column of detunings, taken in blocks of
+    detuning rows so that memory stays bounded; each row is reduced as in a
+    single pass, so the values do not depend on the blocks.  A scalar
+    detuning gives a 0-d array."""
+    detuning = np.asarray(detuning, dtype=float)
+    pos, wt, wid = lines.T
+    flat = detuning.reshape(-1, 1)
+    rows = max(1, _LINE_BLOCK // max(len(pos), 1))
+    blocks = np.array_split(flat, max(1, -(-len(flat) // rows)))
+    return np.concatenate(
+        [np.sum(term(d, pos, wt, wid), axis=-1) for d in blocks]
+    ).reshape(detuning.shape)
 
 
 def choose_n_max(lam, nbar):

@@ -58,6 +58,18 @@ class TestResponse:
         ref = absorption_discrete(det, MOL, KP, th, markovian=True).values
         assert np.max(np.abs(h.real / MOL.gamma - ref)) <= 1e-12 * np.max(ref)
 
+    def test_blocked_comb_response_is_one_pass_sum(self):
+        # a 22,578-line comb: the detuning rows are summed in blocks
+        mol = MoleculeParams(omega0=0.0, gamma=0.025, nu=1.0, lam=1.0)
+        kp = KernelParams(gamma_m=0.1, omega_max=1.3, nu=1.0)
+        th = ThermalState.from_occupation(50.0, 1.0)
+        det = np.linspace(-4.0, 6.0, 101)
+        pos, wt, wid = absorption_discrete(None, mol, kp, th).lines.T
+        one_pass = np.sum(wt / (wid - 1j * (det[..., None] - pos)), axis=-1)
+        np.testing.assert_array_equal(molecular_response(det, mol, kp, th),
+                                      one_pass)
+        assert molecular_response(det[3], mol, kp, th) == one_pass[3]
+
 
 class TestTransmission:
     def test_bare_cavity_lorentzian(self):

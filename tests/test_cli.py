@@ -4,6 +4,7 @@ determinism, exit codes."""
 import copy
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -37,6 +38,15 @@ SMALL_RELAXATION = {
              "qfactor": "inf", "temperature": 0.0},
     "trajectory": {"t_max": 4.0, "store_every": 4},
     "theory_overlay": True,
+}
+
+SMALL_COLLECTIVE = {
+    "command": "collective",
+    "nu": 1.0,
+    "j": 1,
+    "excite": "minus",
+    "bath": SMALL_RELAXATION["bath"],
+    "trajectory": SMALL_RELAXATION["trajectory"],
 }
 
 SMALL_ABSORPTION = {
@@ -162,9 +172,16 @@ class TestExitCodes:
         self._config_error(tmp_path, dict(SMALL_RELAXATION, nu=-1.0), capsys)
 
     def test_negative_nu_collective_is_config_error(self, tmp_path, capsys):
-        cfg = {"command": "collective", "nu": -1.0, "j": 1, "excite": "minus",
-               "bath": SMALL_RELAXATION["bath"],
-               "trajectory": SMALL_RELAXATION["trajectory"]}
+        self._config_error(tmp_path, dict(SMALL_COLLECTIVE, nu=-1.0), capsys)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01])
+    def test_non_positive_dt_is_config_error(self, tmp_path, capsys, dt):
+        cfg = copy.deepcopy(SMALL_RELAXATION)
+        cfg["trajectory"]["dt"] = dt
+        self._config_error(tmp_path, cfg, capsys)
+
+    def test_pair_beyond_chain_is_config_error(self, tmp_path, capsys):
+        cfg = dict(SMALL_COLLECTIVE, j=SMALL_RELAXATION["bath"]["n_cells"] + 1)
         self._config_error(tmp_path, cfg, capsys)
 
 
@@ -179,6 +196,19 @@ class TestArtifacts:
             assert hashlib.sha256(data.encode()).hexdigest() == entry["sha256"]
         header = (out / "trajectory.csv").read_text().split("\n", 1)[0]
         assert header == "t,Q1,P1,E1"
+
+    @pytest.mark.parametrize("cfg, propagator", [
+        (SMALL_RELAXATION, "modes"),
+        (SMALL_COLLECTIVE, "modes"),
+        (dict(SMALL_RELAXATION,
+              bath=dict(SMALL_RELAXATION["bath"], qfactor=50.0)), "rk4"),
+    ], ids=["relaxation", "collective", "damped"])
+    def test_run_meta_records_propagation(self, tmp_path, cfg, propagator):
+        run_config(cfg, str(tmp_path))
+        meta = json.loads((tmp_path / "run.meta.json").read_text())
+        assert meta["propagator"] == propagator
+        assert meta["n_steps"] == math.ceil(
+            cfg["trajectory"]["t_max"] / meta["dt"])
 
     def test_byte_identical_reruns(self, tmp_path):
         m1 = run_config(SMALL_RELAXATION, str(tmp_path / "a"))

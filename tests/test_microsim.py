@@ -1,4 +1,8 @@
-"""Brute-force chain integration: conservation, decay fits, CSV output."""
+"""Chain runs: conservation, the normal-mode route against the RK4 loop,
+decay fits, CSV output."""
+
+import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +14,14 @@ from vibrolang import (
     InstabilityError,
     Trajectory,
     TrajectoryConfig,
+    chain_eigenmodes,
     dyson_first_order,
     energy_envelope,
     fit_decay_rate,
     simulate,
+    vibron_phonon_couplings,
 )
+from vibrolang.microsim import _secular
 
 
 def _bath(n=80, k0=12.25, gamma_m=0.05, **kw):
@@ -127,6 +134,108 @@ class TestPair:
         assert tr_m.e_minus[-1] > 2.0 * tr_p.e_plus[-1]
 
 
+def _rk4_oracle(bath):
+    # qfactor 1e300 takes the RK4 loop with a damping term below one ulp
+    return dataclasses.replace(bath, qfactor=1e300)
+
+
+def _assert_same_run(modes, rk4, rel):
+    assert modes.meta["propagator"] == "modes"
+    assert rk4.meta["propagator"] == "rk4"
+    assert modes.meta["n_steps"] == rk4.meta["n_steps"]
+    assert modes.meta["weight_sum_error"] < 1e-13
+    pairs = [(getattr(modes, k), getattr(rk4, k))
+             for k in ("Q", "P", "E", "e_plus", "e_minus", "total_energy")
+             if getattr(rk4, k) is not None]
+    scale = max(np.max(np.abs(b)) for _, b in pairs)
+    for a, b in pairs:
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= rel * scale
+
+
+class TestNormalModes:
+    """Undamped single and mirror-pair runs take the normal-mode route; the
+    RK4 loop is its oracle."""
+
+    @pytest.mark.parametrize("thermal", [False, True])
+    @pytest.mark.parametrize("sites, q0, p0", [
+        ((-1, 1), (0.7, -0.3), (0.2, 0.4)),
+        ((1, -1), (0.7, -0.3), (0.2, 0.4)),
+        ((-2, 2), (1.0, -1.0), 0.0),
+        ((0,), 1.0, 0.4),
+        ((3,), 0.5, -0.8),
+    ])
+    def test_matches_rk4_loop(self, sites, q0, p0, thermal):
+        bath = _bath(n=200, temperature=1.5)
+        cfg = TrajectoryConfig(t_max=15.0, q0=q0, p0=p0, store_every=3,
+                               thermal_phonons=thermal, seed=3)
+        _assert_same_run(simulate(1.0, bath, sites, cfg),
+                         simulate(1.0, _rk4_oracle(bath), sites, cfg), 1e-12)
+
+    def test_uncoupled_vibron_matches_rk4_loop(self):
+        # dk = 0 deflates every mode: the arrowhead is its head alone
+        bath = DiscreteBath(n_cells=20, k0=12.25, m0=1.0, dk=0.0,
+                            temperature=1.0)
+        cfg = TrajectoryConfig(t_max=3.0, q0=(1.0, 0.5), p0=0.2,
+                               thermal_phonons=True)
+        _assert_same_run(simulate(1.0, bath, (-1, 1), cfg),
+                         simulate(1.0, _rk4_oracle(bath), (-1, 1), cfg),
+                         1e-12)
+
+    @pytest.mark.parametrize("q0", [(1.0, -1.0), (1.0, 1.0)])
+    def test_fig3_pair_matches_rk4_loop(self, q0):
+        bath = DiscreteBath(n_cells=1250, k0=144.0, m0=1.0,
+                            dk=8.313843876330611)
+        cfg = TrajectoryConfig(t_max=20.0, q0=q0, store_every=8)
+        _assert_same_run(simulate(1.0, bath, (-1, 1), cfg),
+                         simulate(1.0, _rk4_oracle(bath), (-1, 1), cfg),
+                         1e-10)
+
+    def test_secular_roots_match_eigh(self):
+        bath = _bath(n=300)
+        w = chain_eigenmodes(bath)
+        alpha = vibron_phonon_couplings(bath, 1.0, w)
+        k = alpha != 0
+        d, z = w[k] ** 2, -np.sqrt(w[k]) * alpha[k]
+        rng = np.random.default_rng(0)
+        xi, eta = rng.normal(size=(2, len(d) + 1))
+        lam, v0, a, b = _secular(1.0, d, z, xi, eta)
+        K = np.diag(np.concatenate(([1.0], d)))
+        K[0, 1:] = K[1:, 0] = z
+        ref, V = np.linalg.eigh(K)
+        V *= np.sign(V[0])
+        assert len(d) >= 300
+        np.testing.assert_allclose(lam, ref, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(ref)))
+        np.testing.assert_allclose(v0 ** 2, V[0] ** 2, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a, V.T @ xi, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(b, V.T @ eta, rtol=0, atol=1e-10)
+
+    def test_fig3_pair_memory_bounded(self):
+        bath = DiscreteBath(n_cells=1250, k0=144.0, m0=1.0,
+                            dk=8.313843876330611)
+        cfg = TrajectoryConfig(t_max=150.0, q0=(1.0, -1.0), store_every=8)
+        tracemalloc.start()
+        try:
+            traj = simulate(1.0, bath, (-1, 1), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.meta["propagator"] == "modes"
+        assert peak < 8 * 2**20
+
+    def test_damped_and_triple_runs_take_rk4(self):
+        cfg = TrajectoryConfig(t_max=1.0)
+        assert simulate(1.0, _bath(n=20, qfactor=50.0), (0,),
+                        cfg).meta["propagator"] == "rk4"
+        assert simulate(1.0, _bath(n=20), (-2, 0, 2),
+                        cfg).meta["propagator"] == "rk4"
+        assert simulate(1.0, _bath(n=20), (-2, 1),
+                        cfg).meta["propagator"] == "rk4"
+        assert simulate(1.0, _bath(n=20), (-2, 2, 0),
+                        cfg).meta["propagator"] == "rk4"
+
+
 class TestCsv:
     def test_single_schema(self):
         bath = _bath(n=20)
@@ -177,8 +286,6 @@ class TestAnalysis:
         assert np.max(np.abs(env / ref - 1.0)) < 5e-3
 
     def test_dyson_scattering_is_resonance_dominated(self):
-        from vibrolang import chain_eigenmodes
-
         bath = _bath(n=400, gamma_m=0.05)
         omega = chain_eigenmodes(bath)
         down, up = dyson_first_order(10.0, bath, 1.0)

@@ -2,6 +2,7 @@
 factors, dephasing, and the damped response transform."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -212,7 +213,33 @@ class TestWeights:
         assert abs(np.sum(lines[:, 1]) - 1.0) < 1e-12
 
 
+# fig4b's molecule at nbar = 50: a 22,578-line comb, many blocks of rows
+FIG4B_MOL = MoleculeParams(omega0=0.0, gamma=0.025, nu=1.0, lam=1.0)
+FIG4B_GRID = np.linspace(-4.0, 6.0, 2001)
+TH50 = ThermalState.from_occupation(50.0, 1.0)
+
+
 class TestDiscreteSpectra:
+    def test_blocked_line_sum_is_one_pass_sum(self):
+        sp = absorption_discrete(None, FIG4B_MOL, KP, TH50)
+        cut = FIG4B_GRID[::20]
+        pos, wt, wid = sp.lines.T
+        one_pass = np.sum(
+            wt * (wid / sp.gamma) / (wid**2 + (cut[..., None] - pos) ** 2),
+            axis=-1)
+        np.testing.assert_array_equal(sp.evaluate(cut), one_pass)
+        assert sp.evaluate(cut[7]) == one_pass[7]
+
+    def test_large_comb_memory_bounded(self):
+        tracemalloc.start()
+        try:
+            sp = absorption_discrete(FIG4B_GRID, FIG4B_MOL, KP, TH50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sp.lines) > 20000 and np.all(np.isfinite(sp.values))
+        assert peak < 64 * 2**20
+
     def test_two_level_limit(self):
         mol = MoleculeParams(omega0=0.0, gamma=0.025, nu=1.0, lam=0.0)
         grid = np.linspace(-2.0, 2.0, 401)
