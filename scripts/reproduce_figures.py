@@ -13,15 +13,15 @@ import json
 import sys
 import tempfile
 import time
+from importlib import resources
 
 from vibrolang.cli import main as cli_main
 
-PRESETS = [
-    "fig2c", "fig2d", "fig3",
-    "fig4a", "fig4b", "fig4c", "fig4d",
-    "fig5a", "fig5b", "fig5c",
-    "fig6a", "fig6b", "fig6c",
-]
+# every preset bundled with the package, so a new one cannot be missed
+PRESETS = sorted(
+    entry.name[:-len(".json")]
+    for entry in (resources.files("vibrolang") / "presets").iterdir()
+    if entry.name.endswith(".json"))
 
 
 def run(out_root, names, fmt, seed):

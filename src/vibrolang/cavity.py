@@ -26,7 +26,7 @@ from .spectra import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CavityParams:
     """Single-mode cavity coupled to the molecule.
 
@@ -36,7 +36,7 @@ class CavityParams:
     eta_c   : cavity drive amplitude (enters only overall scale)
     """
 
-    delta_c: float
+    delta_c: float = 0.0
     kappa: float
     g: float
     eta_c: float = 0.0
@@ -116,7 +116,7 @@ def effective_rabi_from_params(cavity: CavityParams, molecule: MoleculeParams,
                                thermal: ThermalState, nu,
                                sd: SpectralDensity | None = None):
     """g_eff with f_FC from (lam, nbar(nu)) and f_DW from the spectral density."""
-    nbar = thermal.occupation(nu) if thermal.temperature > 0 else 0.0
+    nbar = thermal.occupation(nu)
     f_fc = franck_condon(molecule.lam, nbar)
     f_dw = debye_waller(sd, thermal) if (sd is not None and sd.coupling > 0) \
         else 1.0
@@ -205,7 +205,7 @@ def polariton_rates(molecule: MoleculeParams, kp: KernelParams,
             "outside their validity",
             stacklevel=2,
         )
-    nbar = thermal.occupation(nu) if thermal.temperature > 0 else 0.0
+    nbar = thermal.occupation(nu)
     pref = 0.25 * lam**2 * nu**2 * gm
     lor_m = 1.0 / ((0.5 * gm) ** 2 + (delta - nu) ** 2)
     if form == "main-text":

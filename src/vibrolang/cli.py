@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import copy
-import functools
 import hashlib
 import io
 import json
@@ -46,6 +45,7 @@ COMMANDS = (
 # config schemas
 
 _NUM = {"type": "number"}
+_POSNUM = {"type": "number", "exclusiveMinimum": 0}
 _POSINT = {"type": "integer", "minimum": 1}
 _BOOL = {"type": "boolean"}
 
@@ -111,7 +111,7 @@ _SCHEMAS = {
     "relaxation": _obj(
         {
             "command": {"const": "relaxation"},
-            "nu": _NUM,
+            "nu": _POSNUM,
             "bath": _BATH,
             "trajectory": _TRAJ,
             "theory_overlay": _BOOL,
@@ -122,7 +122,7 @@ _SCHEMAS = {
     "collective": _obj(
         {
             "command": {"const": "collective"},
-            "nu": _NUM,
+            "nu": _POSNUM,
             "bath": _BATH,
             "j": _POSINT,
             "excite": {"enum": ["plus", "minus"]},
@@ -264,96 +264,28 @@ def load_preset(name):
 # config -> domain objects
 
 
-def _builder(build):
-    """A domain rule that a config value breaks, or a series that cannot
-    close for the config's values, is a config error, not a numeric
-    failure."""
-    @functools.wraps(build)
-    def wrapped(*args, **kwargs):
-        try:
-            return build(*args, **kwargs)
-        except (DomainError, TruncationError) as exc:
-            raise ConfigError(f"config value out of domain: {exc}") from exc
-    return wrapped
+def _build(make, section, **fixed):
+    """make(**section) with the keys of `fixed` added or overriding: every
+    key of a config section is the name of a field of the dataclass it
+    builds, and the dataclass holds the defaults.  A domain rule that a
+    config value breaks is a config error, not a numeric failure."""
+    try:
+        return make(**{**section, **fixed})
+    except DomainError as exc:
+        raise ConfigError(f"config value out of domain: {exc}") from exc
 
 
-@_builder
-def _bath_from(cfg):
-    q = cfg.get("qfactor", "inf")
-    return DiscreteBath(
-        n_cells=cfg["n_cells"], k0=cfg["k0"], m0=cfg["m0"], dk=cfg["dk"],
-        ktot=cfg.get("ktot", 0.0), dx=cfg.get("dx", 0.0),
-        mu=cfg.get("mu"), qfactor=np.inf if q == "inf" else q,
-        temperature=cfg.get("temperature", 0.0),
-    )
-
-
-@_builder
-def _nu_from(cfg):
-    """Vibron frequency of the chain commands."""
-    if not cfg["nu"] > 0:
-        raise DomainError("nu must be > 0")
-    return cfg["nu"]
-
-
-def _traj_from(cfg, seed_override=None):
-    seed = seed_override if seed_override is not None else cfg.get("seed", 0)
-    q0 = cfg.get("q0", 1.0)
-    p0 = cfg.get("p0", 0.0)
-    return microsim.TrajectoryConfig(
-        dt=cfg.get("dt"), t_max=cfg["t_max"],
-        q0=tuple(q0) if isinstance(q0, list) else q0,
-        p0=tuple(p0) if isinstance(p0, list) else p0,
-        thermal_phonons=cfg.get("thermal_phonons", False),
-        seed=seed, store_every=cfg.get("store_every", 1),
-    )
-
-
-@_builder
-def _molecule_from(cfg):
-    return MoleculeParams(
-        omega0=cfg.get("omega0", 0.0), gamma=cfg["gamma"], nu=cfg["nu"],
-        lam=cfg["lam"], eta_l=cfg.get("eta_l", 0.0),
-    )
-
-
-@_builder
-def _kernel_from(cfg, nu):
-    return kernels.KernelParams(
-        gamma_m=cfg["gamma_m"], omega_max=cfg["omega_max"], nu=nu,
-        nu_tilde=cfg.get("nu_tilde"),
-    )
-
-
-@_builder
-def _sd_from(cfg):
-    return SpectralDensity(
-        kind=cfg["kind"], coupling=cfg["coupling"],
-        omega_max=cfg["omega_max"], omega_min=cfg.get("omega_min", 0.0),
-    )
-
-
-@_builder
-def _thermal_from(cfg, nu):
+def _molecule_kernel_thermal(cfg):
+    """Molecule, memory kernel and bath state of the absorption, cavity and
+    polariton commands; nbar, when given, is the vibron's occupancy."""
+    mol = _build(MoleculeParams, cfg["molecule"])
     if "nbar" in cfg:
-        return ThermalState.from_occupation(cfg["nbar"], nu)
-    return ThermalState(cfg.get("temperature", 0.0))
-
-
-@_builder
-def _cavity_from(cfg):
-    return cavity_mod.CavityParams(
-        delta_c=cfg.get("delta_c", 0.0), kappa=cfg["kappa"], g=cfg["g"],
-        eta_c=cfg.get("eta_c", 0.0),
-    )
-
-
-@_builder
-def _comb_order(mol, kp, thermal):
-    """Truncation order of the vibron sideband comb of (lam, nbar(nu)); a
-    comb that cannot close within the order cap is a config error."""
-    nbar = thermal.occupation(kp.nu) if thermal.temperature > 0 else 0.0
-    return spectra.choose_n_max(mol.lam, nbar)
+        thermal = _build(ThermalState.from_occupation, {"nbar": cfg["nbar"]},
+                         omega=mol.nu)
+    else:
+        thermal = _build(ThermalState,
+                         {"temperature": cfg.get("temperature", 0.0)})
+    return mol, _build(kernels.KernelParams, cfg["kernel"], nu=mol.nu), thermal
 
 
 def _grid_from(cfg):
@@ -396,41 +328,44 @@ def _propagation(traj):
     return {k: traj.meta[k] for k in ("dt", "n_steps", "propagator")}
 
 
+def _bath_trajectory(cfg, seed, **start):
+    """Bath and trajectory settings of the chain commands; --seed and a
+    collective excitation override the trajectory section."""
+    return (_build(DiscreteBath, cfg["bath"],
+                   qfactor=float(cfg["bath"].get("qfactor", "inf"))),
+            _build(microsim.TrajectoryConfig, cfg["trajectory"], **start,
+                   **({} if seed is None else {"seed": seed})))
+
+
 def _handle_relaxation(cfg, seed):
-    nu = _nu_from(cfg)
-    bath = _bath_from(cfg["bath"])
-    tcfg = _traj_from(cfg["trajectory"], seed)
+    nu = cfg["nu"]
+    bath, tcfg = _bath_trajectory(cfg, seed)
     traj = microsim.simulate(nu, bath, (0,), tcfg)
+    _, gm = derived_markov_params(bath, nu)
     out = [Artifact("trajectory.csv", traj.to_csv(), len(traj.times),
                     curves=[(traj.times, traj.E, "E_nu")],
                     labels=("t", "E"), logy=True)]
     if cfg.get("theory_overlay", True):
-        _, gm = derived_markov_params(bath, nu)
         e_th = traj.E[0] * np.exp(-gm * traj.times)
         text, rows = _csv("t,E_theory", [traj.times, e_th])
         out.append(Artifact("theory.csv", text, rows,
                             curves=[(traj.times, e_th, "exp(-Gamma_m t)")],
                             labels=("t", "E"), logy=True))
-        out.append(_meta_artifact("run.meta.json",
-                                  {"gamma_m": gm, "omega_max": bath.omega_max,
-                                   "config": cfg, "seed": tcfg.seed,
-                                   **_propagation(traj)}))
+    out.append(_meta_artifact("run.meta.json",
+                              {"gamma_m": gm, "omega_max": bath.omega_max,
+                               "config": cfg, "seed": tcfg.seed,
+                               **_propagation(traj)}))
     return out
 
 
 def _handle_collective(cfg, seed):
-    tr = dict(cfg["trajectory"])
-    excite = cfg.get("excite")
-    if excite == "minus":
-        tr["q0"], tr["p0"] = [1.0, -1.0], [0.0, 0.0]
-    elif excite == "plus":
-        tr["q0"], tr["p0"] = [1.0, 1.0], [0.0, 0.0]
-    tcfg = _traj_from(tr, seed)
-    bath = _bath_from(cfg["bath"])
+    sign = {"plus": 1.0, "minus": -1.0}.get(cfg.get("excite"))
+    start = {} if sign is None else {"q0": (1.0, sign), "p0": (0.0, 0.0)}
+    bath, tcfg = _bath_trajectory(cfg, seed, **start)
     if cfg["j"] > bath.n_cells:
         raise ConfigError(f"j={cfg['j']} exceeds bath.n_cells="
                           f"{bath.n_cells}: the pair sits at N+1 -+ j")
-    traj = microsim.simulate(_nu_from(cfg), bath, (-cfg["j"], cfg["j"]), tcfg)
+    traj = microsim.simulate(cfg["nu"], bath, (-cfg["j"], cfg["j"]), tcfg)
     return [
         Artifact("trajectory.csv", traj.to_csv(), len(traj.times),
                  curves=[(traj.times, traj.e_plus, "E+"),
@@ -443,9 +378,7 @@ def _handle_collective(cfg, seed):
 
 
 def _handle_absorption(cfg, seed):
-    mol = _molecule_from(cfg["molecule"])
-    kp = _kernel_from(cfg["kernel"], mol.nu)
-    thermal = _thermal_from(cfg, mol.nu)
+    mol, kp, thermal = _molecule_kernel_thermal(cfg)
     grid = _grid_from(cfg["grid"])
     method = cfg.get("method", "discrete")
     markovian = cfg.get("markovian", False)
@@ -453,16 +386,14 @@ def _handle_absorption(cfg, seed):
     if method in ("discrete", "bessel"):
         absorb = {"discrete": spectra.absorption_discrete,
                   "bessel": spectra.absorption_bessel}[method]
-        _comb_order(mol, kp, thermal)
         spec = absorb(grid, mol, kp, thermal, markovian=markovian)
         values = spec.values
         meta.update({"n_lines": len(spec.lines), **spec.meta})
     else:
-        sd = _sd_from(cfg["sd"]) if "sd" in cfg else None
+        sd = _build(SpectralDensity, cfg["sd"]) if "sd" in cfg else None
         values, full_meta = spectra.absorption_full(grid, mol, kp, sd, thermal,
                                                     markovian=markovian)
-        meta.update({k: v for k, v in full_meta.items()
-                     if isinstance(v, (int, float, type(None)))})
+        meta.update(full_meta)
     text, rows = _csv("detuning,value", [grid, values])
     out = [Artifact("spectrum.csv", text, rows,
                     curves=[(grid, values, "P_e/eta^2")],
@@ -478,23 +409,24 @@ def _handle_absorption(cfg, seed):
 
 
 def _handle_phonon_wing(cfg, seed):
-    sd = _sd_from(cfg["sd"])
-    thermal = _thermal_from(cfg, None)
+    sd = _build(SpectralDensity, cfg["sd"])
+    thermal = _build(ThermalState,
+                     {"temperature": cfg.get("temperature", 0.0)})
     observable = cfg.get("observable", "spectrum")
     out = []
     if observable == "debye-waller":
         tg = cfg.get("temp_grid", {"min": 0.0, "max": 4.0, "n": 41})
         temps = np.linspace(tg["min"], tg["max"], tg["n"])
         vals = np.array([spectra.debye_waller(
-            sd, _thermal_from({"temperature": t}, None)) for t in temps])
+            sd, _build(ThermalState, {"temperature": t})) for t in temps])
         text, rows = _csv("temperature,f_dw", [temps, vals])
         out.append(Artifact("debye_waller.csv", text, rows,
                             curves=[(temps, vals, "f_DW")],
                             labels=("T", "f_DW")))
         out.append(_meta_artifact("debye_waller.meta.json", {"config": cfg}))
         return out
-    mol = _molecule_from({"gamma": cfg.get("gamma", 0.05), "nu": 1.0,
-                          "lam": 0.0})
+    mol = _build(MoleculeParams, {"gamma": cfg.get("gamma", 0.05)},
+                 nu=1.0, lam=0.0)
     grid = _grid_from(cfg["grid"]) if "grid" in cfg else np.linspace(
         -sd.omega_max, 2.0 * sd.omega_max, 1201)
     values, meta = spectra.absorption_full(grid, mol, None, sd, thermal)
@@ -502,11 +434,7 @@ def _handle_phonon_wing(cfg, seed):
     out.append(Artifact("spectrum.csv", text, rows,
                         curves=[(grid, values, "P_e/eta^2")],
                         labels=("detuning", "P_e/eta^2"), logy=True))
-    out.append(_meta_artifact(
-        "spectrum.meta.json",
-        {"config": cfg,
-         **{k: v for k, v in meta.items()
-            if isinstance(v, (int, float, type(None)))}}))
+    out.append(_meta_artifact("spectrum.meta.json", {"config": cfg, **meta}))
     if cfg.get("emit_correlation", False):
         t = np.arange(0.0, 30.0 / sd.omega_max, meta["dt"])
         corr = np.atleast_1d(spectra.phonon_correlation(t, sd, thermal))
@@ -519,14 +447,10 @@ def _handle_phonon_wing(cfg, seed):
 
 
 def _handle_cavity(cfg, seed):
-    mol = _molecule_from(cfg["molecule"])
-    kp = _kernel_from(cfg["kernel"], mol.nu)
-    thermal = _thermal_from(cfg, mol.nu)
-    cav = _cavity_from(cfg["cavity"])
-    sd = _sd_from(cfg["sd"]) if "sd" in cfg else None
+    mol, kp, thermal = _molecule_kernel_thermal(cfg)
+    cav = _build(cavity_mod.CavityParams, cfg["cavity"])
+    sd = _build(SpectralDensity, cfg["sd"]) if "sd" in cfg else None
     grid = _grid_from(cfg["grid"])
-    if sd is None or sd.coupling == 0:
-        _comb_order(mol, kp, thermal)
     t_amp, t2 = cavity_mod.transmission(
         grid, cav, mol, kp, thermal, sd=sd,
         markovian=cfg.get("markovian", False),
@@ -545,9 +469,7 @@ def _handle_cavity(cfg, seed):
 
 
 def _handle_polariton(cfg, seed):
-    mol = _molecule_from(cfg["molecule"])
-    kp = _kernel_from(cfg["kernel"], mol.nu)
-    thermal = _thermal_from(cfg, mol.nu)
+    mol, kp, thermal = _molecule_kernel_thermal(cfg)
     form = cfg.get("form", "two-term")
     k_plus, k_minus = cavity_mod.polariton_rates(
         mol, kp, thermal, cfg["omega_plus"], cfg["omega_minus"], form=form)
@@ -686,9 +608,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("VIBROLANG_THREADS", "1"))
     try:
+        if threads is None:
+            env = os.environ.get("VIBROLANG_THREADS", "1")
+            try:
+                threads = int(env)
+            except ValueError:
+                raise ConfigError(
+                    f"VIBROLANG_THREADS={env!r} is not an integer") from None
         cfg = load_config(args.config)
         if cfg["command"] != args.command:
             raise ConfigError(
@@ -697,7 +624,8 @@ def main(argv=None):
             )
         run_config(cfg, args.out, fmt=args.format, seed=args.seed,
                    threads=max(1, threads))
-    except ConfigError as exc:
+    except (ConfigError, TruncationError) as exc:
+        # a sideband comb that cannot close for the config's values
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except VibrolangError as exc:

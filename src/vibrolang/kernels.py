@@ -217,7 +217,7 @@ def momentum_correlation(tau, kp: KernelParams, thermal: ThermalState,
     and 0.99 Gamma_m/nu at nbar = 1.
     """
     nu_p, gamma_p = relaxation_params(kp, markovian=markovian)
-    nbar = thermal.occupation(kp.nu) if thermal.temperature > 0 else 0.0
+    nbar = thermal.occupation(kp.nu)
     tau = np.asarray(tau, dtype=float)
     out = ((nbar + 0.5) * np.cos(nu_p * tau) - 0.5j * np.sin(nu_p * tau)) * np.exp(
         -0.5 * gamma_p * np.abs(tau)

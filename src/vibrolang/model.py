@@ -24,7 +24,7 @@ def kelvin_to_angfreq(t_kelvin):
     return t_kelvin / HBAR_OVER_KB_K_PS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class MoleculeParams:
     """Electronic transition + single vibron of a guest molecule.
 
@@ -35,7 +35,7 @@ class MoleculeParams:
     eta_l  : laser drive amplitude (weak drive assumed, eta_l << gamma)
     """
 
-    omega0: float
+    omega0: float = 0.0
     gamma: float
     nu: float
     lam: float

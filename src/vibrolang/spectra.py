@@ -115,7 +115,7 @@ def displacement_correlation_vibron(tau, molecule, kp: KernelParams,
     1 at tau = 0 to the Franck-Condon factor at long delay.
     """
     lam = molecule.lam if isinstance(molecule, MoleculeParams) else float(molecule)
-    nbar = thermal.occupation(kp.nu) if thermal.temperature > 0 else 0.0
+    nbar = thermal.occupation(kp.nu)
     corr = momentum_correlation(tau, kp, thermal, markovian=markovian)
     out = np.exp(-2.0 * lam**2 * ((nbar + 0.5) - corr))
     return out if np.ndim(out) else complex(out)
@@ -204,7 +204,7 @@ def single_mode_dephasing_rate(t, lam_k, omega_k, thermal: ThermalState):
     lam_k^2 (2 nbar + 1) (1 - cos(w_k t))/t, with short-time law
     lam_k^2 (nbar + 1/2) w_k^2 t."""
     t = np.asarray(t, dtype=float)
-    nbar = thermal.occupation(omega_k) if thermal.temperature > 0 else 0.0
+    nbar = thermal.occupation(omega_k)
     small = np.abs(omega_k * t) < 1e-6
     safe = np.where(small, 1.0, t)
     out = np.where(
@@ -334,7 +334,7 @@ def absorption_discrete(detuning_grid, molecule: MoleculeParams,
                 / [ (gamma + n Gamma'/2)^2 + (Delta - (n-2l) nu')^2 ].
     """
     nu_p, gamma_p = relaxation_params(kp, markovian=markovian)
-    nbar = thermal.occupation(kp.nu) if thermal.temperature > 0 else 0.0
+    nbar = thermal.occupation(kp.nu)
     lam = molecule.lam
     lines = vibron_lines(lam, nbar, nu_p, gamma_p, molecule.gamma)
     return LineSpectrum(lines=lines, gamma=molecule.gamma, grid=detuning_grid,
@@ -356,7 +356,7 @@ def absorption_bessel(detuning_grid, molecule: MoleculeParams,
     2 lam^2 sqrt(nbar(nbar+1)) << 1; a warning flags the opposite case.
     """
     nu_p, gamma_p = relaxation_params(kp, markovian=markovian)
-    nbar = thermal.occupation(kp.nu) if thermal.temperature > 0 else 0.0
+    nbar = thermal.occupation(kp.nu)
     lam = molecule.lam
     arg = 2.0 * lam**2 * math.sqrt(nbar * (nbar + 1.0))
     if arg > 0.1:
@@ -393,7 +393,7 @@ def absorption_multimode_discrete(detuning_grid, molecule: MoleculeParams,
         raise DomainError("multimode oracle limited to 4 modes (combinatorics)")
     pos, wt, wid = np.zeros(1), np.ones(1), np.full(1, molecule.gamma)
     for (wk, lk, gk) in mode_table:
-        nb = thermal.occupation(wk) if thermal.temperature > 0 else 0.0
+        nb = thermal.occupation(wk)
         n, l, w = _sideband_comb(lk, nb)
         wt = np.multiply.outer(wt, w).ravel()
         keep = wt > 1e-14
@@ -496,11 +496,8 @@ def absorption_full(detuning_grid, molecule: MoleculeParams,
     meta = {
         "dt": dt,
         "t_horizon": t_horizon,
-        "f_FC": franck_condon(
-            molecule.lam,
-            thermal.occupation(kp.nu) if (kp is not None and
-                                          thermal.temperature > 0) else 0.0,
-        ) if kp is not None else 1.0,
+        "f_FC": franck_condon(molecule.lam, thermal.occupation(kp.nu))
+        if kp is not None else 1.0,
         "f_DW": debye_waller(sd, thermal) if (sd is not None and
                                               not sd.infrared_divergent)
         else None,

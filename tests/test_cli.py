@@ -2,6 +2,7 @@
 determinism, exit codes."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,7 +23,11 @@ from vibrolang.cli import (
     run_config,
     validate_config,
 )
+from vibrolang.cavity import CavityParams
 from vibrolang.errors import ConfigError
+from vibrolang.kernels import KernelParams
+from vibrolang.microsim import TrajectoryConfig
+from vibrolang.model import DiscreteBath, MoleculeParams, SpectralDensity
 
 
 def _write(tmp_path, cfg, name="cfg.json"):
@@ -90,6 +95,29 @@ class TestValidation:
     def test_schemas_are_valid(self):
         for schema in _SCHEMAS.values():
             jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    @pytest.mark.parametrize("section, make, supplied", [
+        ("bath", DiscreteBath, ()),
+        ("molecule", MoleculeParams, ()),
+        ("kernel", KernelParams, ("nu",)),
+        ("sd", SpectralDensity, ()),
+        ("cavity", CavityParams, ()),
+        ("trajectory", TrajectoryConfig, ()),
+    ], ids=["bath", "molecule", "kernel", "sd", "cavity", "trajectory"])
+    def test_section_builds_its_dataclass(self, section, make, supplied):
+        # a section is passed to its dataclass key for key, so every key
+        # must be a field, and every field the schema may leave out must
+        # have its default on the dataclass or be supplied by the CLI
+        fields = dataclasses.fields(make)
+        no_default = {f.name for f in fields
+                      if f.default is dataclasses.MISSING
+                      and f.default_factory is dataclasses.MISSING}
+        schemas = [cmd["properties"][section] for cmd in _SCHEMAS.values()
+                   if section in cmd["properties"]]
+        assert schemas
+        for schema in schemas:
+            assert set(schema["properties"]) <= {f.name for f in fields}
+            assert no_default <= set(schema["required"]) | set(supplied)
 
 
 class TestExitCodes:
@@ -209,6 +237,14 @@ class TestArtifacts:
         assert meta["propagator"] == propagator
         assert meta["n_steps"] == math.ceil(
             cfg["trajectory"]["t_max"] / meta["dt"])
+
+    def test_relaxation_meta_without_overlay(self, tmp_path):
+        cfg = dict(SMALL_RELAXATION, theory_overlay=False)
+        names = {e["file"] for e in run_config(cfg, str(tmp_path))["files"]}
+        assert "theory.csv" not in names and "run.meta.json" in names
+        meta = json.loads((tmp_path / "run.meta.json").read_text())
+        assert {"gamma_m", "omega_max", "config", "seed", "dt", "n_steps",
+                "propagator"} <= set(meta)
 
     def test_byte_identical_reruns(self, tmp_path):
         m1 = run_config(SMALL_RELAXATION, str(tmp_path / "a"))
@@ -357,3 +393,13 @@ class TestEnvThreads:
         cfg = _write(tmp_path, SMALL_ABSORPTION)
         assert main(["absorption", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 0
+
+    def test_non_integer_env_is_config_error(self, tmp_path, monkeypatch,
+                                             capsys):
+        monkeypatch.setenv("VIBROLANG_THREADS", "two")
+        cfg = _write(tmp_path, SMALL_ABSORPTION)
+        code = main(["absorption", "--config", cfg,
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "Traceback" not in err and err.startswith("config error")
