@@ -9,18 +9,15 @@ from .errors import (
     RegimeError,
     ResolutionError,
     TruncationError,
-    VariantError,
     VibrolangError,
 )
 from .model import (
-    ChainModes,
     DiscreteBath,
     MoleculeParams,
     SpectralDensity,
     ThermalState,
     chain_eigenmodes,
     derived_markov_params,
-    electron_phonon_couplings,
     kelvin_to_angfreq,
     vibron_phonon_couplings,
 )
@@ -39,7 +36,6 @@ from .kernels import (
 from .microsim import (
     Trajectory,
     TrajectoryConfig,
-    dyson_first_order,
     energy_envelope,
     fit_decay_rate,
     simulate,

@@ -33,13 +33,11 @@ class CavityParams:
     delta_c : cavity detuning omega_c - omega0
     kappa   : cavity half-linewidth
     g       : Jaynes-Cummings coupling
-    eta_c   : cavity drive amplitude (enters only overall scale)
     """
 
     delta_c: float = 0.0
     kappa: float
     g: float
-    eta_c: float = 0.0
 
     def __post_init__(self):
         if self.kappa <= 0:
@@ -106,20 +104,22 @@ def transmission(detuning, cavity: CavityParams, molecule: MoleculeParams,
 
 
 def effective_rabi(g, f_fc, f_dw=1.0):
-    """g_eff = g sqrt(f_FC * f_DW): Rabi coupling of the zero-phonon line."""
-    if not (0 < f_fc <= 1 and 0 < f_dw <= 1):
-        raise DomainError("Franck-Condon / Debye-Waller factors must be in (0,1]")
+    """g_eff = g sqrt(f_FC * f_DW): Rabi coupling of the zero-phonon line,
+    0 when either factor vanishes."""
+    if not (0 <= f_fc <= 1 and 0 <= f_dw <= 1):
+        raise DomainError("Franck-Condon / Debye-Waller factors must be in [0,1]")
     return g * math.sqrt(f_fc * f_dw)
 
 
 def effective_rabi_from_params(cavity: CavityParams, molecule: MoleculeParams,
                                thermal: ThermalState, nu,
                                sd: SpectralDensity | None = None):
-    """g_eff with f_FC from (lam, nbar(nu)) and f_DW from the spectral density."""
+    """g_eff with f_FC from (lam, nbar(nu)) and f_DW from the spectral density;
+    f_DW = 0 where the Debye-Waller exponent diverges (1d, omega_min = 0)."""
     nbar = thermal.occupation(nu)
     f_fc = franck_condon(molecule.lam, nbar)
-    f_dw = debye_waller(sd, thermal) if (sd is not None and sd.coupling > 0) \
-        else 1.0
+    f_dw = 1.0 if sd is None else 0.0 if sd.infrared_divergent \
+        else debye_waller(sd, thermal)
     return effective_rabi(cavity.g, f_fc, f_dw)
 
 

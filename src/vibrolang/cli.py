@@ -65,8 +65,6 @@ _BATH = _obj(
         "k0": _NUM,
         "m0": _NUM,
         "dk": _NUM,
-        "ktot": _NUM,
-        "dx": _NUM,
         "mu": _NUM,
         "qfactor": {"anyOf": [_NUM, {"const": "inf"}]},
         "temperature": _NUM,
@@ -88,11 +86,11 @@ _TRAJ = _obj(
 )
 
 _MOL = _obj(
-    {"omega0": _NUM, "gamma": _NUM, "nu": _NUM, "lam": _NUM, "eta_l": _NUM},
+    {"gamma": _NUM, "nu": _NUM, "lam": _NUM},
     required=("gamma", "nu", "lam"),
 )
 
-_KERNEL = _obj({"gamma_m": _NUM, "omega_max": _NUM, "nu_tilde": _NUM},
+_KERNEL = _obj({"gamma_m": _NUM, "omega_max": _NUM},
                required=("gamma_m", "omega_max"))
 
 _SD = _obj(
@@ -167,7 +165,7 @@ _SCHEMAS = {
             "molecule": _MOL,
             "kernel": _KERNEL,
             "cavity": _obj(
-                {"delta_c": _NUM, "kappa": _NUM, "g": _NUM, "eta_c": _NUM},
+                {"delta_c": _NUM, "kappa": _NUM, "g": _NUM},
                 required=("kappa", "g"),
             ),
             "sd": _SD,

@@ -5,10 +5,6 @@ class VibrolangError(Exception):
     """Base class for all numeric/physics errors raised by this package."""
 
 
-class VariantError(VibrolangError, TypeError):
-    """An operation received the wrong bath variant (discrete vs continuum)."""
-
-
 class DomainError(VibrolangError, ValueError):
     """Argument outside the mathematical domain of an operation."""
 

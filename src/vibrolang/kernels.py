@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import DomainError, RegimeError
 from .model import ThermalState
@@ -37,22 +37,17 @@ class KernelParams:
     gamma_m   : Markovian decay rate
     omega_max : phonon band edge
     nu        : vibron frequency
-    nu_tilde  : crystal-shifted vibron frequency (defaults to nu; the
-                susceptibility uses nu*nu_tilde in its denominator)
     """
 
     gamma_m: float
     omega_max: float
     nu: float
-    nu_tilde: float | None = None
 
     def __post_init__(self):
         if self.gamma_m < 0:
             raise DomainError("gamma_m must be >= 0")
         if self.omega_max <= 0 or self.nu <= 0:
             raise DomainError("omega_max and nu must be > 0")
-        if self.nu_tilde is None:
-            object.__setattr__(self, "nu_tilde", self.nu)
         if self.gamma_m > self.nu:
             warnings.warn(
                 "gamma_m > nu: good-oscillator assumption violated",
@@ -144,9 +139,9 @@ def collective_gamma_freq(omega, j: int, kp: KernelParams):
 
 def susceptibility(omega, kp: KernelParams):
     """Mechanical susceptibility chi(omega) = -i omega /
-    [nu*nu_tilde - omega^2 - i Gamma(omega) omega]."""
+    [nu^2 - omega^2 - i Gamma(omega) omega]."""
     omega = np.asarray(omega, dtype=float)
-    den = kp.nu * kp.nu_tilde - omega**2 - 1j * gamma_freq(omega, kp) * omega
+    den = kp.nu * kp.nu - omega**2 - 1j * gamma_freq(omega, kp) * omega
     out = -1j * omega / den
     return out if out.ndim else complex(out)
 
@@ -286,27 +281,3 @@ def momentum_correlation_numeric(tau, kp: KernelParams, thermal: ThermalState):
         * thermal_spectrum(omega, kp, thermal) * dw / (2.0 * np.pi)
     out = np.exp(-1j * np.multiply.outer(tau, omega)) @ f
     return out if out.ndim else complex(out)
-
-
-def kernel_fourier_numeric(omega, kp: KernelParams, j=None, t_max=None):
-    """Numeric transform of gamma_time (j=None) or collective_gamma_time (j>=1).
-
-    The t^{-3/2} Bessel tail makes a finite window adequate: the truncation
-    error falls off as t_max^{-3/2} after oscillatory cancellation.
-    """
-    if t_max is None:
-        t_max = 400.0 / kp.omega_max
-    if j is None:
-        f = lambda t: gamma_time(t, kp)
-    else:
-        f = lambda t: collective_gamma_time(t, j, kp)
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    w_fast = kp.omega_max + float(np.max(np.abs(omega)))
-    n = int(np.ceil(t_max * 60 * w_fast / (2 * np.pi)))  # 60 per cycle
-    n += n % 2
-    t = np.linspace(0.0, t_max, n + 1)
-    ft = f(t)
-    phase = np.exp(1j * np.outer(omega, t))
-    vals = integrate.simpson(phase * ft, x=t, axis=-1)
-    return vals if len(vals) > 1 else complex(vals[0])
-

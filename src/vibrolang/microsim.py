@@ -1,5 +1,5 @@
 """Classical microscopic dynamics of vibrons coupled to the discrete phonon
-chain, plus first-order scattering amplitudes.
+chain.
 
 The linear equations of motion of M vibrons (m = 1..M) are
 
@@ -24,13 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, InstabilityError, VariantError
-from .model import (
-    DiscreteBath,
-    build_chain,
-    chain_eigenmodes,
-    vibron_phonon_couplings,
-)
+from .errors import ConfigError, DomainError, InstabilityError
+from .model import DiscreteBath, chain_eigenmodes, vibron_phonon_couplings
 
 
 @dataclass(frozen=True)
@@ -306,8 +301,6 @@ def simulate(nu: float, bath: DiscreteBath, sites,
     10x its initial value (a symptom of a step-size/stability failure in
     this passive model).
     """
-    if not isinstance(bath, DiscreteBath):
-        raise VariantError("simulate requires a discrete bath")
     if len(sites) == 0 or len(set(sites)) != len(sites):
         raise DomainError("sites must be non-empty and distinct")
     w = chain_eigenmodes(bath)
@@ -387,30 +380,6 @@ def simulate(nu: float, bath: DiscreteBath, sites,
         total_energy=rows[:, 3 * m],
         meta=meta,
     )
-
-
-def dyson_first_order(t: float, bath: DiscreteBath, nu: float):
-    """First-order scattering amplitudes at time t.
-
-    Returns (amp_down, amp_up): amplitudes onto |0_nu, 1_k> and |2_nu, 1_k>,
-
-        amp_down_k = alpha_k (e^{i(omega_k - nu)t} - 1)/(omega_k - nu),
-        amp_up_k   = sqrt(2) alpha_k (e^{i(omega_k + nu)t} - 1)/(omega_k + nu),
-
-    with the resonant limit i alpha_k t when omega_k = nu.
-    """
-    if t < 0:
-        raise DomainError("t must be >= 0")
-    chain = build_chain(bath, nu)
-    w = chain.frequencies
-    a = chain.alpha
-
-    def amp(delta):
-        res = np.abs(delta) < 1e-12
-        safe = np.where(res, 1.0, delta)
-        return np.where(res, 1j * t, (np.exp(1j * safe * t) - 1.0) / safe)
-
-    return a * amp(w - nu), np.sqrt(2.0) * a * amp(w + nu)
 
 
 def energy_envelope(times, energy, period):

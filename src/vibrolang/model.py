@@ -8,12 +8,11 @@ couplings are in ps^2).
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, VariantError
+from .errors import DomainError
 
 # hbar / k_B in K * ps; converts Kelvin to angular frequency in rad/ps
 HBAR_OVER_KB_K_PS = 7.638233
@@ -28,18 +27,14 @@ def kelvin_to_angfreq(t_kelvin):
 class MoleculeParams:
     """Electronic transition + single vibron of a guest molecule.
 
-    omega0 : electronic transition frequency
     gamma  : radiative half-linewidth
     nu     : vibron frequency
     lam    : dimensionless vibronic coupling (sqrt of the Huang-Rhys factor)
-    eta_l  : laser drive amplitude (weak drive assumed, eta_l << gamma)
     """
 
-    omega0: float = 0.0
     gamma: float
     nu: float
     lam: float
-    eta_l: float = 0.0
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -48,14 +43,6 @@ class MoleculeParams:
             raise DomainError("nu must be > 0")
         if self.lam < 0:
             raise DomainError("lambda must be >= 0")
-        if self.eta_l < 0:
-            raise DomainError("eta_l must be >= 0")
-        if self.eta_l >= self.gamma > 0 and self.eta_l > 0:
-            warnings.warn(
-                "drive amplitude eta_l >= gamma: linear-response (weak drive) "
-                "assumption violated",
-                stacklevel=2,
-            )
 
 
 @dataclass(frozen=True)
@@ -115,8 +102,6 @@ class DiscreteBath:
     k0       : host-host spring constant
     m0       : host atom mass
     dk       : coupling asymmetry Delta k (left/right molecule-host springs)
-    ktot     : summed molecule-host spring constant k_tot
-    dx       : excited-state displacement of the neighbouring host atom
     mu       : reduced molecular mass (continuum reduction assumes mu = m0)
     qfactor  : phonon quality factor omega_k / gamma_k^ph (inf = undamped)
     """
@@ -125,8 +110,6 @@ class DiscreteBath:
     k0: float
     m0: float
     dk: float
-    ktot: float = 0.0
-    dx: float = 0.0
     mu: float | None = None
     qfactor: float = np.inf
     temperature: float = 0.0
@@ -144,21 +127,6 @@ class DiscreteBath:
     @property
     def omega_max(self):
         return 2.0 * np.sqrt(self.k0 / self.m0)
-
-
-@dataclass(frozen=True)
-class ChainModes:
-    """Normal modes of the 1D chain with the couplings of the embedded molecule."""
-
-    frequencies: np.ndarray
-    alpha: np.ndarray = field(default=None)
-    lambda_k: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        f = np.asarray(self.frequencies, dtype=float)
-        object.__setattr__(self, "frequencies", f)
-        if np.any(np.diff(f) <= 0):
-            raise DomainError("mode frequencies must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -190,30 +158,11 @@ class SpectralDensity:
         return self.kind == "1d" and self.omega_min == 0.0 and self.coupling > 0
 
 
-def _require_discrete(bath):
-    if not isinstance(bath, DiscreteBath):
-        raise VariantError("operation requires a DiscreteBath")
-
-
 def chain_eigenmodes(bath: DiscreteBath) -> np.ndarray:
     """Eigenfrequencies omega_k = omega_max sin(pi k / (2(2N+2))), k=1..2N+1."""
-    _require_discrete(bath)
     n = bath.n_cells
     k = np.arange(1, 2 * n + 2)
     return bath.omega_max * np.sin(np.pi * k / (2.0 * (2 * n + 2)))
-
-
-def _mode_geometry(bath, site_offset=0):
-    """Common geometric factor of the chain couplings for the molecule's
-    neighbour pair around site N+1+site_offset."""
-    n = bath.n_cells
-    k = np.arange(1, 2 * n + 2)
-    return (
-        2.0
-        * np.sqrt(1.0 / (n + 1))
-        * np.cos(np.pi * k * (n + 1 + site_offset) / (2 * n + 2))
-        * np.sin(np.pi * k / (2 * n + 2))
-    )
 
 
 def vibron_phonon_couplings(bath: DiscreteBath, nu, modes=None,
@@ -226,44 +175,20 @@ def vibron_phonon_couplings(bath: DiscreteBath, nu, modes=None,
     Vanishes where the cosine does, k (N+1+site) = N+1 mod 2N+2; at the
     central site (site = 0) that is every odd k (parity selection).
     """
-    _require_discrete(bath)
     n = bath.n_cells
     if int(site) != site or abs(site) > n:
         raise DomainError(f"site offset {site} is not an integer in [-N, N]")
     omega = chain_eigenmodes(bath) if modes is None else np.asarray(modes)
     x_zpm = 1.0 / np.sqrt(2.0 * bath.mu * nu)
     u_zpm = 1.0 / np.sqrt(2.0 * bath.m0 * omega)
-    alpha = bath.dk * _mode_geometry(bath, site) * u_zpm * x_zpm
-    # kill the cosine's floating-point residues at its zeros exactly
     k = np.arange(1, 2 * n + 2)
+    geometry = (2.0 * np.sqrt(1.0 / (n + 1))
+                * np.cos(np.pi * k * (n + 1 + site) / (2 * n + 2))
+                * np.sin(np.pi * k / (2 * n + 2)))
+    alpha = bath.dk * geometry * u_zpm * x_zpm
+    # kill the cosine's floating-point residues at its zeros exactly
     alpha[k * (n + 1 + site) % (2 * n + 2) == n + 1] = 0.0
     return alpha
-
-
-def electron_phonon_couplings(bath: DiscreteBath, modes=None) -> np.ndarray:
-    """Dimensionless couplings lambda_k between the electronic transition and
-    each chain mode.
-
-    lambda_k = 2 (ktot/omega_k) sqrt(1/(N+1)) cos(pi k/2) sin(pi k/(2N+2))
-               u_zpm dx.
-    """
-    _require_discrete(bath)
-    omega = chain_eigenmodes(bath) if modes is None else np.asarray(modes)
-    u_zpm = 1.0 / np.sqrt(2.0 * bath.m0 * omega)
-    lam = (bath.ktot / omega) * _mode_geometry(bath) * u_zpm * bath.dx
-    k = np.arange(1, 2 * bath.n_cells + 2)
-    lam[k % 2 == 1] = 0.0
-    return lam
-
-
-def build_chain(bath: DiscreteBath, nu) -> ChainModes:
-    """Chain modes with both coupling sets filled in."""
-    omega = chain_eigenmodes(bath)
-    return ChainModes(
-        frequencies=omega,
-        alpha=vibron_phonon_couplings(bath, nu, omega),
-        lambda_k=electron_phonon_couplings(bath, omega),
-    )
 
 
 def derived_markov_params(bath: DiscreteBath, nu):
@@ -272,23 +197,8 @@ def derived_markov_params(bath: DiscreteBath, nu):
     nu_s    = dk^2 / (2 k0 mu nu)   (equivalently nu dk^2/(2 k0 k_M))
     Gamma_m = 2 nu nu_s / omega_max
     """
-    _require_discrete(bath)
     if nu <= 0:
         raise DomainError("nu must be > 0")
     nu_s = bath.dk**2 / (2.0 * bath.k0 * bath.mu * nu)
     gamma_m = 2.0 * nu * nu_s / bath.omega_max
     return nu_s, gamma_m
-
-
-def markov_rate_band_form(bath: DiscreteBath):
-    """Gamma_m = dk^2 omega_max / (4 k0^2); identical to derived_markov_params
-    when mu = m0."""
-    _require_discrete(bath)
-    return bath.dk**2 * bath.omega_max / (4.0 * bath.k0**2)
-
-
-def polaron_shift_discrete(modes: ChainModes):
-    """Electronic polaron shift sum_k lambda_k^2 omega_k of a discrete chain."""
-    if modes.lambda_k is None:
-        raise DomainError("modes carry no electron-phonon couplings")
-    return float(np.sum(modes.lambda_k**2 * modes.frequencies))

@@ -199,22 +199,6 @@ def dephasing_rate(t, sd: SpectralDensity, thermal: ThermalState):
     return float(out[0]) if scalar else out
 
 
-def single_mode_dephasing_rate(t, lam_k, omega_k, thermal: ThermalState):
-    """Time-averaged dephasing rate of one phonon mode,
-    lam_k^2 (2 nbar + 1) (1 - cos(w_k t))/t, with short-time law
-    lam_k^2 (nbar + 1/2) w_k^2 t."""
-    t = np.asarray(t, dtype=float)
-    nbar = thermal.occupation(omega_k)
-    small = np.abs(omega_k * t) < 1e-6
-    safe = np.where(small, 1.0, t)
-    out = np.where(
-        small,
-        lam_k**2 * (nbar + 0.5) * omega_k**2 * t,
-        lam_k**2 * (2.0 * nbar + 1.0) * (1.0 - np.cos(omega_k * safe)) / safe,
-    )
-    return out if out.ndim else float(out)
-
-
 # ---------------------------------------------------------------------------
 # discrete line spectra
 

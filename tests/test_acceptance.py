@@ -39,7 +39,7 @@ from vibrolang.cavity import (
     polariton_populations,
     polariton_rates,
 )
-from vibrolang.kernels import effective_params, kernel_fourier_numeric
+from vibrolang.kernels import effective_params
 from vibrolang.spectra import (
     absorption_bessel,
     absorption_discrete,
@@ -47,9 +47,10 @@ from vibrolang.spectra import (
     debye_waller,
     dephasing_rate,
     franck_condon,
-    single_mode_dephasing_rate,
     vibron_lines,
 )
+
+from oracles import kernel_fourier_numeric, single_mode_dephasing_rate
 
 warnings.filterwarnings("ignore", category=UserWarning)
 
@@ -194,13 +195,13 @@ def test_criterion_6_spectrum_identities():
     kp = KernelParams(gamma_m=0.1, omega_max=1.3, nu=1.0)
     th0 = ThermalState(temperature=0.0)
     # (a) lam = 0 reduces to the two-level Lorentzian
-    mol0 = MoleculeParams(omega0=0.0, gamma=0.025, nu=1.0, lam=0.0)
+    mol0 = MoleculeParams(gamma=0.025, nu=1.0, lam=0.0)
     grid = np.linspace(-4.0, 6.0, 2001)
     sp = absorption_discrete(grid, mol0, kp, th0)
     err_a = float(np.max(np.abs(
         sp.values - 1.0 / (0.025**2 + grid**2)) * (0.025**2 + grid**2)))
     # (b) ZPL resonance value f_FC / gamma^2 in the Gamma' >> gamma regime
-    molb = MoleculeParams(omega0=0.0, gamma=1e-6, nu=1.0, lam=1.0)
+    molb = MoleculeParams(gamma=1e-6, nu=1.0, lam=1.0)
     errs_b = []
     for nbar in (0.0, 1.0):
         thb = (ThermalState.from_occupation(nbar, 1.0) if nbar > 0 else th0)
@@ -213,7 +214,7 @@ def test_criterion_6_spectrum_identities():
     arg = 2.0 * lam**2 * math.sqrt(nbar * (nbar + 1.0))
     assert arg <= 0.1
     thc = ThermalState.from_occupation(nbar, 1.0)
-    molc = MoleculeParams(omega0=0.0, gamma=0.2, nu=1.0, lam=lam)
+    molc = MoleculeParams(gamma=0.2, nu=1.0, lam=lam)
     g2 = np.linspace(-3.0, 3.0, 801)
     d = absorption_discrete(g2, molc, kp, thc).values
     b = absorption_bessel(g2, molc, kp, thc).values
@@ -231,7 +232,7 @@ def test_criterion_7_phonon_wing():
     kp = KernelParams(gamma_m=0.1, omega_max=1.3, nu=1.0)
     sd = SpectralDensity(kind="3d", coupling=0.02, omega_max=3.0)
     gam = 0.05
-    mol = MoleculeParams(omega0=0.0, gamma=gam, nu=1.0, lam=0.0)
+    mol = MoleculeParams(gamma=gam, nu=1.0, lam=0.0)
     grid = np.linspace(-4.0, 4.0, 8001)
     w0 = 10.0 * gam
 
@@ -285,7 +286,7 @@ def test_criterion_9_cavity():
     # 3D phonon factor, plus the Purcell antiresonance width and depth
     nu, lam_v = 8.0, 0.3
     kp = KernelParams(gamma_m=0.48, omega_max=3.0, nu=nu)
-    mol = MoleculeParams(omega0=0.0, gamma=0.02, nu=nu, lam=lam_v)
+    mol = MoleculeParams(gamma=0.02, nu=nu, lam=lam_v)
     cav = CavityParams(delta_c=0.0, kappa=0.06, g=0.3)
     grid = np.linspace(-0.6, 0.6, 4001)
     sd = SpectralDensity(kind="3d", coupling=0.003, omega_max=3.0)
@@ -305,8 +306,8 @@ def test_criterion_9_cavity():
     # Purcell preset: g = 0.35 kappa, lam = 0.8, 3D coupling 0.2, T = 10 K
     kp6 = KernelParams(gamma_m=0.48, omega_max=3.0, nu=6.0)
     gam = 0.01
-    mol_p = MoleculeParams(omega0=0.0, gamma=gam, nu=6.0, lam=0.8)
-    mol_2l = MoleculeParams(omega0=0.0, gamma=gam, nu=6.0, lam=0.0)
+    mol_p = MoleculeParams(gamma=gam, nu=6.0, lam=0.8)
+    mol_2l = MoleculeParams(gamma=gam, nu=6.0, lam=0.0)
     cav_p = CavityParams(delta_c=0.0, kappa=2.0, g=0.7)
     th_p = ThermalState(temperature=1.309235)
     sd_p = SpectralDensity(kind="3d", coupling=0.2, omega_max=3.0)
@@ -328,7 +329,7 @@ def test_criterion_9_cavity():
 
 def test_criterion_10_polariton_cross_talk():
     kp = KernelParams(gamma_m=0.48, omega_max=3.0, nu=6.0)
-    mol = MoleculeParams(omega0=0.0, gamma=0.02, nu=6.0, lam=0.3)
+    mol = MoleculeParams(gamma=0.02, nu=6.0, lam=0.3)
     # (a) kappa_-/kappa_+ = nbar/(nbar+1) exactly
     err_a = 0.0
     for nbar in (0.3, 1.0, 4.2):

@@ -29,12 +29,12 @@ from vibrolang.spectra import franck_condon
 
 KP = KernelParams(gamma_m=0.48, omega_max=3.0, nu=6.0)
 TH0 = ThermalState(temperature=0.0)
-MOL = MoleculeParams(omega0=0.0, gamma=0.02, nu=6.0, lam=0.8)
+MOL = MoleculeParams(gamma=0.02, nu=6.0, lam=0.8)
 
 
 class TestResponse:
     def test_two_level_response(self):
-        mol = MoleculeParams(omega0=0.0, gamma=0.1, nu=6.0, lam=0.0)
+        mol = MoleculeParams(gamma=0.1, nu=6.0, lam=0.0)
         det = np.linspace(-2, 2, 41)
         h = molecular_response(det, mol, KP, TH0, markovian=True)
         np.testing.assert_allclose(h, 1.0 / (0.1 - 1j * det), rtol=1e-12)
@@ -60,7 +60,7 @@ class TestResponse:
 
     def test_blocked_comb_response_is_one_pass_sum(self):
         # a 22,578-line comb: the detuning rows are summed in blocks
-        mol = MoleculeParams(omega0=0.0, gamma=0.025, nu=1.0, lam=1.0)
+        mol = MoleculeParams(gamma=0.025, nu=1.0, lam=1.0)
         kp = KernelParams(gamma_m=0.1, omega_max=1.3, nu=1.0)
         th = ThermalState.from_occupation(50.0, 1.0)
         det = np.linspace(-4.0, 6.0, 101)
@@ -88,7 +88,7 @@ class TestTransmission:
     @settings(max_examples=25, deadline=None)
     def test_passive_transmission_bound(self, kappa, g, delta_c, lam):
         cav = CavityParams(delta_c=delta_c, kappa=kappa, g=g)
-        mol = MoleculeParams(omega0=0.0, gamma=0.05, nu=6.0, lam=lam)
+        mol = MoleculeParams(gamma=0.05, nu=6.0, lam=lam)
         det = np.linspace(-4, 4, 201)
         import warnings
 
@@ -150,6 +150,7 @@ class TestPeakUtilities:
 class TestEffectiveRabi:
     def test_trivial_limits(self):
         assert effective_rabi(2.0, 1.0, 1.0) == 2.0
+        assert effective_rabi(2.0, 0.0) == effective_rabi(2.0, 1.0, 0.0) == 0.0
         np.testing.assert_allclose(
             effective_rabi(1.0, franck_condon(1.0, 0.0)),
             np.exp(-0.5),
@@ -168,7 +169,7 @@ class TestEffectiveRabi:
 
     def test_rejects_unphysical_factors(self):
         with pytest.raises(DomainError):
-            effective_rabi(1.0, 0.0)
+            effective_rabi(1.0, -0.1)
         with pytest.raises(DomainError):
             effective_rabi(1.0, 1.2)
 

@@ -62,6 +62,15 @@ SMALL_ABSORPTION = {
     "nbar": 0.0,
 }
 
+SMALL_CAVITY = {
+    "command": "cavity",
+    "molecule": {"gamma": 0.02, "nu": 6.0, "lam": 0.8},
+    "kernel": {"gamma_m": 0.48, "omega_max": 3.0},
+    "cavity": {"kappa": 0.5, "g": 0.7},
+    "grid": {"min": -2.0, "max": 2.0, "n": 101},
+    "markovian": True,
+}
+
 
 class TestValidation:
     def test_unknown_key_rejected(self):
@@ -158,6 +167,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2, err
         assert "Traceback" not in err and err.startswith("config error")
+        return err
 
     def test_nan_is_config_error(self, tmp_path, capsys):
         cfg = load_preset("fig4b")
@@ -211,6 +221,41 @@ class TestExitCodes:
     def test_pair_beyond_chain_is_config_error(self, tmp_path, capsys):
         cfg = dict(SMALL_COLLECTIVE, j=SMALL_RELAXATION["bath"]["n_cells"] + 1)
         self._config_error(tmp_path, cfg, capsys)
+
+    @pytest.mark.parametrize("cfg, section, key", [
+        (SMALL_ABSORPTION, "molecule", "omega0"),
+        (SMALL_ABSORPTION, "molecule", "eta_l"),
+        (SMALL_CAVITY, "cavity", "eta_c"),
+        (SMALL_ABSORPTION, "kernel", "nu_tilde"),
+        (SMALL_RELAXATION, "bath", "ktot"),
+        (SMALL_RELAXATION, "bath", "dx"),
+    ], ids=["omega0", "eta_l", "eta_c", "nu_tilde", "ktot", "dx"])
+    def test_removed_key_is_config_error(self, tmp_path, capsys, cfg,
+                                         section, key):
+        # keys that once reached no output are refused, not ignored
+        cfg = copy.deepcopy(cfg)
+        cfg[section][key] = 1.0
+        assert repr(key) in self._config_error(tmp_path, cfg, capsys)
+
+    def _cavity_g_eff(self, tmp_path, cfg):
+        path = _write(tmp_path, cfg)
+        assert main(["cavity", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 0
+        meta = tmp_path / "o" / "transmission.meta.json"
+        return json.loads(meta.read_text())["g_eff"]
+
+    def test_vanishing_franck_condon_factor_gives_zero_g_eff(self, tmp_path):
+        # e^{-lam^2 (1 + 2 nbar)} underflows to 0 at this occupancy
+        cfg = dict(SMALL_CAVITY, nbar=1e300,
+                   cavity=dict(SMALL_CAVITY["cavity"], g=0.0))
+        assert self._cavity_g_eff(tmp_path, cfg) == 0.0
+
+    def test_divergent_debye_waller_exponent_gives_zero_g_eff(self, tmp_path):
+        # a 1d density with omega_min = 0 has f_DW = 0 at T = 0
+        cfg = load_preset("fig6c")
+        cfg["sd"] = {"kind": "1d", "coupling": 0.03, "omega_max": 3.0}
+        cfg["temperature"] = 0.0
+        assert self._cavity_g_eff(tmp_path, cfg) == 0.0
 
 
 class TestArtifacts:
@@ -376,10 +421,11 @@ class TestSweep:
 
 
 class TestImports:
-    def test_cli_import_leaves_out_scipy_signal(self):
-        # scipy.signal costs about 0.5 s to import on every CLI run
+    # each adds 0.2 to 0.5 s to the start of every CLI run
+    @pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate"])
+    def test_cli_import_leaves_out(self, module):
         code = ("import sys, vibrolang.cli; "
-                "sys.exit('scipy.signal' in sys.modules)")
+                f"sys.exit({module!r} in sys.modules)")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [os.path.dirname(os.path.dirname(cli.__file__)),
                           os.environ.get("PYTHONPATH")])))

@@ -21,7 +21,9 @@ from vibrolang import (
     susceptibility,
     thermal_spectrum,
 )
-from vibrolang.kernels import kernel_fourier_numeric, relaxation_params
+from vibrolang.kernels import relaxation_params
+
+from oracles import kernel_fourier_numeric
 
 KP = KernelParams(gamma_m=0.05, omega_max=7.0, nu=1.0)
 

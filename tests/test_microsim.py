@@ -15,13 +15,14 @@ from vibrolang import (
     Trajectory,
     TrajectoryConfig,
     chain_eigenmodes,
-    dyson_first_order,
     energy_envelope,
     fit_decay_rate,
     simulate,
     vibron_phonon_couplings,
 )
 from vibrolang.microsim import _secular
+
+from oracles import dyson_first_order
 
 
 def _bath(n=80, k0=12.25, gamma_m=0.05, **kw):

@@ -13,13 +13,10 @@ from vibrolang import (
     kelvin_to_angfreq,
     vibron_phonon_couplings,
 )
-from vibrolang.model import (
-    HBAR_OVER_KB_K_PS,
-    build_chain,
-    markov_rate_band_form,
-    polaron_shift_discrete,
-)
+from vibrolang.model import HBAR_OVER_KB_K_PS
 from vibrolang.microsim import TrajectoryConfig, simulate
+
+from oracles import markov_rate_band_form
 
 
 def _bath(n=200, k0=12.25, gamma_m=0.05, **kw):
@@ -116,15 +113,6 @@ class TestDerivedParams:
     def test_omega_max(self):
         bath = DiscreteBath(n_cells=10, k0=12.25, m0=1.0, dk=1.0)
         np.testing.assert_allclose(bath.omega_max, 7.0, rtol=1e-14)
-
-    def test_polaron_shift_discrete(self):
-        bath = _bath(n=60, ktot=3.0, dx=0.1)
-        modes = build_chain(bath, nu=1.0)
-        np.testing.assert_allclose(
-            polaron_shift_discrete(modes),
-            np.sum(modes.lambda_k**2 * modes.frequencies),
-            rtol=1e-12,
-        )
 
     def test_invalid_bath(self):
         with pytest.raises(DomainError):

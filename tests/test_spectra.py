@@ -39,9 +39,10 @@ from vibrolang.spectra import (
     absorption_multimode_discrete,
     choose_n_max,
     response_transform,
-    single_mode_dephasing_rate,
     vibron_lines,
 )
+
+from oracles import single_mode_dephasing_rate
 
 KP = KernelParams(gamma_m=0.1, omega_max=1.3, nu=1.0)
 TH0 = ThermalState(temperature=0.0)
@@ -184,7 +185,7 @@ class TestWeights:
 
     @pytest.mark.parametrize("lam, nbar", COMB_CASES)
     def test_bessel_marginal_matches_iv(self, lam, nbar):
-        mol = MoleculeParams(omega0=0.0, gamma=0.05, nu=1.0, lam=lam)
+        mol = MoleculeParams(gamma=0.05, nu=1.0, lam=lam)
         th = ThermalState.from_occupation(nbar, 1.0) if nbar > 0 else TH0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
@@ -214,7 +215,7 @@ class TestWeights:
 
 
 # fig4b's molecule at nbar = 50: a 22,578-line comb, many blocks of rows
-FIG4B_MOL = MoleculeParams(omega0=0.0, gamma=0.025, nu=1.0, lam=1.0)
+FIG4B_MOL = MoleculeParams(gamma=0.025, nu=1.0, lam=1.0)
 FIG4B_GRID = np.linspace(-4.0, 6.0, 2001)
 TH50 = ThermalState.from_occupation(50.0, 1.0)
 
@@ -241,7 +242,7 @@ class TestDiscreteSpectra:
         assert peak < 64 * 2**20
 
     def test_two_level_limit(self):
-        mol = MoleculeParams(omega0=0.0, gamma=0.025, nu=1.0, lam=0.0)
+        mol = MoleculeParams(gamma=0.025, nu=1.0, lam=0.0)
         grid = np.linspace(-2.0, 2.0, 401)
         sp = absorption_discrete(grid, mol, KP, TH0)
         np.testing.assert_allclose(
@@ -252,14 +253,14 @@ class TestDiscreteSpectra:
         from vibrolang.kernels import effective_params
 
         nu_p, _ = effective_params(KP)
-        mol = MoleculeParams(omega0=0.0, gamma=0.005, nu=1.0, lam=0.6)
+        mol = MoleculeParams(gamma=0.005, nu=1.0, lam=0.6)
         sp = absorption_discrete(None, mol, KP, TH0)
         pos = np.unique(np.round(sp.lines[:, 0] / nu_p).astype(int))
         assert pos.min() == 0  # T = 0: no anti-Stokes lines
         assert pos.max() >= 3
 
     def test_bessel_matches_double_sum(self):
-        mol = MoleculeParams(omega0=0.0, gamma=0.2, nu=1.0, lam=0.2)
+        mol = MoleculeParams(gamma=0.2, nu=1.0, lam=0.2)
         th = ThermalState.from_occupation(0.3, 1.0)
         grid = np.linspace(-3.0, 3.0, 601)
         d = absorption_discrete(grid, mol, KP, th).values
@@ -267,7 +268,7 @@ class TestDiscreteSpectra:
         assert np.max(np.abs(d - b)) / np.max(d) < 1e-3
 
     def test_bessel_warns_outside_validity(self):
-        mol = MoleculeParams(omega0=0.0, gamma=0.025, nu=1.0, lam=1.0)
+        mol = MoleculeParams(gamma=0.025, nu=1.0, lam=1.0)
         th = ThermalState.from_occupation(2.0, 1.0)
         with pytest.warns(UserWarning):
             absorption_bessel(None, mol, KP, th)
@@ -275,13 +276,13 @@ class TestDiscreteSpectra:
     def test_multimode_reduces_to_single_vibron(self):
         # one explicit mode at nu with the vibron coupling reproduces the
         # nbar = 0 comb of the dedicated routine (undamped phonons)
-        mol = MoleculeParams(omega0=0.0, gamma=0.02, nu=1.0, lam=0.5)
+        mol = MoleculeParams(gamma=0.02, nu=1.0, lam=0.5)
         grid = np.linspace(-1.0, 4.0, 801)
         multi = absorption_multimode_discrete(
             grid, mol, [(1.0, 0.5, 0.0)], TH0
         )
         kp0 = KernelParams(gamma_m=1e-12, omega_max=10.0, nu=1.0)
-        mol_plain = MoleculeParams(omega0=0.0, gamma=0.02, nu=1.0, lam=0.0)
+        mol_plain = MoleculeParams(gamma=0.02, nu=1.0, lam=0.0)
         # build the reference directly from Poisson weights
         ref = np.zeros_like(grid)
         for n in range(40):
@@ -292,7 +293,7 @@ class TestDiscreteSpectra:
     def test_multimode_matches_list_products(self):
         # the outer products of two thermal combs against the per-line
         # list products of the double-loop combs, same 1e-14 prune
-        mol = MoleculeParams(omega0=0.0, gamma=0.02, nu=1.0, lam=0.5)
+        mol = MoleculeParams(gamma=0.02, nu=1.0, lam=0.5)
         th = ThermalState(temperature=0.7)
         modes = [(1.0, 0.5, 0.03), (0.37, 0.8, 0.01)]
         multi = absorption_multimode_discrete(None, mol, modes, th)
@@ -314,7 +315,7 @@ class TestDiscreteSpectra:
         # Gamma' = 0 leaves every width at gamma: the tail is still the one
         # at the order the comb was built to
         kp = KernelParams(gamma_m=0.0, omega_max=1.3, nu=1.0)
-        mol = MoleculeParams(omega0=0.0, gamma=0.025, nu=1.0, lam=1.0)
+        mol = MoleculeParams(gamma=0.025, nu=1.0, lam=1.0)
         th = ThermalState.from_occupation(1.0, 1.0)
         sp = absorption_discrete(None, mol, kp, th, markovian=True)
         nbar = sp.meta["nbar"]
@@ -504,13 +505,13 @@ class TestResponseTransform:
         assert err <= 1e-12, err
 
     def test_full_spectrum_resolution_guard(self):
-        mol = MoleculeParams(omega0=0.0, gamma=1e-4, nu=1.0, lam=0.0)
+        mol = MoleculeParams(gamma=1e-4, nu=1.0, lam=0.0)
         sd = SpectralDensity(kind="3d", coupling=0.02, omega_max=3.0)
         with pytest.raises(ResolutionError):
             absorption_full(np.linspace(-1, 1, 11), mol, KP, sd, TH0)
 
     def test_full_spectrum_two_level_limit(self):
-        mol = MoleculeParams(omega0=0.0, gamma=0.05, nu=1.0, lam=0.0)
+        mol = MoleculeParams(gamma=0.05, nu=1.0, lam=0.0)
         grid = np.linspace(-0.5, 0.5, 101)
         vals, meta = absorption_full(grid, mol, None, None, TH0)
         np.testing.assert_allclose(
