@@ -23,8 +23,6 @@ from .model import (
 )
 from .kernels import (
     KernelParams,
-    collective_gamma_freq,
-    collective_gamma_time,
     effective_params,
     gamma_freq,
     gamma_time,

@@ -123,15 +123,16 @@ def effective_rabi_from_params(cavity: CavityParams, molecule: MoleculeParams,
     return effective_rabi(cavity.g, f_fc, f_dw)
 
 
-def peak_positions(grid, values, min_height_frac=0.05):
-    """Local maxima refined by quadratic (three-point) interpolation."""
+def peak_positions(grid, values):
+    """Local maxima of at least 5% of the largest value, refined by
+    quadratic (three-point) interpolation."""
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
     vmax = float(np.max(values))
     peaks = []
     for i in range(1, len(values) - 1):
         if values[i] >= values[i - 1] and values[i] > values[i + 1] \
-                and values[i] >= min_height_frac * vmax:
+                and values[i] >= 0.05 * vmax:
             y0, y1, y2 = values[i - 1], values[i], values[i + 1]
             den = y0 - 2.0 * y1 + y2
             shift = 0.0 if den == 0 else 0.5 * (y0 - y2) / den

@@ -237,6 +237,21 @@ def validate_config(cfg):
     if bad is not None:
         path = ".".join(str(p) for p in bad)
         raise ConfigError(f"config field {path}: numbers must be finite")
+    if "sweep" in cfg:  # run_config checks each sweep point
+        return cfg
+    # a key that the other settings leave unread is refused, not ignored
+    dw = cfg.get("observable") == "debye-waller"
+    unread = {"temperature": dw or "nbar" in cfg,
+              "sd": cmd == "absorption" and cfg.get("method") != "full",
+              "gamma": dw, "grid": dw, "emit_correlation": dw,
+              "temp_grid": cmd == "phonon-wing" and not dw,
+              **dict.fromkeys(("trajectory.q0", "trajectory.p0"),
+                              "excite" in cfg)}
+    given = set(cfg) | {"trajectory." + k for k in cfg.get("trajectory", ())}
+    for key, unused in unread.items():
+        if unused and key in given:
+            raise ConfigError(f"config field {key} is not read with the "
+                              "other settings given")
     return cfg
 
 

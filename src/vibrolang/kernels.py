@@ -55,85 +55,57 @@ class KernelParams:
             )
 
 
+def _order(d):
+    """Bessel order s of the kernel of two molecules d sites apart."""
+    if d < 0 or int(d) != d:
+        raise DomainError("site separation d must be an integer >= 0")
+    return 2 * int(d) if d else 1
+
+
 def _j1_over_x(x):
     """J1(x)/x with the series limit 1/2 - x^2/16 + x^4/384 near x = 0."""
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < _SMALL_X
     safe = np.where(small, 1.0, x)
-    out = np.where(small, 0.5 - x**2 / 16.0 + x**4 / 384.0,
-                   special.j1(safe) / safe)
-    return out
+    return np.where(small, 0.5 - x**2 / 16.0 + x**4 / 384.0,
+                    special.j1(safe) / safe)
 
 
-def gamma_time(t, kp: KernelParams):
-    """Causal memory kernel Gamma(t) = Gamma_m J1(omega_max t)/t for t >= 0.
-
-    Gamma(0) is the limit Gamma_m omega_max / 2; zero for t < 0.
-    """
+def gamma_time(t, kp: KernelParams, d=0):
+    """Causal memory kernel Gamma_d(t) = Gamma_m s J_s(omega_max t)/t for
+    t >= 0, zero for t < 0: s = 1 for a molecule's own kernel (d = 0), whose
+    Gamma_0(0) is the limit Gamma_m omega_max / 2, and s = 2d for the mutual
+    kernel of two molecules d lattice sites apart, which vanishes at t = 0."""
+    s = _order(d)
     t = np.asarray(t, dtype=float)
     x = kp.omega_max * np.abs(t)
-    val = kp.gamma_m * kp.omega_max * _j1_over_x(x)
+    # special.j1, not jv(1, x), which is 2e-12 off near the zeros of J1
+    bessel = _j1_over_x(x) if s == 1 else \
+        special.jv(s, x) / np.where(x == 0, 1.0, x)
+    val = kp.gamma_m * s * kp.omega_max * bessel
     out = np.where(t >= 0, val, 0.0)
     return out if out.ndim else float(out)
 
 
-def gamma_freq(omega, kp: KernelParams):
-    """Fourier transform of the memory kernel.
+def gamma_freq(omega, kp: KernelParams, d=0):
+    """Fourier transform of `gamma_time`, Gamma_d(omega) = Gamma_m u^s.
 
-    In band (|omega| <= omega_max):
-        Gamma_m [sqrt(omega_max^2-omega^2) + i omega] / omega_max.
-    Out of band the real part vanishes and the branch
-        i Gamma_m [omega -/+ sqrt(omega^2-omega_max^2)] / omega_max
-    (upper sign for omega > omega_max) continues the imaginary part.
+    In band (|omega| <= omega_max) u = e^{i theta}, theta =
+    arcsin(omega/omega_max), so that |Gamma_d| = Gamma_m and
+        Gamma_0 = Gamma_m [sqrt(omega_max^2-omega^2) + i omega] / omega_max.
+    Out of band u = i [omega -/+ sqrt(omega^2-omega_max^2)] / omega_max
+    (upper sign for omega > omega_max) continues it, with no real part.
     """
+    s = _order(d)
     omega = np.asarray(omega, dtype=float)
     wm = kp.omega_max
     inband = np.abs(omega) <= wm
     root_in = np.sqrt(np.where(inband, wm**2 - omega**2, 0.0))
     root_out = np.sqrt(np.where(inband, 0.0, omega**2 - wm**2))
-    real = kp.gamma_m * root_in / wm
-    imag = kp.gamma_m * (omega - np.sign(omega) * root_out) / wm
-    out = real + 1j * imag
-    return out if out.ndim else complex(out)
-
-
-def collective_gamma_time(t, j: int, kp: KernelParams):
-    """Mutual kernel Gamma_12(t) = Gamma_m 4j J_{4j}(omega_max t)/t, t >= 0,
-    for two molecules 2j lattice sites apart."""
-    if j < 1 or int(j) != j:
-        raise DomainError("half-separation j must be a positive integer")
-    t = np.asarray(t, dtype=float)
-    x = kp.omega_max * np.abs(t)
-    n = 4 * int(j)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        val = kp.gamma_m * n * kp.omega_max * special.jv(n, x) / np.where(x == 0, 1.0, x)
-    val = np.where(x == 0, 0.0, val)  # J_n(x)/x -> 0 for n >= 2
-    out = np.where(t >= 0, val, 0.0)
-    return out if out.ndim else float(out)
-
-
-def collective_gamma_freq(omega, j: int, kp: KernelParams):
-    """In-band Fourier transform of the mutual kernel,
-
-    Gamma_12(omega) = Gamma_m [ T_{4j}(x) - i U_{4j-1}(x) sqrt(1-x^2) ],
-    x = omega/omega_max.  With theta = arcsin(x) this is
-    Gamma_m [cos(4j theta) + i sin(4j theta)], the exact transform of
-    4j J_{4j}(omega_max t)/t under the package sign convention, so
-    |Gamma_12(omega)| = Gamma_m identically in band.  The out-of-band
-    continuation is not defined here and is refused.
-    """
-    if j < 1 or int(j) != j:
-        raise DomainError("half-separation j must be a positive integer")
-    omega = np.asarray(omega, dtype=float)
-    x = omega / kp.omega_max
-    if np.any(np.abs(x) > 1.0 + 1e-12):
-        raise DomainError("collective kernel transform defined in band only")
-    x = np.clip(x, -1.0, 1.0)
-    n = 4 * int(j)
-    out = kp.gamma_m * (
-        special.eval_chebyt(n, x)
-        - 1j * special.eval_chebyu(n - 1, x) * np.sqrt(1.0 - x**2)
-    )
+    reactive = omega - np.sign(omega) * root_out
+    out = kp.gamma_m * root_in / wm + 1j * (kp.gamma_m * reactive / wm)
+    if s > 1:
+        out = out * ((root_in + 1j * reactive) / wm) ** (s - 1)
     return out if out.ndim else complex(out)
 
 

@@ -405,13 +405,13 @@ def energy_envelope(times, energy, period):
     return times[lo:lo + len(env)], env
 
 
-def fit_decay_rate(times, energy, gamma_guess, window=(0.5, 2.5)):
+def fit_decay_rate(times, energy, gamma_guess):
     """Exponential decay rate by linear least squares on log E over the
-    window [window[0]/gamma_guess, window[1]/gamma_guess]."""
+    window [0.5/gamma_guess, 2.5/gamma_guess]."""
     times = np.asarray(times, dtype=float)
     energy = np.asarray(energy, dtype=float)
-    t_lo = window[0] / gamma_guess
-    t_hi = window[1] / gamma_guess
+    t_lo = 0.5 / gamma_guess
+    t_hi = 2.5 / gamma_guess
     sel = (times >= t_lo) & (times <= t_hi) & (energy > 0)
     if np.count_nonzero(sel) < 3:
         raise DomainError("fit window contains fewer than 3 usable samples")

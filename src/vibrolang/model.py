@@ -115,14 +115,16 @@ class DiscreteBath:
     temperature: float = 0.0
 
     def __post_init__(self):
-        if self.n_cells < 1:
-            raise DomainError("n_cells must be >= 1")
-        if self.k0 <= 0 or self.m0 <= 0:
-            raise DomainError("spring constant and mass must be > 0")
-        if self.qfactor <= 0:
-            raise DomainError("qfactor must be > 0 (or inf)")
         if self.mu is None:
             object.__setattr__(self, "mu", self.m0)
+        if self.n_cells < 1:
+            raise DomainError("n_cells must be >= 1")
+        if min(self.k0, self.m0, self.mu) <= 0:
+            raise DomainError("k0, m0 and mu must be > 0")
+        if self.qfactor <= 0:
+            raise DomainError("qfactor must be > 0 (or inf)")
+        if self.temperature < 0:
+            raise DomainError("temperature must be >= 0")
 
     @property
     def omega_max(self):
@@ -136,7 +138,7 @@ class SpectralDensity:
     kind      : "1d" or "3d"
     coupling  : lambda_e-ph (dimensionless for 1d, [time^2] for 3d)
     omega_max : band edge
-    omega_min : infrared cutoff, used by the 1d form only
+    omega_min : infrared cutoff of either form
     """
 
     kind: str

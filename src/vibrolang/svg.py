@@ -34,7 +34,7 @@ def _fmt(v):
     return f"{v:.1e}"
 
 
-def line_plot(curves, xlabel="", ylabel="", title="", logy=False):
+def line_plot(curves, xlabel="", ylabel="", logy=False):
     """Render `curves` = [(x, y, label), ...] as an SVG string.
 
     `logy` plots log10 of the positive ordinates (non-positive points are
@@ -126,11 +126,6 @@ def line_plot(curves, xlabel="", ylabel="", title="", logy=False):
         parts.append(
             f'<text x="16" y="{(_MT + _H - _MB) / 2}" text-anchor="middle" '
             f'transform="rotate(-90 16 {(_MT + _H - _MB) / 2})">{ylabel}</text>'
-        )
-    if title:
-        parts.append(
-            f'<text x="{(_ML + _W - _MR) / 2}" y="16" '
-            f'text-anchor="middle">{title}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts)

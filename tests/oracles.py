@@ -11,30 +11,25 @@ from vibrolang import (
     KernelParams,
     ThermalState,
     chain_eigenmodes,
-    collective_gamma_time,
     gamma_time,
     vibron_phonon_couplings,
 )
 
 
-def kernel_fourier_numeric(omega, kp: KernelParams, j=None, t_max=None):
-    """Numeric transform of gamma_time (j=None) or collective_gamma_time (j>=1).
+def kernel_fourier_numeric(omega, kp: KernelParams, d=0, t_max=None):
+    """Numeric transform of gamma_time for a site separation d.
 
     The t^{-3/2} Bessel tail makes a finite window adequate: the truncation
     error falls off as t_max^{-3/2} after oscillatory cancellation.
     """
     if t_max is None:
         t_max = 400.0 / kp.omega_max
-    if j is None:
-        f = lambda t: gamma_time(t, kp)
-    else:
-        f = lambda t: collective_gamma_time(t, j, kp)
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     w_fast = kp.omega_max + float(np.max(np.abs(omega)))
     n = int(np.ceil(t_max * 60 * w_fast / (2 * np.pi)))  # 60 per cycle
     n += n % 2
     t = np.linspace(0.0, t_max, n + 1)
-    ft = f(t)
+    ft = gamma_time(t, kp, d)
     phase = np.exp(1j * np.outer(omega, t))
     vals = integrate.simpson(phase * ft, x=t, axis=-1)
     return vals if len(vals) > 1 else complex(vals[0])

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+from importlib import resources
 
 import jsonschema
 import numpy as np
@@ -70,6 +71,34 @@ SMALL_CAVITY = {
     "grid": {"min": -2.0, "max": 2.0, "n": 101},
     "markovian": True,
 }
+
+
+SMALL_POLARITON = {
+    "command": "polariton",
+    "molecule": {"gamma": 0.02, "nu": 6.0, "lam": 0.3},
+    "kernel": {"gamma_m": 0.48, "omega_max": 3.0},
+    "omega_plus": 3.0, "omega_minus": -3.0, "kappa": 1.0,
+    "nbar": 1.0,
+    "t_grid": {"max": 5.0, "n": 50},
+}
+
+SMALL_DEBYE_WALLER = {
+    "command": "phonon-wing",
+    "sd": {"kind": "3d", "coupling": 0.02, "omega_max": 3.0},
+    "observable": "debye-waller",
+    "temp_grid": {"min": 0.0, "max": 1.0, "n": 3},
+}
+
+SMALL_WING = {
+    "command": "phonon-wing",
+    "sd": {"kind": "3d", "coupling": 0.02, "omega_max": 3.0},
+    "grid": {"min": -1.0, "max": 2.0, "n": 301},
+}
+
+PRESET_FILES = sorted(
+    (entry.name[:-len(".json")], entry)
+    for entry in (resources.files("vibrolang") / "presets").iterdir()
+    if entry.name.endswith(".json"))
 
 
 class TestValidation:
@@ -237,6 +266,44 @@ class TestExitCodes:
         cfg[section][key] = 1.0
         assert repr(key) in self._config_error(tmp_path, cfg, capsys)
 
+    @pytest.mark.parametrize("cfg, key, value", [
+        (SMALL_ABSORPTION, "sd",
+         {"kind": "3d", "coupling": 0.02, "omega_max": 3.0}),
+        (SMALL_ABSORPTION, "temperature", 5.0),
+        (dict(SMALL_CAVITY, nbar=0.5), "temperature", 5.0),
+        (SMALL_POLARITON, "temperature", 5.0),
+        (SMALL_DEBYE_WALLER, "temperature", 1.0),
+        (SMALL_DEBYE_WALLER, "gamma", 0.05),
+        (SMALL_DEBYE_WALLER, "grid", {"min": -1.0, "max": 2.0, "n": 31}),
+        (SMALL_DEBYE_WALLER, "emit_correlation", True),
+        (SMALL_WING, "temp_grid", {"min": 0.0, "max": 1.0, "n": 3}),
+        (SMALL_COLLECTIVE, "trajectory.q0", [1.0, 1.0]),
+        (SMALL_COLLECTIVE, "trajectory.p0", [0.5, 0.0]),
+    ], ids=["absorption-sd", "absorption-temperature", "cavity-temperature",
+            "polariton-temperature", "dw-temperature", "dw-gamma", "dw-grid",
+            "dw-emit_correlation", "spectrum-temp_grid", "excite-q0",
+            "excite-p0"])
+    def test_unread_key_is_config_error(self, tmp_path, capsys, cfg, key,
+                                        value):
+        # the other settings leave the key unread, so the run would write
+        # the bytes of the run without it
+        cfg = copy.deepcopy(validate_config(cfg))
+        *section, leaf = key.split(".")
+        (cfg[section[0]] if section else cfg)[leaf] = value
+        assert f"config field {key} " in self._config_error(tmp_path, cfg,
+                                                            capsys)
+
+    @pytest.mark.parametrize("key, value", [
+        ("mu", 0.0), ("mu", -1.0), ("temperature", -1.0)])
+    def test_bath_out_of_domain_is_config_error(self, tmp_path, capsys, key,
+                                                value):
+        # mu <= 0 gave a NaN vibron energy (exit 1), a negative temperature
+        # a run from rest (exit 0)
+        cfg = copy.deepcopy(SMALL_RELAXATION)
+        cfg["bath"][key] = value
+        cfg["trajectory"]["thermal_phonons"] = True
+        assert key in self._config_error(tmp_path, cfg, capsys)
+
     def _cavity_g_eff(self, tmp_path, cfg):
         path = _write(tmp_path, cfg)
         assert main(["cavity", "--config", path,
@@ -323,6 +390,19 @@ class TestArtifacts:
         assert (out / "manifest.json").read_bytes() == before
         assert sorted(os.listdir(out)) == listing
 
+    @pytest.mark.parametrize("name, entry", PRESET_FILES,
+                             ids=[name for name, _ in PRESET_FILES])
+    def test_bundled_preset_runs(self, tmp_path, name, entry):
+        cfg = json.loads(entry.read_text(encoding="utf-8"))
+        out = tmp_path / name
+        assert main([cfg["command"], "--config", str(entry), "--out",
+                     str(out), "--format", "csv"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["files"]
+        for item in manifest["files"]:
+            data = (out / item["file"]).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == item["sha256"]
+
     def test_svg_emission(self, tmp_path):
         out = tmp_path / "out"
         manifest = run_config(SMALL_ABSORPTION, str(out), fmt="csv+svg")
@@ -356,16 +436,8 @@ class TestArtifacts:
         assert lines[0] == "detuning,re_T,im_T,abs_T2"
 
     def test_polariton_csv_schema(self, tmp_path):
-        cfg = {
-            "command": "polariton",
-            "molecule": {"gamma": 0.02, "nu": 6.0, "lam": 0.3},
-            "kernel": {"gamma_m": 0.48, "omega_max": 3.0},
-            "omega_plus": 3.0, "omega_minus": -3.0, "kappa": 1.0,
-            "nbar": 1.0,
-            "t_grid": {"max": 5.0, "n": 50},
-        }
         out = tmp_path / "out"
-        run_config(cfg, str(out))
+        run_config(SMALL_POLARITON, str(out))
         lines = (out / "polariton.csv").read_text().strip().split("\n")
         assert lines[0] == "t,P_U,P_L"
         meta = json.loads((out / "polariton.meta.json").read_text())

@@ -11,8 +11,6 @@ from vibrolang import (
     KernelParams,
     RegimeError,
     ThermalState,
-    collective_gamma_freq,
-    collective_gamma_time,
     effective_params,
     gamma_freq,
     gamma_time,
@@ -52,7 +50,7 @@ class TestTimeKernel:
     def test_causality(self):
         t = np.linspace(-5.0, -1e-12, 50)
         assert np.all(gamma_time(t, KP) == 0.0)
-        assert np.all(collective_gamma_time(t, 1, KP) == 0.0)
+        assert np.all(gamma_time(t, KP, d=2) == 0.0)
 
     def test_initial_value(self):
         np.testing.assert_allclose(
@@ -72,8 +70,8 @@ class TestTimeKernel:
         np.testing.assert_allclose(lo, hi, rtol=1e-10)
 
     def test_collective_initial_value_vanishes(self):
-        # J_{4j}(x)/x -> 0 as x -> 0 for j >= 1
-        assert collective_gamma_time(0.0, 1, KP) == 0.0
+        # J_{2d}(x)/x -> 0 as x -> 0 for d >= 1
+        assert gamma_time(0.0, KP, d=2) == 0.0
 
     def test_parseval_band_integral(self):
         # (1/pi) int_band Re Gamma(w) dw = Gamma(0+)
@@ -105,29 +103,39 @@ class TestFrequencyKernel:
         ana = gamma_freq(w, KP)
         assert np.max(np.abs(num - ana)) / KP.gamma_m < 1e-3
 
-    @pytest.mark.parametrize("j", [1, 2])
-    def test_fourier_oracle_collective(self, j):
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_fourier_oracle_collective(self, d):
         w = np.linspace(-0.9 * KP.omega_max, 0.9 * KP.omega_max, 7)
-        num = kernel_fourier_numeric(w, KP, j=j, t_max=3000.0 / KP.omega_max)
-        ana = collective_gamma_freq(w, j, KP)
+        num = kernel_fourier_numeric(w, KP, d=d, t_max=3000.0 / KP.omega_max)
+        ana = gamma_freq(w, KP, d)
         assert np.max(np.abs(num - ana)) / KP.gamma_m < 1e-3
 
     def test_collective_unit_modulus_in_band(self):
         w = np.linspace(-6.99, 6.99, 101)
-        g = collective_gamma_freq(w, 3, KP)
+        g = gamma_freq(w, KP, d=6)
         np.testing.assert_allclose(np.abs(g), KP.gamma_m, rtol=1e-10)
 
     def test_collective_phase_form(self):
-        # Gamma_12(w) = Gamma_m exp(i 4j asin(w/w_max))
+        # Gamma_d(w) = Gamma_m exp(i 2d asin(w/w_max))
         w = np.linspace(-6.0, 6.0, 41)
-        for j in (1, 2):
-            g = collective_gamma_freq(w, j, KP)
-            expect = KP.gamma_m * np.exp(1j * 4 * j * np.arcsin(w / KP.omega_max))
+        for d in (2, 4):
+            g = gamma_freq(w, KP, d)
+            expect = KP.gamma_m * np.exp(1j * 2 * d * np.arcsin(w / KP.omega_max))
             np.testing.assert_allclose(g, expect, rtol=1e-10)
 
-    def test_collective_out_of_band_rejected(self):
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_fourier_oracle_collective_out_of_band(self, d):
+        w = np.array([-9.0, -7.5, 7.5, 8.0, 9.0])
+        num = kernel_fourier_numeric(w, KP, d=d, t_max=3000.0 / KP.omega_max)
+        ana = gamma_freq(w, KP, d)
+        assert np.max(np.abs(num - ana)) / KP.gamma_m < 1e-3
+
+    @pytest.mark.parametrize("d", [-1, 1.5])
+    def test_separation_domain(self, d):
         with pytest.raises(DomainError):
-            collective_gamma_freq(8.0, 1, KP)
+            gamma_time(1.0, KP, d)
+        with pytest.raises(DomainError):
+            gamma_freq(1.0, KP, d)
 
 
 class TestSusceptibilityAndSpectrum:
