@@ -15,7 +15,6 @@ import argparse
 import concurrent.futures
 import copy
 import hashlib
-import io
 import json
 import math
 import os
@@ -27,7 +26,8 @@ import jsonschema
 
 from . import cavity as cavity_mod
 from . import kernels, microsim, spectra, svg
-from .errors import ConfigError, DomainError, TruncationError, VibrolangError
+from .errors import (ConfigError, DomainError, ResolutionError,
+                     TruncationError, VibrolangError)
 from .model import (
     DiscreteBath,
     MoleculeParams,
@@ -323,12 +323,10 @@ class Artifact:
 
 
 def _csv(header, columns):
-    buf = io.StringIO()
-    buf.write(header + "\n")
-    cols = [np.asarray(c) for c in columns]
-    for row in zip(*cols):
-        buf.write(",".join("%.12e" % v for v in row) + "\n")
-    return buf.getvalue(), len(cols[0])
+    """Header line, then one `%.12e` row per sample, all rows in one `%`."""
+    table = np.column_stack(columns)
+    rows = (",".join(["%.12e"] * table.shape[1]) + "\n") * len(table)
+    return header + "\n" + rows % tuple(table.ravel().tolist()), len(table)
 
 
 def _meta_artifact(name, payload):
@@ -539,14 +537,15 @@ def _write(out_dir, name, text, rows=0):
     intact and no temporary file behind.  Returns its manifest entry."""
     path = os.path.join(out_dir, name)
     tmp = f"{path}.{os.getpid()}.tmp"
+    data = text.encode("utf-8")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-    return {"file": name, "sha256": hashlib.sha256(text.encode()).hexdigest(),
+    return {"file": name, "sha256": hashlib.sha256(data).hexdigest(),
             "rows": rows}
 
 
@@ -637,8 +636,8 @@ def main(argv=None):
             )
         run_config(cfg, args.out, fmt=args.format, seed=args.seed,
                    threads=max(1, threads))
-    except (ConfigError, TruncationError) as exc:
-        # a sideband comb that cannot close for the config's values
+    except (ConfigError, TruncationError, ResolutionError) as exc:
+        # the config's values leave a comb unclosable or gamma unresolved
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except VibrolangError as exc:

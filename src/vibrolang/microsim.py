@@ -19,7 +19,6 @@ site set go through the loop (`_rk4`), which stays the oracle.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,12 +99,9 @@ class Trajectory:
         if m == 2:
             header += ["Eplus", "Eminus"]
             cols += [self.e_plus, self.e_minus]
-        fmt = ",".join(["%.12e"] * len(cols)) + "\n"
-        buf = io.StringIO()
-        buf.write(",".join(header) + "\n")
-        for row in np.column_stack(cols).tolist():
-            buf.write(fmt % tuple(row))
-        return buf.getvalue()
+        table = np.column_stack(cols)
+        rows = (",".join(["%.12e"] * len(cols)) + "\n") * len(table)
+        return ",".join(header) + "\n" + rows % tuple(table.ravel().tolist())
 
 
 def _thermal_phonon_sample(rng, omega, temperature):

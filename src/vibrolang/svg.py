@@ -34,13 +34,18 @@ def _fmt(v):
     return f"{v:.1e}"
 
 
+def _points(x, y, px, py):
+    """Polyline "x,y" pairs to two decimals, all pairs in one `%`."""
+    xy = np.column_stack([px(x), py(y)])
+    return " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
+
+
 def line_plot(curves, xlabel="", ylabel="", logy=False):
     """Render `curves` = [(x, y, label), ...] as an SVG string.
 
     `logy` plots log10 of the positive ordinates (non-positive points are
     dropped), with decade tick labels.
     """
-    xs, ys = [], []
     plotted = []
     for x, y, label in curves:
         x = np.asarray(x, dtype=float)
@@ -51,8 +56,6 @@ def line_plot(curves, xlabel="", ylabel="", logy=False):
         keep = np.isfinite(x) & np.isfinite(y)
         x, y = x[keep], y[keep]
         if len(x):
-            xs.append(x)
-            ys.append(y)
             plotted.append((x, y, label))
     if not plotted:
         x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
@@ -104,7 +107,7 @@ def line_plot(curves, xlabel="", ylabel="", logy=False):
         )
     for i, (x, y, label) in enumerate(plotted):
         color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, y))
+        pts = _points(x, y, px, py)
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"/>'

@@ -1,6 +1,9 @@
 """Reference formulas that only the tests call: a numeric kernel transform,
-the band form of the Markovian rate, a single-mode dephasing rate and
-first-order scattering amplitudes on the chain."""
+the band form of the Markovian rate, a single-mode dephasing rate,
+first-order scattering amplitudes on the chain, and the per-value CSV and
+polyline formatters that the one-`%` emitters replace."""
+
+import io
 
 import numpy as np
 from scipy import integrate
@@ -78,3 +81,40 @@ def dyson_first_order(t: float, bath: DiscreteBath, nu: float):
         return np.where(res, 1j * t, (np.exp(1j * safe * t) - 1.0) / safe)
 
     return a * amp(w - nu), np.sqrt(2.0) * a * amp(w + nu)
+
+
+def csv_per_value(header, columns):
+    """CSV text and row count with one `%.12e` call per cell."""
+    buf = io.StringIO()
+    buf.write(header + "\n")
+    cols = [np.asarray(c) for c in columns]
+    for row in zip(*cols):
+        buf.write(",".join("%.12e" % v for v in row) + "\n")
+    return buf.getvalue(), len(cols[0])
+
+
+def trajectory_csv_per_row(traj):
+    """`Trajectory.to_csv` with one `%` per row."""
+    Q, P, E = (np.atleast_2d(x) for x in (traj.Q, traj.P, traj.E))
+    m = len(Q)
+    header = ["t"]
+    cols = [traj.times]
+    for i in range(m):
+        header += ["Q%d" % (i + 1), "P%d" % (i + 1)]
+        cols += [Q[i], P[i]]
+    header += ["E%d" % (i + 1) for i in range(m)]
+    cols += list(E)
+    if m == 2:
+        header += ["Eplus", "Eminus"]
+        cols += [traj.e_plus, traj.e_minus]
+    fmt = ",".join(["%.12e"] * len(cols)) + "\n"
+    buf = io.StringIO()
+    buf.write(",".join(header) + "\n")
+    for row in np.column_stack(cols).tolist():
+        buf.write(fmt % tuple(row))
+    return buf.getvalue()
+
+
+def polyline_points(x, y, px, py):
+    """Polyline "x,y" pairs with px/py called and formatted point by point."""
+    return " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, y))

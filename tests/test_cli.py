@@ -235,6 +235,13 @@ class TestExitCodes:
         self._config_error(tmp_path, cfg, capsys)
         assert time.perf_counter() - start < 2.0
 
+    def test_coarse_grid_is_config_error(self, tmp_path, capsys):
+        # grid spacing 0.1 against the default gamma 0.05: the zero-phonon
+        # line cannot be resolved, and both values come from the config
+        cfg = dict(SMALL_WING, grid={"min": -1.0, "max": 2.0, "n": 31})
+        err = self._config_error(tmp_path, cfg, capsys)
+        assert "grid spacing exceeds gamma" in err
+
     def test_negative_nu_relaxation_is_config_error(self, tmp_path, capsys):
         self._config_error(tmp_path, dict(SMALL_RELAXATION, nu=-1.0), capsys)
 
@@ -396,7 +403,7 @@ class TestArtifacts:
         cfg = json.loads(entry.read_text(encoding="utf-8"))
         out = tmp_path / name
         assert main([cfg["command"], "--config", str(entry), "--out",
-                     str(out), "--format", "csv"]) == 0
+                     str(out), "--format", "csv+svg"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["files"]
         for item in manifest["files"]:

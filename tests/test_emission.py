@@ -1,0 +1,127 @@
+"""CSV and SVG emission: the one-`%` formatters against the per-value
+formatters they replace (`oracles.py`), bit for bit."""
+
+import numpy as np
+import pytest
+
+from vibrolang import svg
+from vibrolang.cli import _csv
+from vibrolang.microsim import Trajectory, TrajectoryConfig, simulate
+from vibrolang.model import DiscreteBath
+
+from oracles import csv_per_value, polyline_points, trajectory_csv_per_row
+
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324,
+            1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def _with_neighbours(values):
+    """Each value and the floats just below and just above it."""
+    v = np.asarray(values, dtype=float)
+    return np.concatenate([np.nextafter(v, -np.inf), v,
+                           np.nextafter(v, np.inf)])
+
+
+def _halfway_12():
+    """Decimal strings whose 13th significant digit is a 5, so that `%.12e`
+    rounds on it, at exponents across the float range."""
+    rng = np.random.default_rng(11)
+    return _with_neighbours([
+        float("%s%d.%012d5e%d" % (sign, lead, frac, exp))
+        for sign, lead, frac, exp in zip(
+            rng.choice(["", "-"], 200), rng.integers(1, 10, 200),
+            rng.integers(0, 10**12, 200), rng.integers(-300, 300, 200))])
+
+
+def _halfway_2():
+    """x.xx5 values, on which a two-decimal format rounds."""
+    return _with_neighbours(np.arange(-300, 300) / 100.0 + 0.005)
+
+
+def _csv_tables():
+    rng = np.random.default_rng(5)
+    wide = rng.standard_normal(400) * 10.0 ** rng.uniform(-300, 300, 400)
+    h12, h2 = _halfway_12(), _halfway_2()
+    return {
+        "extremes": [EXTREMES, EXTREMES[::-1]],
+        "halfway-12th": [h12, h12[::-1]],
+        "halfway-2nd": [h2, h2[::-1], h2 * 1e-3],
+        "nonfinite": [[np.nan, np.inf, -np.inf, 1.0],
+                      [1.0, -np.inf, np.nan, np.inf]],
+        "wide": [wide[:200], wide[200:]],
+        "zero-rows": [np.empty(0), np.empty(0), np.empty(0)],
+        "one-row": [[0.1], [-2.5e-7], [3.0]],
+        "one-column": [wide],
+    }
+
+
+@pytest.mark.parametrize("name", list(_csv_tables()))
+def test_csv_matches_per_value_oracle(name):
+    columns = _csv_tables()[name]
+    header = ",".join("c%d" % i for i in range(len(columns)))
+    assert _csv(header, columns) == csv_per_value(header, columns)
+
+
+def _trajectory(m, n, rng):
+    """A Trajectory of m molecules and n samples with special values mixed
+    into its columns."""
+    def col(*shape):
+        a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-20, 20, shape)
+        flat = a.reshape(-1)
+        flat[:min(len(flat), 6)] = EXTREMES[:min(len(flat), 6)]
+        return a
+
+    shape = (n,) if m == 1 else (m, n)
+    pair = m == 2
+    return Trajectory(times=np.arange(n) * 0.1, Q=col(*shape), P=col(*shape),
+                      E=col(*shape), e_plus=col(n) if pair else None,
+                      e_minus=col(n) if pair else None)
+
+
+@pytest.mark.parametrize("m, n", [(1, 50), (2, 50), (3, 50), (2, 1),
+                                  (2, 0)])
+def test_trajectory_csv_matches_per_row_oracle(m, n):
+    traj = _trajectory(m, n, np.random.default_rng(m * 100 + n))
+    assert traj.to_csv() == trajectory_csv_per_row(traj)
+
+
+def test_simulated_pair_trajectory_csv_matches_oracle():
+    bath = DiscreteBath(n_cells=20, k0=12.25, m0=1.0, dk=2.0706279240848657)
+    traj = simulate(1.0, bath, (-1, 1),
+                    TrajectoryConfig(t_max=4.0, q0=(1.0, -1.0)))
+    text = traj.to_csv()
+    assert text.split("\n", 1)[0] == "t,Q1,P1,Q2,P2,E1,E2,Eplus,Eminus"
+    assert text == trajectory_csv_per_row(traj)
+
+
+def _svg_both(monkeypatch, curves, **kw):
+    """The plot as line_plot renders it, and as it renders with the
+    per-point polyline formatter in place."""
+    fast = svg.line_plot(curves, **kw)
+    monkeypatch.setattr(svg, "_points", polyline_points)
+    return fast, svg.line_plot(curves, **kw)
+
+
+def test_svg_halfway_points_match_oracle(monkeypatch):
+    # x on [0, 1] maps to px = 70 + 550 x, so these x land on x.xx5 pixels
+    px = _halfway_2() + 370.0
+    x = np.concatenate([[0.0, 1.0], (px - 70.0) / 550.0, [-0.0, 5e-324]])
+    y = np.sin(40.0 * x)
+    fast, slow = _svg_both(monkeypatch, [(x, y, "a"), (x, -y, "")])
+    assert "<polyline" in fast and fast == slow
+
+
+def test_svg_logy_drops_non_positive_points(monkeypatch):
+    x = np.linspace(-3.0, 3.0, 601)
+    y = np.exp(-x * x) * np.cos(5.0 * x)
+    y[::7] = 0.0
+    y[::11] = np.nan
+    y[5] = np.inf
+    fast, slow = _svg_both(monkeypatch, [(x, y, "E"), (x, y * 1e-6, "F")],
+                           xlabel="t", ylabel="E", logy=True)
+    assert fast == slow
+
+
+def test_svg_single_point_curve_matches_oracle(monkeypatch):
+    fast, slow = _svg_both(monkeypatch, [([0.25], [1e-3], "one")])
+    assert fast == slow
