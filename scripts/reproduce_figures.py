@@ -10,6 +10,7 @@ run a subset, e.g.:
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 import time
@@ -26,21 +27,21 @@ PRESETS = sorted(
 
 def run(out_root, names, fmt, seed):
     failures = []
-    for name in names:
-        with tempfile.NamedTemporaryFile(
-                "w", suffix=".json", delete=False) as fh:
-            json.dump({"command": "preset", "name": name}, fh)
-            cfg_path = fh.name
-        argv = ["preset", "--config", cfg_path,
-                "--out", f"{out_root}/{name}", "--format", fmt]
-        if seed is not None:
-            argv += ["--seed", str(seed)]
-        t0 = time.time()
-        rc = cli_main(argv)
-        status = "ok" if rc == 0 else f"exit {rc}"
-        print(f"{name}: {status} ({time.time() - t0:.1f}s)")
-        if rc != 0:
-            failures.append(name)
+    with tempfile.TemporaryDirectory() as cfg_dir:
+        for name in names:
+            cfg_path = os.path.join(cfg_dir, f"{name}.json")
+            with open(cfg_path, "w", encoding="utf-8") as fh:
+                json.dump({"command": "preset", "name": name}, fh)
+            argv = ["preset", "--config", cfg_path,
+                    "--out", f"{out_root}/{name}", "--format", fmt]
+            if seed is not None:
+                argv += ["--seed", str(seed)]
+            t0 = time.time()
+            rc = cli_main(argv)
+            status = "ok" if rc == 0 else f"exit {rc}"
+            print(f"{name}: {status} ({time.time() - t0:.1f}s)")
+            if rc != 0:
+                failures.append(name)
     return failures
 
 

@@ -20,9 +20,9 @@ from .model import MoleculeParams, SpectralDensity, ThermalState
 from .spectra import (
     _correlation_response,
     _line_sum,
-    absorption_discrete,
     debye_waller,
     franck_condon,
+    vibron_lines,
 )
 
 
@@ -67,8 +67,9 @@ def molecular_response(detuning, molecule: MoleculeParams, kp: KernelParams,
         if molecule.lam == 0:
             out = 1.0 / (molecule.gamma - 1j * detuning)
             return out if out.ndim else complex(out)
-        lines = absorption_discrete(None, molecule, kp, thermal,
-                                    markovian=markovian).lines
+        lines = vibron_lines(molecule.lam, thermal.occupation(kp.nu),
+                             *relaxation_params(kp, markovian=markovian),
+                             molecule.gamma)
         out = _line_sum(detuning, lines,
                         lambda d, pos, wt, wid: wt / (wid - 1j * (d - pos)))
         return out if out.ndim else complex(out)
@@ -112,11 +113,11 @@ def effective_rabi(g, f_fc, f_dw=1.0):
 
 
 def effective_rabi_from_params(cavity: CavityParams, molecule: MoleculeParams,
-                               thermal: ThermalState, nu,
+                               thermal: ThermalState,
                                sd: SpectralDensity | None = None):
     """g_eff with f_FC from (lam, nbar(nu)) and f_DW from the spectral density;
     f_DW = 0 where the Debye-Waller exponent diverges (1d, omega_min = 0)."""
-    nbar = thermal.occupation(nu)
+    nbar = thermal.occupation(molecule.nu)
     f_fc = franck_condon(molecule.lam, nbar)
     f_dw = 1.0 if sd is None else 0.0 if sd.infrared_divergent \
         else debye_waller(sd, thermal)

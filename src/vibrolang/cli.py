@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -59,45 +60,33 @@ def _obj(props, required=()):
     }
 
 
-_BATH = _obj(
-    {
-        "n_cells": _POSINT,
-        "k0": _NUM,
-        "m0": _NUM,
-        "dk": _NUM,
-        "mu": _NUM,
-        "qfactor": {"anyOf": [_NUM, {"const": "inf"}]},
-        "temperature": _NUM,
-    },
-    required=("n_cells", "k0", "m0", "dk"),
-)
+# JSON type of each annotation of a section's dataclass; a None default
+# stands for a value the config leaves out, so null is not a config value
+_JSON = {
+    "float": _NUM, "float | None": _NUM, "int": {"type": "integer"},
+    "bool": _BOOL, "str": {"type": "string"},
+    "float | tuple[float, ...]": {"anyOf": [_NUM, {"type": "array",
+                                                   "items": _NUM}]},
+}
 
-_TRAJ = _obj(
-    {
-        "dt": _NUM,
-        "t_max": _NUM,
-        "q0": {"anyOf": [_NUM, {"type": "array", "items": _NUM}]},
-        "p0": {"anyOf": [_NUM, {"type": "array", "items": _NUM}]},
-        "thermal_phonons": _BOOL,
-        "seed": {"type": "integer", "minimum": 0},
-        "store_every": _POSINT,
-    },
-    required=("t_max",),
-)
 
-_MOL = _obj(
-    {"gamma": _NUM, "nu": _NUM, "lam": _NUM},
-    required=("gamma", "nu", "lam"),
-)
+def _section(make, supplied=(), **types):
+    """Schema of a config section that `_build` passes to dataclass `make`:
+    one property per field, typed by its annotation unless `types` names
+    it, required where the field has no default.  The fields in `supplied`
+    come from elsewhere in the config and are not section keys."""
+    fields = [f for f in dataclasses.fields(make) if f.name not in supplied]
+    return _obj({f.name: types.get(f.name) or _JSON[f.type] for f in fields},
+                required=[f.name for f in fields
+                          if f.default is dataclasses.MISSING
+                          and f.default_factory is dataclasses.MISSING])
 
-_KERNEL = _obj({"gamma_m": _NUM, "omega_max": _NUM},
-               required=("gamma_m", "omega_max"))
 
-_SD = _obj(
-    {"kind": {"enum": ["1d", "3d"]}, "coupling": _NUM, "omega_max": _NUM,
-     "omega_min": _NUM},
-    required=("kind", "coupling", "omega_max"),
-)
+_BATH = _section(DiscreteBath, qfactor={"anyOf": [_NUM, {"const": "inf"}]})
+_TRAJ = _section(microsim.TrajectoryConfig)
+_MOL = _section(MoleculeParams)
+_KERNEL = _section(kernels.KernelParams, supplied=("nu",))
+_SD = _section(SpectralDensity)
 
 _GRID = _obj({"min": _NUM, "max": _NUM, "n": _POSINT},
              required=("min", "max", "n"))
@@ -164,10 +153,7 @@ _SCHEMAS = {
             "command": {"const": "cavity"},
             "molecule": _MOL,
             "kernel": _KERNEL,
-            "cavity": _obj(
-                {"delta_c": _NUM, "kappa": _NUM, "g": _NUM},
-                required=("kappa", "g"),
-            ),
+            "cavity": _section(cavity_mod.CavityParams),
             "sd": _SD,
             "temperature": _NUM,
             "nbar": _NUM,
@@ -256,12 +242,12 @@ def validate_config(cfg):
 
 
 def load_config(path):
+    """The parsed JSON of a config file; `run_config` validates it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return validate_config(cfg)
 
 
 def load_preset(name):
@@ -466,8 +452,7 @@ def _handle_cavity(cfg, seed):
         grid, cav, mol, kp, thermal, sd=sd,
         markovian=cfg.get("markovian", False),
     )
-    g_eff = cavity_mod.effective_rabi_from_params(cav, mol, thermal, mol.nu,
-                                                  sd=sd)
+    g_eff = cavity_mod.effective_rabi_from_params(cav, mol, thermal, sd=sd)
     text, rows = _csv("detuning,re_T,im_T,abs_T2",
                       [grid, np.real(t_amp), np.imag(t_amp), t2])
     return [
@@ -563,43 +548,39 @@ def _emit(artifacts, out_dir, fmt, prefix=""):
 
 
 def run_config(cfg, out_dir, fmt="csv", seed=None, threads=1):
-    """Execute a validated config; returns the manifest dict."""
-    cfg = copy.deepcopy(cfg)
+    """Validate and run a config, plain or swept, and return its manifest.
+
+    A plain run is a sweep of one point with no file prefix.  Every point
+    is validated and computed, serially or on `threads` workers, before
+    `out_dir` is made and the first file is written, so a run that fails
+    writes nothing."""
+    cfg = copy.deepcopy(validate_config(cfg))
     if cfg["command"] == "preset":
-        inner = load_preset(cfg["name"])
-        if "sweep" in cfg:
-            inner["sweep"] = cfg["sweep"]
-        return run_config(inner, out_dir, fmt=fmt, seed=seed, threads=threads)
-    os.makedirs(out_dir, exist_ok=True)
-    handler = _HANDLERS[cfg["command"]]
+        sweep = cfg.get("sweep")
+        cfg = load_preset(cfg["name"])
+        if sweep is not None:
+            cfg["sweep"] = sweep
     sweep = cfg.pop("sweep", None)
+    if sweep is None:
+        prefixes, points = [""], [cfg]
+    else:
+        prefixes = ["p%03d_" % i for i in range(len(sweep["values"]))]
+        points = [validate_config(_set_axis(copy.deepcopy(cfg), sweep["axis"],
+                                            value))
+                  for value in sweep["values"]]
+    handler, seeds = _HANDLERS[cfg["command"]], [seed] * len(points)
+    if threads > 1:
+        with concurrent.futures.ThreadPoolExecutor(threads) as pool:
+            results = list(pool.map(handler, points, seeds))
+    else:
+        results = list(map(handler, points, seeds))
     manifest = {"command": cfg["command"], "config": cfg,
                 "seed": seed, "files": []}
-    if sweep is None:
-        validate_config(cfg)
-        manifest["files"] = _emit(handler(cfg, seed), out_dir, fmt)
-    else:
-        points = []
-        for i, value in enumerate(sweep["values"]):
-            sub = _set_axis(copy.deepcopy(cfg), sweep["axis"], value)
-            validate_config(sub)
-            points.append((i, value, sub))
+    if sweep is not None:
         manifest["sweep"] = {"axis": sweep["axis"], "values": sweep["values"]}
-
-        def one(point):
-            i, value, sub = point
-            return i, value, _emit(handler(sub, seed), out_dir, fmt,
-                                   prefix="p%03d_" % i)
-
-        if threads > 1:
-            with concurrent.futures.ThreadPoolExecutor(
-                    max_workers=threads) as pool:
-                results = list(pool.map(one, points))
-        else:
-            results = [one(p) for p in points]
-        results.sort(key=lambda r: r[0])
-        for i, value, entries in results:
-            manifest["files"].extend(entries)
+    os.makedirs(out_dir, exist_ok=True)
+    for prefix, artifacts in zip(prefixes, results):
+        manifest["files"] += _emit(artifacts, out_dir, fmt, prefix)
     _write(out_dir, "manifest.json",
            json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
@@ -629,7 +610,8 @@ def main(argv=None):
                 raise ConfigError(
                     f"VIBROLANG_THREADS={env!r} is not an integer") from None
         cfg = load_config(args.config)
-        if cfg["command"] != args.command:
+        if not isinstance(cfg, dict) or cfg.get("command") != args.command:
+            validate_config(cfg)  # what is wrong with the config comes first
             raise ConfigError(
                 f"config command {cfg['command']!r} does not match CLI "
                 f"command {args.command!r}"

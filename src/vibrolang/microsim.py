@@ -27,7 +27,7 @@ from .errors import ConfigError, DomainError, InstabilityError
 from .model import DiscreteBath, chain_eigenmodes, vibron_phonon_couplings
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TrajectoryConfig:
     """Integration settings.
 
@@ -36,17 +36,23 @@ class TrajectoryConfig:
     q0, p0    : initial vibron quadratures (one value, or one per molecule)
     thermal_phonons : sample phonon initial conditions from the classical
                       thermal distribution instead of starting at rest
-    seed      : RNG seed recorded for reproducibility
-    store_every : keep every n-th step in the output
+    seed      : RNG seed recorded for reproducibility, >= 0
+    store_every : keep every n-th step in the output, >= 1
     """
 
     dt: float | None = None
-    t_max: float = 10.0
+    t_max: float
     q0: float | tuple[float, ...] = 1.0
     p0: float | tuple[float, ...] = 0.0
     thermal_phonons: bool = False
     seed: int = 0
     store_every: int = 1
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
+        if self.store_every < 1:
+            raise DomainError("store_every must be >= 1")
 
     def resolved_dt(self, omega_max: float) -> float:
         dt = self.dt if self.dt is not None else 2.0 * np.pi / (40.0 * omega_max)

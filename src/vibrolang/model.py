@@ -47,17 +47,13 @@ class MoleculeParams:
 
 @dataclass(frozen=True)
 class ThermalState:
-    """Bath temperature (k_B = 1).  T = 0 is represented as beta = inf."""
+    """Bath temperature (k_B = 1)."""
 
     temperature: float
 
     def __post_init__(self):
         if self.temperature < 0:
             raise DomainError("temperature must be >= 0")
-
-    @property
-    def beta(self):
-        return np.inf if self.temperature == 0 else 1.0 / self.temperature
 
     def occupation(self, omega):
         """Bose-Einstein occupancy n(omega); exactly 0 at T = 0."""

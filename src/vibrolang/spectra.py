@@ -106,18 +106,17 @@ def polaron_shift(sd: SpectralDensity):
 # correlation functions
 
 
-def displacement_correlation_vibron(tau, molecule, kp: KernelParams,
+def displacement_correlation_vibron(tau, molecule: MoleculeParams,
+                                    kp: KernelParams,
                                     thermal: ThermalState, markovian=False):
     """Vibron displacement correlation <B(tau) B^dag(0)> =
     exp[-2 lam^2 (<P^2> - <P(tau)P(0)>)].
 
-    `molecule` may be a MoleculeParams or the bare coupling lam.  Decays from
-    1 at tau = 0 to the Franck-Condon factor at long delay.
+    Decays from 1 at tau = 0 to the Franck-Condon factor at long delay.
     """
-    lam = molecule.lam if isinstance(molecule, MoleculeParams) else float(molecule)
     nbar = thermal.occupation(kp.nu)
     corr = momentum_correlation(tau, kp, thermal, markovian=markovian)
-    out = np.exp(-2.0 * lam**2 * ((nbar + 0.5) - corr))
+    out = np.exp(-2.0 * molecule.lam**2 * ((nbar + 0.5) - corr))
     return out if np.ndim(out) else complex(out)
 
 
@@ -490,13 +489,13 @@ def absorption_full(detuning_grid, molecule: MoleculeParams,
     return values, meta
 
 
-def mirror_emission(detuning, values, zpl=0.0):
+def mirror_emission(detuning, values):
     """Emission spectrum as the mirror image of absorption about the ZPL.
 
-    Maps detuning D to 2*zpl - D and reorders ascending; involutive.
+    Maps detuning D to -D and reorders ascending; involutive.
     """
     detuning = np.asarray(detuning, dtype=float)
     values = np.asarray(values, dtype=float)
-    new_det = 2.0 * zpl - detuning
+    new_det = 0.0 - detuning  # the mirror of D = 0 is +0.0, not -0.0
     order = np.argsort(new_det)
     return new_det[order], values[order]

@@ -160,9 +160,7 @@ class TestEffectiveRabi:
     def test_monotone_decreasing_in_temperature(self):
         cav = CavityParams(delta_c=0.0, kappa=1.0, g=1.0)
         vals = [
-            effective_rabi_from_params(
-                cav, MOL, ThermalState(temperature=t), 6.0
-            )
+            effective_rabi_from_params(cav, MOL, ThermalState(temperature=t))
             for t in (0.0, 2.0, 5.0, 10.0)
         ]
         assert all(b < a for a, b in zip(vals, vals[1:]))

@@ -311,6 +311,17 @@ class TestExitCodes:
         cfg["trajectory"]["thermal_phonons"] = True
         assert key in self._config_error(tmp_path, cfg, capsys)
 
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
+        # --seed overrides the trajectory section after its schema check;
+        # default_rng(-1) raised ValueError with a traceback
+        path = _write(tmp_path, SMALL_RELAXATION)
+        code = main(["relaxation", "--config", path, "--out",
+                     str(tmp_path / "o"), "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("config error") and "seed" in err
+        assert not (tmp_path / "o").exists()
+
     def _cavity_g_eff(self, tmp_path, cfg):
         path = _write(tmp_path, cfg)
         assert main(["cavity", "--config", path,
@@ -330,6 +341,96 @@ class TestExitCodes:
         cfg["sd"] = {"kind": "1d", "coupling": 0.03, "omega_max": 3.0}
         cfg["temperature"] = 0.0
         assert self._cavity_g_eff(tmp_path, cfg) == 0.0
+
+
+SWEEP_1D_WING = {
+    "command": "phonon-wing",
+    "sd": {"kind": "1d", "coupling": 0.05, "omega_max": 3.0},
+    "temperature": 2.0,
+    "gamma": 0.05,
+    "grid": {"min": -1.0, "max": 2.0, "n": 301},
+    "sweep": {"axis": "sd.omega_min", "values": [3e-4, 0.0]},
+}
+
+
+class TestFailedRunWritesNothing:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("cfg, code", [
+        # the second point's grid spacing 0.1 exceeds its gamma 0.05
+        (dict(SMALL_WING, grid={"min": -1.0, "max": 2.0, "n": 31},
+              sweep={"axis": "gamma", "values": [0.2, 0.05]}), 2),
+        (dict(SMALL_ABSORPTION,
+              sweep={"axis": "molecule.gamma", "values": [0.025, -1.0]}), 2),
+        # the second point's 1d band integrals diverge at T > 0
+        (SWEEP_1D_WING, 1),
+        (dict(SMALL_RELAXATION, trajectory={"t_max": 4.0, "store_every": 0}),
+         2),
+        (dict(SMALL_RELAXATION, trajectory={"t_max": 4.0, "seed": -1}), 2),
+        (dict(SMALL_RELAXATION, trajectory={"store_every": 4}), 2),
+        (dict(SMALL_WING, sd=dict(SMALL_WING["sd"], kind="2d")), 2),
+    ], ids=["coarse-grid-sweep", "negative-gamma-sweep", "divergent-sweep",
+            "store_every-0", "seed-negative", "t_max-missing", "kind-2d"])
+    def test_exit_code_and_no_files(self, tmp_path, capsys, cfg, code,
+                                    threads):
+        path = _write(tmp_path, cfg)
+        out = tmp_path / "o"
+        rc = main([cfg["command"], "--config", path, "--out", str(out),
+                   "--threads", str(threads)])
+        err = capsys.readouterr().err
+        assert rc == code, err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_existing_out_dir_left_as_is(self, tmp_path):
+        out = tmp_path / "o"
+        run_config(SMALL_ABSORPTION, str(out))
+        before = {p: (out / p).read_bytes() for p in os.listdir(out)}
+        cfg = dict(SMALL_ABSORPTION,
+                   sweep={"axis": "molecule.gamma", "values": [0.05, -1.0]})
+        with pytest.raises(ConfigError):
+            run_config(cfg, str(out))
+        assert {p: (out / p).read_bytes() for p in os.listdir(out)} == before
+
+
+class TestValidateOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def counting(cfg):
+            seen.append(cfg["command"])
+            return validate_config(cfg)
+
+        monkeypatch.setattr(cli, "validate_config", counting)
+        return seen
+
+    @pytest.mark.parametrize("cfg, expected", [
+        (SMALL_ABSORPTION, ["absorption"]),
+        ({"command": "preset", "name": "fig4b"}, ["preset", "absorption"]),
+        (dict(SMALL_ABSORPTION, sweep={"axis": "nbar", "values": [0.0, 1.0]}),
+         ["absorption"] * 3),
+    ], ids=["plain", "preset", "sweep"])
+    def test_cli_validates_each_config_once(self, tmp_path, calls, cfg,
+                                            expected):
+        path = _write(tmp_path, cfg)
+        assert main([cfg["command"], "--config", path,
+                     "--out", str(tmp_path / "o")]) == 0
+        assert calls == expected
+
+    def test_library_config_is_validated(self, tmp_path, calls):
+        run_config(SMALL_ABSORPTION, str(tmp_path / "a"))
+        assert calls == ["absorption"]
+        with pytest.raises(ConfigError, match="unexpected"):
+            run_config(dict(SMALL_ABSORPTION, unexpected=1),
+                       str(tmp_path / "b"))
+        assert not (tmp_path / "b").exists()
+
+    def test_invalid_config_reported_before_command_mismatch(self, tmp_path,
+                                                            capsys):
+        path = _write(tmp_path, dict(SMALL_ABSORPTION, unexpected=1))
+        assert main(["relaxation", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "unexpected" in capsys.readouterr().err
 
 
 class TestArtifacts:
