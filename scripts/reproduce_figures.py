@@ -2,8 +2,8 @@
 """Reproduce every bundled figure preset through the CLI.
 
 Writes CSV (and SVG) artifacts plus a manifest per preset under --out.
-The heavy chain runs (fig2*, fig3) take a few seconds each; pass --only to
-run a subset, e.g.:
+--seed goes to the chain presets (relaxation and collective), the only
+ones whose runs read it.  Pass --only to run a subset, e.g.:
 
     python scripts/reproduce_figures.py --out out/figures --only fig5a fig6c
 """
@@ -16,6 +16,7 @@ import tempfile
 import time
 from importlib import resources
 
+from vibrolang.cli import SEEDED, load_preset
 from vibrolang.cli import main as cli_main
 
 # every preset bundled with the package, so a new one cannot be missed
@@ -34,7 +35,7 @@ def run(out_root, names, fmt, seed):
                 json.dump({"command": "preset", "name": name}, fh)
             argv = ["preset", "--config", cfg_path,
                     "--out", f"{out_root}/{name}", "--format", fmt]
-            if seed is not None:
+            if seed is not None and load_preset(name)["command"] in SEEDED:
                 argv += ["--seed", str(seed)]
             t0 = time.time()
             rc = cli_main(argv)

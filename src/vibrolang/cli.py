@@ -6,7 +6,8 @@ Usage:
               [--seed <u64>] [--threads <n>]
 
 Commands: relaxation, collective, absorption, phonon-wing, cavity,
-polariton, preset.  Exit codes: 0 ok, 1 numeric failure, 2 config failure.
+polariton, preset.  Only relaxation and collective (or a preset of one)
+take --seed.  Exit codes: 0 ok, 1 numeric failure, 2 config failure.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ COMMANDS = (
     "relaxation", "collective", "absorption", "phonon-wing",
     "cavity", "polariton", "preset",
 )
+# the commands whose runs read --seed: the chain's thermal phonon draws
+SEEDED = ("relaxation", "collective")
 
 # ---------------------------------------------------------------------------
 # config schemas
@@ -337,22 +340,25 @@ def _bath_trajectory(cfg, seed, **start):
 def _handle_relaxation(cfg, seed):
     nu = cfg["nu"]
     bath, tcfg = _bath_trajectory(cfg, seed)
-    traj = microsim.simulate(nu, bath, (0,), tcfg)
-    _, gm = derived_markov_params(bath, nu)
-    out = [Artifact("trajectory.csv", traj.to_csv(), len(traj.times),
-                    curves=[(traj.times, traj.E, "E_nu")],
-                    labels=("t", "E"), logy=True)]
-    if cfg.get("theory_overlay", True):
-        e_th = traj.E[0] * np.exp(-gm * traj.times)
-        text, rows = _csv("t,E_theory", [traj.times, e_th])
-        out.append(Artifact("theory.csv", text, rows,
-                            curves=[(traj.times, e_th, "exp(-Gamma_m t)")],
-                            labels=("t", "E"), logy=True))
-    out.append(_meta_artifact("run.meta.json",
-                              {"gamma_m": gm, "omega_max": bath.omega_max,
-                               "config": cfg, "seed": tcfg.seed,
-                               **_propagation(traj)}))
-    return out
+
+    def run():
+        traj = microsim.simulate(nu, bath, (0,), tcfg)
+        _, gm = derived_markov_params(bath, nu)
+        out = [Artifact("trajectory.csv", traj.to_csv(), len(traj.times),
+                        curves=[(traj.times, traj.E, "E_nu")],
+                        labels=("t", "E"), logy=True)]
+        if cfg.get("theory_overlay", True):
+            e_th = traj.E[0] * np.exp(-gm * traj.times)
+            text, rows = _csv("t,E_theory", [traj.times, e_th])
+            out.append(Artifact("theory.csv", text, rows,
+                                curves=[(traj.times, e_th, "exp(-Gamma_m t)")],
+                                labels=("t", "E"), logy=True))
+        out.append(_meta_artifact("run.meta.json",
+                                  {"gamma_m": gm, "omega_max": bath.omega_max,
+                                   "config": cfg, "seed": tcfg.seed,
+                                   **_propagation(traj)}))
+        return out
+    return run
 
 
 def _handle_collective(cfg, seed):
@@ -362,85 +368,95 @@ def _handle_collective(cfg, seed):
     if cfg["j"] > bath.n_cells:
         raise ConfigError(f"j={cfg['j']} exceeds bath.n_cells="
                           f"{bath.n_cells}: the pair sits at N+1 -+ j")
-    traj = microsim.simulate(cfg["nu"], bath, (-cfg["j"], cfg["j"]), tcfg)
-    return [
-        Artifact("trajectory.csv", traj.to_csv(), len(traj.times),
-                 curves=[(traj.times, traj.e_plus, "E+"),
-                         (traj.times, traj.e_minus, "E-")],
-                 labels=("t", "E"), logy=False),
-        _meta_artifact("run.meta.json",
-                       {"config": cfg, "seed": tcfg.seed, "j": cfg["j"],
-                        **_propagation(traj)}),
-    ]
+
+    def run():
+        traj = microsim.simulate(cfg["nu"], bath, (-cfg["j"], cfg["j"]), tcfg)
+        return [
+            Artifact("trajectory.csv", traj.to_csv(), len(traj.times),
+                     curves=[(traj.times, traj.e_plus, "E+"),
+                             (traj.times, traj.e_minus, "E-")],
+                     labels=("t", "E"), logy=False),
+            _meta_artifact("run.meta.json",
+                           {"config": cfg, "seed": tcfg.seed, "j": cfg["j"],
+                            **_propagation(traj)}),
+        ]
+    return run
 
 
 def _handle_absorption(cfg, seed):
     mol, kp, thermal = _molecule_kernel_thermal(cfg)
+    sd = _build(SpectralDensity, cfg["sd"]) if "sd" in cfg else None
     grid = _grid_from(cfg["grid"])
     method = cfg.get("method", "discrete")
     markovian = cfg.get("markovian", False)
-    meta = {"config": cfg, "method": method}
-    if method in ("discrete", "bessel"):
-        absorb = {"discrete": spectra.absorption_discrete,
-                  "bessel": spectra.absorption_bessel}[method]
-        spec = absorb(grid, mol, kp, thermal, markovian=markovian)
-        values = spec.values
-        meta.update({"n_lines": len(spec.lines), **spec.meta})
-    else:
-        sd = _build(SpectralDensity, cfg["sd"]) if "sd" in cfg else None
-        values, full_meta = spectra.absorption_full(grid, mol, kp, sd, thermal,
-                                                    markovian=markovian)
-        meta.update(full_meta)
-    text, rows = _csv("detuning,value", [grid, values])
-    out = [Artifact("spectrum.csv", text, rows,
-                    curves=[(grid, values, "P_e/eta^2")],
-                    labels=("detuning", "P_e/eta^2")),
-           _meta_artifact("spectrum.meta.json", meta)]
-    if cfg.get("emit_mirror", False):
-        mg, mv = spectra.mirror_emission(grid, values)
-        mtext, mrows = _csv("detuning,value", [mg, mv])
-        out.append(Artifact("emission.csv", mtext, mrows,
-                            curves=[(mg, mv, "emission")],
-                            labels=("detuning", "value")))
-    return out
+
+    def run():
+        meta = {"config": cfg, "method": method}
+        if method in ("discrete", "bessel"):
+            absorb = {"discrete": spectra.absorption_discrete,
+                      "bessel": spectra.absorption_bessel}[method]
+            spec = absorb(grid, mol, kp, thermal, markovian=markovian)
+            values = spec.values
+            meta.update({"n_lines": len(spec.lines), **spec.meta})
+        else:
+            values, full_meta = spectra.absorption_full(
+                grid, mol, kp, sd, thermal, markovian=markovian)
+            meta.update(full_meta)
+        text, rows = _csv("detuning,value", [grid, values])
+        out = [Artifact("spectrum.csv", text, rows,
+                        curves=[(grid, values, "P_e/eta^2")],
+                        labels=("detuning", "P_e/eta^2")),
+               _meta_artifact("spectrum.meta.json", meta)]
+        if cfg.get("emit_mirror", False):
+            mg, mv = spectra.mirror_emission(grid, values)
+            mtext, mrows = _csv("detuning,value", [mg, mv])
+            out.append(Artifact("emission.csv", mtext, mrows,
+                                curves=[(mg, mv, "emission")],
+                                labels=("detuning", "value")))
+        return out
+    return run
 
 
 def _handle_phonon_wing(cfg, seed):
     sd = _build(SpectralDensity, cfg["sd"])
-    thermal = _build(ThermalState,
-                     {"temperature": cfg.get("temperature", 0.0)})
-    observable = cfg.get("observable", "spectrum")
-    out = []
-    if observable == "debye-waller":
+    if cfg.get("observable", "spectrum") == "debye-waller":
         tg = cfg.get("temp_grid", {"min": 0.0, "max": 4.0, "n": 41})
         temps = np.linspace(tg["min"], tg["max"], tg["n"])
-        vals = np.array([spectra.debye_waller(
-            sd, _build(ThermalState, {"temperature": t})) for t in temps])
-        text, rows = _csv("temperature,f_dw", [temps, vals])
-        out.append(Artifact("debye_waller.csv", text, rows,
-                            curves=[(temps, vals, "f_DW")],
-                            labels=("T", "f_DW")))
-        out.append(_meta_artifact("debye_waller.meta.json", {"config": cfg}))
-        return out
+        states = [_build(ThermalState, {"temperature": t}) for t in temps]
+
+        def debye_waller():
+            vals = np.array([spectra.debye_waller(sd, s) for s in states])
+            text, rows = _csv("temperature,f_dw", [temps, vals])
+            return [Artifact("debye_waller.csv", text, rows,
+                             curves=[(temps, vals, "f_DW")],
+                             labels=("T", "f_DW")),
+                    _meta_artifact("debye_waller.meta.json", {"config": cfg})]
+        return debye_waller
+    thermal = _build(ThermalState,
+                     {"temperature": cfg.get("temperature", 0.0)})
     mol = _build(MoleculeParams, {"gamma": cfg.get("gamma", 0.05)},
                  nu=1.0, lam=0.0)
     grid = _grid_from(cfg["grid"]) if "grid" in cfg else np.linspace(
         -sd.omega_max, 2.0 * sd.omega_max, 1201)
-    values, meta = spectra.absorption_full(grid, mol, None, sd, thermal)
-    text, rows = _csv("detuning,value", [grid, values])
-    out.append(Artifact("spectrum.csv", text, rows,
+
+    def run():
+        values, meta = spectra.absorption_full(grid, mol, None, sd, thermal)
+        text, rows = _csv("detuning,value", [grid, values])
+        out = [Artifact("spectrum.csv", text, rows,
                         curves=[(grid, values, "P_e/eta^2")],
-                        labels=("detuning", "P_e/eta^2"), logy=True))
-    out.append(_meta_artifact("spectrum.meta.json", {"config": cfg, **meta}))
-    if cfg.get("emit_correlation", False):
-        t = np.arange(0.0, 30.0 / sd.omega_max, meta["dt"])
-        corr = np.atleast_1d(spectra.phonon_correlation(t, sd, thermal))
-        ctext, crows = _csv("t,re_corr,im_corr", [t, corr.real, corr.imag])
-        out.append(Artifact("correlation.csv", ctext, crows,
-                            curves=[(t, corr.real, "Re"),
-                                    (t, corr.imag, "Im")],
-                            labels=("t", "corr")))
-    return out
+                        labels=("detuning", "P_e/eta^2"), logy=True),
+               _meta_artifact("spectrum.meta.json", {"config": cfg, **meta})]
+        if cfg.get("emit_correlation", False):
+            t = np.arange(0.0, 30.0 / sd.omega_max, meta["dt"])
+            corr = np.atleast_1d(spectra.phonon_correlation(t, sd, thermal))
+            ctext, crows = _csv("t,re_corr,im_corr",
+                                [t, corr.real, corr.imag])
+            out.append(Artifact("correlation.csv", ctext, crows,
+                                curves=[(t, corr.real, "Re"),
+                                        (t, corr.imag, "Im")],
+                                labels=("t", "corr")))
+        return out
+    return run
 
 
 def _handle_cavity(cfg, seed):
@@ -448,42 +464,51 @@ def _handle_cavity(cfg, seed):
     cav = _build(cavity_mod.CavityParams, cfg["cavity"])
     sd = _build(SpectralDensity, cfg["sd"]) if "sd" in cfg else None
     grid = _grid_from(cfg["grid"])
-    t_amp, t2 = cavity_mod.transmission(
-        grid, cav, mol, kp, thermal, sd=sd,
-        markovian=cfg.get("markovian", False),
-    )
-    g_eff = cavity_mod.effective_rabi_from_params(cav, mol, thermal, sd=sd)
-    text, rows = _csv("detuning,re_T,im_T,abs_T2",
-                      [grid, np.real(t_amp), np.imag(t_amp), t2])
-    return [
-        Artifact("transmission.csv", text, rows,
-                 curves=[(grid, t2, "|T|^2")],
-                 labels=("detuning", "|T|^2")),
-        _meta_artifact("transmission.meta.json",
-                       {"config": cfg, "g_eff": g_eff}),
-    ]
+
+    def run():
+        t_amp, t2 = cavity_mod.transmission(
+            grid, cav, mol, kp, thermal, sd=sd,
+            markovian=cfg.get("markovian", False),
+        )
+        g_eff = cavity_mod.effective_rabi_from_params(cav, mol, thermal, sd=sd)
+        text, rows = _csv("detuning,re_T,im_T,abs_T2",
+                          [grid, np.real(t_amp), np.imag(t_amp), t2])
+        return [
+            Artifact("transmission.csv", text, rows,
+                     curves=[(grid, t2, "|T|^2")],
+                     labels=("detuning", "|T|^2")),
+            _meta_artifact("transmission.meta.json",
+                           {"config": cfg, "g_eff": g_eff}),
+        ]
+    return run
 
 
 def _handle_polariton(cfg, seed):
     mol, kp, thermal = _molecule_kernel_thermal(cfg)
     form = cfg.get("form", "two-term")
-    k_plus, k_minus = cavity_mod.polariton_rates(
-        mol, kp, thermal, cfg["omega_plus"], cfg["omega_minus"], form=form)
-    g_pm = cavity_mod.hybridized_decay(cfg["kappa"], mol.gamma)
     t = np.linspace(0.0, cfg["t_grid"]["max"], cfg["t_grid"]["n"])
-    p_u, p_l = cavity_mod.polariton_populations(
-        t, cfg.get("init", [1.0, 0.0]), (g_pm, g_pm), (k_plus, k_minus))
-    text, rows = _csv("t,P_U,P_L", [t, p_u, p_l])
-    return [
-        Artifact("polariton.csv", text, rows,
-                 curves=[(t, p_u, "P_U"), (t, p_l, "P_L")],
-                 labels=("t", "population")),
-        _meta_artifact("polariton.meta.json",
-                       {"config": cfg, "kappa_plus": k_plus,
-                        "kappa_minus": k_minus, "form": form}),
-    ]
+
+    def run():
+        k_plus, k_minus = cavity_mod.polariton_rates(
+            mol, kp, thermal, cfg["omega_plus"], cfg["omega_minus"],
+            form=form)
+        g_pm = cavity_mod.hybridized_decay(cfg["kappa"], mol.gamma)
+        p_u, p_l = cavity_mod.polariton_populations(
+            t, cfg.get("init", [1.0, 0.0]), (g_pm, g_pm), (k_plus, k_minus))
+        text, rows = _csv("t,P_U,P_L", [t, p_u, p_l])
+        return [
+            Artifact("polariton.csv", text, rows,
+                     curves=[(t, p_u, "P_U"), (t, p_l, "P_L")],
+                     labels=("t", "population")),
+            _meta_artifact("polariton.meta.json",
+                           {"config": cfg, "kappa_plus": k_plus,
+                            "kappa_minus": k_minus, "form": form}),
+        ]
+    return run
 
 
+# Each handler builds one point's domain objects, raising its config errors,
+# and returns the computation that makes the point's artifacts.
 _HANDLERS = {
     "relaxation": _handle_relaxation,
     "collective": _handle_collective,
@@ -551,9 +576,10 @@ def run_config(cfg, out_dir, fmt="csv", seed=None, threads=1):
     """Validate and run a config, plain or swept, and return its manifest.
 
     A plain run is a sweep of one point with no file prefix.  Every point
-    is validated and computed, serially or on `threads` workers, before
-    `out_dir` is made and the first file is written, so a run that fails
-    writes nothing."""
+    is validated and built, then computed, serially or on `threads`
+    workers, before `out_dir` is made and the first file is written, so a
+    run that fails writes nothing.  `seed` overrides the trajectory seed of
+    the commands in SEEDED; any other command refuses it."""
     cfg = copy.deepcopy(validate_config(cfg))
     if cfg["command"] == "preset":
         sweep = cfg.get("sweep")
@@ -568,12 +594,17 @@ def run_config(cfg, out_dir, fmt="csv", seed=None, threads=1):
         points = [validate_config(_set_axis(copy.deepcopy(cfg), sweep["axis"],
                                             value))
                   for value in sweep["values"]]
-    handler, seeds = _HANDLERS[cfg["command"]], [seed] * len(points)
+    if seed is not None and cfg["command"] not in SEEDED:
+        raise ConfigError(f"--seed is not read by the {cfg['command']!r} "
+                          "command")
+    # every point is built before any computes, so that a config error at
+    # any point is reported whatever the other points would do
+    runs = [_HANDLERS[cfg["command"]](point, seed) for point in points]
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-            results = list(pool.map(handler, points, seeds))
+            results = list(pool.map(lambda run: run(), runs))
     else:
-        results = list(map(handler, points, seeds))
+        results = [run() for run in runs]
     manifest = {"command": cfg["command"], "config": cfg,
                 "seed": seed, "files": []}
     if sweep is not None:

@@ -8,13 +8,18 @@ The linear equations of motion of M vibrons (m = 1..M) are
     pdot_k = -omega_k q_k + sum_m alpha_mk Q_m - gamma_k^ph p_k,
 
 integrated with fixed-step RK4 (the system is linear; the stability region
-is well characterized and RK4 keeps the brute-force oracle simple).
+is well characterized and RK4 keeps the brute-force oracle simple).  The
+trajectory is the RK4 step loop's up to rounding, but no run steps it; the
+loop stays in the tests as the oracle.  Two routes evaluate its map:
 
-Undamped runs of one vibron or of a mirror pair (-j, j) are not stepped:
-their RK4 map is evaluated mode by mode from the normal modes of the
-arrowhead matrix of the chain (`_mode_rows`), which gives the loop's own
-trajectory up to rounding at any stored step.  Damped runs and every other
-site set go through the loop (`_rk4`), which stays the oracle.
+- Undamped runs of one vibron or of a mirror pair (-j, j) take
+  `_mode_rows`: the map mode by mode from the normal modes of the
+  arrowhead matrix of the chain, at any stored step.
+- Every other run (damped, thermal or not, any other site set) takes
+  `_map_rows`: the phonon block of the map is one 2x2 matrix per mode, and
+  the vibrons see the phonons only through 4M projections, so the
+  store_every steps between two stored rows compose into per-mode 2x2
+  blocks, two (4M x 2 n_modes) tables and one small vibron matrix.
 """
 
 from __future__ import annotations
@@ -117,25 +122,6 @@ def _thermal_phonon_sample(rng, omega, temperature):
         return np.zeros_like(omega), np.zeros_like(omega)
     sig = np.sqrt(temperature / omega)
     return rng.normal(0.0, sig), rng.normal(0.0, sig)
-
-
-def _rk4(deriv, y0, dt, n_steps, store_every, observers):
-    """Fixed-step RK4 with in-loop observation; returns stacked observer rows."""
-    y = np.array(y0, dtype=float)
-    n_out = n_steps // store_every + 1
-    out = np.empty((n_out, len(observers(y))), dtype=float)
-    out[0] = observers(y)
-    row = 1
-    for step in range(1, n_steps + 1):
-        k1 = deriv(y)
-        k2 = deriv(y + 0.5 * dt * k1)
-        k3 = deriv(y + 0.5 * dt * k2)
-        k4 = deriv(y + dt * k3)
-        y += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if step % store_every == 0:
-            out[row] = observers(y)
-            row += 1
-    return out[:row]
 
 
 # rows of the (root x pole) and (time x mode) tables worked at once, which
@@ -292,17 +278,126 @@ def _mode_rows(nu, w, A, y0, dt, n_steps, store_every):
     return rows, float(max(errors))
 
 
-def simulate(nu: float, bath: DiscreteBath, sites,
-             cfg: TrajectoryConfig) -> Trajectory:
-    """Integrate M identical vibrons at chain sites N+1+s, s in `sites`.
+# steps composed into one map of `_map_rows`: its two tables hold
+# 4 M _STEPS rows of 2 n_modes values, 512 kB for one molecule on a
+# 500-cell chain
+_STEPS = 8
 
-    `sites` holds distinct integer offsets from the central cell: (0,) is a
-    single molecule at the centre, (-j, j) a pair at N+1 -+ j.  Initial
-    quadratures may be given per molecule as tuples in `cfg`.  Raises
-    InstabilityError if the summed vibron energy is not finite or exceeds
-    10x its initial value (a symptom of a step-size/stability failure in
-    this passive model).
+
+def _horner4(X, eye):
+    """sum_{j<=4} X^j/j!, the RK4 polynomial, for stacked square X."""
+    out = eye
+    for j in (4, 3, 2, 1):
+        out = eye + (X / j) @ out
+    return out
+
+
+def _step_map(nu, A, Dp, h):
+    """F with [v'; g] = F [v; c] for one RK4 step of the chain.
+
+    v = (Q, P); c = (c_0, .., c_3), c_a = A (D^a ph)_q, holds what the
+    vibrons see of the phonons ph = (q, p), with D = [[0, w], [-w, -gamma]]
+    per mode; the step adds sum_a D^a (0, A^T g_a) to p(hD) ph.  The RK4
+    polynomial is taken of the generator on (v, pi, xi), where pi_b is the
+    projection c_b of the part of ph grown from ph alone and xi_a the
+    weight of D^a (0, A^T .) in the part fed back by the vibrons: dv/dt
+    moves P by pi_0 + sum_a K_a xi_a, K_a = A diag(D^a_qp) A^T, pi shifts
+    down, xi shifts up and xi_0 takes Q.  Four powers of the generator
+    never reach pi_4 or xi_4, so both are dropped.  Dp holds D^a, a <= 3.
     """
+    m = len(A)
+    eye = np.eye(m)
+    # (M x M) blocks: Q, P, pi_0..pi_3, xi_0..xi_3
+    J = np.zeros((10, m, 10, m))
+    J[0, :, 1] = nu * eye
+    J[1, :, 0] = -nu * eye
+    J[1, :, 2] = eye
+    for a in range(4):
+        J[1, :, 6 + a] = (A * Dp[a, :, 0, 1]) @ A.T
+    for b in range(3):
+        J[2 + b, :, 3 + b] = eye
+        J[7 + b, :, 6 + b] = eye
+    J[6, :, 0] = eye
+    G = _horner4(h * J.reshape(10 * m, 10 * m), np.eye(10 * m))
+    return G[np.r_[:2 * m, 6 * m:10 * m], :6 * m]
+
+
+def _composed_map(nu, A, D, h, s):
+    """(F_s, R_s, U_s, L^s) of s RK4 steps with L = p(hD) per mode.
+
+    With c_{n,a} = A (D^a L^n ph)_q for n < s, s steps are
+    [v_s; g] = F_s [v; c] and ph_s = L^s ph + sum_{n,a} L^{s-1-n} D^a
+    (0, A^T g_{n,a}).  Each step sees the free projections c_n plus those
+    of the earlier steps' feedback, R L^k U; F_s chains the one-step map
+    through them.  R_s maps ph to c, and U_s^T maps g to the fed-back
+    phonons: both are (4 M s, 2 n_modes) tables, rows (n, a, m), columns
+    q then p.  L^s is (2, 2, n_modes).
+    """
+    m, nm = A.shape
+    eye = np.broadcast_to(np.eye(2), D.shape)
+    Dp = [eye]
+    for _ in range(3):
+        Dp.append(D @ Dp[-1])
+    Dp = np.array(Dp)                                    # (4, nm, 2, 2)
+    Lp = [eye, _horner4(h * D, eye)]
+    for _ in range(s - 1):
+        Lp.append(Lp[1] @ Lp[-1])
+    Lp = np.array(Lp)                                    # (s + 1, nm, 2, 2)
+    rq = (Dp[:, :, :1] @ Lp[:s, None])[..., 0, :]        # (s, 4, nm, 2)
+    up = (Lp[s - 1::-1, None] @ Dp[..., 1:])[..., 0]
+    R, U = ((x.transpose(0, 1, 3, 2)[:, :, None] * A[:, None])
+            .reshape(4 * m * s, 2 * nm) for x in (rq, up))
+    # R L^k U, k < s - 1: entry (a, b) per mode is rq[k, a] . Dp[b]_p
+    t = np.einsum("kaxi,bxi->kabx", rq[:s - 1], Dp[..., 1])
+    feed = np.einsum("mx,kabx,nx->kambn", A, t, A).reshape(-1, 4 * m, 4 * m)
+    F = _step_map(nu, A, Dp, h)
+    n_in = 2 * m + 4 * m * s
+    V = np.eye(2 * m, n_in)
+    gs = []
+    for n in range(s):
+        c = np.zeros((4 * m, n_in))
+        c[:, 2 * m + 4 * m * n:2 * m + 4 * m * (n + 1)] = np.eye(4 * m)
+        for j, g in enumerate(gs):
+            c += feed[n - 1 - j] @ g
+        V, g = np.split(F @ np.vstack((V, c)), [2 * m])
+        gs.append(g)
+    return np.vstack([V] + gs), R, U, np.moveaxis(Lp[s], 0, -1).copy()
+
+
+def _map_rows(nu, w, A, gph, y0, dt, n_steps, store_every):
+    """Observer rows (Q, P, E, h_tot) of the RK4 loop, a stored row at a
+    time: each row applies the composed maps of `_composed_map` over
+    chunks of at most _STEPS steps."""
+    m, nm = A.shape
+    D = np.zeros((nm, 2, 2))
+    D[:, 0, 1], D[:, 1, 0], D[:, 1, 1] = w, -w, -gph
+    chunks = [_STEPS] * (store_every // _STEPS) + [store_every % _STEPS]
+    maps = {s: _composed_map(nu, A, D, dt, s) for s in set(chunks) if s}
+    plan = [maps[s] for s in chunks if s]
+    n_rows = n_steps // store_every + 1
+    v, ph = y0[:2 * m], y0[2 * m:].reshape(2, nm)
+    vs = np.empty((n_rows, 2 * m))
+    aq = np.empty((n_rows, m))
+    e_ph = np.empty(n_rows)
+    for row in range(n_rows):
+        if row:
+            for F, R, U, Ls in plan:
+                z = F @ np.concatenate((v, R @ ph.ravel()))
+                v = z[:2 * m]
+                ph = (Ls[:, 0] * ph[0] + Ls[:, 1] * ph[1]
+                      + (z[2 * m:] @ U).reshape(2, nm))
+        vs[row] = v
+        e_ph[row] = np.dot(w, ph[0] * ph[0] + ph[1] * ph[1])
+        aq[row] = np.dot(A, ph[0])
+    Q, P = vs[:, :m], vs[:, m:]
+    e_vib = 0.5 * (Q * Q + P * P)
+    h_tot = nu * e_vib.sum(axis=1) + 0.5 * e_ph - np.sum(Q * aq, axis=1)
+    return np.column_stack((vs, e_vib, h_tot))
+
+
+def _setup(nu, bath, sites, cfg):
+    """Chain frequencies w, couplings A (M, n_modes), phonon damping gph,
+    initial state y0 = (Q, P, q, p), step and step count of a run."""
     if len(sites) == 0 or len(set(sites)) != len(sites):
         raise DomainError("sites must be non-empty and distinct")
     w = chain_eigenmodes(bath)
@@ -325,35 +420,22 @@ def simulate(nu: float, bath: DiscreteBath, sites,
         if cfg.thermal_phonons
         else (np.zeros(nm), np.zeros(nm))
     )
-    y0 = np.concatenate((q0, p0, q0ph, p0ph))
+    return w, A, gph, np.concatenate((q0, p0, q0ph, p0ph)), dt, n_steps
 
-    # np.dot, not @: at fig3 size the (M,) x (M, n_modes) product is about
-    # 4x faster through np.dot
-    def deriv(y):
-        Q = y[:m]
-        P = y[m:2 * m]
-        q = y[2 * m:2 * m + nm]
-        p = y[2 * m + nm:]
-        dy = np.empty_like(y)
-        dy[:m] = nu * P
-        dy[m:2 * m] = -nu * Q + np.dot(A, q)
-        dy[2 * m:2 * m + nm] = w * p
-        dy[2 * m + nm:] = -w * q + np.dot(Q, A) - gph * p
-        return dy
 
-    def observers(y):
-        Q = y[:m]
-        P = y[m:2 * m]
-        q = y[2 * m:2 * m + nm]
-        p = y[2 * m + nm:]
-        e_vib = 0.5 * (Q * Q + P * P)
-        h_tot = (
-            nu * np.sum(e_vib)
-            + 0.5 * np.sum(w * (q * q + p * p))
-            - np.dot(Q, np.dot(A, q))
-        )
-        return np.concatenate((Q, P, e_vib, [h_tot]))
+def simulate(nu: float, bath: DiscreteBath, sites,
+             cfg: TrajectoryConfig) -> Trajectory:
+    """Integrate M identical vibrons at chain sites N+1+s, s in `sites`.
 
+    `sites` holds distinct integer offsets from the central cell: (0,) is a
+    single molecule at the centre, (-j, j) a pair at N+1 -+ j.  Initial
+    quadratures may be given per molecule as tuples in `cfg`.  Raises
+    InstabilityError if the summed vibron energy is not finite or exceeds
+    10x its initial value (a symptom of a step-size/stability failure in
+    this passive model).
+    """
+    w, A, gph, y0, dt, n_steps = _setup(nu, bath, sites, cfg)
+    m, nm = A.shape
     meta = {"dt": dt, "n_steps": n_steps, "seed": cfg.seed, "n_modes": nm,
             "sites": [int(s) for s in sites]}
     mirror_pair = m == 2 and sites[0] == -sites[1]
@@ -362,7 +444,7 @@ def simulate(nu: float, bath: DiscreteBath, sites,
             nu, w, A, y0, dt, n_steps, cfg.store_every)
         meta["propagator"] = "modes"
     else:
-        rows = _rk4(deriv, y0, dt, n_steps, cfg.store_every, observers)
+        rows = _map_rows(nu, w, A, gph, y0, dt, n_steps, cfg.store_every)
         meta["propagator"] = "rk4"
     times = np.arange(len(rows)) * dt * cfg.store_every
     Q, P, E = rows[:, :m].T, rows[:, m:2 * m].T, rows[:, 2 * m:3 * m].T

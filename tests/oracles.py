@@ -1,7 +1,8 @@
 """Reference formulas that only the tests call: a numeric kernel transform,
 the band form of the Markovian rate, a single-mode dephasing rate,
-first-order scattering amplitudes on the chain, and the per-value CSV and
-polyline formatters that the one-`%` emitters replace."""
+first-order scattering amplitudes on the chain, the chain's RK4 step loop,
+and the per-value CSV and polyline formatters that the one-`%` emitters
+replace."""
 
 import io
 
@@ -81,6 +82,52 @@ def dyson_first_order(t: float, bath: DiscreteBath, nu: float):
         return np.where(res, 1j * t, (np.exp(1j * safe * t) - 1.0) / safe)
 
     return a * amp(w - nu), np.sqrt(2.0) * a * amp(w + nu)
+
+
+def rk4_rows(nu, w, A, gph, y0, dt, n_steps, store_every):
+    """Observer rows (Q, P, E, h_tot) of the chain stepped with fixed-step
+    RK4, one step at a time, every `store_every`-th step kept.
+
+    The state is y = (Q, P, q, p) of M vibrons with couplings A (M, n_modes)
+    to chain modes of frequencies w and damping gph:
+
+        Qdot = nu P,     Pdot = -nu Q + A q,
+        qdot = w p,      pdot = -w q + A^T Q - gph p.
+    """
+    m, nm = A.shape
+
+    # np.dot, not @: at fig3 size the (M,) x (M, n_modes) product is about
+    # 4x faster through np.dot
+    def deriv(y):
+        Q, P, q, p = np.split(y, [m, 2 * m, 2 * m + nm])
+        dy = np.empty_like(y)
+        dy[:m] = nu * P
+        dy[m:2 * m] = -nu * Q + np.dot(A, q)
+        dy[2 * m:2 * m + nm] = w * p
+        dy[2 * m + nm:] = -w * q + np.dot(Q, A) - gph * p
+        return dy
+
+    def observers(y):
+        Q, P, q, p = np.split(y, [m, 2 * m, 2 * m + nm])
+        e_vib = 0.5 * (Q * Q + P * P)
+        h_tot = (nu * np.sum(e_vib) + 0.5 * np.sum(w * (q * q + p * p))
+                 - np.dot(Q, np.dot(A, q)))
+        return np.concatenate((Q, P, e_vib, [h_tot]))
+
+    y = np.array(y0, dtype=float)
+    out = np.empty((n_steps // store_every + 1, 3 * m + 1))
+    out[0] = observers(y)
+    row = 1
+    for step in range(1, n_steps + 1):
+        k1 = deriv(y)
+        k2 = deriv(y + 0.5 * dt * k1)
+        k3 = deriv(y + 0.5 * dt * k2)
+        k4 = deriv(y + dt * k3)
+        y += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step % store_every == 0:
+            out[row] = observers(y)
+            row += 1
+    return out
 
 
 def csv_per_value(header, columns):

@@ -322,6 +322,30 @@ class TestExitCodes:
         assert err.startswith("config error") and "seed" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("cfg, seed", [
+        (SMALL_ABSORPTION, "-1"), (SMALL_ABSORPTION, "3"),
+        (SMALL_WING, "3"), ({"command": "preset", "name": "fig4a"}, "3")],
+        ids=["absorption-negative", "absorption", "phonon-wing",
+             "preset-fig4a"])
+    def test_unread_seed_flag_is_config_error(self, tmp_path, capsys, cfg,
+                                              seed):
+        # the run never reads it, so it must not be recorded as if it did
+        path = _write(tmp_path, cfg)
+        code = main([cfg["command"], "--config", path, "--out",
+                     str(tmp_path / "o"), "--seed", seed])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("config error:") and "--seed" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_seed_flag_reaches_chain_preset(self, tmp_path):
+        path = _write(tmp_path, {"command": "preset", "name": "fig2d"})
+        assert main(["preset", "--config", path, "--out",
+                     str(tmp_path / "o"), "--seed", "3"]) == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        meta = json.loads((tmp_path / "o" / "run.meta.json").read_text())
+        assert manifest["seed"] == meta["seed"] == 3
+
     def _cavity_g_eff(self, tmp_path, cfg):
         path = _write(tmp_path, cfg)
         assert main(["cavity", "--config", path,
@@ -368,8 +392,13 @@ class TestFailedRunWritesNothing:
         (dict(SMALL_RELAXATION, trajectory={"t_max": 4.0, "seed": -1}), 2),
         (dict(SMALL_RELAXATION, trajectory={"store_every": 4}), 2),
         (dict(SMALL_WING, sd=dict(SMALL_WING["sd"], kind="2d")), 2),
+        # the first point's 1d band integrals diverge at T > 0, and the
+        # second's omega_min 5 exceeds omega_max 3: the config error wins
+        (dict(SWEEP_1D_WING, sweep={"axis": "sd.omega_min",
+                                    "values": [0.0, 5.0]}), 2),
     ], ids=["coarse-grid-sweep", "negative-gamma-sweep", "divergent-sweep",
-            "store_every-0", "seed-negative", "t_max-missing", "kind-2d"])
+            "store_every-0", "seed-negative", "t_max-missing", "kind-2d",
+            "config-error-after-divergent-point"])
     def test_exit_code_and_no_files(self, tmp_path, capsys, cfg, code,
                                     threads):
         path = _write(tmp_path, cfg)
@@ -611,6 +640,28 @@ class TestImports:
                           os.environ.get("PYTHONPATH")])))
         assert subprocess.run([sys.executable, "-c", code], env=env,
                               timeout=120).returncode == 0
+
+
+class TestReproduceScript:
+    def test_chain_and_line_presets_with_seed(self, tmp_path):
+        # --seed reaches fig2d (relaxation) and is kept from fig4a
+        # (absorption), which would refuse it
+        root = os.path.dirname(os.path.dirname(os.path.dirname(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [os.path.dirname(os.path.dirname(cli.__file__)),
+                          os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, os.path.join(root, "scripts",
+                                          "reproduce_figures.py"),
+             "--out", str(tmp_path), "--only", "fig2d", "fig4a",
+             "--seed", "3"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        for name in ("fig2d", "fig4a"):
+            manifest = json.loads((tmp_path / name / "manifest.json")
+                                  .read_text())
+            assert manifest["files"]
+            assert manifest["seed"] == (3 if name == "fig2d" else None)
 
 
 class TestEnvThreads:

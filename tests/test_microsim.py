@@ -1,7 +1,6 @@
-"""Chain runs: conservation, the normal-mode route against the RK4 loop,
-decay fits, CSV output."""
+"""Chain runs: conservation, the normal-mode route and the composed RK4 map
+against the RK4 step loop, decay fits, CSV output."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -20,9 +19,10 @@ from vibrolang import (
     simulate,
     vibron_phonon_couplings,
 )
-from vibrolang.microsim import _secular
+from vibrolang.cli import load_preset
+from vibrolang.microsim import _secular, _setup
 
-from oracles import dyson_first_order
+from oracles import dyson_first_order, rk4_rows
 
 
 def _bath(n=80, k0=12.25, gamma_m=0.05, **kw):
@@ -135,23 +135,42 @@ class TestPair:
         assert tr_m.e_minus[-1] > 2.0 * tr_p.e_plus[-1]
 
 
-def _rk4_oracle(bath):
-    # qfactor 1e300 takes the RK4 loop with a damping term below one ulp
-    return dataclasses.replace(bath, qfactor=1e300)
+def _columns(traj):
+    """Q_m, P_m, E_m, then E+ and E- of a pair, then h_tot."""
+    cols = [c for x in (traj.Q, traj.P, traj.E) for c in np.atleast_2d(x)]
+    if traj.e_plus is not None:
+        cols += [traj.e_plus, traj.e_minus]
+    return cols + [traj.total_energy]
 
 
-def _assert_same_run(modes, rk4, rel):
-    assert modes.meta["propagator"] == "modes"
-    assert rk4.meta["propagator"] == "rk4"
-    assert modes.meta["n_steps"] == rk4.meta["n_steps"]
-    assert modes.meta["weight_sum_error"] < 1e-13
-    pairs = [(getattr(modes, k), getattr(rk4, k))
-             for k in ("Q", "P", "E", "e_plus", "e_minus", "total_energy")
-             if getattr(rk4, k) is not None]
-    scale = max(np.max(np.abs(b)) for _, b in pairs)
-    for a, b in pairs:
+def _rk4_oracle(nu, bath, sites, cfg):
+    """`_columns` of the RK4 step loop run from the state `simulate` starts."""
+    rows = rk4_rows(nu, *_setup(nu, bath, sites, cfg), cfg.store_every)
+    m = len(sites)
+    Q, P = rows[:, :m].T, rows[:, m:2 * m].T
+    cols = list(rows[:, :3 * m].T)
+    if m == 2:
+        cols += [0.25 * ((Q[0] + Q[1]) ** 2 + (P[0] + P[1]) ** 2),
+                 0.25 * ((Q[0] - Q[1]) ** 2 + (P[0] - P[1]) ** 2)]
+    return cols + [rows[:, -1]]
+
+
+def _assert_same_run(traj, oracle, rel, per_column=False):
+    """Every column of `traj` within rel of the oracle's column scale, or of
+    the largest scale of all columns."""
+    pairs = list(zip(_columns(traj), oracle, strict=True))
+    scales = [np.max(np.abs(b)) for _, b in pairs]
+    for (a, b), scale in zip(pairs, scales):
         assert a.shape == b.shape
-        assert np.max(np.abs(a - b)) <= rel * scale
+        assert np.max(np.abs(a - b)) <= rel * (scale if per_column
+                                              else max(scales))
+
+
+def _assert_modes_match_loop(nu, bath, sites, cfg, rel):
+    traj = simulate(nu, bath, sites, cfg)
+    assert traj.meta["propagator"] == "modes"
+    assert traj.meta["weight_sum_error"] < 1e-13
+    _assert_same_run(traj, _rk4_oracle(nu, bath, sites, cfg), rel)
 
 
 class TestNormalModes:
@@ -170,8 +189,7 @@ class TestNormalModes:
         bath = _bath(n=200, temperature=1.5)
         cfg = TrajectoryConfig(t_max=15.0, q0=q0, p0=p0, store_every=3,
                                thermal_phonons=thermal, seed=3)
-        _assert_same_run(simulate(1.0, bath, sites, cfg),
-                         simulate(1.0, _rk4_oracle(bath), sites, cfg), 1e-12)
+        _assert_modes_match_loop(1.0, bath, sites, cfg, 1e-12)
 
     def test_uncoupled_vibron_matches_rk4_loop(self):
         # dk = 0 deflates every mode: the arrowhead is its head alone
@@ -179,18 +197,14 @@ class TestNormalModes:
                             temperature=1.0)
         cfg = TrajectoryConfig(t_max=3.0, q0=(1.0, 0.5), p0=0.2,
                                thermal_phonons=True)
-        _assert_same_run(simulate(1.0, bath, (-1, 1), cfg),
-                         simulate(1.0, _rk4_oracle(bath), (-1, 1), cfg),
-                         1e-12)
+        _assert_modes_match_loop(1.0, bath, (-1, 1), cfg, 1e-12)
 
     @pytest.mark.parametrize("q0", [(1.0, -1.0), (1.0, 1.0)])
     def test_fig3_pair_matches_rk4_loop(self, q0):
         bath = DiscreteBath(n_cells=1250, k0=144.0, m0=1.0,
                             dk=8.313843876330611)
         cfg = TrajectoryConfig(t_max=20.0, q0=q0, store_every=8)
-        _assert_same_run(simulate(1.0, bath, (-1, 1), cfg),
-                         simulate(1.0, _rk4_oracle(bath), (-1, 1), cfg),
-                         1e-10)
+        _assert_modes_match_loop(1.0, bath, (-1, 1), cfg, 1e-10)
 
     def test_secular_roots_match_eigh(self):
         bath = _bath(n=300)
@@ -235,6 +249,59 @@ class TestNormalModes:
                         cfg).meta["propagator"] == "rk4"
         assert simulate(1.0, _bath(n=20), (-2, 2, 0),
                         cfg).meta["propagator"] == "rk4"
+
+
+class TestComposedMap:
+    """Damped runs and every site set but one site or a mirror pair take the
+    RK4 map composed over each stored row; the step loop is its oracle."""
+
+    @pytest.mark.parametrize("store_every", [1, 3, 4, 8, 50])
+    @pytest.mark.parametrize("qfactor, sites, q0, p0", [
+        (50.0, (0,), 1.0, 0.4),
+        (50.0, (-1, 1), (0.7, -0.3), (0.2, 0.4)),
+        (20.0, (-2, 1), (0.7, -0.3), 0.0),
+        (float("inf"), (-2, 0, 1), (1.0, -0.5, 0.3), 0.1),
+    ])
+    def test_matches_rk4_loop(self, qfactor, sites, q0, p0, store_every):
+        bath = _bath(n=100, qfactor=qfactor)
+        # 673 steps: no stride but 1 divides them
+        cfg = TrajectoryConfig(t_max=15.1, q0=q0, p0=p0,
+                               store_every=store_every)
+        traj = simulate(1.0, bath, sites, cfg)
+        assert traj.meta["propagator"] == "rk4"
+        assert store_every == 1 or traj.meta["n_steps"] % store_every
+        _assert_same_run(traj, _rk4_oracle(1.0, bath, sites, cfg), 1e-12,
+                         per_column=True)
+
+    @pytest.mark.parametrize("sites", [(0,), (-2, 0, 1)])
+    def test_thermal_run_matches_rk4_loop(self, sites):
+        bath = _bath(n=100, qfactor=50.0, temperature=1.5)
+        cfg = TrajectoryConfig(t_max=15.0, q0=0.5, store_every=4,
+                               thermal_phonons=True, seed=3)
+        traj = simulate(1.0, bath, sites, cfg)
+        assert traj.meta["propagator"] == "rk4"
+        _assert_same_run(traj, _rk4_oracle(1.0, bath, sites, cfg), 1e-12,
+                         per_column=True)
+
+    @pytest.mark.parametrize("sites, store_every", [((0,), None),
+                                                    ((-2, 0, 1), 64)])
+    def test_fig2c_memory_bounded(self, sites, store_every):
+        # the full fig2c preset, and a triple on its bath whose rows span
+        # eight composed maps
+        preset = load_preset("fig2c")
+        bath = DiscreteBath(**preset["bath"])
+        traj_cfg = dict(preset["trajectory"])
+        if store_every is not None:
+            traj_cfg.update(store_every=store_every, q0=(1.0, -0.5, 0.3))
+        cfg = TrajectoryConfig(**traj_cfg)
+        tracemalloc.start()
+        try:
+            traj = simulate(preset["nu"], bath, sites, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.meta["propagator"] == "rk4"
+        assert peak < 8 * 2**20
 
 
 class TestCsv:
