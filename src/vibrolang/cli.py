@@ -28,8 +28,7 @@ import jsonschema
 
 from . import cavity as cavity_mod
 from . import kernels, microsim, spectra, svg
-from .errors import (ConfigError, DomainError, ResolutionError,
-                     TruncationError, VibrolangError)
+from .errors import ConfigError, DomainError, VibrolangError
 from .model import (
     DiscreteBath,
     MoleculeParams,
@@ -38,10 +37,6 @@ from .model import (
     derived_markov_params,
 )
 
-COMMANDS = (
-    "relaxation", "collective", "absorption", "phonon-wing",
-    "cavity", "polariton", "preset",
-)
 # the commands whose runs read --seed: the chain's thermal phonon draws
 SEEDED = ("relaxation", "collective")
 
@@ -97,100 +92,42 @@ _GRID = _obj({"min": _NUM, "max": _NUM, "n": _POSINT},
 _SWEEP = _obj({"axis": {"type": "string"}, "values": {"type": "array"}},
               required=("axis", "values"))
 
-_SCHEMAS = {
-    "relaxation": _obj(
-        {
-            "command": {"const": "relaxation"},
-            "nu": _POSNUM,
-            "bath": _BATH,
-            "trajectory": _TRAJ,
-            "theory_overlay": _BOOL,
-            "sweep": _SWEEP,
-        },
-        required=("command", "nu", "bath", "trajectory"),
-    ),
-    "collective": _obj(
-        {
-            "command": {"const": "collective"},
-            "nu": _POSNUM,
-            "bath": _BATH,
-            "j": _POSINT,
-            "excite": {"enum": ["plus", "minus"]},
-            "trajectory": _TRAJ,
-            "sweep": _SWEEP,
-        },
-        required=("command", "nu", "bath", "j", "trajectory"),
-    ),
-    "absorption": _obj(
-        {
-            "command": {"const": "absorption"},
-            "molecule": _MOL,
-            "kernel": _KERNEL,
-            "temperature": _NUM,
-            "nbar": _NUM,
-            "markovian": _BOOL,
-            "method": {"enum": ["discrete", "bessel", "full"]},
-            "sd": _SD,
-            "grid": _GRID,
-            "emit_mirror": _BOOL,
-            "sweep": _SWEEP,
-        },
-        required=("command", "molecule", "kernel", "grid"),
-    ),
-    "phonon-wing": _obj(
-        {
-            "command": {"const": "phonon-wing"},
-            "gamma": _NUM,
-            "sd": _SD,
-            "temperature": _NUM,
-            "observable": {"enum": ["spectrum", "debye-waller"]},
-            "grid": _GRID,
-            "temp_grid": _GRID,
-            "emit_correlation": _BOOL,
-            "sweep": _SWEEP,
-        },
-        required=("command", "sd"),
-    ),
-    "cavity": _obj(
-        {
-            "command": {"const": "cavity"},
-            "molecule": _MOL,
-            "kernel": _KERNEL,
-            "cavity": _section(cavity_mod.CavityParams),
-            "sd": _SD,
-            "temperature": _NUM,
-            "nbar": _NUM,
-            "markovian": _BOOL,
-            "grid": _GRID,
-            "sweep": _SWEEP,
-        },
-        required=("command", "molecule", "kernel", "cavity", "grid"),
-    ),
-    "polariton": _obj(
-        {
-            "command": {"const": "polariton"},
-            "molecule": _MOL,
-            "kernel": _KERNEL,
-            "omega_plus": _NUM,
-            "omega_minus": _NUM,
-            "kappa": _NUM,
-            "temperature": _NUM,
-            "nbar": _NUM,
-            "form": {"enum": ["two-term", "main-text"]},
-            "init": {"type": "array", "items": _NUM,
-                     "minItems": 2, "maxItems": 2},
-            "t_grid": _obj({"max": _NUM, "n": _POSINT}, required=("max", "n")),
-            "sweep": _SWEEP,
-        },
-        required=("command", "molecule", "kernel", "omega_plus",
-                  "omega_minus", "kappa", "t_grid"),
-    ),
-    "preset": _obj(
-        {"command": {"const": "preset"}, "name": {"type": "string"},
-         "sweep": _SWEEP},
-        required=("command", "name"),
-    ),
-}
+
+def _command(cmd, required, **props):
+    """(cmd, schema) of a command's config: its keys `props`, of which
+    `required` must be given, the `command` key naming it and a `sweep`."""
+    return cmd, _obj({"command": {"const": cmd}, **props, "sweep": _SWEEP},
+                     required=("command", *required))
+
+
+_SCHEMAS = dict([
+    _command("relaxation", ("nu", "bath", "trajectory"), nu=_POSNUM,
+             bath=_BATH, trajectory=_TRAJ, theory_overlay=_BOOL),
+    _command("collective", ("nu", "bath", "j", "trajectory"), nu=_POSNUM,
+             bath=_BATH, j=_POSINT, excite={"enum": ["plus", "minus"]},
+             trajectory=_TRAJ),
+    _command("absorption", ("molecule", "kernel", "grid"), molecule=_MOL,
+             kernel=_KERNEL, temperature=_NUM, nbar=_NUM, markovian=_BOOL,
+             method={"enum": ["discrete", "bessel", "full"]}, sd=_SD,
+             grid=_GRID, emit_mirror=_BOOL),
+    _command("phonon-wing", ("sd",), gamma=_NUM, sd=_SD, temperature=_NUM,
+             observable={"enum": ["spectrum", "debye-waller"]}, grid=_GRID,
+             temp_grid=_GRID, emit_correlation=_BOOL),
+    _command("cavity", ("molecule", "kernel", "cavity", "grid"),
+             molecule=_MOL, kernel=_KERNEL,
+             cavity=_section(cavity_mod.CavityParams), sd=_SD,
+             temperature=_NUM, nbar=_NUM, markovian=_BOOL, grid=_GRID),
+    _command("polariton", ("molecule", "kernel", "omega_plus", "omega_minus",
+                           "kappa", "t_grid"),
+             molecule=_MOL, kernel=_KERNEL, omega_plus=_NUM,
+             omega_minus=_NUM, kappa=_NUM, temperature=_NUM, nbar=_NUM,
+             form={"enum": ["two-term", "main-text"]},
+             init={"type": "array", "items": _NUM, "minItems": 2,
+                   "maxItems": 2},
+             t_grid=_obj({"max": _NUM, "n": _POSINT}, required=("max", "n"))),
+    _command("preset", ("name",), name={"type": "string"}),
+])
+COMMANDS = tuple(_SCHEMAS)
 
 
 # built once: jsonschema.validate would check each schema against the
@@ -213,6 +150,9 @@ def _non_finite_path(node, path=()):
 
 
 def validate_config(cfg):
+    """`cfg` itself if it has a known command, meets its schema and holds
+    only finite numbers; which keys a point reads is checked when it is
+    built."""
     if not isinstance(cfg, dict) or "command" not in cfg:
         raise ConfigError("config must be an object with a 'command' key")
     cmd = cfg["command"]
@@ -226,21 +166,6 @@ def validate_config(cfg):
     if bad is not None:
         path = ".".join(str(p) for p in bad)
         raise ConfigError(f"config field {path}: numbers must be finite")
-    if "sweep" in cfg:  # run_config checks each sweep point
-        return cfg
-    # a key that the other settings leave unread is refused, not ignored
-    dw = cfg.get("observable") == "debye-waller"
-    unread = {"temperature": dw or "nbar" in cfg,
-              "sd": cmd == "absorption" and cfg.get("method") != "full",
-              "gamma": dw, "grid": dw, "emit_correlation": dw,
-              "temp_grid": cmd == "phonon-wing" and not dw,
-              **dict.fromkeys(("trajectory.q0", "trajectory.p0"),
-                              "excite" in cfg)}
-    given = set(cfg) | {"trajectory." + k for k in cfg.get("trajectory", ())}
-    for key, unused in unread.items():
-        if unused and key in given:
-            raise ConfigError(f"config field {key} is not read with the "
-                              "other settings given")
     return cfg
 
 
@@ -266,13 +191,42 @@ def load_preset(name):
 # config -> domain objects
 
 
+class _Reads(dict):
+    """A config point, or a section of it, that adds to the set `read` the
+    dotted key of every value read from it.  A section is read as a new
+    _Reads over a copy of it that records into the same set."""
+
+    def __init__(self, items, read, prefix=""):
+        super().__init__(items)
+        self._read, self._prefix = read, prefix
+
+    def __getitem__(self, key):
+        self._read.add(self._prefix + key)
+        value = super().__getitem__(key)
+        return _Reads(value, self._read, f"{self._prefix}{key}.") \
+            if isinstance(value, dict) else value
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+
+def _keys(node, prefix=""):
+    """Dotted key of every value in a config, each section before its keys."""
+    for key, value in node.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _keys(value, f"{prefix}{key}.")
+
+
 def _build(make, section, **fixed):
     """make(**section) with the keys of `fixed` added or overriding: every
     key of a config section is the name of a field of the dataclass it
-    builds, and the dataclass holds the defaults.  A domain rule that a
-    config value breaks is a config error, not a numeric failure."""
+    builds, and the dataclass holds the defaults.  The keys that `fixed`
+    overrides are left unread.  A domain rule that a config value breaks is
+    a config error, not a numeric failure."""
     try:
-        return make(**{**section, **fixed})
+        return make(**{k: section[k] for k in section if k not in fixed},
+                    **fixed)
     except DomainError as exc:
         raise ConfigError(f"config value out of domain: {exc}") from exc
 
@@ -328,18 +282,28 @@ def _propagation(traj):
     return {k: traj.meta[k] for k in ("dt", "n_steps", "propagator")}
 
 
-def _bath_trajectory(cfg, seed, **start):
-    """Bath and trajectory settings of the chain commands; --seed and a
-    collective excitation override the trajectory section."""
-    return (_build(DiscreteBath, cfg["bath"],
-                   qfactor=float(cfg["bath"].get("qfactor", "inf"))),
-            _build(microsim.TrajectoryConfig, cfg["trajectory"], **start,
-                   **({} if seed is None else {"seed": seed})))
+def _bath_trajectory(cfg, seed, n_molecules, **start):
+    """Bath and trajectory settings of a chain run of `n_molecules`, with
+    the step and the start checked; --seed and a collective excitation
+    override the trajectory section."""
+    section = cfg["bath"]
+    bath = _build(DiscreteBath, section,
+                  qfactor=float(section.get("qfactor", "inf")))
+    traj = cfg["trajectory"]
+    # --seed overrides trajectory.seed, which then counts as read; traj is
+    # a copy of the section, so the config keeps its own seed
+    if seed is not None:
+        traj["seed"] = seed
+    tcfg = _build(microsim.TrajectoryConfig, traj, **start)
+    tcfg.resolved_dt(bath.omega_max)
+    tcfg.start(n_molecules)
+    return bath, tcfg
 
 
 def _handle_relaxation(cfg, seed):
     nu = cfg["nu"]
-    bath, tcfg = _bath_trajectory(cfg, seed)
+    bath, tcfg = _bath_trajectory(cfg, seed, 1)
+    overlay = cfg.get("theory_overlay", True)
 
     def run():
         traj = microsim.simulate(nu, bath, (0,), tcfg)
@@ -347,7 +311,7 @@ def _handle_relaxation(cfg, seed):
         out = [Artifact("trajectory.csv", traj.to_csv(), len(traj.times),
                         curves=[(traj.times, traj.E, "E_nu")],
                         labels=("t", "E"), logy=True)]
-        if cfg.get("theory_overlay", True):
+        if overlay:
             e_th = traj.E[0] * np.exp(-gm * traj.times)
             text, rows = _csv("t,E_theory", [traj.times, e_th])
             out.append(Artifact("theory.csv", text, rows,
@@ -362,22 +326,23 @@ def _handle_relaxation(cfg, seed):
 
 
 def _handle_collective(cfg, seed):
+    nu, j = cfg["nu"], cfg["j"]
     sign = {"plus": 1.0, "minus": -1.0}.get(cfg.get("excite"))
     start = {} if sign is None else {"q0": (1.0, sign), "p0": (0.0, 0.0)}
-    bath, tcfg = _bath_trajectory(cfg, seed, **start)
-    if cfg["j"] > bath.n_cells:
-        raise ConfigError(f"j={cfg['j']} exceeds bath.n_cells="
-                          f"{bath.n_cells}: the pair sits at N+1 -+ j")
+    bath, tcfg = _bath_trajectory(cfg, seed, 2, **start)
+    if j > bath.n_cells:
+        raise ConfigError(f"j={j} exceeds bath.n_cells={bath.n_cells}: the "
+                          "pair sits at N+1 -+ j")
 
     def run():
-        traj = microsim.simulate(cfg["nu"], bath, (-cfg["j"], cfg["j"]), tcfg)
+        traj = microsim.simulate(nu, bath, (-j, j), tcfg)
         return [
             Artifact("trajectory.csv", traj.to_csv(), len(traj.times),
                      curves=[(traj.times, traj.e_plus, "E+"),
                              (traj.times, traj.e_minus, "E-")],
                      labels=("t", "E"), logy=False),
             _meta_artifact("run.meta.json",
-                           {"config": cfg, "seed": tcfg.seed, "j": cfg["j"],
+                           {"config": cfg, "seed": tcfg.seed, "j": j,
                             **_propagation(traj)}),
         ]
     return run
@@ -385,10 +350,16 @@ def _handle_collective(cfg, seed):
 
 def _handle_absorption(cfg, seed):
     mol, kp, thermal = _molecule_kernel_thermal(cfg)
-    sd = _build(SpectralDensity, cfg["sd"]) if "sd" in cfg else None
     grid = _grid_from(cfg["grid"])
     method = cfg.get("method", "discrete")
     markovian = cfg.get("markovian", False)
+    mirror = cfg.get("emit_mirror", False)
+    sd = _build(SpectralDensity, cfg["sd"]) \
+        if method == "full" and "sd" in cfg else None
+    if method == "full":
+        spectra.check_resolution(grid, mol.gamma)
+    else:  # the order of the sideband comb
+        spectra.choose_n_max(mol.lam, thermal.occupation(kp.nu))
 
     def run():
         meta = {"config": cfg, "method": method}
@@ -407,7 +378,7 @@ def _handle_absorption(cfg, seed):
                         curves=[(grid, values, "P_e/eta^2")],
                         labels=("detuning", "P_e/eta^2")),
                _meta_artifact("spectrum.meta.json", meta)]
-        if cfg.get("emit_mirror", False):
+        if mirror:
             mg, mv = spectra.mirror_emission(grid, values)
             mtext, mrows = _csv("detuning,value", [mg, mv])
             out.append(Artifact("emission.csv", mtext, mrows,
@@ -438,6 +409,8 @@ def _handle_phonon_wing(cfg, seed):
                  nu=1.0, lam=0.0)
     grid = _grid_from(cfg["grid"]) if "grid" in cfg else np.linspace(
         -sd.omega_max, 2.0 * sd.omega_max, 1201)
+    spectra.check_resolution(grid, mol.gamma)
+    correlation = cfg.get("emit_correlation", False)
 
     def run():
         values, meta = spectra.absorption_full(grid, mol, None, sd, thermal)
@@ -446,7 +419,7 @@ def _handle_phonon_wing(cfg, seed):
                         curves=[(grid, values, "P_e/eta^2")],
                         labels=("detuning", "P_e/eta^2"), logy=True),
                _meta_artifact("spectrum.meta.json", {"config": cfg, **meta})]
-        if cfg.get("emit_correlation", False):
+        if correlation:
             t = np.arange(0.0, 30.0 / sd.omega_max, meta["dt"])
             corr = np.atleast_1d(spectra.phonon_correlation(t, sd, thermal))
             ctext, crows = _csv("t,re_corr,im_corr",
@@ -464,12 +437,14 @@ def _handle_cavity(cfg, seed):
     cav = _build(cavity_mod.CavityParams, cfg["cavity"])
     sd = _build(SpectralDensity, cfg["sd"]) if "sd" in cfg else None
     grid = _grid_from(cfg["grid"])
+    markovian = cfg.get("markovian", False)
+    if cav.g > 0 and (sd is None or sd.coupling == 0):
+        # the molecular response is the sideband comb: its order
+        spectra.choose_n_max(mol.lam, thermal.occupation(kp.nu))
 
     def run():
         t_amp, t2 = cavity_mod.transmission(
-            grid, cav, mol, kp, thermal, sd=sd,
-            markovian=cfg.get("markovian", False),
-        )
+            grid, cav, mol, kp, thermal, sd=sd, markovian=markovian)
         g_eff = cavity_mod.effective_rabi_from_params(cav, mol, thermal, sd=sd)
         text, rows = _csv("detuning,re_T,im_T,abs_T2",
                           [grid, np.real(t_amp), np.imag(t_amp), t2])
@@ -487,14 +462,15 @@ def _handle_polariton(cfg, seed):
     mol, kp, thermal = _molecule_kernel_thermal(cfg)
     form = cfg.get("form", "two-term")
     t = np.linspace(0.0, cfg["t_grid"]["max"], cfg["t_grid"]["n"])
+    omegas = cfg["omega_plus"], cfg["omega_minus"]
+    kappa, init = cfg["kappa"], cfg.get("init", [1.0, 0.0])
 
     def run():
-        k_plus, k_minus = cavity_mod.polariton_rates(
-            mol, kp, thermal, cfg["omega_plus"], cfg["omega_minus"],
-            form=form)
-        g_pm = cavity_mod.hybridized_decay(cfg["kappa"], mol.gamma)
+        k_plus, k_minus = cavity_mod.polariton_rates(mol, kp, thermal, *omegas,
+                                                     form=form)
+        g_pm = cavity_mod.hybridized_decay(kappa, mol.gamma)
         p_u, p_l = cavity_mod.polariton_populations(
-            t, cfg.get("init", [1.0, 0.0]), (g_pm, g_pm), (k_plus, k_minus))
+            t, init, (g_pm, g_pm), (k_plus, k_minus))
         text, rows = _csv("t,P_U,P_L", [t, p_u, p_l])
         return [
             Artifact("polariton.csv", text, rows,
@@ -507,8 +483,10 @@ def _handle_polariton(cfg, seed):
     return run
 
 
-# Each handler builds one point's domain objects, raising its config errors,
-# and returns the computation that makes the point's artifacts.
+# Each handler builds one point's domain objects and reads every key that
+# its computation uses, so every config error of the point is raised here;
+# the computation it returns makes the point's artifacts and raises only
+# numeric errors, so nothing exits 2 once computing has started.
 _HANDLERS = {
     "relaxation": _handle_relaxation,
     "collective": _handle_collective,
@@ -517,6 +495,19 @@ _HANDLERS = {
     "cavity": _handle_cavity,
     "polariton": _handle_polariton,
 }
+
+
+def _build_point(cmd, point, seed):
+    """The computation of one validated config point, built by the
+    command's handler.  A given key that the handler left unread is a
+    config error: the run's files would be the same without it."""
+    read = {"command"}
+    run = _HANDLERS[cmd](_Reads(point, read), seed)
+    unread = next((key for key in _keys(point) if key not in read), None)
+    if unread is not None:
+        raise ConfigError(f"config field {unread} is not read with the "
+                          "other settings given")
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -572,14 +563,13 @@ def _emit(artifacts, out_dir, fmt, prefix=""):
     return entries
 
 
-def run_config(cfg, out_dir, fmt="csv", seed=None, threads=1):
-    """Validate and run a config, plain or swept, and return its manifest.
-
-    A plain run is a sweep of one point with no file prefix.  Every point
-    is validated and built, then computed, serially or on `threads`
-    workers, before `out_dir` is made and the first file is written, so a
-    run that fails writes nothing.  `seed` overrides the trajectory seed of
-    the commands in SEEDED; any other command refuses it."""
+def build_config(cfg, seed=None):
+    """Validate a config, plain or swept, and build every point: returns the
+    config without its sweep, the sweep (or None) and one computation per
+    point.  Every config error is raised here, before any point computes,
+    so that it is reported whatever the other points would do.  `seed`
+    overrides the trajectory seed of the commands in SEEDED; any other
+    command refuses it."""
     cfg = copy.deepcopy(validate_config(cfg))
     if cfg["command"] == "preset":
         sweep = cfg.get("sweep")
@@ -587,19 +577,22 @@ def run_config(cfg, out_dir, fmt="csv", seed=None, threads=1):
         if sweep is not None:
             cfg["sweep"] = sweep
     sweep = cfg.pop("sweep", None)
-    if sweep is None:
-        prefixes, points = [""], [cfg]
-    else:
-        prefixes = ["p%03d_" % i for i in range(len(sweep["values"]))]
-        points = [validate_config(_set_axis(copy.deepcopy(cfg), sweep["axis"],
-                                            value))
-                  for value in sweep["values"]]
+    points = [cfg] if sweep is None else [
+        validate_config(_set_axis(copy.deepcopy(cfg), sweep["axis"], value))
+        for value in sweep["values"]]
     if seed is not None and cfg["command"] not in SEEDED:
         raise ConfigError(f"--seed is not read by the {cfg['command']!r} "
                           "command")
-    # every point is built before any computes, so that a config error at
-    # any point is reported whatever the other points would do
-    runs = [_HANDLERS[cfg["command"]](point, seed) for point in points]
+    return cfg, sweep, [_build_point(cfg["command"], point, seed)
+                        for point in points]
+
+
+def run_config(cfg, out_dir, fmt="csv", seed=None, threads=1):
+    """Build a config (`build_config`), compute its points, serially or on
+    `threads` workers, and only then make `out_dir` and write the files, so
+    a run that fails writes nothing.  A plain run is a sweep of one point
+    with no file prefix.  Returns the manifest."""
+    cfg, sweep, runs = build_config(cfg, seed)
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(threads) as pool:
             results = list(pool.map(lambda run: run(), runs))
@@ -607,8 +600,10 @@ def run_config(cfg, out_dir, fmt="csv", seed=None, threads=1):
         results = [run() for run in runs]
     manifest = {"command": cfg["command"], "config": cfg,
                 "seed": seed, "files": []}
+    prefixes = [""]
     if sweep is not None:
         manifest["sweep"] = {"axis": sweep["axis"], "values": sweep["values"]}
+        prefixes = ["p%03d_" % i for i in range(len(runs))]
     os.makedirs(out_dir, exist_ok=True)
     for prefix, artifacts in zip(prefixes, results):
         manifest["files"] += _emit(artifacts, out_dir, fmt, prefix)
@@ -628,18 +623,12 @@ def main(argv=None):
     parser.add_argument("--out", default=".")
     parser.add_argument("--format", choices=["csv", "csv+svg"], default="csv")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
-    threads = args.threads
     try:
-        if threads is None:
-            env = os.environ.get("VIBROLANG_THREADS", "1")
-            try:
-                threads = int(env)
-            except ValueError:
-                raise ConfigError(
-                    f"VIBROLANG_THREADS={env!r} is not an integer") from None
+        if args.threads < 1:
+            raise ConfigError(f"--threads {args.threads} must be >= 1")
         cfg = load_config(args.config)
         if not isinstance(cfg, dict) or cfg.get("command") != args.command:
             validate_config(cfg)  # what is wrong with the config comes first
@@ -648,9 +637,8 @@ def main(argv=None):
                 f"command {args.command!r}"
             )
         run_config(cfg, args.out, fmt=args.format, seed=args.seed,
-                   threads=max(1, threads))
-    except (ConfigError, TruncationError, ResolutionError) as exc:
-        # the config's values leave a comb unclosable or gamma unresolved
+                   threads=args.threads)
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except VibrolangError as exc:

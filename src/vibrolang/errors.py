@@ -18,10 +18,6 @@ class DivergenceError(VibrolangError):
     """An integral required by the operation diverges for these parameters."""
 
 
-class TruncationError(VibrolangError):
-    """Series truncation could not reach the requested tail bound."""
-
-
 class InstabilityError(VibrolangError):
     """Trajectory integration blew up (energy growth beyond tolerance)."""
 
@@ -30,5 +26,9 @@ class ConfigError(VibrolangError, ValueError):
     """Invalid run configuration (CLI exit code 2)."""
 
 
-class ResolutionError(VibrolangError):
+class TruncationError(ConfigError):
+    """Series truncation could not reach the requested tail bound."""
+
+
+class ResolutionError(ConfigError):
     """Requested output grid is too coarse to resolve the narrowest feature."""

@@ -71,6 +71,15 @@ class TrajectoryConfig:
             raise ConfigError("t_max must be > 0")
         return dt
 
+    def start(self, m: int):
+        """Initial (Q, P) of m molecules, each of shape (m,)."""
+        try:
+            return tuple(np.broadcast_to(np.asarray(x, dtype=float), (m,))
+                         for x in (self.q0, self.p0))
+        except ValueError as exc:
+            raise ConfigError("q0 and p0 take one value or one per "
+                              "molecule") from exc
+
 
 @dataclass
 class Trajectory:
@@ -407,13 +416,7 @@ def _setup(nu, bath, sites, cfg):
     dt = cfg.resolved_dt(bath.omega_max)
     n_steps = int(np.ceil(cfg.t_max / dt))
     m, nm = A.shape
-
-    try:
-        q0 = np.broadcast_to(np.asarray(cfg.q0, dtype=float), (m,))
-        p0 = np.broadcast_to(np.asarray(cfg.p0, dtype=float), (m,))
-    except ValueError as exc:
-        raise ConfigError("q0 and p0 take one value or one per molecule") \
-            from exc
+    q0, p0 = cfg.start(m)
     rng = np.random.default_rng(cfg.seed)
     q0ph, p0ph = (
         _thermal_phonon_sample(rng, w, bath.temperature)

@@ -454,6 +454,15 @@ def _correlation_response(detuning, molecule: MoleculeParams,
     return response_transform(detuning, corr, gamma, dt), dt, t_horizon
 
 
+def check_resolution(detuning_grid, gamma):
+    """Raise ResolutionError where a detuning grid step exceeds gamma, the
+    zero-phonon line's half width, so the line falls between points."""
+    if len(detuning_grid) > 1 and np.min(np.diff(detuning_grid)) > gamma:
+        raise ResolutionError(
+            "detuning grid spacing exceeds gamma: zero-phonon line "
+            "unresolvable")
+
+
 def absorption_full(detuning_grid, molecule: MoleculeParams,
                     kp: KernelParams | None, sd: SpectralDensity | None,
                     thermal: ThermalState, markovian=False):
@@ -467,12 +476,7 @@ def absorption_full(detuning_grid, molecule: MoleculeParams,
     """
     detuning_grid = np.asarray(detuning_grid, dtype=float)
     gamma = molecule.gamma
-    if len(detuning_grid) > 1:
-        if float(np.min(np.diff(detuning_grid))) > gamma:
-            raise ResolutionError(
-                "detuning grid spacing exceeds gamma: zero-phonon line "
-                "unresolvable"
-            )
+    check_resolution(detuning_grid, gamma)
     h, dt, t_horizon = _correlation_response(
         detuning_grid, molecule, kp, sd, thermal, markovian)
     values = np.real(np.atleast_1d(h)) / gamma

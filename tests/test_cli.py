@@ -37,6 +37,17 @@ def _write(tmp_path, cfg, name="cfg.json"):
     return str(p)
 
 
+def _set(cfg, key, value):
+    """A copy of `cfg` with `value` at the dotted `key`."""
+    cfg = copy.deepcopy(cfg)
+    *sections, leaf = key.split(".")
+    node = cfg
+    for section in sections:
+        node = node[section]
+    node[leaf] = value
+    return cfg
+
+
 SMALL_RELAXATION = {
     "command": "relaxation",
     "nu": 1.0,
@@ -99,6 +110,154 @@ PRESET_FILES = sorted(
     (entry.name[:-len(".json")], entry)
     for entry in (resources.files("vibrolang") / "presets").iterdir()
     if entry.name.endswith(".json"))
+
+
+REMOVED_KEYS = [
+    (SMALL_ABSORPTION, "molecule", "omega0"),
+    (SMALL_ABSORPTION, "molecule", "eta_l"),
+    (SMALL_CAVITY, "cavity", "eta_c"),
+    (SMALL_ABSORPTION, "kernel", "nu_tilde"),
+    (SMALL_RELAXATION, "bath", "ktot"),
+    (SMALL_RELAXATION, "bath", "dx"),
+]
+
+UNREAD_KEYS = [
+    pytest.param(SMALL_ABSORPTION, "sd",
+                 {"kind": "3d", "coupling": 0.02, "omega_max": 3.0},
+                 id="absorption-sd"),
+    pytest.param(SMALL_ABSORPTION, "temperature", 5.0,
+                 id="absorption-temperature"),
+    pytest.param(dict(SMALL_CAVITY, nbar=0.5), "temperature", 5.0,
+                 id="cavity-temperature"),
+    pytest.param(SMALL_POLARITON, "temperature", 5.0,
+                 id="polariton-temperature"),
+    pytest.param(SMALL_DEBYE_WALLER, "temperature", 1.0, id="dw-temperature"),
+    pytest.param(SMALL_DEBYE_WALLER, "gamma", 0.05, id="dw-gamma"),
+    pytest.param(SMALL_DEBYE_WALLER, "grid",
+                 {"min": -1.0, "max": 2.0, "n": 31}, id="dw-grid"),
+    pytest.param(SMALL_DEBYE_WALLER, "emit_correlation", True,
+                 id="dw-emit_correlation"),
+    pytest.param(SMALL_WING, "temp_grid", {"min": 0.0, "max": 1.0, "n": 3},
+                 id="spectrum-temp_grid"),
+    pytest.param(SMALL_COLLECTIVE, "trajectory.q0", [1.0, 1.0],
+                 id="excite-q0"),
+    pytest.param(SMALL_COLLECTIVE, "trajectory.p0", [0.5, 0.0],
+                 id="excite-p0"),
+]
+
+BATH_OUT_OF_DOMAIN = [("mu", 0.0), ("mu", -1.0), ("temperature", -1.0)]
+
+UNREAD_SEEDS = [
+    pytest.param(SMALL_ABSORPTION, "-1", id="absorption-negative"),
+    pytest.param(SMALL_ABSORPTION, "3", id="absorption"),
+    pytest.param(SMALL_WING, "3", id="phonon-wing"),
+    pytest.param({"command": "preset", "name": "fig4a"}, "3",
+                 id="preset-fig4a"),
+]
+
+SWEEP_1D_WING = {
+    "command": "phonon-wing",
+    "sd": {"kind": "1d", "coupling": 0.05, "omega_max": 3.0},
+    "temperature": 2.0,
+    "gamma": 0.05,
+    "grid": {"min": -1.0, "max": 2.0, "n": 301},
+    "sweep": {"axis": "sd.omega_min", "values": [3e-4, 0.0]},
+}
+
+FAILED_RUNS = [
+    # the second point's grid spacing 0.1 exceeds its gamma 0.05
+    pytest.param(dict(SMALL_WING, grid={"min": -1.0, "max": 2.0, "n": 31},
+                      sweep={"axis": "gamma", "values": [0.2, 0.05]}), 2,
+                 id="coarse-grid-sweep"),
+    pytest.param(dict(SMALL_ABSORPTION,
+                      sweep={"axis": "molecule.gamma",
+                             "values": [0.025, -1.0]}), 2,
+                 id="negative-gamma-sweep"),
+    # the second point's 1d band integrals diverge at T > 0
+    pytest.param(SWEEP_1D_WING, 1, id="divergent-sweep"),
+    pytest.param(dict(SMALL_RELAXATION,
+                      trajectory={"t_max": 4.0, "store_every": 0}), 2,
+                 id="store_every-0"),
+    pytest.param(dict(SMALL_RELAXATION,
+                      trajectory={"t_max": 4.0, "seed": -1}), 2,
+                 id="seed-negative"),
+    pytest.param(dict(SMALL_RELAXATION, trajectory={"store_every": 4}), 2,
+                 id="t_max-missing"),
+    pytest.param(dict(SMALL_WING, sd=dict(SMALL_WING["sd"], kind="2d")), 2,
+                 id="kind-2d"),
+    # the first point's 1d band integrals diverge at T > 0, and the
+    # second's omega_min 5 exceeds omega_max 3: the config error wins
+    pytest.param(dict(SWEEP_1D_WING, sweep={"axis": "sd.omega_min",
+                                            "values": [0.0, 5.0]}), 2,
+                 id="config-error-after-divergent-point"),
+    # the first point's 1d band integrals diverge at T > 0, and the
+    # second's grid spacing 0.1 exceeds its gamma 0.05
+    pytest.param(dict(SWEEP_1D_WING, grid={"min": -1.0, "max": 2.0, "n": 31},
+                      sweep={"axis": "gamma", "values": [0.2, 0.05]}), 2,
+                 id="coarse-grid-after-divergent-point"),
+    # the first point's vibron energy overflows, and the second's dt 1.0
+    # exceeds the chain's stability bound
+    pytest.param(dict(SMALL_RELAXATION,
+                      trajectory=dict(SMALL_RELAXATION["trajectory"],
+                                      q0=1e200),
+                      sweep={"axis": "trajectory.dt", "values": [0.01, 1.0]}),
+                 2, id="unstable-dt-after-overflowing-point"),
+]
+
+# every config that exits 2 in this file, with the --seed it is given;
+# the errors of the command line itself (an unreadable file, an unknown or
+# mismatched command, --threads below 1) have no config to build
+CONFIG_ERRORS = [
+    pytest.param(dict(SMALL_RELAXATION, unexpected=1), None,
+                 id="unexpected-key"),
+    pytest.param({k: v for k, v in SMALL_RELAXATION.items() if k != "bath"},
+                 None, id="bath-missing"),
+    pytest.param(_set(load_preset("fig4b"), "kernel.gamma_m", math.nan), None,
+                 id="nan"),
+    pytest.param(dict(SMALL_ABSORPTION,
+                      sweep={"axis": "nbar", "values": [0.0, math.nan]}),
+                 None, id="nan-sweep-value"),
+    pytest.param(_set(SMALL_ABSORPTION, "molecule.gamma", -0.1), None,
+                 id="negative-gamma"),
+    pytest.param(_set(SMALL_ABSORPTION, "molecule.nu", math.inf), None,
+                 id="infinite-nu"),
+    *[pytest.param({k: v for k, v in load_preset(preset).items()
+                    if k != "sweep"} | {"nbar": nbar}, None,
+                   id=f"unclosable-comb-{preset}-{nbar:g}")
+      for preset, nbar in [("fig4b", 1e300), ("fig6a", 1e300),
+                           ("fig4b", 4e4)]],
+    pytest.param(dict(SMALL_WING, grid={"min": -1.0, "max": 2.0, "n": 31}),
+                 None, id="coarse-grid"),
+    pytest.param(dict(SMALL_RELAXATION, nu=-1.0), None,
+                 id="negative-nu-relaxation"),
+    pytest.param(dict(SMALL_COLLECTIVE, nu=-1.0), None,
+                 id="negative-nu-collective"),
+    *[pytest.param(_set(SMALL_RELAXATION, "trajectory.dt", dt), None,
+                   id=f"dt-{dt:g}") for dt in (0.0, -0.01)],
+    pytest.param(dict(SMALL_COLLECTIVE,
+                      j=SMALL_RELAXATION["bath"]["n_cells"] + 1), None,
+                 id="pair-beyond-chain"),
+    # two initial values for one molecule
+    pytest.param(_set(SMALL_RELAXATION, "trajectory.q0", [1.0, 0.5]), None,
+                 id="start-per-molecule-mismatch"),
+    *[pytest.param(_set(cfg, f"{section}.{key}", 1.0), None,
+                   id=f"removed-{key}")
+      for cfg, section, key in REMOVED_KEYS],
+    *[pytest.param(_set(*param.values), None, id=f"unread-{param.id}")
+      for param in UNREAD_KEYS],
+    *[pytest.param(_set(_set(SMALL_RELAXATION, f"bath.{key}", value),
+                        "trajectory.thermal_phonons", True), None,
+                   id=f"bath-{key}-{value:g}")
+      for key, value in BATH_OUT_OF_DOMAIN],
+    pytest.param(SMALL_RELAXATION, -1, id="seed-flag-negative"),
+    *[pytest.param(param.values[0], int(param.values[1]),
+                   id=f"unread-seed-{param.id}") for param in UNREAD_SEEDS],
+    *[pytest.param(param.values[0], None, id=param.id)
+      for param in FAILED_RUNS if param.values[1] == 2],
+    pytest.param(dict(SMALL_ABSORPTION,
+                      sweep={"axis": "grid", "values": [1.0]}), None,
+                 id="non-scalar-sweep-axis"),
+]
 
 
 class TestValidation:
@@ -258,57 +417,42 @@ class TestExitCodes:
         cfg = dict(SMALL_COLLECTIVE, j=SMALL_RELAXATION["bath"]["n_cells"] + 1)
         self._config_error(tmp_path, cfg, capsys)
 
-    @pytest.mark.parametrize("cfg, section, key", [
-        (SMALL_ABSORPTION, "molecule", "omega0"),
-        (SMALL_ABSORPTION, "molecule", "eta_l"),
-        (SMALL_CAVITY, "cavity", "eta_c"),
-        (SMALL_ABSORPTION, "kernel", "nu_tilde"),
-        (SMALL_RELAXATION, "bath", "ktot"),
-        (SMALL_RELAXATION, "bath", "dx"),
-    ], ids=["omega0", "eta_l", "eta_c", "nu_tilde", "ktot", "dx"])
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_config_error(self, tmp_path, capsys,
+                                               threads):
+        # max(1, threads) ran these serially
+        path = _write(tmp_path, SMALL_ABSORPTION)
+        code = main(["absorption", "--config", path, "--out",
+                     str(tmp_path / "o"), "--threads", threads])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("config error") and "--threads" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("cfg, section, key", REMOVED_KEYS,
+                             ids=[key for _, _, key in REMOVED_KEYS])
     def test_removed_key_is_config_error(self, tmp_path, capsys, cfg,
                                          section, key):
         # keys that once reached no output are refused, not ignored
-        cfg = copy.deepcopy(cfg)
-        cfg[section][key] = 1.0
+        cfg = _set(cfg, f"{section}.{key}", 1.0)
         assert repr(key) in self._config_error(tmp_path, cfg, capsys)
 
-    @pytest.mark.parametrize("cfg, key, value", [
-        (SMALL_ABSORPTION, "sd",
-         {"kind": "3d", "coupling": 0.02, "omega_max": 3.0}),
-        (SMALL_ABSORPTION, "temperature", 5.0),
-        (dict(SMALL_CAVITY, nbar=0.5), "temperature", 5.0),
-        (SMALL_POLARITON, "temperature", 5.0),
-        (SMALL_DEBYE_WALLER, "temperature", 1.0),
-        (SMALL_DEBYE_WALLER, "gamma", 0.05),
-        (SMALL_DEBYE_WALLER, "grid", {"min": -1.0, "max": 2.0, "n": 31}),
-        (SMALL_DEBYE_WALLER, "emit_correlation", True),
-        (SMALL_WING, "temp_grid", {"min": 0.0, "max": 1.0, "n": 3}),
-        (SMALL_COLLECTIVE, "trajectory.q0", [1.0, 1.0]),
-        (SMALL_COLLECTIVE, "trajectory.p0", [0.5, 0.0]),
-    ], ids=["absorption-sd", "absorption-temperature", "cavity-temperature",
-            "polariton-temperature", "dw-temperature", "dw-gamma", "dw-grid",
-            "dw-emit_correlation", "spectrum-temp_grid", "excite-q0",
-            "excite-p0"])
+    @pytest.mark.parametrize("cfg, key, value", UNREAD_KEYS)
     def test_unread_key_is_config_error(self, tmp_path, capsys, cfg, key,
                                         value):
         # the other settings leave the key unread, so the run would write
         # the bytes of the run without it
-        cfg = copy.deepcopy(validate_config(cfg))
-        *section, leaf = key.split(".")
-        (cfg[section[0]] if section else cfg)[leaf] = value
+        cfg = _set(validate_config(cfg), key, value)
         assert f"config field {key} " in self._config_error(tmp_path, cfg,
                                                             capsys)
 
-    @pytest.mark.parametrize("key, value", [
-        ("mu", 0.0), ("mu", -1.0), ("temperature", -1.0)])
+    @pytest.mark.parametrize("key, value", BATH_OUT_OF_DOMAIN)
     def test_bath_out_of_domain_is_config_error(self, tmp_path, capsys, key,
                                                 value):
         # mu <= 0 gave a NaN vibron energy (exit 1), a negative temperature
         # a run from rest (exit 0)
-        cfg = copy.deepcopy(SMALL_RELAXATION)
-        cfg["bath"][key] = value
-        cfg["trajectory"]["thermal_phonons"] = True
+        cfg = _set(_set(SMALL_RELAXATION, f"bath.{key}", value),
+                   "trajectory.thermal_phonons", True)
         assert key in self._config_error(tmp_path, cfg, capsys)
 
     def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
@@ -322,11 +466,7 @@ class TestExitCodes:
         assert err.startswith("config error") and "seed" in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("cfg, seed", [
-        (SMALL_ABSORPTION, "-1"), (SMALL_ABSORPTION, "3"),
-        (SMALL_WING, "3"), ({"command": "preset", "name": "fig4a"}, "3")],
-        ids=["absorption-negative", "absorption", "phonon-wing",
-             "preset-fig4a"])
+    @pytest.mark.parametrize("cfg, seed", UNREAD_SEEDS)
     def test_unread_seed_flag_is_config_error(self, tmp_path, capsys, cfg,
                                               seed):
         # the run never reads it, so it must not be recorded as if it did
@@ -345,6 +485,15 @@ class TestExitCodes:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         meta = json.loads((tmp_path / "o" / "run.meta.json").read_text())
         assert manifest["seed"] == meta["seed"] == 3
+
+    def test_seed_flag_overrides_config_seed(self, tmp_path):
+        # the config's seed counts as read: --seed is its override
+        path = _write(tmp_path, _set(SMALL_RELAXATION, "trajectory.seed", 5))
+        assert main(["relaxation", "--config", path, "--out",
+                     str(tmp_path / "o"), "--seed", "3"]) == 0
+        meta = json.loads((tmp_path / "o" / "run.meta.json").read_text())
+        assert meta["seed"] == 3
+        assert meta["config"]["trajectory"]["seed"] == 5
 
     def _cavity_g_eff(self, tmp_path, cfg):
         path = _write(tmp_path, cfg)
@@ -367,38 +516,9 @@ class TestExitCodes:
         assert self._cavity_g_eff(tmp_path, cfg) == 0.0
 
 
-SWEEP_1D_WING = {
-    "command": "phonon-wing",
-    "sd": {"kind": "1d", "coupling": 0.05, "omega_max": 3.0},
-    "temperature": 2.0,
-    "gamma": 0.05,
-    "grid": {"min": -1.0, "max": 2.0, "n": 301},
-    "sweep": {"axis": "sd.omega_min", "values": [3e-4, 0.0]},
-}
-
-
 class TestFailedRunWritesNothing:
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("cfg, code", [
-        # the second point's grid spacing 0.1 exceeds its gamma 0.05
-        (dict(SMALL_WING, grid={"min": -1.0, "max": 2.0, "n": 31},
-              sweep={"axis": "gamma", "values": [0.2, 0.05]}), 2),
-        (dict(SMALL_ABSORPTION,
-              sweep={"axis": "molecule.gamma", "values": [0.025, -1.0]}), 2),
-        # the second point's 1d band integrals diverge at T > 0
-        (SWEEP_1D_WING, 1),
-        (dict(SMALL_RELAXATION, trajectory={"t_max": 4.0, "store_every": 0}),
-         2),
-        (dict(SMALL_RELAXATION, trajectory={"t_max": 4.0, "seed": -1}), 2),
-        (dict(SMALL_RELAXATION, trajectory={"store_every": 4}), 2),
-        (dict(SMALL_WING, sd=dict(SMALL_WING["sd"], kind="2d")), 2),
-        # the first point's 1d band integrals diverge at T > 0, and the
-        # second's omega_min 5 exceeds omega_max 3: the config error wins
-        (dict(SWEEP_1D_WING, sweep={"axis": "sd.omega_min",
-                                    "values": [0.0, 5.0]}), 2),
-    ], ids=["coarse-grid-sweep", "negative-gamma-sweep", "divergent-sweep",
-            "store_every-0", "seed-negative", "t_max-missing", "kind-2d",
-            "config-error-after-divergent-point"])
+    @pytest.mark.parametrize("cfg, code", FAILED_RUNS)
     def test_exit_code_and_no_files(self, tmp_path, capsys, cfg, code,
                                     threads):
         path = _write(tmp_path, cfg)
@@ -460,6 +580,21 @@ class TestValidateOnce:
         assert main(["relaxation", "--config", path,
                      "--out", str(tmp_path / "o")]) == 2
         assert "unexpected" in capsys.readouterr().err
+
+
+class TestBuildStep:
+    @pytest.mark.parametrize("cfg, seed", CONFIG_ERRORS)
+    def test_config_error_raised_while_building(self, tmp_path, capsys, cfg,
+                                                seed):
+        # building every point through its handler, with none of the
+        # returned computations called, raises the error the CLI reports
+        with pytest.raises(ConfigError) as built:
+            cli.build_config(cfg, seed)
+        argv = [cfg["command"], "--config", _write(tmp_path, cfg),
+                "--out", str(tmp_path / "o")]
+        assert main(argv + ([] if seed is None else ["--seed", str(seed)])) \
+            == 2
+        assert capsys.readouterr().err == f"config error: {built.value}\n"
 
 
 class TestArtifacts:
@@ -662,21 +797,3 @@ class TestReproduceScript:
                                   .read_text())
             assert manifest["files"]
             assert manifest["seed"] == (3 if name == "fig2d" else None)
-
-
-class TestEnvThreads:
-    def test_env_var_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("VIBROLANG_THREADS", "2")
-        cfg = _write(tmp_path, SMALL_ABSORPTION)
-        assert main(["absorption", "--config", cfg,
-                     "--out", str(tmp_path / "out")]) == 0
-
-    def test_non_integer_env_is_config_error(self, tmp_path, monkeypatch,
-                                             capsys):
-        monkeypatch.setenv("VIBROLANG_THREADS", "two")
-        cfg = _write(tmp_path, SMALL_ABSORPTION)
-        code = main(["absorption", "--config", cfg,
-                     "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == 2, err
-        assert "Traceback" not in err and err.startswith("config error")
