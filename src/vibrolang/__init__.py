@@ -39,14 +39,11 @@ from .microsim import (
     simulate,
 )
 from .spectra import (
-    LineSpectrum,
     absorption_bessel,
     absorption_discrete,
     absorption_full,
-    absorption_multimode_discrete,
     debye_waller,
     dephasing_rate,
-    displacement_correlation_vibron,
     franck_condon,
     mirror_emission,
     phonon_correlation,

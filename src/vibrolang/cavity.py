@@ -47,8 +47,7 @@ class CavityParams:
 
 
 def molecular_response(detuning, molecule: MoleculeParams, kp: KernelParams,
-                       thermal: ThermalState, sd: SpectralDensity | None = None,
-                       markovian=False):
+                       thermal: ThermalState, sd: SpectralDensity | None = None):
     """Complex molecular response H(delta).
 
     Without phonons (sd=None) this is the sum over the vibron's sideband
@@ -68,18 +67,16 @@ def molecular_response(detuning, molecule: MoleculeParams, kp: KernelParams,
             out = 1.0 / (molecule.gamma - 1j * detuning)
             return out if out.ndim else complex(out)
         lines = vibron_lines(molecule.lam, thermal.occupation(kp.nu),
-                             *relaxation_params(kp, markovian=markovian),
-                             molecule.gamma)
+                             *relaxation_params(kp), molecule.gamma)
         out = _line_sum(detuning, lines,
                         lambda d, pos, wt, wid: wt / (wid - 1j * (d - pos)))
         return out if out.ndim else complex(out)
-    return _correlation_response(detuning, molecule, kp, sd, thermal,
-                                 markovian)[0]
+    return _correlation_response(detuning, molecule, kp, sd, thermal)[0]
 
 
 def transmission(detuning, cavity: CavityParams, molecule: MoleculeParams,
                  kp: KernelParams, thermal: ThermalState,
-                 sd: SpectralDensity | None = None, markovian=False):
+                 sd: SpectralDensity | None = None):
     """Normalized cavity transmission amplitude
 
         T(delta) = kappa / [ g^2 H(delta) + kappa - i(delta - delta_c) ],
@@ -88,15 +85,14 @@ def transmission(detuning, cavity: CavityParams, molecule: MoleculeParams,
     """
     detuning = np.asarray(detuning, dtype=float)
     if cavity.g > 0:
-        _, gamma_p = relaxation_params(kp, markovian=markovian)
+        _, gamma_p = relaxation_params(kp)
         if gamma_p < cavity.kappa:
             warnings.warn(
                 "Gamma' < kappa: vibrational relaxation slower than the "
                 "cavity; factorized response is approximate",
                 stacklevel=2,
             )
-        h = molecular_response(detuning, molecule, kp, thermal, sd=sd,
-                               markovian=markovian)
+        h = molecular_response(detuning, molecule, kp, thermal, sd=sd)
     else:
         h = 0.0
     den = cavity.g**2 * h + cavity.kappa - 1j * (detuning - cavity.delta_c)

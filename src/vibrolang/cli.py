@@ -83,7 +83,7 @@ def _section(make, supplied=(), **types):
 _BATH = _section(DiscreteBath, qfactor={"anyOf": [_NUM, {"const": "inf"}]})
 _TRAJ = _section(microsim.TrajectoryConfig)
 _MOL = _section(MoleculeParams)
-_KERNEL = _section(kernels.KernelParams, supplied=("nu",))
+_KERNEL = _section(kernels.KernelParams, supplied=("nu", "markovian"))
 _SD = _section(SpectralDensity)
 
 _GRID = _obj({"min": _NUM, "max": _NUM, "n": _POSINT},
@@ -241,7 +241,8 @@ def _molecule_kernel_thermal(cfg):
     else:
         thermal = _build(ThermalState,
                          {"temperature": cfg.get("temperature", 0.0)})
-    return mol, _build(kernels.KernelParams, cfg["kernel"], nu=mol.nu), thermal
+    return mol, _build(kernels.KernelParams, cfg["kernel"], nu=mol.nu,
+                       markovian=cfg.get("markovian", False)), thermal
 
 
 def _grid_from(cfg):
@@ -352,7 +353,6 @@ def _handle_absorption(cfg, seed):
     mol, kp, thermal = _molecule_kernel_thermal(cfg)
     grid = _grid_from(cfg["grid"])
     method = cfg.get("method", "discrete")
-    markovian = cfg.get("markovian", False)
     mirror = cfg.get("emit_mirror", False)
     sd = _build(SpectralDensity, cfg["sd"]) \
         if method == "full" and "sd" in cfg else None
@@ -366,12 +366,12 @@ def _handle_absorption(cfg, seed):
         if method in ("discrete", "bessel"):
             absorb = {"discrete": spectra.absorption_discrete,
                       "bessel": spectra.absorption_bessel}[method]
-            spec = absorb(grid, mol, kp, thermal, markovian=markovian)
+            spec = absorb(grid, mol, kp, thermal)
             values = spec.values
             meta.update({"n_lines": len(spec.lines), **spec.meta})
         else:
-            values, full_meta = spectra.absorption_full(
-                grid, mol, kp, sd, thermal, markovian=markovian)
+            values, full_meta = spectra.absorption_full(grid, mol, kp, sd,
+                                                        thermal)
             meta.update(full_meta)
         text, rows = _csv("detuning,value", [grid, values])
         out = [Artifact("spectrum.csv", text, rows,
@@ -437,14 +437,13 @@ def _handle_cavity(cfg, seed):
     cav = _build(cavity_mod.CavityParams, cfg["cavity"])
     sd = _build(SpectralDensity, cfg["sd"]) if "sd" in cfg else None
     grid = _grid_from(cfg["grid"])
-    markovian = cfg.get("markovian", False)
     if cav.g > 0 and (sd is None or sd.coupling == 0):
         # the molecular response is the sideband comb: its order
         spectra.choose_n_max(mol.lam, thermal.occupation(kp.nu))
 
     def run():
-        t_amp, t2 = cavity_mod.transmission(
-            grid, cav, mol, kp, thermal, sd=sd, markovian=markovian)
+        t_amp, t2 = cavity_mod.transmission(grid, cav, mol, kp, thermal,
+                                            sd=sd)
         g_eff = cavity_mod.effective_rabi_from_params(cav, mol, thermal, sd=sd)
         text, rows = _csv("detuning,re_T,im_T,abs_T2",
                           [grid, np.real(t_amp), np.imag(t_amp), t2])

@@ -37,11 +37,13 @@ class KernelParams:
     gamma_m   : Markovian decay rate
     omega_max : phonon band edge
     nu        : vibron frequency
+    markovian : relax at (nu, Gamma_m), not at the pole (nu', Gamma')
     """
 
     gamma_m: float
     omega_max: float
     nu: float
+    markovian: bool = False
 
     def __post_init__(self):
         if self.gamma_m < 0:
@@ -163,27 +165,26 @@ def effective_params(kp: KernelParams):
     return float(nu_prime), gamma_prime
 
 
-def relaxation_params(kp: KernelParams, markovian=False):
+def relaxation_params(kp: KernelParams):
     """(nu', Gamma') from the pole approximation, or simply (nu, Gamma_m)
-    when `markovian` is set (used e.g. when the vibron lies above the band)."""
-    if markovian:
+    when `kp.markovian` is set (e.g. for a vibron above the band)."""
+    if kp.markovian:
         return kp.nu, kp.gamma_m
     return effective_params(kp)
 
 
-def momentum_correlation(tau, kp: KernelParams, thermal: ThermalState,
-                         markovian=False):
+def momentum_correlation(tau, kp: KernelParams, thermal: ThermalState):
     """Closed-form two-time momentum correlation <P(t) P(t - tau)>,
 
     [(nbar + 1/2) cos(nu' tau) - (i/2) sin(nu' tau)] exp(-Gamma' |tau| / 2).
 
     Leading order in Gamma_m/nu; (nu', Gamma') come from `relaxation_params`,
-    so they are (nu, Gamma_m) when `markovian` is set.  Against
+    so they are (nu, Gamma_m) when `kp.markovian` is set.  Against
     `momentum_correlation_numeric` at omega_max = 1.3 nu, the relative L2
     error over [0, 6/Gamma'] is about 1.27 Gamma_m/nu at T = 0
     and 0.99 Gamma_m/nu at nbar = 1.
     """
-    nu_p, gamma_p = relaxation_params(kp, markovian=markovian)
+    nu_p, gamma_p = relaxation_params(kp)
     nbar = thermal.occupation(kp.nu)
     tau = np.asarray(tau, dtype=float)
     out = ((nbar + 0.5) * np.cos(nu_p * tau) - 0.5j * np.sin(nu_p * tau)) * np.exp(

@@ -108,14 +108,14 @@ def polaron_shift(sd: SpectralDensity):
 
 def displacement_correlation_vibron(tau, molecule: MoleculeParams,
                                     kp: KernelParams,
-                                    thermal: ThermalState, markovian=False):
+                                    thermal: ThermalState):
     """Vibron displacement correlation <B(tau) B^dag(0)> =
     exp[-2 lam^2 (<P^2> - <P(tau)P(0)>)].
 
     Decays from 1 at tau = 0 to the Franck-Condon factor at long delay.
     """
     nbar = thermal.occupation(kp.nu)
-    corr = momentum_correlation(tau, kp, thermal, markovian=markovian)
+    corr = momentum_correlation(tau, kp, thermal)
     out = np.exp(-2.0 * molecule.lam**2 * ((nbar + 0.5) - corr))
     return out if np.ndim(out) else complex(out)
 
@@ -260,17 +260,16 @@ def _line_sum(detuning, lines, term):
 
 
 def choose_n_max(lam, nbar):
-    """Truncation order from Poisson concentration, grown until the combined
-    weight tail drops below 1e-8.  At most 250, the order whose comb
-    (31,626 pairs) and its (grid x lines) evaluation stay in memory."""
+    """Truncation order ceil(s) + 10 sqrt(s) + 10, s = lam^2 (1 + 2 nbar),
+    capped at 250, whose comb (31,626 pairs) and its (grid x lines)
+    evaluation stay in memory.  Below the cap the weight tail is at most
+    2e-20; a capped order with a tail over 1e-8 raises TruncationError."""
     s = lam**2 * (1.0 + 2.0 * nbar)
     n_max = min(int(math.ceil(s) + 10.0 * math.sqrt(s) + 10), _ORDER_CAP) \
         if s < _ORDER_CAP else _ORDER_CAP
-    while _weight_tail(lam, nbar, n_max) > _TAIL_TARGET:
-        if n_max == _ORDER_CAP:
-            raise TruncationError(
-                f"weight tail did not close below 1e-8 by order {_ORDER_CAP}")
-        n_max = min(int(n_max * 1.5) + 1, _ORDER_CAP)
+    if _weight_tail(lam, nbar, n_max) > _TAIL_TARGET:
+        raise TruncationError(
+            f"weight tail did not close below 1e-8 by order {_ORDER_CAP}")
     return n_max
 
 
@@ -309,14 +308,14 @@ def vibron_lines(lam, nbar, nu_p, gamma_p, gamma):
 
 
 def absorption_discrete(detuning_grid, molecule: MoleculeParams,
-                        kp: KernelParams, thermal: ThermalState,
-                        markovian=False) -> LineSpectrum:
+                        kp: KernelParams,
+                        thermal: ThermalState) -> LineSpectrum:
     """Vibronic absorption spectrum as a double sum of Lorentzian lines,
 
     P_e/eta^2 = sum_{n,l} w(n,l) (gamma + n Gamma'/2)/gamma
                 / [ (gamma + n Gamma'/2)^2 + (Delta - (n-2l) nu')^2 ].
     """
-    nu_p, gamma_p = relaxation_params(kp, markovian=markovian)
+    nu_p, gamma_p = relaxation_params(kp)
     nbar = thermal.occupation(kp.nu)
     lam = molecule.lam
     lines = vibron_lines(lam, nbar, nu_p, gamma_p, molecule.gamma)
@@ -328,8 +327,8 @@ def absorption_discrete(detuning_grid, molecule: MoleculeParams,
 
 
 def absorption_bessel(detuning_grid, molecule: MoleculeParams,
-                      kp: KernelParams, thermal: ThermalState,
-                      markovian=False) -> LineSpectrum:
+                      kp: KernelParams,
+                      thermal: ThermalState) -> LineSpectrum:
     """Single-index sideband resummation: the comb's weights summed over
     equal k = n - 2l, the Skellam weights
 
@@ -338,7 +337,7 @@ def absorption_bessel(detuning_grid, molecule: MoleculeParams,
     lines at k nu' with width gamma + |k| Gamma'/2.  Valid when
     2 lam^2 sqrt(nbar(nbar+1)) << 1; a warning flags the opposite case.
     """
-    nu_p, gamma_p = relaxation_params(kp, markovian=markovian)
+    nu_p, gamma_p = relaxation_params(kp)
     nbar = thermal.occupation(kp.nu)
     lam = molecule.lam
     arg = 2.0 * lam**2 * math.sqrt(nbar * (nbar + 1.0))
@@ -357,35 +356,6 @@ def absorption_bessel(detuning_grid, molecule: MoleculeParams,
                              molecule.gamma + 0.5 * np.abs(k) * gamma_p))
     return LineSpectrum(lines=lines, gamma=molecule.gamma, grid=detuning_grid,
                         meta={"nbar": nbar, "validity_arg": arg})
-
-
-def absorption_multimode_discrete(detuning_grid, molecule: MoleculeParams,
-                                  mode_table, thermal: ThermalState
-                                  ) -> LineSpectrum:
-    """Brute-force oracle: product over up to 4 explicit phonon/vibron modes.
-
-    `mode_table` is a sequence of (omega_k, lam_k, gamma_k_ph) rows.  The
-    spectrum is the multi-index sum with weights prod_k w_k(n_k, l_k) of
-    each mode's `_sideband_comb`, line positions sum_k (n_k - 2 l_k) omega_k
-    and widths gamma + sum_k n_k gamma_k_ph (each mode correlation decays as
-    e^{-gamma_k_ph |tau|}); products of weight 1e-14 or less are pruned.  A
-    single mode with gamma_ph = Gamma'/2 reduces to absorption_discrete.
-    """
-    mode_table = [tuple(map(float, row)) for row in mode_table]
-    if len(mode_table) > 4:
-        raise DomainError("multimode oracle limited to 4 modes (combinatorics)")
-    pos, wt, wid = np.zeros(1), np.ones(1), np.full(1, molecule.gamma)
-    for (wk, lk, gk) in mode_table:
-        nb = thermal.occupation(wk)
-        n, l, w = _sideband_comb(lk, nb)
-        wt = np.multiply.outer(wt, w).ravel()
-        keep = wt > 1e-14
-        pos = np.add.outer(pos, (n - 2 * l) * wk).ravel()[keep]
-        wid = np.add.outer(wid, n * gk).ravel()[keep]
-        wt = wt[keep]
-    return LineSpectrum(lines=np.column_stack((pos, wt, wid)),
-                        gamma=molecule.gamma, grid=detuning_grid,
-                        meta={"modes": mode_table})
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +398,7 @@ def response_transform(detuning, corr, gamma, dt):
 
 def _correlation_response(detuning, molecule: MoleculeParams,
                           kp: KernelParams | None, sd: SpectralDensity | None,
-                          thermal: ThermalState, markovian):
+                          thermal: ThermalState):
     """Damped transform of the product correlation <B B^dag><D D^dag>,
     each factor present when its coupling is.
 
@@ -447,8 +417,7 @@ def _correlation_response(detuning, molecule: MoleculeParams,
     t = np.arange(n) * dt
     corr = np.ones(n, dtype=complex)
     if molecule.lam > 0 and kp is not None:
-        corr *= displacement_correlation_vibron(t, molecule, kp, thermal,
-                                                markovian=markovian)
+        corr *= displacement_correlation_vibron(t, molecule, kp, thermal)
     if sd is not None and sd.coupling > 0:
         corr *= phonon_correlation(t, sd, thermal)
     return response_transform(detuning, corr, gamma, dt), dt, t_horizon
@@ -465,7 +434,7 @@ def check_resolution(detuning_grid, gamma):
 
 def absorption_full(detuning_grid, molecule: MoleculeParams,
                     kp: KernelParams | None, sd: SpectralDensity | None,
-                    thermal: ThermalState, markovian=False):
+                    thermal: ThermalState):
     """Full absorption spectrum P_e/eta^2 including vibronic sidebands and
     phonon wings, via the damped transform of the product correlation
     <B B^dag><D D^dag> on the time grid that `_correlation_response`
@@ -478,7 +447,7 @@ def absorption_full(detuning_grid, molecule: MoleculeParams,
     gamma = molecule.gamma
     check_resolution(detuning_grid, gamma)
     h, dt, t_horizon = _correlation_response(
-        detuning_grid, molecule, kp, sd, thermal, markovian)
+        detuning_grid, molecule, kp, sd, thermal)
     values = np.real(np.atleast_1d(h)) / gamma
     meta = {
         "dt": dt,

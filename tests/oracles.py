@@ -1,8 +1,8 @@
 """Reference formulas that only the tests call: a numeric kernel transform,
-the band form of the Markovian rate, a single-mode dephasing rate,
-first-order scattering amplitudes on the chain, the chain's RK4 step loop,
-and the per-value CSV and polyline formatters that the one-`%` emitters
-replace."""
+the band form of the Markovian rate, a single-mode dephasing rate, the
+brute-force multimode sideband spectrum, first-order scattering amplitudes
+on the chain, the chain's RK4 step loop, and the per-value CSV and polyline
+formatters that the one-`%` emitters replace."""
 
 import io
 
@@ -13,11 +13,13 @@ from vibrolang import (
     DiscreteBath,
     DomainError,
     KernelParams,
+    MoleculeParams,
     ThermalState,
     chain_eigenmodes,
     gamma_time,
     vibron_phonon_couplings,
 )
+from vibrolang.spectra import LineSpectrum, _sideband_comb
 
 
 def kernel_fourier_numeric(omega, kp: KernelParams, d=0, t_max=None):
@@ -59,6 +61,35 @@ def single_mode_dephasing_rate(t, lam_k, omega_k, thermal: ThermalState):
         lam_k**2 * (2.0 * nbar + 1.0) * (1.0 - np.cos(omega_k * safe)) / safe,
     )
     return out if out.ndim else float(out)
+
+
+def absorption_multimode_discrete(detuning_grid, molecule: MoleculeParams,
+                                  mode_table, thermal: ThermalState
+                                  ) -> LineSpectrum:
+    """Brute-force oracle: product over up to 4 explicit phonon/vibron modes.
+
+    `mode_table` is a sequence of (omega_k, lam_k, gamma_k_ph) rows.  The
+    spectrum is the multi-index sum with weights prod_k w_k(n_k, l_k) of
+    each mode's `_sideband_comb`, line positions sum_k (n_k - 2 l_k) omega_k
+    and widths gamma + sum_k n_k gamma_k_ph (each mode correlation decays as
+    e^{-gamma_k_ph |tau|}); products of weight 1e-14 or less are pruned.  A
+    single mode with gamma_ph = Gamma'/2 reduces to absorption_discrete.
+    """
+    mode_table = [tuple(map(float, row)) for row in mode_table]
+    if len(mode_table) > 4:
+        raise DomainError("multimode oracle limited to 4 modes (combinatorics)")
+    pos, wt, wid = np.zeros(1), np.ones(1), np.full(1, molecule.gamma)
+    for (wk, lk, gk) in mode_table:
+        nb = thermal.occupation(wk)
+        n, l, w = _sideband_comb(lk, nb)
+        wt = np.multiply.outer(wt, w).ravel()
+        keep = wt > 1e-14
+        pos = np.add.outer(pos, (n - 2 * l) * wk).ravel()[keep]
+        wid = np.add.outer(wid, n * gk).ravel()[keep]
+        wt = wt[keep]
+    return LineSpectrum(lines=np.column_stack((pos, wt, wid)),
+                        gamma=molecule.gamma, grid=detuning_grid,
+                        meta={"modes": mode_table})
 
 
 def dyson_first_order(t: float, bath: DiscreteBath, nu: float):

@@ -284,7 +284,7 @@ def test_criterion_9_cavity():
     # polariton splitting vs 2 g_eff for nbar in {0..3}, with and without the
     # 3D phonon factor, plus the Purcell antiresonance width and depth
     nu, lam_v = 8.0, 0.3
-    kp = KernelParams(gamma_m=0.48, omega_max=3.0, nu=nu)
+    kp = KernelParams(gamma_m=0.48, omega_max=3.0, nu=nu, markovian=True)
     mol = MoleculeParams(gamma=0.02, nu=nu, lam=lam_v)
     cav = CavityParams(delta_c=0.0, kappa=0.06, g=0.3)
     grid = np.linspace(-0.6, 0.6, 4001)
@@ -293,17 +293,17 @@ def test_criterion_9_cavity():
     for nbar in (0.0, 1.0, 2.0, 3.0):
         th = (ThermalState.from_occupation(nbar, nu) if nbar > 0
               else ThermalState(temperature=0.0))
-        _, t2 = transmission(grid, cav, mol, kp, th, markovian=True)
+        _, t2 = transmission(grid, cav, mol, kp, th)
         g_eff = effective_rabi(cav.g, franck_condon(lam_v, nbar))
         worst = max(worst, abs(peak_separation(grid, t2) - 2 * g_eff)
                     / (2 * g_eff))
-        _, t2p = transmission(grid, cav, mol, kp, th, sd=sd, markovian=True)
+        _, t2p = transmission(grid, cav, mol, kp, th, sd=sd)
         g_eff_p = effective_rabi(cav.g, franck_condon(lam_v, nbar),
                                  debye_waller(sd, th))
         worst = max(worst, abs(peak_separation(grid, t2p) - 2 * g_eff_p)
                     / (2 * g_eff_p))
     # Purcell preset: g = 0.35 kappa, lam = 0.8, 3D coupling 0.2, T = 10 K
-    kp6 = KernelParams(gamma_m=0.48, omega_max=3.0, nu=6.0)
+    kp6 = KernelParams(gamma_m=0.48, omega_max=3.0, nu=6.0, markovian=True)
     gam = 0.01
     mol_p = MoleculeParams(gamma=gam, nu=6.0, lam=0.8)
     mol_2l = MoleculeParams(gamma=gam, nu=6.0, lam=0.0)
@@ -311,9 +311,8 @@ def test_criterion_9_cavity():
     th_p = ThermalState(temperature=1.309235)
     sd_p = SpectralDensity(kind="3d", coupling=0.2, omega_max=3.0)
     pg = np.linspace(-0.6, 0.6, 1201)
-    _, t2_2l = transmission(pg, cav_p, mol_2l, kp6, th_p, markovian=True)
-    _, t2_ph = transmission(pg, cav_p, mol_p, kp6, th_p, sd=sd_p,
-                            markovian=True)
+    _, t2_2l = transmission(pg, cav_p, mol_2l, kp6, th_p)
+    _, t2_ph = transmission(pg, cav_p, mol_p, kp6, th_p, sd=sd_p)
     c_eff = cav_p.g**2 * franck_condon(0.8, th_p.occupation(6.0)) \
         * debye_waller(sd_p, th_p) / (cav_p.kappa * gam)
     width = dip_width(pg, t2_ph)

@@ -27,7 +27,7 @@ from vibrolang.cavity import (
 )
 from vibrolang.spectra import franck_condon
 
-KP = KernelParams(gamma_m=0.48, omega_max=3.0, nu=6.0)
+KP = KernelParams(gamma_m=0.48, omega_max=3.0, nu=6.0, markovian=True)
 TH0 = ThermalState(temperature=0.0)
 MOL = MoleculeParams(gamma=0.02, nu=6.0, lam=0.8)
 
@@ -36,13 +36,13 @@ class TestResponse:
     def test_two_level_response(self):
         mol = MoleculeParams(gamma=0.1, nu=6.0, lam=0.0)
         det = np.linspace(-2, 2, 41)
-        h = molecular_response(det, mol, KP, TH0, markovian=True)
+        h = molecular_response(det, mol, KP, TH0)
         np.testing.assert_allclose(h, 1.0 / (0.1 - 1j * det), rtol=1e-12)
 
     def test_kramers_kronig_at_band_center(self):
         # Re H at 0 from the Hilbert transform of Im H (principal value)
         det = np.linspace(-40.0, 40.0, 160001)
-        h = molecular_response(det, MOL, KP, TH0, markovian=True)
+        h = molecular_response(det, MOL, KP, TH0)
         im = h.imag
         with np.errstate(divide="ignore", invalid="ignore"):
             integrand = np.where(det != 0.0, im / det, 0.0)
@@ -54,8 +54,8 @@ class TestResponse:
         # one sideband comb, two evaluations: Re H / gamma is the spectrum
         th = ThermalState.from_occupation(1.0, MOL.nu)
         det = np.linspace(-10.0, 10.0, 2001)
-        h = molecular_response(det, MOL, KP, th, markovian=True)
-        ref = absorption_discrete(det, MOL, KP, th, markovian=True).values
+        h = molecular_response(det, MOL, KP, th)
+        ref = absorption_discrete(det, MOL, KP, th).values
         assert np.max(np.abs(h.real / MOL.gamma - ref)) <= 1e-12 * np.max(ref)
 
     def test_blocked_comb_response_is_one_pass_sum(self):
@@ -75,7 +75,7 @@ class TestTransmission:
     def test_bare_cavity_lorentzian(self):
         cav = CavityParams(delta_c=0.3, kappa=0.5, g=0.0)
         det = np.linspace(-3, 3, 301)
-        _, t2 = transmission(det, cav, MOL, KP, TH0, markovian=True)
+        _, t2 = transmission(det, cav, MOL, KP, TH0)
         expect = 0.5**2 / (0.5**2 + (det - 0.3) ** 2)
         np.testing.assert_allclose(t2, expect, rtol=1e-10)
 
@@ -94,7 +94,7 @@ class TestTransmission:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            t_amp, t2 = transmission(det, cav, mol, KP, TH0, markovian=True)
+            t_amp, t2 = transmission(det, cav, mol, KP, TH0)
         assert np.all(np.abs(t_amp) <= 1.0 + 1e-9)
 
     def test_paper_figure_splitting_nbar0(self):
@@ -105,7 +105,7 @@ class TestTransmission:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _, t2 = transmission(det, cav, MOL, KP, TH0, markovian=True)
+            _, t2 = transmission(det, cav, MOL, KP, TH0)
         sep = peak_separation(det, t2)
         g_eff = effective_rabi(3.0, franck_condon(0.8, 0.0))
         assert abs(sep - 2.0 * g_eff) / (2.0 * g_eff) < 0.05
@@ -113,8 +113,7 @@ class TestTransmission:
     def test_factorization_warning_when_cavity_fast(self):
         cav = CavityParams(delta_c=0.0, kappa=5.0, g=1.0)
         with pytest.warns(UserWarning):
-            transmission(np.linspace(-1, 1, 11), cav, MOL, KP, TH0,
-                         markovian=True)
+            transmission(np.linspace(-1, 1, 11), cav, MOL, KP, TH0)
 
 
 class TestPeakUtilities:

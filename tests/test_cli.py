@@ -28,7 +28,13 @@ from vibrolang.cavity import CavityParams
 from vibrolang.errors import ConfigError
 from vibrolang.kernels import KernelParams
 from vibrolang.microsim import TrajectoryConfig
-from vibrolang.model import DiscreteBath, MoleculeParams, SpectralDensity
+from vibrolang.model import (
+    DiscreteBath,
+    MoleculeParams,
+    SpectralDensity,
+    ThermalState,
+)
+from vibrolang.spectra import absorption_full
 
 
 def _write(tmp_path, cfg, name="cfg.json"):
@@ -147,6 +153,9 @@ UNREAD_KEYS = [
 
 BATH_OUT_OF_DOMAIN = [("mu", 0.0), ("mu", -1.0), ("temperature", -1.0)]
 
+# (preset, nbar) whose sideband comb cannot close within its order cap
+UNCLOSABLE_COMBS = [("fig4b", 1e300), ("fig6a", 1e300), ("fig4b", 4e4)]
+
 UNREAD_SEEDS = [
     pytest.param(SMALL_ABSORPTION, "-1", id="absorption-negative"),
     pytest.param(SMALL_ABSORPTION, "3", id="absorption"),
@@ -204,59 +213,72 @@ FAILED_RUNS = [
                  2, id="unstable-dt-after-overflowing-point"),
 ]
 
-# every config that exits 2 in this file, with the --seed it is given;
-# the errors of the command line itself (an unreadable file, an unknown or
-# mismatched command, --threads below 1) have no config to build
+# every config that exits 2 in this file, with the --seed it is given and a
+# substring its message must hold (or None); the errors of the command line
+# itself (an unreadable file, an unknown or mismatched command, --threads
+# below 1) have no config to build
 CONFIG_ERRORS = [
-    pytest.param(dict(SMALL_RELAXATION, unexpected=1), None,
+    pytest.param(dict(SMALL_RELAXATION, unexpected=1), None, None,
                  id="unexpected-key"),
     pytest.param({k: v for k, v in SMALL_RELAXATION.items() if k != "bath"},
-                 None, id="bath-missing"),
+                 None, None, id="bath-missing"),
     pytest.param(_set(load_preset("fig4b"), "kernel.gamma_m", math.nan), None,
-                 id="nan"),
+                 None, id="nan"),
     pytest.param(dict(SMALL_ABSORPTION,
                       sweep={"axis": "nbar", "values": [0.0, math.nan]}),
-                 None, id="nan-sweep-value"),
-    pytest.param(_set(SMALL_ABSORPTION, "molecule.gamma", -0.1), None,
+                 None, None, id="nan-sweep-value"),
+    pytest.param(_set(SMALL_ABSORPTION, "molecule.gamma", -0.1), None, None,
                  id="negative-gamma"),
-    pytest.param(_set(SMALL_ABSORPTION, "molecule.nu", math.inf), None,
+    pytest.param(_set(SMALL_ABSORPTION, "molecule.nu", math.inf), None, None,
                  id="infinite-nu"),
     *[pytest.param({k: v for k, v in load_preset(preset).items()
-                    if k != "sweep"} | {"nbar": nbar}, None,
+                    if k != "sweep"} | {"nbar": nbar}, None, None,
                    id=f"unclosable-comb-{preset}-{nbar:g}")
-      for preset, nbar in [("fig4b", 1e300), ("fig6a", 1e300),
-                           ("fig4b", 4e4)]],
+      for preset, nbar in UNCLOSABLE_COMBS],
+    # grid spacing 0.1 against the default gamma 0.05: the zero-phonon line
+    # cannot be resolved, and both values come from the config
     pytest.param(dict(SMALL_WING, grid={"min": -1.0, "max": 2.0, "n": 31}),
-                 None, id="coarse-grid"),
-    pytest.param(dict(SMALL_RELAXATION, nu=-1.0), None,
+                 None, "grid spacing exceeds gamma", id="coarse-grid"),
+    pytest.param(dict(SMALL_RELAXATION, nu=-1.0), None, None,
                  id="negative-nu-relaxation"),
-    pytest.param(dict(SMALL_COLLECTIVE, nu=-1.0), None,
+    pytest.param(dict(SMALL_COLLECTIVE, nu=-1.0), None, None,
                  id="negative-nu-collective"),
-    *[pytest.param(_set(SMALL_RELAXATION, "trajectory.dt", dt), None,
+    *[pytest.param(_set(SMALL_RELAXATION, "trajectory.dt", dt), None, None,
                    id=f"dt-{dt:g}") for dt in (0.0, -0.01)],
     pytest.param(dict(SMALL_COLLECTIVE,
-                      j=SMALL_RELAXATION["bath"]["n_cells"] + 1), None,
+                      j=SMALL_RELAXATION["bath"]["n_cells"] + 1), None, None,
                  id="pair-beyond-chain"),
     # two initial values for one molecule
     pytest.param(_set(SMALL_RELAXATION, "trajectory.q0", [1.0, 0.5]), None,
-                 id="start-per-molecule-mismatch"),
-    *[pytest.param(_set(cfg, f"{section}.{key}", 1.0), None,
+                 None, id="start-per-molecule-mismatch"),
+    *[pytest.param(_set(cfg, f"{section}.{key}", 1.0), None, repr(key),
                    id=f"removed-{key}")
       for cfg, section, key in REMOVED_KEYS],
-    *[pytest.param(_set(*param.values), None, id=f"unread-{param.id}")
+    *[pytest.param(_set(*param.values), None,
+                   f"config field {param.values[1]} ", id=f"unread-{param.id}")
       for param in UNREAD_KEYS],
     *[pytest.param(_set(_set(SMALL_RELAXATION, f"bath.{key}", value),
-                        "trajectory.thermal_phonons", True), None,
+                        "trajectory.thermal_phonons", True), None, key,
                    id=f"bath-{key}-{value:g}")
       for key, value in BATH_OUT_OF_DOMAIN],
-    pytest.param(SMALL_RELAXATION, -1, id="seed-flag-negative"),
-    *[pytest.param(param.values[0], int(param.values[1]),
+    # --seed overrides the trajectory section after its schema check
+    pytest.param(SMALL_RELAXATION, -1, "seed", id="seed-flag-negative"),
+    *[pytest.param(param.values[0], int(param.values[1]), "--seed",
                    id=f"unread-seed-{param.id}") for param in UNREAD_SEEDS],
-    *[pytest.param(param.values[0], None, id=param.id)
+    *[pytest.param(param.values[0], None, None, id=param.id)
       for param in FAILED_RUNS if param.values[1] == 2],
     pytest.param(dict(SMALL_ABSORPTION,
                       sweep={"axis": "grid", "values": [1.0]}), None,
-                 id="non-scalar-sweep-axis"),
+                 "is not a scalar parameter", id="non-scalar-sweep-axis"),
+    pytest.param(dict(SMALL_ABSORPTION,
+                      sweep={"axis": "nosuch.gamma", "values": [1.0]}), None,
+                 "does not resolve", id="sweep-axis-missing-section"),
+    pytest.param(dict(SMALL_ABSORPTION,
+                      sweep={"axis": "nbar.x", "values": [1.0]}), None,
+                 "does not resolve", id="sweep-axis-through-scalar"),
+    pytest.param(dict(SMALL_ABSORPTION,
+                      sweep={"axis": "nbar", "values": [[1.0]]}), None,
+                 "sweep values must be scalars", id="sweep-value-list"),
 ]
 
 
@@ -357,30 +379,7 @@ class TestExitCodes:
         assert "Traceback" not in err and err.startswith("config error")
         return err
 
-    def test_nan_is_config_error(self, tmp_path, capsys):
-        cfg = load_preset("fig4b")
-        cfg["kernel"]["gamma_m"] = float("nan")
-        self._config_error(tmp_path, cfg, capsys)
-        assert not (tmp_path / "o").exists()
-
-    def test_nan_sweep_value_is_config_error(self, tmp_path, capsys):
-        cfg = dict(SMALL_ABSORPTION,
-                   sweep={"axis": "nbar", "values": [0.0, float("nan")]})
-        self._config_error(tmp_path, cfg, capsys)
-
-    def test_negative_gamma_is_config_error(self, tmp_path, capsys):
-        cfg = copy.deepcopy(SMALL_ABSORPTION)
-        cfg["molecule"]["gamma"] = -0.1
-        self._config_error(tmp_path, cfg, capsys)
-
-    def test_infinite_nu_is_config_error(self, tmp_path, capsys):
-        cfg = copy.deepcopy(SMALL_ABSORPTION)
-        cfg["molecule"]["nu"] = float("inf")
-        self._config_error(tmp_path, cfg, capsys)
-
-    @pytest.mark.parametrize("preset, nbar",
-                             [("fig4b", 1e300), ("fig6a", 1e300),
-                              ("fig4b", 4e4)],
+    @pytest.mark.parametrize("preset, nbar", UNCLOSABLE_COMBS,
                              ids=["fig4b", "fig6a", "fig4b-nbar4e4"])
     def test_unclosable_comb_is_config_error(self, tmp_path, capsys, preset,
                                              nbar):
@@ -393,13 +392,6 @@ class TestExitCodes:
         start = time.perf_counter()
         self._config_error(tmp_path, cfg, capsys)
         assert time.perf_counter() - start < 2.0
-
-    def test_coarse_grid_is_config_error(self, tmp_path, capsys):
-        # grid spacing 0.1 against the default gamma 0.05: the zero-phonon
-        # line cannot be resolved, and both values come from the config
-        cfg = dict(SMALL_WING, grid={"min": -1.0, "max": 2.0, "n": 31})
-        err = self._config_error(tmp_path, cfg, capsys)
-        assert "grid spacing exceeds gamma" in err
 
     def test_negative_nu_relaxation_is_config_error(self, tmp_path, capsys):
         self._config_error(tmp_path, dict(SMALL_RELAXATION, nu=-1.0), capsys)
@@ -583,18 +575,22 @@ class TestValidateOnce:
 
 
 class TestBuildStep:
-    @pytest.mark.parametrize("cfg, seed", CONFIG_ERRORS)
+    @pytest.mark.parametrize("cfg, seed, expect", CONFIG_ERRORS)
     def test_config_error_raised_while_building(self, tmp_path, capsys, cfg,
-                                                seed):
+                                                seed, expect):
         # building every point through its handler, with none of the
-        # returned computations called, raises the error the CLI reports
+        # returned computations called, raises the error the CLI reports,
+        # and the run makes no --out
         with pytest.raises(ConfigError) as built:
             cli.build_config(cfg, seed)
+        out = tmp_path / "o"
         argv = [cfg["command"], "--config", _write(tmp_path, cfg),
-                "--out", str(tmp_path / "o")]
+                "--out", str(out)]
         assert main(argv + ([] if seed is None else ["--seed", str(seed)])) \
             == 2
         assert capsys.readouterr().err == f"config error: {built.value}\n"
+        assert expect is None or expect in str(built.value)
+        assert not out.exists()
 
 
 class TestArtifacts:
@@ -693,6 +689,40 @@ class TestArtifacts:
             for cell in ln.split(","):
                 assert "%.12e" % float(cell) == cell
 
+    @pytest.mark.parametrize("sd", [None, SMALL_WING["sd"]],
+                             ids=["no-sd", "sd-3d"])
+    def test_absorption_full_method(self, tmp_path, sd):
+        # the CLI writes what absorption_full computes on the same objects
+        cfg = dict(SMALL_ABSORPTION, method="full")
+        if sd is not None:
+            cfg["sd"] = sd
+        out = tmp_path / "o"
+        assert main(["absorption", "--config", _write(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        mol = MoleculeParams(**cfg["molecule"])
+        values, meta = absorption_full(
+            np.linspace(-2.0, 3.0, 201), mol,
+            KernelParams(**cfg["kernel"], nu=mol.nu),
+            None if sd is None else SpectralDensity(**sd),
+            ThermalState.from_occupation(cfg["nbar"], mol.nu))
+        table = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(
+            table[:, 1], [float("%.12e" % v) for v in values])
+        written = json.loads((out / "spectrum.meta.json").read_text())
+        for key in ("dt", "t_horizon", "f_FC", "f_DW", "polaron_shift"):
+            assert written[key] == meta[key]
+
+    def test_wing_default_grid(self, tmp_path):
+        # with no grid the wing spans [-omega_max, 2 omega_max] in 1,201 rows
+        cfg = {k: v for k, v in SMALL_WING.items() if k != "grid"}
+        manifest = run_config(cfg, str(tmp_path))
+        rows = {e["file"]: e["rows"] for e in manifest["files"]}
+        assert rows["spectrum.csv"] == 1201
+        table = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",",
+                           skiprows=1)
+        assert table.shape == (1201, 2)
+        assert (table[0, 0], table[-1, 0]) == (-3.0, 6.0)
+
     def test_cavity_csv_schema(self, tmp_path):
         cfg = {
             "command": "cavity",
@@ -742,6 +772,24 @@ class TestSweep:
                    sweep={"axis": "grid", "values": [1.0]})
         with pytest.raises(ConfigError):
             run_config(cfg, str(tmp_path / "out"))
+
+    def test_preset_sweep_override(self, tmp_path):
+        # a sweep given with a preset replaces the preset's own: one
+        # p%03d_ set of the plain run's files per value, in the manifest
+        sweep = {"axis": "molecule.lam", "values": [0.5, 0.8]}
+        plain = run_config({k: v for k, v in load_preset("fig4a").items()
+                            if k != "sweep"}, str(tmp_path / "plain"))
+        manifest = run_config({"command": "preset", "name": "fig4a",
+                               "sweep": sweep}, str(tmp_path / "swept"))
+        assert manifest["sweep"] == sweep
+        names = [e["file"] for e in plain["files"]]
+        assert names == ["spectrum.csv", "spectrum.meta.json"]
+        assert [e["file"] for e in manifest["files"]] == [
+            f"p{i:03d}_{name}" for i in range(2) for name in names]
+        for i, lam in enumerate(sweep["values"]):
+            meta = json.loads((tmp_path / "swept" / f"p{i:03d}_spectrum"
+                               ".meta.json").read_text())
+            assert meta["config"]["molecule"]["lam"] == lam
 
     def test_sweep_threads_same_artifacts(self, tmp_path):
         cfg = dict(SMALL_ABSORPTION,

@@ -1,6 +1,8 @@
 """Memory kernels: time/frequency forms, susceptibility, thermal spectrum,
 and the closed-form momentum correlation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -192,7 +194,7 @@ class TestEffectiveParams:
         )
 
     def test_markovian_fallback(self):
-        nu_p, gamma_p = relaxation_params(KP, markovian=True)
+        nu_p, gamma_p = relaxation_params(replace(KP, markovian=True))
         assert (nu_p, gamma_p) == (KP.nu, KP.gamma_m)
 
     def test_vibron_outside_band_rejected(self):

@@ -4,6 +4,7 @@ factors, dephasing, and the damped response transform."""
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,13 +37,12 @@ from vibrolang.spectra import (
     _even_grid,
     _sideband_comb,
     _weight_tail,
-    absorption_multimode_discrete,
     choose_n_max,
     response_transform,
     vibron_lines,
 )
 
-from oracles import single_mode_dephasing_rate
+from oracles import absorption_multimode_discrete, single_mode_dephasing_rate
 
 KP = KernelParams(gamma_m=0.1, omega_max=1.3, nu=1.0)
 TH0 = ThermalState(temperature=0.0)
@@ -186,11 +186,12 @@ class TestWeights:
     @pytest.mark.parametrize("lam, nbar", COMB_CASES)
     def test_bessel_marginal_matches_iv(self, lam, nbar):
         mol = MoleculeParams(gamma=0.05, nu=1.0, lam=lam)
+        kp = replace(KP, markovian=True)
         th = ThermalState.from_occupation(nbar, 1.0) if nbar > 0 else TH0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            sp = absorption_bessel(None, mol, KP, th, markovian=True)
-        nu_p, _ = relaxation_params(KP, markovian=True)
+            sp = absorption_bessel(None, mol, kp, th)
+        nu_p, _ = relaxation_params(kp)
         k = np.round(sp.lines[:, 0] / nu_p).astype(int)
         got = dict(zip(k.tolist(), sp.lines[:, 1]))
         ref = _bessel_weights(lam, sp.meta["nbar"],
@@ -205,6 +206,16 @@ class TestWeights:
         assert choose_n_max(1.0, 79.5) == 250
         with pytest.raises(TruncationError):
             choose_n_max(1.0, 90.0)
+
+    def test_uncapped_order_closes_the_tail(self):
+        # below the cap the closed-form order leaves a tail of at most
+        # 2e-20, so only a capped order can fail the 1e-8 check
+        for lam in np.sqrt(np.linspace(0.0, 250.0, 25001)[:-1]):
+            s = lam**2
+            n_max = int(math.ceil(s) + 10.0 * math.sqrt(s) + 10)
+            if n_max < 250:
+                assert choose_n_max(lam, 0.0) == n_max
+                assert _weight_tail(lam, 0.0, n_max) < 1e-12
 
     def test_large_occupation_comb_is_finite(self):
         # at nbar = 50, e^{-s} lam^(2n)/n! underflows where (nbar+1)^(n-l)
@@ -314,10 +325,10 @@ class TestDiscreteSpectra:
     def test_tail_recorded_at_comb_order(self):
         # Gamma' = 0 leaves every width at gamma: the tail is still the one
         # at the order the comb was built to
-        kp = KernelParams(gamma_m=0.0, omega_max=1.3, nu=1.0)
+        kp = KernelParams(gamma_m=0.0, omega_max=1.3, nu=1.0, markovian=True)
         mol = MoleculeParams(gamma=0.025, nu=1.0, lam=1.0)
         th = ThermalState.from_occupation(1.0, 1.0)
-        sp = absorption_discrete(None, mol, kp, th, markovian=True)
+        sp = absorption_discrete(None, mol, kp, th)
         nbar = sp.meta["nbar"]
         tail = _weight_tail(1.0, nbar, choose_n_max(1.0, nbar))
         assert tail > 0.0
