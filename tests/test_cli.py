@@ -379,6 +379,24 @@ class TestExitCodes:
         assert "Traceback" not in err and err.startswith("config error")
         return err
 
+    def test_nan_is_config_error(self, tmp_path, capsys):
+        cfg = _set(load_preset("fig4b"), "kernel.gamma_m", math.nan)
+        self._config_error(tmp_path, cfg, capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_nan_sweep_value_is_config_error(self, tmp_path, capsys):
+        cfg = dict(SMALL_ABSORPTION,
+                   sweep={"axis": "nbar", "values": [0.0, math.nan]})
+        self._config_error(tmp_path, cfg, capsys)
+
+    def test_negative_gamma_is_config_error(self, tmp_path, capsys):
+        cfg = _set(SMALL_ABSORPTION, "molecule.gamma", -0.1)
+        self._config_error(tmp_path, cfg, capsys)
+
+    def test_infinite_nu_is_config_error(self, tmp_path, capsys):
+        cfg = _set(SMALL_ABSORPTION, "molecule.nu", math.inf)
+        self._config_error(tmp_path, cfg, capsys)
+
     @pytest.mark.parametrize("preset, nbar", UNCLOSABLE_COMBS,
                              ids=["fig4b", "fig6a", "fig4b-nbar4e4"])
     def test_unclosable_comb_is_config_error(self, tmp_path, capsys, preset,
@@ -392,6 +410,13 @@ class TestExitCodes:
         start = time.perf_counter()
         self._config_error(tmp_path, cfg, capsys)
         assert time.perf_counter() - start < 2.0
+
+    def test_coarse_grid_is_config_error(self, tmp_path, capsys):
+        # grid spacing 0.1 against the default gamma 0.05: the zero-phonon
+        # line cannot be resolved, and both values come from the config
+        cfg = dict(SMALL_WING, grid={"min": -1.0, "max": 2.0, "n": 31})
+        err = self._config_error(tmp_path, cfg, capsys)
+        assert "grid spacing exceeds gamma" in err
 
     def test_negative_nu_relaxation_is_config_error(self, tmp_path, capsys):
         self._config_error(tmp_path, dict(SMALL_RELAXATION, nu=-1.0), capsys)
