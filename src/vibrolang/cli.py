@@ -24,7 +24,6 @@ import sys
 from importlib import resources
 
 import numpy as np
-import jsonschema
 
 from . import cavity as cavity_mod
 from . import kernels, microsim, spectra, svg
@@ -40,132 +39,15 @@ from .model import (
 # the commands whose runs read --seed: the chain's thermal phonon draws
 SEEDED = ("relaxation", "collective")
 
-# ---------------------------------------------------------------------------
-# config schemas
-
-_NUM = {"type": "number"}
-_POSNUM = {"type": "number", "exclusiveMinimum": 0}
-_POSINT = {"type": "integer", "minimum": 1}
-_BOOL = {"type": "boolean"}
-
-
-def _obj(props, required=()):
-    return {
-        "type": "object",
-        "properties": props,
-        "required": list(required),
-        "additionalProperties": False,
-    }
-
-
-# JSON type of each annotation of a section's dataclass; a None default
-# stands for a value the config leaves out, so null is not a config value
-_JSON = {
-    "float": _NUM, "float | None": _NUM, "int": {"type": "integer"},
-    "bool": _BOOL, "str": {"type": "string"},
-    "float | tuple[float, ...]": {"anyOf": [_NUM, {"type": "array",
-                                                   "items": _NUM}]},
-}
-
-
-def _section(make, supplied=(), **types):
-    """Schema of a config section that `_build` passes to dataclass `make`:
-    one property per field, typed by its annotation unless `types` names
-    it, required where the field has no default.  The fields in `supplied`
-    come from elsewhere in the config and are not section keys."""
-    fields = [f for f in dataclasses.fields(make) if f.name not in supplied]
-    return _obj({f.name: types.get(f.name) or _JSON[f.type] for f in fields},
-                required=[f.name for f in fields
-                          if f.default is dataclasses.MISSING
-                          and f.default_factory is dataclasses.MISSING])
-
-
-_BATH = _section(DiscreteBath, qfactor={"anyOf": [_NUM, {"const": "inf"}]})
-_TRAJ = _section(microsim.TrajectoryConfig)
-_MOL = _section(MoleculeParams)
-_KERNEL = _section(kernels.KernelParams, supplied=("nu", "markovian"))
-_SD = _section(SpectralDensity)
-
-_GRID = _obj({"min": _NUM, "max": _NUM, "n": _POSINT},
-             required=("min", "max", "n"))
-
-_SWEEP = _obj({"axis": {"type": "string"}, "values": {"type": "array"}},
-              required=("axis", "values"))
-
-
-def _command(cmd, required, **props):
-    """(cmd, schema) of a command's config: its keys `props`, of which
-    `required` must be given, the `command` key naming it and a `sweep`."""
-    return cmd, _obj({"command": {"const": cmd}, **props, "sweep": _SWEEP},
-                     required=("command", *required))
-
-
-_SCHEMAS = dict([
-    _command("relaxation", ("nu", "bath", "trajectory"), nu=_POSNUM,
-             bath=_BATH, trajectory=_TRAJ, theory_overlay=_BOOL),
-    _command("collective", ("nu", "bath", "j", "trajectory"), nu=_POSNUM,
-             bath=_BATH, j=_POSINT, excite={"enum": ["plus", "minus"]},
-             trajectory=_TRAJ),
-    _command("absorption", ("molecule", "kernel", "grid"), molecule=_MOL,
-             kernel=_KERNEL, temperature=_NUM, nbar=_NUM, markovian=_BOOL,
-             method={"enum": ["discrete", "bessel", "full"]}, sd=_SD,
-             grid=_GRID, emit_mirror=_BOOL),
-    _command("phonon-wing", ("sd",), gamma=_NUM, sd=_SD, temperature=_NUM,
-             observable={"enum": ["spectrum", "debye-waller"]}, grid=_GRID,
-             temp_grid=_GRID, emit_correlation=_BOOL),
-    _command("cavity", ("molecule", "kernel", "cavity", "grid"),
-             molecule=_MOL, kernel=_KERNEL,
-             cavity=_section(cavity_mod.CavityParams), sd=_SD,
-             temperature=_NUM, nbar=_NUM, markovian=_BOOL, grid=_GRID),
-    _command("polariton", ("molecule", "kernel", "omega_plus", "omega_minus",
-                           "kappa", "t_grid"),
-             molecule=_MOL, kernel=_KERNEL, omega_plus=_NUM,
-             omega_minus=_NUM, kappa=_NUM, temperature=_NUM, nbar=_NUM,
-             form={"enum": ["two-term", "main-text"]},
-             init={"type": "array", "items": _NUM, "minItems": 2,
-                   "maxItems": 2},
-             t_grid=_obj({"max": _NUM, "n": _POSINT}, required=("max", "n"))),
-    _command("preset", ("name",), name={"type": "string"}),
-])
-COMMANDS = tuple(_SCHEMAS)
-
-
-# built once: jsonschema.validate would check each schema against the
-# metaschema again on every call
-_VALIDATORS = {cmd: jsonschema.validators.validator_for(schema)(schema)
-               for cmd, schema in _SCHEMAS.items()}
-
-
-def _non_finite_path(node, path=()):
-    """Path of the first NaN or infinite number in a parsed config, or None."""
-    if isinstance(node, float):
-        return None if math.isfinite(node) else path
-    if isinstance(node, (dict, list)):
-        keys = node if isinstance(node, dict) else range(len(node))
-        for key in keys:
-            found = _non_finite_path(node[key], path + (key,))
-            if found is not None:
-                return found
-    return None
-
 
 def validate_config(cfg):
-    """`cfg` itself if it has a known command, meets its schema and holds
-    only finite numbers; which keys a point reads is checked when it is
-    built."""
+    """`cfg` itself if it is an object that names a known command; every
+    other key is typed and checked as the points are built
+    (`build_config`)."""
     if not isinstance(cfg, dict) or "command" not in cfg:
         raise ConfigError("config must be an object with a 'command' key")
-    cmd = cfg["command"]
-    if cmd not in _SCHEMAS:
-        raise ConfigError(f"unknown command {cmd!r}")
-    exc = jsonschema.exceptions.best_match(_VALIDATORS[cmd].iter_errors(cfg))
-    if exc is not None:
-        path = ".".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config field {path}: {exc.message}") from exc
-    bad = _non_finite_path(cfg)
-    if bad is not None:
-        path = ".".join(str(p) for p in bad)
-        raise ConfigError(f"config field {path}: numbers must be finite")
+    if cfg["command"] not in COMMANDS:
+        raise ConfigError(f"unknown command {cfg['command']!r}")
     return cfg
 
 
@@ -191,23 +73,78 @@ def load_preset(name):
 # config -> domain objects
 
 
+def _finite(value):
+    """Whether a config value is a number within the range of a float; a
+    boolean, NaN or infinity is not."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+# the kinds of config value, each with its name and its test: the
+# annotations of the fields that sections fill, then those of other keys; a
+# None default stands for a value the config leaves out, so null is none
+_KINDS = {
+    "float": ("a finite number", _finite),
+    "float | None": ("a finite number", _finite),
+    "int": ("an integer", lambda v: _finite(v) and v == int(v)),
+    "bool": ("a boolean", lambda v: type(v) is bool),
+    "str": ("a string", lambda v: type(v) is str),
+    "float | tuple[float, ...]": ("a finite number or an array of them",
+                                  lambda v: _finite(v) or type(v) is list
+                                  and all(map(_finite, v))),
+    "float or 'inf'": ("a finite number or 'inf'",
+                       lambda v: v == "inf" or _finite(v)),
+    "tuple[float, float]": ("an array of two finite numbers",
+                            lambda v: type(v) is list and len(v) == 2
+                            and all(map(_finite, v))),
+    "section": ("an object", lambda v: isinstance(v, dict)),
+    "list": ("an array", lambda v: type(v) is list),
+}
+_REQUIRED = object()
+
+
 class _Reads(dict):
     """A config point, or a section of it, that adds to the set `read` the
     dotted key of every value read from it.  A section is read as a new
-    _Reads over a copy of it that records into the same set."""
+    _Reads over a copy of it that records into the same set; `key` is its
+    own dotted key, empty for the point."""
 
-    def __init__(self, items, read, prefix=""):
+    def __init__(self, items, read, key=""):
         super().__init__(items)
-        self._read, self._prefix = read, prefix
+        self._read, self.key = read, key
+
+    def _dotted(self, key):
+        return f"{self.key}.{key}" if self.key else key
 
     def __getitem__(self, key):
-        self._read.add(self._prefix + key)
+        dotted = self._dotted(key)
+        self._read.add(dotted)
         value = super().__getitem__(key)
-        return _Reads(value, self._read, f"{self._prefix}{key}.") \
+        return _Reads(value, self._read, dotted) \
             if isinstance(value, dict) else value
 
-    def get(self, key, default=None):
-        return self[key] if key in self else default
+    def typed(self, key, kind, default=_REQUIRED, choices=None, above=None):
+        """The value of `key`, checked to be of `kind` (a key of _KINDS), one
+        of `choices` and greater than `above` where these are given; if the
+        key is not given, `default`, without which it is a config error."""
+        dotted = self._dotted(key)
+        if key not in self:
+            if default is _REQUIRED:
+                raise ConfigError(f"config field {dotted}: required, not "
+                                  "given")
+            return default
+        value, (name, test) = self[key], _KINDS[kind]
+        if not test(value):
+            raise ConfigError(f"config field {dotted}: {value!r} is not "
+                              f"{name}")
+        if kind == "int":  # an integral float is handed on as an int
+            value = int(value)
+        if choices is not None and value not in choices:
+            raise ConfigError(f"config field {dotted}: {value!r} is not one "
+                              f"of {list(choices)}")
+        if above is not None and not value > above:
+            raise ConfigError(f"config field {dotted}: {value!r} must be > "
+                              f"{above!r}")
+        return value
 
 
 def _keys(node, prefix=""):
@@ -218,35 +155,69 @@ def _keys(node, prefix=""):
             yield from _keys(value, f"{prefix}{key}.")
 
 
-def _build(make, section, **fixed):
-    """make(**section) with the keys of `fixed` added or overriding: every
-    key of a config section is the name of a field of the dataclass it
-    builds, and the dataclass holds the defaults.  The keys that `fixed`
-    overrides are left unread.  A domain rule that a config value breaks is
-    a config error, not a numeric failure."""
+def _refuse_unread(node, read):
+    """A config error for the first key of config `node` that is not in the
+    set `read`: the run's files would be the same without it."""
+    key = next((key for key in _keys(node) if key not in read), None)
+    if key is not None:
+        raise ConfigError(f"config field {key} is not read with the other "
+                          f"settings given: remove {key.split('.')[-1]!r}")
+
+
+def _domain(key, make, *args, **kwargs):
+    """make(*args, **kwargs), where a domain rule that the value of config
+    `key` breaks is a config error, not a numeric failure."""
     try:
-        return make(**{k: section[k] for k in section if k not in fixed},
-                    **fixed)
+        return make(*args, **kwargs)
     except DomainError as exc:
-        raise ConfigError(f"config value out of domain: {exc}") from exc
+        raise ConfigError(f"config field {key}: {exc}") from exc
+
+
+def _build(make, section, **fixed):
+    """Dataclass `make` from a config section and the fields `fixed`.  The
+    section gives each other field by its name, read as the kind that the
+    field's annotation names, and must give every field without a default;
+    a key that is not such a field is left unread."""
+    given = {f.name: section.typed(f.name, f.type)
+             for f in dataclasses.fields(make) if f.name not in fixed
+             and (f.name in section or f.default is dataclasses.MISSING)}
+    return _domain(section.key, make, **given, **fixed)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Grid:
+    """A grid, temp_grid or t_grid section: n points from min to max."""
+
+    min: float
+    max: float
+    n: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise DomainError("n must be >= 1")
+
+    def points(self):
+        return np.linspace(self.min, self.max, self.n)
 
 
 def _molecule_kernel_thermal(cfg):
     """Molecule, memory kernel and bath state of the absorption, cavity and
     polariton commands; nbar, when given, is the vibron's occupancy."""
-    mol = _build(MoleculeParams, cfg["molecule"])
+    mol = _build(MoleculeParams, cfg.typed("molecule", "section"))
     if "nbar" in cfg:
-        thermal = _build(ThermalState.from_occupation, {"nbar": cfg["nbar"]},
-                         omega=mol.nu)
+        thermal = _domain("nbar", ThermalState.from_occupation,
+                          cfg.typed("nbar", "float"), mol.nu)
     else:
-        thermal = _build(ThermalState,
-                         {"temperature": cfg.get("temperature", 0.0)})
-    return mol, _build(kernels.KernelParams, cfg["kernel"], nu=mol.nu,
-                       markovian=cfg.get("markovian", False)), thermal
+        thermal = _domain("temperature", ThermalState,
+                          cfg.typed("temperature", "float", 0.0))
+    kp = _build(kernels.KernelParams, cfg.typed("kernel", "section"),
+                nu=mol.nu, markovian=cfg.typed("markovian", "bool", False))
+    return mol, kp, thermal
 
 
-def _grid_from(cfg):
-    return np.linspace(cfg["min"], cfg["max"], cfg["n"])
+def _grid(cfg, key):
+    """Points of the grid section at `key` of a config."""
+    return _build(_Grid, cfg.typed(key, "section")).points()
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +258,14 @@ def _bath_trajectory(cfg, seed, n_molecules, **start):
     """Bath and trajectory settings of a chain run of `n_molecules`, with
     the step and the start checked; --seed and a collective excitation
     override the trajectory section."""
-    section = cfg["bath"]
-    bath = _build(DiscreteBath, section,
-                  qfactor=float(section.get("qfactor", "inf")))
-    traj = cfg["trajectory"]
-    # --seed overrides trajectory.seed, which then counts as read; traj is
-    # a copy of the section, so the config keeps its own seed
+    section = cfg.typed("bath", "section")
+    bath = _build(DiscreteBath, section, qfactor=float(
+        section.typed("qfactor", "float or 'inf'", "inf")))
+    traj = cfg.typed("trajectory", "section")
+    # --seed overrides trajectory.seed, which then counts as read
     if seed is not None:
-        traj["seed"] = seed
+        traj.typed("seed", "int", None)
+        start["seed"] = seed
     tcfg = _build(microsim.TrajectoryConfig, traj, **start)
     tcfg.resolved_dt(bath.omega_max)
     tcfg.start(n_molecules)
@@ -302,9 +273,9 @@ def _bath_trajectory(cfg, seed, n_molecules, **start):
 
 
 def _handle_relaxation(cfg, seed):
-    nu = cfg["nu"]
+    nu = cfg.typed("nu", "float", above=0)
     bath, tcfg = _bath_trajectory(cfg, seed, 1)
-    overlay = cfg.get("theory_overlay", True)
+    overlay = cfg.typed("theory_overlay", "bool", True)
 
     def run():
         traj = microsim.simulate(nu, bath, (0,), tcfg)
@@ -327,8 +298,9 @@ def _handle_relaxation(cfg, seed):
 
 
 def _handle_collective(cfg, seed):
-    nu, j = cfg["nu"], cfg["j"]
-    sign = {"plus": 1.0, "minus": -1.0}.get(cfg.get("excite"))
+    nu, j = cfg.typed("nu", "float", above=0), cfg.typed("j", "int", above=0)
+    sign = {"plus": 1.0, "minus": -1.0}.get(
+        cfg.typed("excite", "str", None, choices=("plus", "minus")))
     start = {} if sign is None else {"q0": (1.0, sign), "p0": (0.0, 0.0)}
     bath, tcfg = _bath_trajectory(cfg, seed, 2, **start)
     if j > bath.n_cells:
@@ -351,10 +323,11 @@ def _handle_collective(cfg, seed):
 
 def _handle_absorption(cfg, seed):
     mol, kp, thermal = _molecule_kernel_thermal(cfg)
-    grid = _grid_from(cfg["grid"])
-    method = cfg.get("method", "discrete")
-    mirror = cfg.get("emit_mirror", False)
-    sd = _build(SpectralDensity, cfg["sd"]) \
+    grid = _grid(cfg, "grid")
+    method = cfg.typed("method", "str", "discrete",
+                       choices=("discrete", "bessel", "full"))
+    mirror = cfg.typed("emit_mirror", "bool", False)
+    sd = _build(SpectralDensity, cfg.typed("sd", "section")) \
         if method == "full" and "sd" in cfg else None
     if method == "full":
         spectra.check_resolution(grid, mol.gamma)
@@ -389,11 +362,12 @@ def _handle_absorption(cfg, seed):
 
 
 def _handle_phonon_wing(cfg, seed):
-    sd = _build(SpectralDensity, cfg["sd"])
-    if cfg.get("observable", "spectrum") == "debye-waller":
-        tg = cfg.get("temp_grid", {"min": 0.0, "max": 4.0, "n": 41})
-        temps = np.linspace(tg["min"], tg["max"], tg["n"])
-        states = [_build(ThermalState, {"temperature": t}) for t in temps]
+    sd = _build(SpectralDensity, cfg.typed("sd", "section"))
+    if cfg.typed("observable", "str", "spectrum",
+                 choices=("spectrum", "debye-waller")) == "debye-waller":
+        temps = _grid(cfg, "temp_grid") if "temp_grid" in cfg \
+            else _Grid(0.0, 4.0, 41).points()
+        states = [_domain("temp_grid", ThermalState, t) for t in temps]
 
         def debye_waller():
             vals = np.array([spectra.debye_waller(sd, s) for s in states])
@@ -403,14 +377,14 @@ def _handle_phonon_wing(cfg, seed):
                              labels=("T", "f_DW")),
                     _meta_artifact("debye_waller.meta.json", {"config": cfg})]
         return debye_waller
-    thermal = _build(ThermalState,
-                     {"temperature": cfg.get("temperature", 0.0)})
-    mol = _build(MoleculeParams, {"gamma": cfg.get("gamma", 0.05)},
-                 nu=1.0, lam=0.0)
-    grid = _grid_from(cfg["grid"]) if "grid" in cfg else np.linspace(
+    thermal = _domain("temperature", ThermalState,
+                      cfg.typed("temperature", "float", 0.0))
+    mol = _domain("gamma", MoleculeParams,
+                  gamma=cfg.typed("gamma", "float", 0.05), nu=1.0, lam=0.0)
+    grid = _grid(cfg, "grid") if "grid" in cfg else np.linspace(
         -sd.omega_max, 2.0 * sd.omega_max, 1201)
     spectra.check_resolution(grid, mol.gamma)
-    correlation = cfg.get("emit_correlation", False)
+    correlation = cfg.typed("emit_correlation", "bool", False)
 
     def run():
         values, meta = spectra.absorption_full(grid, mol, None, sd, thermal)
@@ -434,9 +408,10 @@ def _handle_phonon_wing(cfg, seed):
 
 def _handle_cavity(cfg, seed):
     mol, kp, thermal = _molecule_kernel_thermal(cfg)
-    cav = _build(cavity_mod.CavityParams, cfg["cavity"])
-    sd = _build(SpectralDensity, cfg["sd"]) if "sd" in cfg else None
-    grid = _grid_from(cfg["grid"])
+    cav = _build(cavity_mod.CavityParams, cfg.typed("cavity", "section"))
+    sd = _build(SpectralDensity, cfg.typed("sd", "section")) \
+        if "sd" in cfg else None
+    grid = _grid(cfg, "grid")
     if cav.g > 0 and (sd is None or sd.coupling == 0):
         # the molecular response is the sideband comb: its order
         spectra.choose_n_max(mol.lam, thermal.occupation(kp.nu))
@@ -459,10 +434,15 @@ def _handle_cavity(cfg, seed):
 
 def _handle_polariton(cfg, seed):
     mol, kp, thermal = _molecule_kernel_thermal(cfg)
-    form = cfg.get("form", "two-term")
-    t = np.linspace(0.0, cfg["t_grid"]["max"], cfg["t_grid"]["n"])
-    omegas = cfg["omega_plus"], cfg["omega_minus"]
-    kappa, init = cfg["kappa"], cfg.get("init", [1.0, 0.0])
+    form = cfg.typed("form", "str", "two-term",
+                     choices=("two-term", "main-text"))
+    tg = cfg.typed("t_grid", "section")
+    t = _build(_Grid, tg, min=0.0,
+               max=tg.typed("max", "float", above=0)).points()
+    omega_minus = cfg.typed("omega_minus", "float")
+    omegas = cfg.typed("omega_plus", "float", above=omega_minus), omega_minus
+    kappa = cfg.typed("kappa", "float", above=0)
+    init = cfg.typed("init", "tuple[float, float]", [1.0, 0.0])
 
     def run():
         k_plus, k_minus = cavity_mod.polariton_rates(mol, kp, thermal, *omegas,
@@ -494,23 +474,33 @@ _HANDLERS = {
     "cavity": _handle_cavity,
     "polariton": _handle_polariton,
 }
+COMMANDS = (*_HANDLERS, "preset")
 
 
 def _build_point(cmd, point, seed):
-    """The computation of one validated config point, built by the
-    command's handler.  A given key that the handler left unread is a
-    config error: the run's files would be the same without it."""
+    """The computation of one config point, built by the command's handler,
+    which types and checks each key as it reads it.  A given key that the
+    handler left unread is a config error."""
     read = {"command"}
     run = _HANDLERS[cmd](_Reads(point, read), seed)
-    unread = next((key for key in _keys(point) if key not in read), None)
-    if unread is not None:
-        raise ConfigError(f"config field {unread} is not read with the "
-                          "other settings given")
+    _refuse_unread(point, read)
     return run
 
 
 # ---------------------------------------------------------------------------
 # run / sweep plumbing
+
+
+def _pop_sweep(cfg):
+    """The sweep section of a config, taken out of it, or None without one;
+    it names an axis and a list of values."""
+    read = set()
+    sweep = _Reads(cfg, read).typed("sweep", "section", None)
+    if sweep is not None:
+        sweep.typed("axis", "str")
+        sweep.typed("values", "list")
+        _refuse_unread({"sweep": cfg["sweep"]}, read)
+    return cfg.pop("sweep", None)
 
 
 def _set_axis(cfg, axis, value):
@@ -563,27 +553,34 @@ def _emit(artifacts, out_dir, fmt, prefix=""):
 
 
 def build_config(cfg, seed=None):
-    """Validate a config, plain or swept, and build every point: returns the
+    """Check a config, plain or swept, and build every point: returns the
     config without its sweep, the sweep (or None) and one computation per
     point.  Every config error is raised here, before any point computes,
-    so that it is reported whatever the other points would do.  `seed`
+    so that it is reported whatever the other points would do.  A swept
+    config is built without its sweep too: each point only replaces the
+    value at the sweep's axis.  A preset config names a bundled config,
+    whose own sweep a sweep given with the name replaces.  `seed`
     overrides the trajectory seed of the commands in SEEDED; any other
     command refuses it."""
     cfg = copy.deepcopy(validate_config(cfg))
+    sweep = _pop_sweep(cfg)
     if cfg["command"] == "preset":
-        sweep = cfg.get("sweep")
-        cfg = load_preset(cfg["name"])
-        if sweep is not None:
-            cfg["sweep"] = sweep
-    sweep = cfg.pop("sweep", None)
-    points = [cfg] if sweep is None else [
-        validate_config(_set_axis(copy.deepcopy(cfg), sweep["axis"], value))
+        read = {"command"}
+        name = _Reads(cfg, read).typed("name", "str")
+        _refuse_unread(cfg, read)
+        cfg = load_preset(name)
+        own = _pop_sweep(cfg)
+        if sweep is None:
+            sweep = own
+    points = [] if sweep is None else [
+        _set_axis(copy.deepcopy(cfg), sweep["axis"], value)
         for value in sweep["values"]]
     if seed is not None and cfg["command"] not in SEEDED:
         raise ConfigError(f"--seed is not read by the {cfg['command']!r} "
                           "command")
-    return cfg, sweep, [_build_point(cfg["command"], point, seed)
-                        for point in points]
+    run = _build_point(cfg["command"], cfg, seed)
+    return cfg, sweep, [run] if sweep is None else [
+        _build_point(cfg["command"], point, seed) for point in points]
 
 
 def run_config(cfg, out_dir, fmt="csv", seed=None, threads=1):
@@ -601,7 +598,7 @@ def run_config(cfg, out_dir, fmt="csv", seed=None, threads=1):
                 "seed": seed, "files": []}
     prefixes = [""]
     if sweep is not None:
-        manifest["sweep"] = {"axis": sweep["axis"], "values": sweep["values"]}
+        manifest["sweep"] = sweep
         prefixes = ["p%03d_" % i for i in range(len(runs))]
     os.makedirs(out_dir, exist_ok=True)
     for prefix, artifacts in zip(prefixes, results):
@@ -630,7 +627,7 @@ def main(argv=None):
             raise ConfigError(f"--threads {args.threads} must be >= 1")
         cfg = load_config(args.config)
         if not isinstance(cfg, dict) or cfg.get("command") != args.command:
-            validate_config(cfg)  # what is wrong with the config comes first
+            build_config(cfg)  # what is wrong with the config comes first
             raise ConfigError(
                 f"config command {cfg['command']!r} does not match CLI "
                 f"command {args.command!r}"

@@ -12,18 +12,11 @@ import sys
 import time
 from importlib import resources
 
-import jsonschema
 import numpy as np
 import pytest
 
 from vibrolang import cli
-from vibrolang.cli import (
-    _SCHEMAS,
-    load_preset,
-    main,
-    run_config,
-    validate_config,
-)
+from vibrolang.cli import load_preset, main, run_config, validate_config
 from vibrolang.cavity import CavityParams
 from vibrolang.errors import ConfigError
 from vibrolang.kernels import KernelParams
@@ -213,6 +206,17 @@ FAILED_RUNS = [
                  2, id="unstable-dt-after-overflowing-point"),
 ]
 
+# keys of integer fields, each with a config that reads it and an int value
+INTEGER_KEYS = [
+    pytest.param(SMALL_RELAXATION, "trajectory.seed", 2, id="trajectory.seed"),
+    pytest.param(SMALL_ABSORPTION, "grid.n", 201, id="grid.n"),
+    pytest.param(SMALL_DEBYE_WALLER, "temp_grid.n", 3, id="temp_grid.n"),
+    pytest.param(SMALL_POLARITON, "t_grid.n", 50, id="t_grid.n"),
+    # a damped chain runs the RK4 route, which slices by store_every
+    pytest.param(_set(SMALL_RELAXATION, "bath.qfactor", 50),
+                 "trajectory.store_every", 4, id="damped-store_every"),
+]
+
 # every config that exits 2 in this file, with the --seed it is given and a
 # substring its message must hold (or None); the errors of the command line
 # itself (an unreadable file, an unknown or mismatched command, --threads
@@ -279,19 +283,42 @@ CONFIG_ERRORS = [
     pytest.param(dict(SMALL_ABSORPTION,
                       sweep={"axis": "nbar", "values": [[1.0]]}), None,
                  "sweep values must be scalars", id="sweep-value-list"),
+    # every point replaces nbar, but the config without its sweep is a run
+    pytest.param(dict(SMALL_ABSORPTION, nbar="x",
+                      sweep={"axis": "nbar", "values": [0.0]}), None,
+                 "config field nbar: ", id="swept-key-of-wrong-kind"),
+    pytest.param(dict(SMALL_ABSORPTION,
+                      sweep={"axis": "nbar", "values": [0.0], "extra": 1}),
+                 None, "'extra'", id="sweep-unknown-key"),
+    pytest.param({"command": "preset", "name": "fig4a", "extra": 1}, None,
+                 "'extra'", id="preset-unknown-key"),
+    *[pytest.param(_set(param.values[0], param.values[1], 2.5), None,
+                   f"config field {param.values[1]}: 2.5 is not an integer",
+                   id=f"fractional-{param.id}") for param in INTEGER_KEYS],
+    # a negative kappa grew P_L to 89.5 by t = 5, a negative t_grid.max
+    # gave populations of 1e46, and omega_plus <= omega_minus was a numeric
+    # error although both values come from the config
+    pytest.param(_set(SMALL_POLARITON, "kappa", -1.0), None,
+                 "config field kappa: ", id="polariton-kappa-negative"),
+    pytest.param(_set(SMALL_POLARITON, "t_grid.max", -5.0), None,
+                 "config field t_grid.max: ", id="polariton-t_max-negative"),
+    pytest.param(_set(SMALL_POLARITON, "omega_plus",
+                      SMALL_POLARITON["omega_minus"]), None,
+                 "config field omega_plus: ",
+                 id="polariton-omega_plus-not-above-omega_minus"),
 ]
 
 
 class TestValidation:
     def test_unknown_key_rejected(self):
         bad = dict(SMALL_RELAXATION, unexpected=1)
-        with pytest.raises(ConfigError):
-            validate_config(bad)
+        with pytest.raises(ConfigError, match="'unexpected'"):
+            cli.build_config(bad)
 
     def test_missing_required_rejected(self):
         bad = {k: v for k, v in SMALL_RELAXATION.items() if k != "bath"}
-        with pytest.raises(ConfigError):
-            validate_config(bad)
+        with pytest.raises(ConfigError, match="config field bath: required"):
+            cli.build_config(bad)
 
     def test_unknown_command_rejected(self):
         with pytest.raises(ConfigError):
@@ -311,32 +338,34 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_preset("fig99")
 
-    def test_schemas_are_valid(self):
-        for schema in _SCHEMAS.values():
-            jsonschema.validators.validator_for(schema).check_schema(schema)
-
-    @pytest.mark.parametrize("section, make, supplied", [
-        ("bath", DiscreteBath, ()),
-        ("molecule", MoleculeParams, ()),
-        ("kernel", KernelParams, ("nu",)),
-        ("sd", SpectralDensity, ()),
-        ("cavity", CavityParams, ()),
-        ("trajectory", TrajectoryConfig, ()),
+    @pytest.mark.parametrize("cfg, section, make, supplied", [
+        (SMALL_RELAXATION, "bath", DiscreteBath, ()),
+        (SMALL_ABSORPTION, "molecule", MoleculeParams, ()),
+        (SMALL_ABSORPTION, "kernel", KernelParams, ("nu", "markovian")),
+        (SMALL_WING, "sd", SpectralDensity, ()),
+        (SMALL_CAVITY, "cavity", CavityParams, ()),
+        (SMALL_RELAXATION, "trajectory", TrajectoryConfig, ()),
     ], ids=["bath", "molecule", "kernel", "sd", "cavity", "trajectory"])
-    def test_section_builds_its_dataclass(self, section, make, supplied):
-        # a section is passed to its dataclass key for key, so every key
-        # must be a field, and every field the schema may leave out must
-        # have its default on the dataclass or be supplied by the CLI
-        fields = dataclasses.fields(make)
-        no_default = {f.name for f in fields
-                      if f.default is dataclasses.MISSING
-                      and f.default_factory is dataclasses.MISSING}
-        schemas = [cmd["properties"][section] for cmd in _SCHEMAS.values()
-                   if section in cmd["properties"]]
-        assert schemas
-        for schema in schemas:
-            assert set(schema["properties"]) <= {f.name for f in fields}
-            assert no_default <= set(schema["required"]) | set(supplied)
+    def test_section_builds_its_dataclass(self, cfg, section, make, supplied):
+        # a section is passed to its dataclass field by field: a field
+        # without a default that the CLI does not supply must be given, and
+        # a key that is not a field the section gives is refused
+        required = [f.name for f in dataclasses.fields(make)
+                    if f.name not in supplied
+                    and f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING]
+        assert required
+        for name in required:
+            left_out = copy.deepcopy(cfg)
+            del left_out[section][name]
+            with pytest.raises(ConfigError) as refused:
+                cli.build_config(left_out)
+            assert f"config field {section}.{name}: required" \
+                in str(refused.value)
+        for key in ("not_a_field", *supplied):
+            with pytest.raises(ConfigError) as refused:
+                cli.build_config(_set(cfg, f"{section}.{key}", 1.0))
+            assert repr(key) in str(refused.value)
 
 
 class TestExitCodes:
@@ -574,7 +603,7 @@ class TestValidateOnce:
         (SMALL_ABSORPTION, ["absorption"]),
         ({"command": "preset", "name": "fig4b"}, ["preset", "absorption"]),
         (dict(SMALL_ABSORPTION, sweep={"axis": "nbar", "values": [0.0, 1.0]}),
-         ["absorption"] * 3),
+         ["absorption"]),
     ], ids=["plain", "preset", "sweep"])
     def test_cli_validates_each_config_once(self, tmp_path, calls, cfg,
                                             expected):
@@ -695,6 +724,18 @@ class TestArtifacts:
         for item in manifest["files"]:
             data = (out / item["file"]).read_bytes()
             assert hashlib.sha256(data).hexdigest() == item["sha256"]
+
+    @pytest.mark.parametrize("cfg, key, value", INTEGER_KEYS)
+    def test_integral_float_integer_key(self, tmp_path, cfg, key, value):
+        # an integral float in an integer field runs as the int does
+        written = []
+        for spelling in (value, float(value)):
+            out = tmp_path / repr(spelling)
+            path = _write(tmp_path, _set(cfg, key, spelling))
+            assert main([cfg["command"], "--config", path,
+                         "--out", str(out)]) == 0
+            written.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+        assert written[0] and written[0] == written[1]
 
     def test_svg_emission(self, tmp_path):
         out = tmp_path / "out"
@@ -839,7 +880,8 @@ class TestSweep:
 
 class TestImports:
     # each adds 0.2 to 0.5 s to the start of every CLI run
-    @pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate"])
+    @pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate",
+                                        "jsonschema"])
     def test_cli_import_leaves_out(self, module):
         code = ("import sys, vibrolang.cli; "
                 f"sys.exit({module!r} in sys.modules)")
