@@ -16,9 +16,9 @@ import argparse
 import concurrent.futures
 import copy
 import dataclasses
+import functools
 import hashlib
 import json
-import math
 import os
 import sys
 from importlib import resources
@@ -42,8 +42,7 @@ SEEDED = ("relaxation", "collective")
 
 def validate_config(cfg):
     """`cfg` itself if it is an object that names a known command; every
-    other key is typed and checked as the points are built
-    (`build_config`)."""
+    other key is typed and checked as the points are built (`build_config`)."""
     if not isinstance(cfg, dict) or "command" not in cfg:
         raise ConfigError("config must be an object with a 'command' key")
     if cfg["command"] not in COMMANDS:
@@ -99,14 +98,16 @@ _KINDS = {
     "section": ("an object", lambda v: isinstance(v, dict)),
     "list": ("an array", lambda v: type(v) is list),
 }
-_REQUIRED = object()
+# the default of a key that must be given, as of a field without one
+_REQUIRED = dataclasses.MISSING
 
 
 class _Reads(dict):
-    """A config point, or a section of it, that adds to the set `read` the
-    dotted key of every value read from it.  A section is read as a new
-    _Reads over a copy of it that records into the same set; `key` is its
-    own dotted key, empty for the point."""
+    """A config point, or a section of it, that records in the dict `read`
+    the dotted key of every value read from it, with the arguments after
+    the key of a typed read and None for another.  A section is read as a
+    new _Reads over a copy of it that records into the same dict; `key` is
+    its own dotted key, empty for the point."""
 
     def __init__(self, items, read, key=""):
         super().__init__(items)
@@ -117,7 +118,7 @@ class _Reads(dict):
 
     def __getitem__(self, key):
         dotted = self._dotted(key)
-        self._read.add(dotted)
+        self._read.setdefault(dotted, None)
         value = super().__getitem__(key)
         return _Reads(value, self._read, dotted) \
             if isinstance(value, dict) else value
@@ -132,6 +133,7 @@ class _Reads(dict):
                 raise ConfigError(f"config field {dotted}: required, not "
                                   "given")
             return default
+        self._read[dotted] = kind, default, choices, above
         value, (name, test) = self[key], _KINDS[kind]
         if not test(value):
             raise ConfigError(f"config field {dotted}: {value!r} is not "
@@ -156,8 +158,8 @@ def _keys(node, prefix=""):
 
 
 def _refuse_unread(node, read):
-    """A config error for the first key of config `node` that is not in the
-    set `read`: the run's files would be the same without it."""
+    """A config error for the first key of config `node` that is not in
+    `read`: the run's files would be the same without it."""
     key = next((key for key in _keys(node) if key not in read), None)
     if key is not None:
         raise ConfigError(f"config field {key} is not read with the other "
@@ -175,12 +177,12 @@ def _domain(key, make, *args, **kwargs):
 
 def _build(make, section, **fixed):
     """Dataclass `make` from a config section and the fields `fixed`.  The
-    section gives each other field by its name, read as the kind that the
-    field's annotation names, and must give every field without a default;
-    a key that is not such a field is left unread."""
-    given = {f.name: section.typed(f.name, f.type)
-             for f in dataclasses.fields(make) if f.name not in fixed
-             and (f.name in section or f.default is dataclasses.MISSING)}
+    section gives each other field by its name, of the kind its annotation
+    names and above any bound in its metadata, and must give each field
+    without a default; a key that is not such a field is left unread."""
+    given = {f.name: section.typed(f.name, f.type, f.default,
+                                   above=f.metadata.get("above"))
+             for f in dataclasses.fields(make) if f.name not in fixed}
     return _domain(section.key, make, **given, **fixed)
 
 
@@ -190,11 +192,7 @@ class _Grid:
 
     min: float
     max: float
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("n must be >= 1")
+    n: int = dataclasses.field(metadata={"above": 0})
 
     def points(self):
         return np.linspace(self.min, self.max, self.n)
@@ -204,9 +202,9 @@ def _molecule_kernel_thermal(cfg):
     """Molecule, memory kernel and bath state of the absorption, cavity and
     polariton commands; nbar, when given, is the vibron's occupancy."""
     mol = _build(MoleculeParams, cfg.typed("molecule", "section"))
-    if "nbar" in cfg:
-        thermal = _domain("nbar", ThermalState.from_occupation,
-                          cfg.typed("nbar", "float"), mol.nu)
+    nbar = cfg.typed("nbar", "float", None)
+    if nbar is not None:
+        thermal = _domain("nbar", ThermalState.from_occupation, nbar, mol.nu)
     else:
         thermal = _domain("temperature", ThermalState,
                           cfg.typed("temperature", "float", 0.0))
@@ -224,17 +222,16 @@ def _grid(cfg, key):
 # artifacts
 
 
+@dataclasses.dataclass
 class Artifact:
     """One output file plus an optional plot description for SVG emission."""
 
-    def __init__(self, name, text, rows, curves=None, labels=("x", "y"),
-                 logy=False):
-        self.name = name
-        self.text = text
-        self.rows = rows
-        self.curves = curves
-        self.labels = labels
-        self.logy = logy
+    name: str
+    text: str
+    rows: int
+    curves: list | None = None
+    labels: tuple = ("x", "y")
+    logy: bool = False
 
 
 def _csv(header, columns):
@@ -440,7 +437,9 @@ def _handle_polariton(cfg, seed):
     t = _build(_Grid, tg, min=0.0,
                max=tg.typed("max", "float", above=0)).points()
     omega_minus = cfg.typed("omega_minus", "float")
-    omegas = cfg.typed("omega_plus", "float", above=omega_minus), omega_minus
+    omegas = cfg.typed("omega_plus", "float"), omega_minus
+    if not omegas[0] > omega_minus:
+        raise ConfigError("config field omega_plus: must be > omega_minus")
     kappa = cfg.typed("kappa", "float", above=0)
     init = cfg.typed("init", "tuple[float, float]", [1.0, 0.0])
 
@@ -479,12 +478,14 @@ COMMANDS = (*_HANDLERS, "preset")
 
 def _build_point(cmd, point, seed):
     """The computation of one config point, built by the command's handler,
-    which types and checks each key as it reads it.  A given key that the
-    handler left unread is a config error."""
-    read = {"command"}
-    run = _HANDLERS[cmd](_Reads(point, read), seed)
+    which types and checks each key as it reads it, and what it read (see
+    _Reads).  A given key that the handler left unread is a config error."""
+    read = {}
+    reads = _Reads(point, read)
+    reads.typed("command", "str", choices=(cmd,))
+    run = _HANDLERS[cmd](reads, seed)
     _refuse_unread(point, read)
-    return run
+    return run, read
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +495,7 @@ def _build_point(cmd, point, seed):
 def _pop_sweep(cfg):
     """The sweep section of a config, taken out of it, or None without one;
     it names an axis and a list of values."""
-    read = set()
+    read = {}
     sweep = _Reads(cfg, read).typed("sweep", "section", None)
     if sweep is not None:
         sweep.typed("axis", "str")
@@ -504,21 +505,27 @@ def _pop_sweep(cfg):
 
 
 def _set_axis(cfg, axis, value):
-    parts = axis.split(".")
+    *sections, leaf = axis.split(".")
     node = cfg
-    for p in parts[:-1]:
-        if not isinstance(node, dict) or p not in node:
-            raise ConfigError(f"sweep axis {axis!r} does not resolve")
-        node = node[p]
+    for key in sections:
+        node = node.get(key) if isinstance(node, dict) else None
     if not isinstance(node, dict):
         raise ConfigError(f"sweep axis {axis!r} does not resolve")
-    leaf = parts[-1]
-    if leaf in node and isinstance(node[leaf], (dict, list)):
+    if isinstance(node.get(leaf), (dict, list)):
         raise ConfigError(f"sweep axis {axis!r} is not a scalar parameter")
     if not isinstance(value, (int, float, str, bool)):
         raise ConfigError("sweep values must be scalars")
     node[leaf] = value
     return cfg
+
+
+def _check_swept(cfg, axis, read):
+    """Check the value at a sweep's `axis` in config `cfg`, which every point
+    replaces, alone by the typed read `read[axis]` of a point: not against
+    the other keys, nor at a default where `cfg` leaves it out."""
+    *sections, leaf = axis.split(".")  # resolved by _set_axis
+    functools.reduce(_Reads.__getitem__, sections,
+                     _Reads(cfg, {})).typed(leaf, *read[axis])
 
 
 def _write(out_dir, name, text, rows=0):
@@ -545,8 +552,7 @@ def _emit(artifacts, out_dir, fmt, prefix=""):
         name = prefix + art.name
         entries.append(_write(out_dir, name, art.text, art.rows))
         if fmt == "csv+svg" and art.curves is not None:
-            doc = svg.line_plot(art.curves, xlabel=art.labels[0],
-                                ylabel=art.labels[1], logy=art.logy)
+            doc = svg.line_plot(art.curves, *art.labels, logy=art.logy)
             entries.append(_write(out_dir, os.path.splitext(name)[0] + ".svg",
                                   doc))
     return entries
@@ -556,31 +562,30 @@ def build_config(cfg, seed=None):
     """Check a config, plain or swept, and build every point: returns the
     config without its sweep, the sweep (or None) and one computation per
     point.  Every config error is raised here, before any point computes,
-    so that it is reported whatever the other points would do.  A swept
-    config is built without its sweep too: each point only replaces the
-    value at the sweep's axis.  A preset config names a bundled config,
-    whose own sweep a sweep given with the name replaces.  `seed`
-    overrides the trajectory seed of the commands in SEEDED; any other
-    command refuses it."""
+    so that it is reported whatever the other points would do.  A preset
+    config names a bundled config, whose own sweep a sweep given with the
+    name replaces.  `seed` overrides the trajectory seed of the commands in
+    SEEDED; any other command refuses it."""
     cfg = copy.deepcopy(validate_config(cfg))
     sweep = _pop_sweep(cfg)
     if cfg["command"] == "preset":
-        read = {"command"}
+        read = {"command": None}
         name = _Reads(cfg, read).typed("name", "str")
         _refuse_unread(cfg, read)
         cfg = load_preset(name)
         own = _pop_sweep(cfg)
-        if sweep is None:
-            sweep = own
-    points = [] if sweep is None else [
+        sweep = own if sweep is None else sweep
+    points = [cfg] if sweep is None else [
         _set_axis(copy.deepcopy(cfg), sweep["axis"], value)
         for value in sweep["values"]]
-    if seed is not None and cfg["command"] not in SEEDED:
-        raise ConfigError(f"--seed is not read by the {cfg['command']!r} "
-                          "command")
-    run = _build_point(cfg["command"], cfg, seed)
-    return cfg, sweep, [run] if sweep is None else [
-        _build_point(cfg["command"], point, seed) for point in points]
+    cmd = cfg["command"]
+    if seed is not None and cmd not in SEEDED:
+        raise ConfigError(f"--seed is not read by the {cmd!r} command")
+    # a sweep of no values runs nothing, but its config is still built
+    built = [_build_point(cmd, point, seed) for point in points or [cfg]]
+    if sweep is not None and points:
+        _check_swept(cfg, sweep["axis"], built[0][1])
+    return cfg, sweep, [run for run, _ in built[:len(points)]]
 
 
 def run_config(cfg, out_dir, fmt="csv", seed=None, threads=1):
@@ -609,11 +614,9 @@ def run_config(cfg, out_dir, fmt="csv", seed=None, threads=1):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="vibrolang",
-        description="Vibrational relaxation, vibronic lineshapes and cavity "
-                    "polariton observables for molecules in crystals.",
-    )
+    parser = argparse.ArgumentParser(prog="vibrolang", description=(
+        "Vibrational relaxation, vibronic lineshapes and cavity polariton "
+        "observables for molecules in crystals."))
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=".")
@@ -628,10 +631,8 @@ def main(argv=None):
         cfg = load_config(args.config)
         if not isinstance(cfg, dict) or cfg.get("command") != args.command:
             build_config(cfg)  # what is wrong with the config comes first
-            raise ConfigError(
-                f"config command {cfg['command']!r} does not match CLI "
-                f"command {args.command!r}"
-            )
+            raise ConfigError(f"config command {cfg['command']!r} does not "
+                              f"match CLI command {args.command!r}")
         run_config(cfg, args.out, fmt=args.format, seed=args.seed,
                    threads=args.threads)
     except ConfigError as exc:

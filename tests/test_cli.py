@@ -290,6 +290,18 @@ CONFIG_ERRORS = [
     pytest.param(dict(SMALL_ABSORPTION,
                       sweep={"axis": "nbar", "values": [0.0], "extra": 1}),
                  None, "'extra'", id="sweep-unknown-key"),
+    # each point gives kappa, but the config without its sweep must too
+    pytest.param(dict({k: v for k, v in SMALL_POLARITON.items()
+                       if k != "kappa"},
+                      sweep={"axis": "kappa", "values": [1.0]}), None,
+                 "config field kappa: required", id="swept-key-missing"),
+    pytest.param(dict(_set(SMALL_ABSORPTION, "grid.n", 0),
+                      sweep={"axis": "grid.n", "values": [201]}), None,
+                 "config field grid.n: 0 must be > 0",
+                 id="swept-key-out-of-bound"),
+    pytest.param(dict(SMALL_ABSORPTION,
+                      sweep={"axis": "command", "values": ["relaxation"]}),
+                 None, "config field command: ", id="sweep-axis-command"),
     pytest.param({"command": "preset", "name": "fig4a", "extra": 1}, None,
                  "'extra'", id="preset-unknown-key"),
     *[pytest.param(_set(param.values[0], param.values[1], 2.5), None,
@@ -832,6 +844,29 @@ class TestSweep:
         manifest = run_config(cfg, str(tmp_path / "out"))
         assert len([e for e in manifest["files"]
                     if e["file"].endswith("spectrum.csv")]) == 2
+
+    def test_swept_key_left_out_is_not_checked_at_its_default(self, tmp_path,
+                                                              capsys):
+        # grid spacing 0.1 is below each point's gamma; the default gamma
+        # 0.05, which no point runs, would not resolve it
+        cfg = dict(SMALL_WING, grid={"min": -1.0, "max": 2.0, "n": 31},
+                   sweep={"axis": "gamma", "values": [0.2, 0.3]})
+        out = tmp_path / "out"
+        code = main(["phonon-wing", "--config", _write(tmp_path, cfg),
+                     "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert {"p000_spectrum.csv", "p001_spectrum.csv"} <= set(
+            os.listdir(out))
+
+    def test_swept_key_is_checked_alone(self, tmp_path):
+        # the given omega_plus is below omega_minus, but every point
+        # replaces it with one above
+        cfg = dict(SMALL_POLARITON, omega_plus=-5.0,
+                   sweep={"axis": "omega_plus", "values": [3.0, 4.0]})
+        manifest = run_config(cfg, str(tmp_path / "out"))
+        assert [e["file"] for e in manifest["files"]
+                if e["file"].endswith(".csv")] == [
+            "p000_polariton.csv", "p001_polariton.csv"]
 
     def test_sweep_non_scalar_axis_rejected(self, tmp_path):
         cfg = dict(SMALL_ABSORPTION,
