@@ -140,6 +140,8 @@ class _Reads(dict):
                               f"{name}")
         if kind == "int":  # an integral float is handed on as an int
             value = int(value)
+        elif kind in ("float", "float | None"):  # and an int as a float
+            value = float(value)
         if choices is not None and value not in choices:
             raise ConfigError(f"config field {dotted}: {value!r} is not one "
                               f"of {list(choices)}")
@@ -186,6 +188,13 @@ def _build(make, section, **fixed):
     return _domain(section.key, make, **given, **fixed)
 
 
+# the most points a grid may have: a run keeps each point's values in a few
+# float64 arrays and its CSV row as text, about 190 bytes a point (an
+# absorption run of 10^6 points peaks 178 MiB above its start), so 10^7
+# points take about 2 GB; numpy refuses 2^60 points outright
+_GRID_MAX = 10**7
+
+
 @dataclasses.dataclass(frozen=True)
 class _Grid:
     """A grid, temp_grid or t_grid section: n points from min to max."""
@@ -193,6 +202,10 @@ class _Grid:
     min: float
     max: float
     n: int = dataclasses.field(metadata={"above": 0})
+
+    def __post_init__(self):
+        if self.n > _GRID_MAX:
+            raise DomainError(f"n must be at most {_GRID_MAX}")
 
     def points(self):
         return np.linspace(self.min, self.max, self.n)

@@ -43,7 +43,7 @@ def franck_condon(lam, nbar=0.0):
     """Zero-phonon-line weight reduction from the vibron, e^{-lam^2 (1+2 nbar)}."""
     if lam < 0 or nbar < 0:
         raise DomainError("need lam >= 0 and nbar >= 0")
-    return math.exp(-lam**2 * (1.0 + 2.0 * nbar))
+    return math.exp(-lam * lam * (1.0 + 2.0 * nbar))
 
 
 def _density_rule(sd: SpectralDensity, thermal: ThermalState, t_max):
@@ -136,24 +136,56 @@ def _even_grid(x, name):
     return x, h, scalar
 
 
+# Gaussian gridding of `_phase_sum`: each node is spread onto 2 _SPREAD
+# points of a grid at least _OVERSAMPLE times finer than the output.  There
+# truncation and aliasing stay below 1e-17 of sum |w|, and the band edge's
+# deconvolution magnifies rounding by at most e^{pi/1.875} = 5.3, where an
+# oversampling of 2 would give e^{4 pi/3} = 66.
+_SPREAD = 16
+_OVERSAMPLE = 3
+
+
 def _phase_sum(t, h, omega, weights):
     """S_j = sum_i weights_i e^{i omega_i t_j} on the even grid t_j = t_0 + j h;
     weights of shape (len(omega), K) give K sums side by side.
 
-    With j = a m + c and m ~ sqrt(len(t)), e^{i omega t_j} =
-    e^{i omega (t_0 + a m h)} e^{i omega c h}, so S is one matrix product of
-    two phase tables of about sqrt(len(t)) rows each.  The product runs one
-    matrix-vector product per column: a BLAS matrix-matrix product picks
-    its summation order by thread count, and the output bytes would follow.
+    A type-1 nonuniform FFT by Gaussian gridding (Dutt & Rokhlin 1993;
+    Greengard & Lee 2004).  Source i sits at x_i = omega_i h, u_i = x_i M /
+    2 pi steps into a periodic grid of M points on [0, 2 pi).  With
+    c = n // 2, S_{c+k} = sum_i v_i e^{i k x_i} over the centred modes
+    -c <= k < n - c, v_i = weights_i e^{i (omega_i t_0 + c x_i)}; c x_i is
+    taken from u_i's integer and fractional parts, so that at every j the
+    phase is rounded as little as omega_i t_j is.  Each v_i is spread by
+    e^{-(x - x_i)^2 / 4 tau} onto the 2 _SPREAD grid points nearest x_i;
+    one FFT per column gives the grid's Fourier coefficients, and dividing
+    by the Gaussian's, sqrt(tau/pi) e^{-k^2 tau}, leaves S.  M is at least
+    _OVERSAMPLE n, rounded up to a fast FFT length, and
+    tau = pi _SPREAD / (n^2 r (r - 1/2)) follows the actual oversampling
+    r = M/n.  `np.bincount` accumulates in input order and the FFT runs on
+    one worker, so the bytes do not depend on the thread count.
     """
-    m = max(1, math.isqrt(len(t)))
-    coarse = np.exp(1j * np.outer(t[0] + m * h * np.arange(-(-len(t) // m)),
-                                  omega))
-    fine = np.exp(1j * np.outer(omega, h * np.arange(m)))[:, :, None] \
-        * weights.reshape(len(omega), 1, -1)
-    s = np.stack([coarse @ col for col in fine.reshape(len(omega), -1).T],
-                 axis=1)
-    return s.reshape(-1, *weights.shape[1:])[:len(t)]
+    n, half = len(t), len(t) // 2
+    size = max(2 * _SPREAD, fft.next_fast_len(_OVERSAMPLE * n))
+    tau = math.pi * _SPREAD / (size * (size - 0.5 * n))
+    u = omega * (h * size / (2.0 * math.pi))
+    base = np.floor(u).astype(np.int64)
+    frac = u - base
+    phase = omega * t[0] \
+        + (2.0 * math.pi / size) * ((half * base) % size + half * frac)
+    src = weights.reshape(len(omega), -1) * np.exp(1j * phase)[:, None]
+    offset = np.arange(1 - _SPREAD, _SPREAD + 1)
+    spread = np.exp(-(math.pi**2 / (size * size * tau))
+                    * (offset - frac[:, None]) ** 2)
+    idx = ((base[:, None] + offset) % size).ravel()
+    grid = np.stack([np.bincount(idx, (spread * col.real[:, None]).ravel(),
+                                 minlength=size)
+                     + 1j * np.bincount(idx, (spread * col.imag[:, None])
+                                        .ravel(), minlength=size)
+                     for col in src.T], axis=1)
+    k = np.arange(-half, n - half)
+    s = fft.ifft(grid, axis=0)[k % size] \
+        * (math.sqrt(math.pi / tau) * np.exp(tau * k * k))[:, None]
+    return s.reshape(-1, *weights.shape[1:])
 
 
 def phonon_correlation(tau, sd: SpectralDensity, thermal: ThermalState):
@@ -165,7 +197,9 @@ def phonon_correlation(tau, sd: SpectralDensity, thermal: ThermalState):
     On `_density_rule`, 12 rad of phase omega_max max|tau| dtheta a panel:
     1,580 nodes at omega_max max|tau| = 600 (3d); a 12x finer rule moves
     the exponent by under 4e-15 of its largest value.  The cos and sin
-    band sums are the real and imaginary parts of `_phase_sum`.
+    band sums are the real and imaginary parts of `_phase_sum`, a
+    nonuniform FFT of O(N_omega + N_tau log N_tau) operations; the exponent
+    is within 1e-13 of sum |w| of the dense (tau x omega) sums.
     """
     tau, h, scalar = _even_grid(tau, "tau")
     if sd.coupling == 0 or len(tau) == 0:
@@ -185,8 +219,8 @@ def dephasing_rate(t, sd: SpectralDensity, thermal: ThermalState):
 
     Grows linearly at short times and, for the 3d density, decays to zero
     through oscillatory cancellation at long times.  On `_density_rule`,
-    sized and graded as in `phonon_correlation`; the band sum is
-    `_phase_sum`.
+    sized and graded as in `phonon_correlation`; the band sum is the
+    nonuniform FFT `_phase_sum`, within 1e-13 of sum |w| of the dense sum.
     """
     t, h, scalar = _even_grid(t, "t")
     if sd.coupling == 0 or len(t) == 0:
@@ -264,7 +298,7 @@ def choose_n_max(lam, nbar):
     capped at 250, whose comb (31,626 pairs) and its (grid x lines)
     evaluation stay in memory.  Below the cap the weight tail is at most
     2e-20; a capped order with a tail over 1e-8 raises TruncationError."""
-    s = lam**2 * (1.0 + 2.0 * nbar)
+    s = lam * lam * (1.0 + 2.0 * nbar)  # inf, not OverflowError
     n_max = min(int(math.ceil(s) + 10.0 * math.sqrt(s) + 10), _ORDER_CAP) \
         if s < _ORDER_CAP else _ORDER_CAP
     if _weight_tail(lam, nbar, n_max) > _TAIL_TARGET:
@@ -275,7 +309,7 @@ def choose_n_max(lam, nbar):
 
 def _weight_tail(lam, nbar, n_max):
     """1 - sum_{n<=n_max} sum_l w(n, l) (exact completeness complement)."""
-    s = lam**2 * (1.0 + 2.0 * nbar)
+    s = lam * lam * (1.0 + 2.0 * nbar)
     # P(Poisson(s) >= n_max+1) = regularized lower incomplete gamma P(n_max+1, s)
     return float(special.gammainc(n_max + 1, s)) if s > 0 else 0.0
 

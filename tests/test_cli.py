@@ -318,10 +318,29 @@ CONFIG_ERRORS = [
                       SMALL_POLARITON["omega_minus"]), None,
                  "config field omega_plus: ",
                  id="polariton-omega_plus-not-above-omega_minus"),
+    # lam^2 overflows to inf, where it raised OverflowError: the comb's
+    # order is capped and its weight tail cannot close
+    *[pytest.param(_set(cfg, "molecule.lam", 1e300), None,
+                   "weight tail did not close",
+                   id=f"lam-1e300-{cfg['command']}")
+      for cfg in (SMALL_ABSORPTION, SMALL_CAVITY)],
+    # np.linspace raised ValueError for 1e300 points
+    *[pytest.param(_set(SMALL_ABSORPTION, "grid.n", n), None,
+                   "config field grid: n must be at most 10000000",
+                   id=f"grid-n-{n:g}") for n in (1e300, 10**7 + 1)],
+    pytest.param(_set(SMALL_ABSORPTION, "grid.min", -10**400), None,
+                 "is not a finite number", id="grid-min-beyond-float"),
 ]
 
 
 class TestValidation:
+    def test_float_key_hands_on_a_float(self):
+        # a 301-digit integer is within float range: the grid gets -1e300,
+        # where np.linspace failed on an object array
+        grid = cli._Reads({"min": -10**300, "max": 3, "n": 5}, {}, "grid")
+        points = cli._build(cli._Grid, grid).points()
+        assert points.dtype == float and points[0] == -1e300
+
     def test_unknown_key_rejected(self):
         bad = dict(SMALL_RELAXATION, unexpected=1)
         with pytest.raises(ConfigError, match="'unexpected'"):
@@ -891,6 +910,17 @@ class TestSweep:
             meta = json.loads((tmp_path / "swept" / f"p{i:03d}_spectrum"
                                ".meta.json").read_text())
             assert meta["config"]["molecule"]["lam"] == lam
+
+    def test_wing_sweep_threads_same_artifacts(self, tmp_path):
+        # fig5a's 1d density at two temperatures: the band sums of the
+        # response and the emitted correlation run in both points at once
+        cfg = dict(load_preset("fig5a"),
+                   sweep={"axis": "temperature", "values": [0.0, 0.62]})
+        m1 = run_config(cfg, str(tmp_path / "a"), threads=1)
+        m2 = run_config(cfg, str(tmp_path / "b"), threads=2)
+        sums1 = {e["file"]: e["sha256"] for e in m1["files"]}
+        sums2 = {e["file"]: e["sha256"] for e in m2["files"]}
+        assert "p001_correlation.csv" in sums1 and sums1 == sums2
 
     def test_sweep_threads_same_artifacts(self, tmp_path):
         cfg = dict(SMALL_ABSORPTION,

@@ -35,6 +35,7 @@ from vibrolang.kernels import relaxation_params
 from vibrolang.spectra import (
     _density_rule,
     _even_grid,
+    _phase_sum,
     _sideband_comb,
     _weight_tail,
     choose_n_max,
@@ -63,11 +64,24 @@ def _riemann_phonon_correlation(t, sd, thermal, n_mid):
                   - 1j * (np.sin(phase) @ w))
 
 
-def _dense_band_sum(t, sd, thermal):
-    """Phonon correlation and dephasing rate from full (t x omega) cos and
-    sin tables on the band rule's nodes, one block of t rows at a time."""
+def _dense_phase_sum(t, omega, weights):
+    """sum_i weights_i e^{i omega_i t} from full (t x omega) cos and sin
+    tables, one block of t rows at a time."""
+    out = np.empty((len(t),) + weights.shape[1:], dtype=complex)
+    for lo in range(0, len(t), 512):
+        phase = np.outer(t[lo:lo + 512], omega)
+        out[lo:lo + 512] = np.cos(phase) @ weights \
+            + 1j * (np.sin(phase) @ weights)
+    return out
+
+
+def _dense_band_sum(t, sd, thermal, rows=slice(None)):
+    """Phonon correlation and dephasing rate at t[rows] from full (t x omega)
+    cos and sin tables on the band rule's nodes for the whole grid t, one
+    block of t rows at a time."""
     omega, big_w = _density_rule(sd, thermal, float(np.max(np.abs(t))))
     coth = thermal.coth_half_beta(omega)
+    t = t[rows]
     corr = np.empty(len(t), dtype=complex)
     rate = np.empty(len(t))
     for lo in range(0, len(t), 512):
@@ -422,6 +436,84 @@ class TestContinuum:
         th = ThermalState(temperature=temp)
         ref, _ = _dense_band_sum(TAU_CAVITY, SD_6C, th)
         err = _max_rel(phonon_correlation(TAU_CAVITY, SD_6C, th), ref)
+        assert err <= 1e-12, err
+
+
+# fig5a's response grid (dt 1/24 to the horizon 12/gamma = 240) and its
+# emitted correlation grid (to 30/omega_max = 10)
+TAU_5A = np.arange(5761) / 24.0
+TAU_5A_CORR = np.arange(0.0, 10.0, 1.0 / 24.0)
+# fig6c's temperature and its full tau grid (dt 1/48 to 12/gamma = 1,200)
+T_6C = 1.309235
+TAU_6C = np.arange(57601) / 48.0
+
+# the bound on |S - S_dense| / sum |w| of `_phase_sum`, fixed from the
+# Gaussian-gridding error estimate: truncation and aliasing are below
+# e^{-40} at an oversampling of 3 with 16 spread points a side; each weight
+# passes through 32 spread terms and at most 18 FFT stages, whose rounding
+# the band-edge deconvolution magnifies by at most 5.3, so 5.3 x 50 x
+# 1.1e-16 = 3e-14, and the dense sum's own rounding is about as large
+GRIDDING_BOUND = 1e-13
+
+
+def _band_weights(sd, thermal, t):
+    """Band-rule nodes of grid t and the cos and sin weights of
+    `phonon_correlation`'s exponent, side by side."""
+    omega, big_w = _density_rule(sd, thermal, float(np.max(np.abs(t))))
+    return omega, np.column_stack(
+        (big_w * thermal.coth_half_beta(omega) / omega**2, big_w / omega**2))
+
+
+class TestBandSum:
+    @pytest.mark.parametrize("temp", [0.3, 0.62, 1.0])
+    def test_fig5a_correlation_starts_at_one(self, temp):
+        # the worst cancellation of the presets: the cos band sum at
+        # tau = 0 cancels against sum w_re, which is 60 to 200 here
+        th = ThermalState(temperature=temp)
+        _, w = _band_weights(SD_1D, th, TAU_5A_CORR)
+        assert np.sum(np.abs(w[:, 0])) > 50.0
+        c0 = phonon_correlation(TAU_5A_CORR, SD_1D, th)[0]
+        assert abs(c0 - 1.0) <= 1e-12, c0
+
+    @pytest.mark.parametrize("sd, temp, t, rows", [
+        (SD_1D, 0.3, TAU_5A, slice(None)),
+        (SD_1D, 1.0, TAU_5A, slice(None)),
+        (SD_1D, 0.62, TAU_5A_CORR, slice(None)),
+        (SD_6C, T_6C, TAU_6C, slice(None, None, 61)),
+    ], ids=["fig5a-0.3", "fig5a-1.0", "fig5a-corr", "fig6c"])
+    def test_exponent_within_gridding_bound(self, sd, temp, t, rows):
+        omega, w = _band_weights(sd, ThermalState(temperature=temp), t)
+        _, h, _ = _even_grid(t, "t")
+        err = np.max(np.abs(_phase_sum(t, h, omega, w)[rows]
+                            - _dense_phase_sum(t[rows], omega, w)), axis=0)
+        bound = GRIDDING_BOUND * np.sum(np.abs(w), axis=0)
+        assert np.all(err <= bound), err / bound * GRIDDING_BOUND
+
+    @pytest.mark.parametrize("grid", [
+        np.array([2.5]), np.array([0.0, 0.75]), np.linspace(-1.0, 2.0, 3),
+        np.linspace(0.0, 3.0, 7), np.linspace(-20.0, 5.0, 1001),
+        np.linspace(30.0, -3.0, 241),
+    ], ids=["n1", "n2", "n3", "n7", "negative-t0", "descending"])
+    @pytest.mark.parametrize("sd, temp", [(SD_1D, 0.62), (SD_6C, T_6C)],
+                             ids=["1d", "3d"])
+    def test_edge_grids_match_dense_sum(self, grid, sd, temp):
+        th = ThermalState(temperature=temp)
+        corr, rate = _dense_band_sum(grid, sd, th)
+        err = _max_rel(phonon_correlation(grid, sd, th), corr)
+        assert err <= 1e-12, err
+        err = _max_rel(dephasing_rate(grid, sd, th), rate)
+        assert err <= 1e-12, err
+
+    def test_full_fig6c_grid_matches_dense_sum(self):
+        # 57,601 x 9,440, checked against the dense sums every 61st row
+        th = ThermalState(temperature=T_6C)
+        omega, _ = _band_weights(SD_6C, th, TAU_6C)
+        assert len(omega) == 9440
+        rows = np.r_[0:len(TAU_6C):61, len(TAU_6C) - 1]
+        corr, rate = _dense_band_sum(TAU_6C, SD_6C, th, rows)
+        err = _max_rel(phonon_correlation(TAU_6C, SD_6C, th)[rows], corr)
+        assert err <= 1e-12, err
+        err = _max_rel(dephasing_rate(TAU_6C, SD_6C, th)[rows], rate)
         assert err <= 1e-12, err
 
 
