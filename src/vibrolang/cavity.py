@@ -204,12 +204,13 @@ def polariton_rates(molecule: MoleculeParams, kp: KernelParams,
             stacklevel=2,
         )
     nbar = thermal.occupation(nu)
-    pref = 0.25 * lam**2 * nu**2 * gm
-    lor_m = 1.0 / ((0.5 * gm) ** 2 + (delta - nu) ** 2)
+    # squares as products, which overflow to inf where ** raises
+    pref = 0.25 * lam * lam * nu * nu * gm
+    lor_m = 1.0 / (0.25 * gm * gm + (delta - nu) * (delta - nu))
     if form == "main-text":
         return pref * (nbar + 1.0) * lor_m, pref * nbar * lor_m
     if form == "two-term":
-        lor_p = 1.0 / ((0.5 * gm) ** 2 + (delta + nu) ** 2)
+        lor_p = 1.0 / (0.25 * gm * gm + (delta + nu) * (delta + nu))
         k_plus = pref * ((nbar + 1.0) * lor_m + nbar * lor_p)
         k_minus = pref * (nbar * lor_m + (nbar + 1.0) * lor_p)
         return k_plus, k_minus

@@ -3,17 +3,18 @@ sweeps, CSV/SVG artifact emission with a checksum manifest.
 
 Usage:
     vibrolang <command> --config <path> [--out <dir>] [--format csv|csv+svg]
-              [--seed <u64>] [--threads <n>]
+              [--seed <u64>]
 
 Commands: relaxation, collective, absorption, phonon-wing, cavity,
 polariton, preset.  Only relaxation and collective (or a preset of one)
-take --seed.  Exit codes: 0 ok, 1 numeric failure, 2 config failure.
+take --seed, the seed of the chain's thermal draw, which the bath's
+temperature alone asks for.  The points of a sweep are computed one after
+another.  Exit codes: 0 ok, 1 numeric failure, 2 config failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import copy
 import dataclasses
 import functools
@@ -285,25 +286,24 @@ def _bath_trajectory(cfg, seed, n_molecules, **start):
 def _handle_relaxation(cfg, seed):
     nu = cfg.typed("nu", "float", above=0)
     bath, tcfg = _bath_trajectory(cfg, seed, 1)
-    overlay = cfg.typed("theory_overlay", "bool", True)
 
     def run():
         traj = microsim.simulate(nu, bath, (0,), tcfg)
         _, gm = derived_markov_params(bath, nu)
-        out = [Artifact("trajectory.csv", traj.to_csv(), len(traj.times),
-                        curves=[(traj.times, traj.E, "E_nu")],
-                        labels=("t", "E"), logy=True)]
-        if overlay:
-            e_th = traj.E[0] * np.exp(-gm * traj.times)
-            text, rows = _csv("t,E_theory", [traj.times, e_th])
-            out.append(Artifact("theory.csv", text, rows,
-                                curves=[(traj.times, e_th, "exp(-Gamma_m t)")],
-                                labels=("t", "E"), logy=True))
-        out.append(_meta_artifact("run.meta.json",
-                                  {"gamma_m": gm, "omega_max": bath.omega_max,
-                                   "config": cfg, "seed": tcfg.seed,
-                                   **_propagation(traj)}))
-        return out
+        e_th = traj.E[0] * np.exp(-gm * traj.times)
+        text, rows = _csv("t,E_theory", [traj.times, e_th])
+        return [
+            Artifact("trajectory.csv", traj.to_csv(), len(traj.times),
+                     curves=[(traj.times, traj.E, "E_nu")],
+                     labels=("t", "E"), logy=True),
+            Artifact("theory.csv", text, rows,
+                     curves=[(traj.times, e_th, "exp(-Gamma_m t)")],
+                     labels=("t", "E"), logy=True),
+            _meta_artifact("run.meta.json",
+                           {"gamma_m": gm, "omega_max": bath.omega_max,
+                            "config": cfg, "seed": tcfg.seed,
+                            **_propagation(traj)}),
+        ]
     return run
 
 
@@ -341,8 +341,9 @@ def _handle_absorption(cfg, seed):
         if method == "full" and "sd" in cfg else None
     if method == "full":
         spectra.check_resolution(grid, mol.gamma)
-    else:  # the order of the sideband comb
-        spectra.choose_n_max(mol.lam, thermal.occupation(kp.nu))
+    # the order of the sideband comb, which every method's vibron factor
+    # sums, over lines or (full) in time
+    spectra.choose_n_max(mol.lam, thermal.occupation(kp.nu))
 
     def run():
         meta = {"config": cfg, "method": method}
@@ -422,8 +423,7 @@ def _handle_cavity(cfg, seed):
     sd = _build(SpectralDensity, cfg.typed("sd", "section")) \
         if "sd" in cfg else None
     grid = _grid(cfg, "grid")
-    if cav.g > 0 and (sd is None or sd.coupling == 0):
-        # the molecular response is the sideband comb: its order
+    if cav.g > 0:  # the molecular response's sideband comb: its order
         spectra.choose_n_max(mol.lam, thermal.occupation(kp.nu))
 
     def run():
@@ -455,10 +455,13 @@ def _handle_polariton(cfg, seed):
         raise ConfigError("config field omega_plus: must be > omega_minus")
     kappa = cfg.typed("kappa", "float", above=0)
     init = cfg.typed("init", "tuple[float, float]", [1.0, 0.0])
+    k_plus, k_minus = cavity_mod.polariton_rates(mol, kp, thermal, *omegas,
+                                                 form=form)
+    if not np.all(np.isfinite((k_plus, k_minus))):
+        raise ConfigError("config field molecule: cross-talk rates "
+                          f"({k_plus!r}, {k_minus!r}) are not finite")
 
     def run():
-        k_plus, k_minus = cavity_mod.polariton_rates(mol, kp, thermal, *omegas,
-                                                     form=form)
         g_pm = cavity_mod.hybridized_decay(kappa, mol.gamma)
         p_u, p_l = cavity_mod.polariton_populations(
             t, init, (g_pm, g_pm), (k_plus, k_minus))
@@ -601,17 +604,13 @@ def build_config(cfg, seed=None):
     return cfg, sweep, [run for run, _ in built[:len(points)]]
 
 
-def run_config(cfg, out_dir, fmt="csv", seed=None, threads=1):
-    """Build a config (`build_config`), compute its points, serially or on
-    `threads` workers, and only then make `out_dir` and write the files, so
-    a run that fails writes nothing.  A plain run is a sweep of one point
-    with no file prefix.  Returns the manifest."""
+def run_config(cfg, out_dir, fmt="csv", seed=None):
+    """Build a config (`build_config`), compute its points one after
+    another, and only then make `out_dir` and write the files, so a run
+    that fails writes nothing.  A plain run is a sweep of one point with no
+    file prefix.  Returns the manifest."""
     cfg, sweep, runs = build_config(cfg, seed)
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-            results = list(pool.map(lambda run: run(), runs))
-    else:
-        results = [run() for run in runs]
+    results = [run() for run in runs]
     manifest = {"command": cfg["command"], "config": cfg,
                 "seed": seed, "files": []}
     prefixes = [""]
@@ -635,19 +634,15 @@ def main(argv=None):
     parser.add_argument("--out", default=".")
     parser.add_argument("--format", choices=["csv", "csv+svg"], default="csv")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
     try:
-        if args.threads < 1:
-            raise ConfigError(f"--threads {args.threads} must be >= 1")
         cfg = load_config(args.config)
         if not isinstance(cfg, dict) or cfg.get("command") != args.command:
             build_config(cfg)  # what is wrong with the config comes first
             raise ConfigError(f"config command {cfg['command']!r} does not "
                               f"match CLI command {args.command!r}")
-        run_config(cfg, args.out, fmt=args.format, seed=args.seed,
-                   threads=args.threads)
+        run_config(cfg, args.out, fmt=args.format, seed=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

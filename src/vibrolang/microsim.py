@@ -9,17 +9,19 @@ The linear equations of motion of M vibrons (m = 1..M) are
 
 integrated with fixed-step RK4 (the system is linear; the stability region
 is well characterized and RK4 keeps the brute-force oracle simple).  The
-trajectory is the RK4 step loop's up to rounding, but no run steps it; the
-loop stays in the tests as the oracle.  Two routes evaluate its map:
+phonons start at rest at bath temperature 0 and from a classical thermal
+draw, seeded by `TrajectoryConfig.seed`, above it.  The trajectory is the
+RK4 step loop's up to rounding, but no run steps it; the loop stays in the
+tests as the oracle.  Two routes evaluate its map:
 
 - Undamped runs of one vibron or of a mirror pair (-j, j) take
   `_mode_rows`: the map mode by mode from the normal modes of the
   arrowhead matrix of the chain, at any stored step.
-- Every other run (damped, thermal or not, any other site set) takes
-  `_map_rows`: the phonon block of the map is one 2x2 matrix per mode, and
-  the vibrons see the phonons only through 4M projections, so the
-  store_every steps between two stored rows compose into per-mode 2x2
-  blocks, two (4M x 2 n_modes) tables and one small vibron matrix.
+- Every other run (damped, or of any other site set) takes `_map_rows`:
+  the phonon block of the map is one 2x2 matrix per mode, and the vibrons
+  see the phonons only through 4M projections, so the store_every steps
+  between two stored rows compose into per-mode 2x2 blocks, two
+  (4M x 2 n_modes) tables and one small vibron matrix.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ class TrajectoryConfig:
     dt        : fixed RK4 step; must satisfy 0 < dt <= 2 pi / (20 omega_max)
     t_max     : horizon
     q0, p0    : initial vibron quadratures (one value, or one per molecule)
-    thermal_phonons : sample phonon initial conditions from the classical
-                      thermal distribution instead of starting at rest
-    seed      : RNG seed recorded for reproducibility, >= 0
+    seed      : seed of the phonons' thermal draw, >= 0; the phonons start
+                at rest at bath temperature 0 and from a classical thermal
+                draw above it
     store_every : keep every n-th step in the output, >= 1
     """
 
@@ -49,7 +51,6 @@ class TrajectoryConfig:
     t_max: float
     q0: float | tuple[float, ...] = 1.0
     p0: float | tuple[float, ...] = 0.0
-    thermal_phonons: bool = False
     seed: int = 0
     store_every: int = 1
 
@@ -126,7 +127,8 @@ class Trajectory:
 
 def _thermal_phonon_sample(rng, omega, temperature):
     """Classical equipartition draw: q_k, p_k ~ N(0, T/omega_k) in the
-    dimensionless quadratures where H_k = omega_k (p_k^2 + q_k^2)/2."""
+    dimensionless quadratures where H_k = omega_k (p_k^2 + q_k^2)/2; the
+    chain at rest, with nothing drawn, at T <= 0."""
     if temperature <= 0:
         return np.zeros_like(omega), np.zeros_like(omega)
     sig = np.sqrt(temperature / omega)
@@ -415,14 +417,9 @@ def _setup(nu, bath, sites, cfg):
 
     dt = cfg.resolved_dt(bath.omega_max)
     n_steps = int(np.ceil(cfg.t_max / dt))
-    m, nm = A.shape
-    q0, p0 = cfg.start(m)
-    rng = np.random.default_rng(cfg.seed)
-    q0ph, p0ph = (
-        _thermal_phonon_sample(rng, w, bath.temperature)
-        if cfg.thermal_phonons
-        else (np.zeros(nm), np.zeros(nm))
-    )
+    q0, p0 = cfg.start(len(A))
+    q0ph, p0ph = _thermal_phonon_sample(np.random.default_rng(cfg.seed), w,
+                                        bath.temperature)
     return w, A, gph, np.concatenate((q0, p0, q0ph, p0ph)), dt, n_steps
 
 

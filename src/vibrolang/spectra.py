@@ -116,7 +116,7 @@ def displacement_correlation_vibron(tau, molecule: MoleculeParams,
     """
     nbar = thermal.occupation(kp.nu)
     corr = momentum_correlation(tau, kp, thermal)
-    out = np.exp(-2.0 * molecule.lam**2 * ((nbar + 0.5) - corr))
+    out = np.exp(-2.0 * molecule.lam * molecule.lam * ((nbar + 0.5) - corr))
     return out if np.ndim(out) else complex(out)
 
 
@@ -374,7 +374,7 @@ def absorption_bessel(detuning_grid, molecule: MoleculeParams,
     nu_p, gamma_p = relaxation_params(kp)
     nbar = thermal.occupation(kp.nu)
     lam = molecule.lam
-    arg = 2.0 * lam**2 * math.sqrt(nbar * (nbar + 1.0))
+    arg = 2.0 * lam * lam * math.sqrt(nbar * (nbar + 1.0))
     if arg > 0.1:
         warnings.warn(
             "2 lam^2 sqrt(nbar(nbar+1)) > 0.1: single-sum Bessel form outside "

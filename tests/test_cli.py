@@ -53,7 +53,6 @@ SMALL_RELAXATION = {
     "bath": {"n_cells": 40, "k0": 12.25, "m0": 1.0, "dk": 2.0706279240848657,
              "qfactor": "inf", "temperature": 0.0},
     "trajectory": {"t_max": 4.0, "store_every": 4},
-    "theory_overlay": True,
 }
 
 SMALL_COLLECTIVE = {
@@ -111,13 +110,18 @@ PRESET_FILES = sorted(
     if entry.name.endswith(".json"))
 
 
+# (config, dotted key) of keys that runs no longer read
 REMOVED_KEYS = [
-    (SMALL_ABSORPTION, "molecule", "omega0"),
-    (SMALL_ABSORPTION, "molecule", "eta_l"),
-    (SMALL_CAVITY, "cavity", "eta_c"),
-    (SMALL_ABSORPTION, "kernel", "nu_tilde"),
-    (SMALL_RELAXATION, "bath", "ktot"),
-    (SMALL_RELAXATION, "bath", "dx"),
+    (SMALL_ABSORPTION, "molecule.omega0"),
+    (SMALL_ABSORPTION, "molecule.eta_l"),
+    (SMALL_CAVITY, "cavity.eta_c"),
+    (SMALL_ABSORPTION, "kernel.nu_tilde"),
+    (SMALL_RELAXATION, "bath.ktot"),
+    (SMALL_RELAXATION, "bath.dx"),
+    # the bath's temperature alone decides the thermal draws
+    (SMALL_RELAXATION, "trajectory.thermal_phonons"),
+    # relaxation always writes theory.csv
+    (SMALL_RELAXATION, "theory_overlay"),
 ]
 
 UNREAD_KEYS = [
@@ -206,6 +210,14 @@ FAILED_RUNS = [
                  2, id="unstable-dt-after-overflowing-point"),
 ]
 
+# sha256 of the trajectory.csv of SMALL_RELAXATION at bath temperature 1.0,
+# by --seed (None: the config's seed 0), as written when a
+# trajectory.thermal_phonons flag asked for the thermal draw
+THERMAL_TRAJECTORY_SHA256 = {
+    None: "f7b9296016806eb177878e9e8b8a86297763146cf348ec62f6ec8c7c240cbd2a",
+    3: "c5fdfb4ccbdfe94c49b040a4f90a0c10d19c414a05059abf4c182aecddb9c71c",
+}
+
 # keys of integer fields, each with a config that reads it and an int value
 INTEGER_KEYS = [
     pytest.param(SMALL_RELAXATION, "trajectory.seed", 2, id="trajectory.seed"),
@@ -219,8 +231,8 @@ INTEGER_KEYS = [
 
 # every config that exits 2 in this file, with the --seed it is given and a
 # substring its message must hold (or None); the errors of the command line
-# itself (an unreadable file, an unknown or mismatched command, --threads
-# below 1) have no config to build
+# itself (an unreadable file, an unknown or mismatched command) have no
+# config to build
 CONFIG_ERRORS = [
     pytest.param(dict(SMALL_RELAXATION, unexpected=1), None, None,
                  id="unexpected-key"),
@@ -255,14 +267,15 @@ CONFIG_ERRORS = [
     # two initial values for one molecule
     pytest.param(_set(SMALL_RELAXATION, "trajectory.q0", [1.0, 0.5]), None,
                  None, id="start-per-molecule-mismatch"),
-    *[pytest.param(_set(cfg, f"{section}.{key}", 1.0), None, repr(key),
-                   id=f"removed-{key}")
-      for cfg, section, key in REMOVED_KEYS],
+    *[pytest.param(_set(cfg, key, 1.0), None, repr(key.split(".")[-1]),
+                   id=f"removed-{key.split('.')[-1]}")
+      for cfg, key in REMOVED_KEYS],
     *[pytest.param(_set(*param.values), None,
                    f"config field {param.values[1]} ", id=f"unread-{param.id}")
       for param in UNREAD_KEYS],
-    *[pytest.param(_set(_set(SMALL_RELAXATION, f"bath.{key}", value),
-                        "trajectory.thermal_phonons", True), None, key,
+    # mu <= 0 gave a NaN vibron energy (exit 1), a negative temperature a
+    # run from rest (exit 0)
+    *[pytest.param(_set(SMALL_RELAXATION, f"bath.{key}", value), None, key,
                    id=f"bath-{key}-{value:g}")
       for key, value in BATH_OUT_OF_DOMAIN],
     # --seed overrides the trajectory section after its schema check
@@ -319,11 +332,19 @@ CONFIG_ERRORS = [
                  "config field omega_plus: ",
                  id="polariton-omega_plus-not-above-omega_minus"),
     # lam^2 overflows to inf, where it raised OverflowError: the comb's
-    # order is capped and its weight tail cannot close
+    # order is capped and its weight tail cannot close, which the vibron
+    # correlation of the full method and of a cavity with phonons sums too
     *[pytest.param(_set(cfg, "molecule.lam", 1e300), None,
-                   "weight tail did not close",
-                   id=f"lam-1e300-{cfg['command']}")
-      for cfg in (SMALL_ABSORPTION, SMALL_CAVITY)],
+                   "weight tail did not close", id=f"lam-1e300-{name}")
+      for name, cfg in [
+          ("absorption", SMALL_ABSORPTION),
+          ("cavity", SMALL_CAVITY),
+          ("absorption-full", dict(SMALL_ABSORPTION, method="full")),
+          ("cavity-sd", dict(SMALL_CAVITY, sd=SMALL_WING["sd"]))]],
+    # and the closed-form cross-talk rates are not finite
+    pytest.param(_set(SMALL_POLARITON, "molecule.lam", 1e300), None,
+                 "cross-talk rates (inf, inf) are not finite",
+                 id="lam-1e300-polariton"),
     # np.linspace raised ValueError for 1e300 points
     *[pytest.param(_set(SMALL_ABSORPTION, "grid.n", n), None,
                    "config field grid: n must be at most 10000000",
@@ -494,25 +515,15 @@ class TestExitCodes:
         cfg = dict(SMALL_COLLECTIVE, j=SMALL_RELAXATION["bath"]["n_cells"] + 1)
         self._config_error(tmp_path, cfg, capsys)
 
-    @pytest.mark.parametrize("threads", ["0", "-1"])
-    def test_threads_below_one_is_config_error(self, tmp_path, capsys,
-                                               threads):
-        # max(1, threads) ran these serially
-        path = _write(tmp_path, SMALL_ABSORPTION)
-        code = main(["absorption", "--config", path, "--out",
-                     str(tmp_path / "o"), "--threads", threads])
-        err = capsys.readouterr().err
-        assert code == 2, err
-        assert err.startswith("config error") and "--threads" in err
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("cfg, section, key", REMOVED_KEYS,
-                             ids=[key for _, _, key in REMOVED_KEYS])
-    def test_removed_key_is_config_error(self, tmp_path, capsys, cfg,
-                                         section, key):
-        # keys that once reached no output are refused, not ignored
-        cfg = _set(cfg, f"{section}.{key}", 1.0)
-        assert repr(key) in self._config_error(tmp_path, cfg, capsys)
+    @pytest.mark.parametrize("cfg, key", REMOVED_KEYS,
+                             ids=[key.split(".")[-1]
+                                  for _, key in REMOVED_KEYS])
+    def test_removed_key_is_config_error(self, tmp_path, capsys, cfg, key):
+        # keys that once reached no output, or are no longer settings, are
+        # refused, not ignored
+        name = key.split(".")[-1]
+        err = self._config_error(tmp_path, _set(cfg, key, 1.0), capsys)
+        assert f"config field {key} " in err and repr(name) in err
 
     @pytest.mark.parametrize("cfg, key, value", UNREAD_KEYS)
     def test_unread_key_is_config_error(self, tmp_path, capsys, cfg, key,
@@ -522,15 +533,6 @@ class TestExitCodes:
         cfg = _set(validate_config(cfg), key, value)
         assert f"config field {key} " in self._config_error(tmp_path, cfg,
                                                             capsys)
-
-    @pytest.mark.parametrize("key, value", BATH_OUT_OF_DOMAIN)
-    def test_bath_out_of_domain_is_config_error(self, tmp_path, capsys, key,
-                                                value):
-        # mu <= 0 gave a NaN vibron energy (exit 1), a negative temperature
-        # a run from rest (exit 0)
-        cfg = _set(_set(SMALL_RELAXATION, f"bath.{key}", value),
-                   "trajectory.thermal_phonons", True)
-        assert key in self._config_error(tmp_path, cfg, capsys)
 
     def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
         # --seed overrides the trajectory section after its schema check;
@@ -594,14 +596,11 @@ class TestExitCodes:
 
 
 class TestFailedRunWritesNothing:
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("cfg, code", FAILED_RUNS)
-    def test_exit_code_and_no_files(self, tmp_path, capsys, cfg, code,
-                                    threads):
+    def test_exit_code_and_no_files(self, tmp_path, capsys, cfg, code):
         path = _write(tmp_path, cfg)
         out = tmp_path / "o"
-        rc = main([cfg["command"], "--config", path, "--out", str(out),
-                   "--threads", str(threads)])
+        rc = main([cfg["command"], "--config", path, "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == code, err
         assert "Traceback" not in err
@@ -682,13 +681,16 @@ class TestArtifacts:
     def test_relaxation_outputs_and_checksums(self, tmp_path):
         out = tmp_path / "out"
         manifest = run_config(SMALL_RELAXATION, str(out))
-        names = {e["file"] for e in manifest["files"]}
-        assert {"trajectory.csv", "theory.csv", "run.meta.json"} <= names
+        assert [e["file"] for e in manifest["files"]] == [
+            "trajectory.csv", "theory.csv", "run.meta.json"]
         for entry in manifest["files"]:
             data = (out / entry["file"]).read_text()
             assert hashlib.sha256(data.encode()).hexdigest() == entry["sha256"]
         header = (out / "trajectory.csv").read_text().split("\n", 1)[0]
         assert header == "t,Q1,P1,E1"
+        meta = json.loads((out / "run.meta.json").read_text())
+        assert {"gamma_m", "omega_max", "config", "seed", "dt", "n_steps",
+                "propagator"} <= set(meta)
 
     @pytest.mark.parametrize("cfg, propagator", [
         (SMALL_RELAXATION, "modes"),
@@ -703,22 +705,43 @@ class TestArtifacts:
         assert meta["n_steps"] == math.ceil(
             cfg["trajectory"]["t_max"] / meta["dt"])
 
-    def test_relaxation_meta_without_overlay(self, tmp_path):
-        cfg = dict(SMALL_RELAXATION, theory_overlay=False)
-        names = {e["file"] for e in run_config(cfg, str(tmp_path))["files"]}
-        assert "theory.csv" not in names and "run.meta.json" in names
-        meta = json.loads((tmp_path / "run.meta.json").read_text())
-        assert {"gamma_m", "omega_max", "config", "seed", "dt", "n_steps",
-                "propagator"} <= set(meta)
-
     def test_byte_identical_reruns(self, tmp_path):
-        m1 = run_config(SMALL_RELAXATION, str(tmp_path / "a"))
-        m2 = run_config(SMALL_RELAXATION, str(tmp_path / "b"))
-        for e1, e2 in zip(m1["files"], m2["files"]):
-            assert e1["sha256"] == e2["sha256"]
-        t1 = (tmp_path / "a" / "trajectory.csv").read_bytes()
-        t2 = (tmp_path / "b" / "trajectory.csv").read_bytes()
-        assert t1 == t2
+        # a chain run; fig5a's 1d density at two temperatures, whose
+        # response and emitted correlation rest on band sums; and a sweep
+        # of sideband combs
+        configs = {
+            "relaxation": SMALL_RELAXATION,
+            "wing": dict(load_preset("fig5a"), sweep={
+                "axis": "temperature", "values": [0.0, 0.62]}),
+            "absorption": dict(SMALL_ABSORPTION, sweep={
+                "axis": "nbar", "values": [0.0, 0.5, 1.0, 2.0]}),
+        }
+        for name, cfg in configs.items():
+            written = []
+            for rerun in ("a", "b"):
+                out = tmp_path / name / rerun
+                run_config(cfg, str(out))
+                written.append({p.name: p.read_bytes() for p in out.iterdir()})
+            assert written[0] == written[1], name
+        assert (tmp_path / "wing" / "a" / "p001_correlation.csv").exists()
+
+    def test_thermal_draws_follow_bath_temperature(self, tmp_path):
+        # a bath above T = 0 starts the chain from a thermal draw; a
+        # trajectory flag once had to ask for it, and without the flag the
+        # run wrote the bytes of T = 0
+        def trajectory(name, cfg, *flags):
+            out = tmp_path / name
+            assert main(["relaxation", "--config", _write(tmp_path, cfg),
+                         "--out", str(out), *flags]) == 0
+            return (out / "trajectory.csv").read_bytes()
+
+        warm = _set(SMALL_RELAXATION, "bath.temperature", 1.0)
+        drawn = {None: trajectory("warm", warm),
+                 3: trajectory("seed-3", warm, "--seed", "3")}
+        assert drawn[None] != trajectory("cold", SMALL_RELAXATION)
+        assert drawn[None] != drawn[3]
+        assert {seed: hashlib.sha256(data).hexdigest()
+                for seed, data in drawn.items()} == THERMAL_TRAJECTORY_SHA256
 
     def test_failed_manifest_write_keeps_old_manifest(self, tmp_path,
                                                       monkeypatch):
@@ -910,26 +933,6 @@ class TestSweep:
             meta = json.loads((tmp_path / "swept" / f"p{i:03d}_spectrum"
                                ".meta.json").read_text())
             assert meta["config"]["molecule"]["lam"] == lam
-
-    def test_wing_sweep_threads_same_artifacts(self, tmp_path):
-        # fig5a's 1d density at two temperatures: the band sums of the
-        # response and the emitted correlation run in both points at once
-        cfg = dict(load_preset("fig5a"),
-                   sweep={"axis": "temperature", "values": [0.0, 0.62]})
-        m1 = run_config(cfg, str(tmp_path / "a"), threads=1)
-        m2 = run_config(cfg, str(tmp_path / "b"), threads=2)
-        sums1 = {e["file"]: e["sha256"] for e in m1["files"]}
-        sums2 = {e["file"]: e["sha256"] for e in m2["files"]}
-        assert "p001_correlation.csv" in sums1 and sums1 == sums2
-
-    def test_sweep_threads_same_artifacts(self, tmp_path):
-        cfg = dict(SMALL_ABSORPTION,
-                   sweep={"axis": "nbar", "values": [0.0, 0.5, 1.0, 2.0]})
-        m1 = run_config(cfg, str(tmp_path / "a"), threads=1)
-        m4 = run_config(cfg, str(tmp_path / "b"), threads=4)
-        sums1 = {e["file"]: e["sha256"] for e in m1["files"]}
-        sums4 = {e["file"]: e["sha256"] for e in m4["files"]}
-        assert sums1 == sums4
 
     def test_single_value_sweep_equals_run(self, tmp_path):
         swept = dict(SMALL_ABSORPTION,

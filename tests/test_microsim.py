@@ -62,7 +62,7 @@ class TestIntegration:
 
     def test_deterministic_given_seed(self):
         bath = _bath(n=30, temperature=2.0)
-        cfg = TrajectoryConfig(t_max=3.0, thermal_phonons=True, seed=7)
+        cfg = TrajectoryConfig(t_max=3.0, seed=7)
         a = simulate(1.0, bath, (0,), cfg)
         b = simulate(1.0, bath, (0,), cfg)
         np.testing.assert_array_equal(a.Q, b.Q)
@@ -70,14 +70,8 @@ class TestIntegration:
 
     def test_seed_changes_thermal_run(self):
         bath = _bath(n=30, temperature=2.0)
-        a = simulate(
-            1.0, bath, (0,),
-            TrajectoryConfig(t_max=3.0, thermal_phonons=True, seed=1),
-        )
-        b = simulate(
-            1.0, bath, (0,),
-            TrajectoryConfig(t_max=3.0, thermal_phonons=True, seed=2),
-        )
+        a = simulate(1.0, bath, (0,), TrajectoryConfig(t_max=3.0, seed=1))
+        b = simulate(1.0, bath, (0,), TrajectoryConfig(t_max=3.0, seed=2))
         assert np.any(a.Q != b.Q)
 
     def test_instability_detected(self):
@@ -186,17 +180,17 @@ class TestNormalModes:
         ((3,), 0.5, -0.8),
     ])
     def test_matches_rk4_loop(self, sites, q0, p0, thermal):
-        bath = _bath(n=200, temperature=1.5)
+        # the chain starts at rest at T = 0 and from a thermal draw above it
+        bath = _bath(n=200, temperature=1.5 if thermal else 0.0)
         cfg = TrajectoryConfig(t_max=15.0, q0=q0, p0=p0, store_every=3,
-                               thermal_phonons=thermal, seed=3)
+                               seed=3)
         _assert_modes_match_loop(1.0, bath, sites, cfg, 1e-12)
 
     def test_uncoupled_vibron_matches_rk4_loop(self):
         # dk = 0 deflates every mode: the arrowhead is its head alone
         bath = DiscreteBath(n_cells=20, k0=12.25, m0=1.0, dk=0.0,
                             temperature=1.0)
-        cfg = TrajectoryConfig(t_max=3.0, q0=(1.0, 0.5), p0=0.2,
-                               thermal_phonons=True)
+        cfg = TrajectoryConfig(t_max=3.0, q0=(1.0, 0.5), p0=0.2)
         _assert_modes_match_loop(1.0, bath, (-1, 1), cfg, 1e-12)
 
     @pytest.mark.parametrize("q0", [(1.0, -1.0), (1.0, 1.0)])
@@ -276,8 +270,7 @@ class TestComposedMap:
     @pytest.mark.parametrize("sites", [(0,), (-2, 0, 1)])
     def test_thermal_run_matches_rk4_loop(self, sites):
         bath = _bath(n=100, qfactor=50.0, temperature=1.5)
-        cfg = TrajectoryConfig(t_max=15.0, q0=0.5, store_every=4,
-                               thermal_phonons=True, seed=3)
+        cfg = TrajectoryConfig(t_max=15.0, q0=0.5, store_every=4, seed=3)
         traj = simulate(1.0, bath, sites, cfg)
         assert traj.meta["propagator"] == "rk4"
         _assert_same_run(traj, _rk4_oracle(1.0, bath, sites, cfg), 1e-12,
