@@ -44,6 +44,8 @@ class CavityParams:
             raise DomainError("kappa must be > 0")
         if self.g < 0:
             raise DomainError("g must be >= 0")
+        if not math.isfinite(self.g * self.g):
+            raise DomainError(f"g^2 = {self.g * self.g!r} is not finite")
 
 
 def molecular_response(detuning, molecule: MoleculeParams, kp: KernelParams,
@@ -95,7 +97,8 @@ def transmission(detuning, cavity: CavityParams, molecule: MoleculeParams,
         h = molecular_response(detuning, molecule, kp, thermal, sd=sd)
     else:
         h = 0.0
-    den = cavity.g**2 * h + cavity.kappa - 1j * (detuning - cavity.delta_c)
+    den = (cavity.g * cavity.g * h + cavity.kappa
+           - 1j * (detuning - cavity.delta_c))
     t_amp = cavity.kappa / den
     return t_amp, np.abs(t_amp) ** 2
 

@@ -227,6 +227,16 @@ def _molecule_kernel_thermal(cfg):
     return mol, kp, thermal
 
 
+def _check_pole(kp):
+    """Refuse a vibron at or above the band edge on a route that relaxes it
+    at the pole (nu', Gamma'), which lies only inside the band."""
+    if not kp.markovian and not kp.omega_max > kp.nu:
+        raise ConfigError(
+            f"config field kernel.omega_max: {kp.omega_max!r} must be > "
+            f"molecule.nu {kp.nu!r} for the pole approximation (or set "
+            "markovian)")
+
+
 def _grid(cfg, key):
     """Points of the grid section at `key` of a config."""
     return _build(_Grid, cfg.typed(key, "section")).points()
@@ -341,6 +351,8 @@ def _handle_absorption(cfg, seed):
         if method == "full" and "sd" in cfg else None
     if method == "full":
         spectra.check_resolution(grid, mol.gamma)
+    if method != "full" or mol.lam > 0:
+        _check_pole(kp)
     # the order of the sideband comb, which every method's vibron factor
     # sums, over lines or (full) in time
     spectra.choose_n_max(mol.lam, thermal.occupation(kp.nu))
@@ -423,7 +435,8 @@ def _handle_cavity(cfg, seed):
     sd = _build(SpectralDensity, cfg.typed("sd", "section")) \
         if "sd" in cfg else None
     grid = _grid(cfg, "grid")
-    if cav.g > 0:  # the molecular response's sideband comb: its order
+    if cav.g > 0:  # the molecular response: its pole and comb order
+        _check_pole(kp)
         spectra.choose_n_max(mol.lam, thermal.occupation(kp.nu))
 
     def run():

@@ -16,7 +16,10 @@ tests as the oracle.  Two routes evaluate its map:
 
 - Undamped runs of one vibron or of a mirror pair (-j, j) take
   `_mode_rows`: the map mode by mode from the normal modes of the
-  arrowhead matrix of the chain, at any stored step.
+  arrowhead matrix of the chain.  The powers of each mode's map factor
+  as e^{(n0 + j s) mu} = e^{n0 mu} e^{j s mu}, so one (rows x modes)
+  table of e^{j s mu} per run and one matrix product per block of stored
+  rows give every row (`_modal_rows`).
 - Every other run (damped, or of any other site set) takes `_map_rows`:
   the phonon block of the map is one 2x2 matrix per mode, and the vibrons
   see the phonons only through 4M projections, so the store_every steps
@@ -135,8 +138,8 @@ def _thermal_phonon_sample(rng, omega, temperature):
     return rng.normal(0.0, sig), rng.normal(0.0, sig)
 
 
-# rows of the (root x pole) and (time x mode) tables worked at once, which
-# keeps the normal-mode route's memory at a few hundred kB per table
+# roots of the (root x pole) tables of `_secular` worked at once, which
+# keeps them at a few hundred kB each
 _ROWS = 16
 
 
@@ -207,31 +210,69 @@ def _secular(head, d, z, xi, eta):
     return out
 
 
-def _map_powers(lam, h, n):
-    """Tables (C, S, D), rows n, columns lam, with G^n = [[C, S], [-lam S, C]]
-    and D = det G^n, for the RK4 map G = [[c, s], [-lam s, c]] of one
-    normal mode xi'' = -lam xi: c = 1 - x/2 + x^2/24, s = h(1 - x/6),
-    x = h^2 lam."""
+# stored rows per block of `_modal_rows`: its complex and real (rows x
+# modes) tables take 24 B per entry, 1.9 MB for a fig3 run's 1,252 modes
+_BLOCK = 64
+
+
+def _modal_rows(nu, lam, load, a, b, h, n_rows, s):
+    """Observer rows (Q, P, E, h_tot) at steps 0, s, .., (n_rows - 1) s of
+    normal modes xi'' = -lam xi, each stepped with its RK4 map
+    G = [[c, s_h], [-lam s_h, c]]: c = 1 - x/2 + x^2/24, s_h = h(1 - x/6),
+    x = h^2 lam.  Mode k starts at (a_k, b_k); load (M, modes) maps the
+    modes to the vibron coordinates Q/sqrt(nu), P sqrt(nu).
+
+    For lam > 0, G has eigenvalues e^{+-mu}, mu = log_det/2 + i phi with
+    log_det = log det G and phi = arg(c + i s_h r), r = sqrt(lam), and
+    G^n = [[C, S], [-lam S, C]] with C + i r S = e^{n mu}.  So a mode's
+    part of Q/sqrt(nu) at step n is Re e^{n mu} (a - i b/r) times its load,
+    and of P sqrt(nu) Re e^{n mu} (b + i r a).  Rows come in blocks of
+    _BLOCK from n0 = first s: one table E[j, k] = e^{j s mu_k}, built once,
+    times the coupling columns with e^{n0 mu} folded in, gives a block in
+    one complex product and one exp per mode; det G^n = e^{n log_det}
+    weighs each mode's energy in h_tot the same way through a real table.
+    Modes with lam <= 0 (an unstable chain) have real eigenvalues
+    c -+ s_h r; their Q and P take the direct powers.
+    """
+    m = len(load)
     x = h * h * lam
     c = 1.0 - x / 2.0 + x * x / 24.0
-    s = h * (1.0 - x / 6.0)
+    sh = h * (1.0 - x / 6.0)
     r = np.sqrt(np.abs(lam))
-    n = n[:, None]
-    # det G = c^2 + lam s^2 = 1 + x^3 (x - 8)/576, without the cancellation
+    # det G = c^2 + lam s_h^2 = 1 + x^3 (x - 8)/576, without the
+    # cancellation
     log_det = np.log1p(x ** 3 * (x - 8.0) / 576.0)
-    half = np.exp(0.5 * n * log_det)
-    phi = np.arctan2(s * r, c)
-    C = half * np.cos(n * phi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        S = half * np.sin(n * phi) / r
-        if np.any(lam <= 0):
-            # real eigenvalues c -+ s r: growth, the chain is unstable
-            j = lam <= 0
-            up, down = (c[j] + s[j] * r[j]) ** n, (c[j] - s[j] * r[j]) ** n
-            C[:, j] = 0.5 * (up + down)
-            S[:, j] = np.where(r[j] > 0, 0.5 * (up - down) / r[j],
-                               n * s[j] * c[j] ** (n - 1))
-    return C, S, half * half
+    real = lam <= 0
+    cx = ~real
+    la, lb = load * a, load * b
+    mu = 0.5 * log_det[cx] + 1j * np.arctan2(sh[cx] * r[cx], c[cx])
+    coef = np.vstack((np.sqrt(nu) * (la[:, cx] - 1j * lb[:, cx] / r[cx]),
+                      (lb[:, cx] + 1j * r[cx] * la[:, cx]) / np.sqrt(nu))).T
+    energy = 0.5 * (lam * a * a + b * b)
+    j = s * np.arange(min(_BLOCK, n_rows))[:, None]
+    E = j * mu
+    np.exp(E, out=E)
+    Ed = j * log_det
+    np.exp(Ed, out=Ed)
+    rows = np.empty((n_rows, 3 * m + 1))
+    for first in range(0, n_rows, _BLOCK):
+        k, n0 = min(_BLOCK, n_rows - first), first * s
+        blk = slice(first, first + k)
+        rows[blk, :2 * m] = (E[:k] @ (np.exp(n0 * mu)[:, None] * coef)).real
+        rows[blk, -1] = Ed[:k] @ (np.exp(n0 * log_det) * energy)
+        if np.any(real):
+            n = (n0 + s * np.arange(k))[:, None]
+            cr, sr, rr = c[real], sh[real], r[real]
+            up, down = (cr + sr * rr) ** n, (cr - sr * rr) ** n
+            C = 0.5 * (up + down)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                S = np.where(rr > 0, 0.5 * (up - down) / rr,
+                             n * sr * cr ** (n - 1))
+            lr, br, lar = la[:, real].T, lb[:, real].T, (lam * la)[:, real].T
+            rows[blk, :m] += np.sqrt(nu) * (C @ lr + S @ br)
+            rows[blk, m:2 * m] += (C @ br - S @ lar) / np.sqrt(nu)
+    rows[:, 2 * m:3 * m] = 0.5 * (rows[:, :m] ** 2 + rows[:, m:2 * m] ** 2)
+    return rows
 
 
 def _mode_rows(nu, w, A, y0, dt, n_steps, store_every):
@@ -242,7 +283,7 @@ def _mode_rows(nu, w, A, y0, dt, n_steps, store_every):
     xi'' = -K xi with K the arrowhead of head nu^2, diagonal omega_k^2 and
     border -sqrt(nu omega_k) beta_k; RK4 is covariant under that change of
     variables, so it steps each normal mode of K with the map of
-    `_map_powers`.  A holds one vibron's couplings, or a mirror pair's,
+    `_modal_rows`.  A holds one vibron's couplings, or a mirror pair's,
     which agree on even k and are opposite on odd k: (Q1 +- Q2)/sqrt(2)
     then couple to the even and to the odd modes with beta = sqrt(2) alpha.
     Modes with beta_k = 0 are deflated; they enter h_tot alone.  Returns the
@@ -275,17 +316,8 @@ def _mode_rows(nu, w, A, y0, dt, n_steps, store_every):
     parts.append((w[free] ** 2, np.zeros((m, np.count_nonzero(free))),
                   xi[free], eta[free]))
     lam, load, a, b = (np.concatenate(x, axis=-1) for x in zip(*parts))
-    steps = np.arange(0, n_steps + 1, store_every)
-    rows = np.empty((len(steps), 3 * m + 1))
-    energy = 0.5 * (lam * a * a + b * b)
-    la, lb, lla = (load * a).T, (load * b).T, (load * lam * a).T
-    for first in range(0, len(steps), _ROWS):
-        blk = slice(first, first + _ROWS)
-        C, S, D = _map_powers(lam, dt, steps[blk])
-        rows[blk, :m] = np.sqrt(nu) * (C @ la + S @ lb)
-        rows[blk, m:2 * m] = (C @ lb - S @ lla) / np.sqrt(nu)
-        rows[blk, -1] = D @ energy
-    rows[:, 2 * m:3 * m] = 0.5 * (rows[:, :m] ** 2 + rows[:, m:2 * m] ** 2)
+    rows = _modal_rows(nu, lam, load, a, b, dt, n_steps // store_every + 1,
+                       store_every)
     return rows, float(max(errors))
 
 

@@ -1,8 +1,9 @@
 """Reference formulas that only the tests call: a numeric kernel transform,
 the band form of the Markovian rate, a single-mode dephasing rate, the
 brute-force multimode sideband spectrum, first-order scattering amplitudes
-on the chain, the chain's RK4 step loop, and the per-value CSV and polyline
-formatters that the one-`%` emitters replace."""
+on the chain, the chain's RK4 step loop, the powers of one normal mode's
+RK4 map each from its own exp, cos and sin, and the per-value CSV and
+polyline formatters that the one-`%` emitters replace."""
 
 import io
 
@@ -159,6 +160,44 @@ def rk4_rows(nu, w, A, gph, y0, dt, n_steps, store_every):
             out[row] = observers(y)
             row += 1
     return out
+
+
+def map_powers(lam, h, n):
+    """Tables (C, S, D), rows n, columns lam, with G^n = [[C, S], [-lam S, C]]
+    and D = det G^n, for the RK4 map G = [[c, s], [-lam s, c]] of one
+    normal mode xi'' = -lam xi: c = 1 - x/2 + x^2/24, s = h(1 - x/6),
+    x = h^2 lam; each power from its own exp, cos and sin."""
+    x = h * h * lam
+    c = 1.0 - x / 2.0 + x * x / 24.0
+    s = h * (1.0 - x / 6.0)
+    r = np.sqrt(np.abs(lam))
+    n = n[:, None]
+    # det G = c^2 + lam s^2 = 1 + x^3 (x - 8)/576, without the cancellation
+    log_det = np.log1p(x ** 3 * (x - 8.0) / 576.0)
+    half = np.exp(0.5 * n * log_det)
+    phi = np.arctan2(s * r, c)
+    C = half * np.cos(n * phi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        S = half * np.sin(n * phi) / r
+        if np.any(lam <= 0):
+            # real eigenvalues c -+ s r: growth, the chain is unstable
+            j = lam <= 0
+            up, down = (c[j] + s[j] * r[j]) ** n, (c[j] - s[j] * r[j]) ** n
+            C[:, j] = 0.5 * (up + down)
+            S[:, j] = np.where(r[j] > 0, 0.5 * (up - down) / r[j],
+                               n * s[j] * c[j] ** (n - 1))
+    return C, S, half * half
+
+
+def modal_rows(nu, lam, load, a, b, h, n_rows, s):
+    """`microsim._modal_rows` from the direct powers of `map_powers` at
+    every stored step."""
+    C, S, D = map_powers(lam, h, np.arange(n_rows) * s)
+    la, lb, lla = (load * a).T, (load * b).T, (load * lam * a).T
+    Q = np.sqrt(nu) * (C @ la + S @ lb)
+    P = (C @ lb - S @ lla) / np.sqrt(nu)
+    h_tot = D @ (0.5 * (lam * a * a + b * b))
+    return np.column_stack((Q, P, 0.5 * (Q * Q + P * P), h_tot))
 
 
 def csv_per_value(header, columns):

@@ -20,9 +20,15 @@ from vibrolang import (
     vibron_phonon_couplings,
 )
 from vibrolang.cli import load_preset
-from vibrolang.microsim import _secular, _setup
+from vibrolang.microsim import (
+    _BLOCK,
+    _mode_rows,
+    _modal_rows,
+    _secular,
+    _setup,
+)
 
-from oracles import dyson_first_order, rk4_rows
+from oracles import dyson_first_order, modal_rows, rk4_rows
 
 
 def _bath(n=80, k0=12.25, gamma_m=0.05, **kw):
@@ -243,6 +249,44 @@ class TestNormalModes:
                         cfg).meta["propagator"] == "rk4"
         assert simulate(1.0, _bath(n=20), (-2, 2, 0),
                         cfg).meta["propagator"] == "rk4"
+
+
+class TestModalRows:
+    """The normal-mode route's rows from one table of factorised powers per
+    run against each power from its own exp, cos and sin."""
+
+    @pytest.mark.parametrize("unstable", [(), (0.0, -1e-4)],
+                             ids=["stable", "with-lam<=0"])
+    @pytest.mark.parametrize("n_rows", [10, 2 * _BLOCK + 5],
+                             ids=["below-one-block", "partial-last-block"])
+    @pytest.mark.parametrize("store_every", [1, 8])
+    def test_matches_direct_powers(self, store_every, n_rows, unstable):
+        rng = np.random.default_rng(1)
+        lam = np.concatenate((rng.uniform(0.01, 4.0, 300), unstable))
+        rng.shuffle(lam)
+        load = rng.normal(size=(2, len(lam)))
+        a, b = rng.normal(size=(2, len(lam)))
+        args = (1.3, lam, load, a, b, 0.05, n_rows, store_every)
+        rows, ref = _modal_rows(*args), modal_rows(*args)
+        assert n_rows < _BLOCK or n_rows % _BLOCK
+        assert rows.shape == ref.shape == (n_rows, 7)
+        scale = np.max(np.abs(ref), axis=0)
+        assert np.all(np.abs(rows - ref) <= 1e-13 * scale)
+
+    def test_unstable_chain_matches_rk4_loop(self):
+        # the chain of test_instability_detected: its vibron sits almost
+        # wholly in the one mode with lam < 0, which the direct powers take
+        bath = _bath(n=10, k0=10000.0)
+        cfg = TrajectoryConfig(
+            dt=2.0 * np.pi / (20.0 * bath.omega_max), t_max=2.0,
+            store_every=50,
+        )
+        w, A, gph, y0, dt, n_steps = _setup(1.0, bath, (0,), cfg)
+        rows, _ = _mode_rows(1.0, w, A, y0, dt, n_steps, cfg.store_every)
+        ref = rk4_rows(1.0, w, A, gph, y0, dt, n_steps, cfg.store_every)
+        assert np.max(ref[:, 2]) > 10.0 * ref[0, 2]
+        scale = np.max(np.abs(ref), axis=0)
+        assert np.all(np.abs(rows - ref) <= 1e-12 * scale)
 
 
 class TestComposedMap:
