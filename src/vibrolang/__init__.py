@@ -25,7 +25,6 @@ from .kernels import (
     KernelParams,
     effective_params,
     gamma_freq,
-    gamma_time,
     momentum_correlation,
     momentum_correlation_numeric,
     susceptibility,

@@ -356,6 +356,8 @@ def _handle_absorption(cfg, seed):
     # the order of the sideband comb, which every method's vibron factor
     # sums, over lines or (full) in time
     spectra.choose_n_max(mol.lam, thermal.occupation(kp.nu))
+    if method == "full":
+        spectra.time_grid(grid, mol, kp, sd, thermal)
 
     def run():
         meta = {"config": cfg, "method": method}
@@ -407,6 +409,7 @@ def _handle_phonon_wing(cfg, seed):
     grid = _grid(cfg, "grid") if "grid" in cfg else np.linspace(
         -sd.omega_max, 2.0 * sd.omega_max, 1201)
     spectra.check_resolution(grid, mol.gamma)
+    spectra.time_grid(grid, mol, None, sd, thermal)
     correlation = cfg.typed("emit_correlation", "bool", False)
 
     def run():
@@ -435,9 +438,11 @@ def _handle_cavity(cfg, seed):
     sd = _build(SpectralDensity, cfg.typed("sd", "section")) \
         if "sd" in cfg else None
     grid = _grid(cfg, "grid")
-    if cav.g > 0:  # the molecular response: its pole and comb order
+    if cav.g > 0:  # the molecular response: its pole, comb order and times
         _check_pole(kp)
         spectra.choose_n_max(mol.lam, thermal.occupation(kp.nu))
+        if sd is not None and sd.coupling > 0:
+            spectra.time_grid(grid, mol, kp, sd, thermal)
 
     def run():
         t_amp, t2 = cavity_mod.transmission(grid, cav, mol, kp, thermal,

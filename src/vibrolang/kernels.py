@@ -15,13 +15,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from . import special
 from .errors import DomainError, RegimeError
 from .model import ThermalState
-
-# below this value of omega_max*t the J1(x)/x kernels switch to their series
-_SMALL_X = 1e-3
 
 # `_band_rule`: its one Gauss-Legendre panel on [-1, 1], built once; the
 # largest phase omega_max t_max dtheta across a panel; the widest panel
@@ -64,33 +61,12 @@ def _order(d):
     return 2 * int(d) if d else 1
 
 
-def _j1_over_x(x):
-    """J1(x)/x with the series limit 1/2 - x^2/16 + x^4/384 near x = 0."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _SMALL_X
-    safe = np.where(small, 1.0, x)
-    return np.where(small, 0.5 - x**2 / 16.0 + x**4 / 384.0,
-                    special.j1(safe) / safe)
-
-
-def gamma_time(t, kp: KernelParams, d=0):
-    """Causal memory kernel Gamma_d(t) = Gamma_m s J_s(omega_max t)/t for
-    t >= 0, zero for t < 0: s = 1 for a molecule's own kernel (d = 0), whose
-    Gamma_0(0) is the limit Gamma_m omega_max / 2, and s = 2d for the mutual
-    kernel of two molecules d lattice sites apart, which vanishes at t = 0."""
-    s = _order(d)
-    t = np.asarray(t, dtype=float)
-    x = kp.omega_max * np.abs(t)
-    # special.j1, not jv(1, x), which is 2e-12 off near the zeros of J1
-    bessel = _j1_over_x(x) if s == 1 else \
-        special.jv(s, x) / np.where(x == 0, 1.0, x)
-    val = kp.gamma_m * s * kp.omega_max * bessel
-    out = np.where(t >= 0, val, 0.0)
-    return out if out.ndim else float(out)
-
-
 def gamma_freq(omega, kp: KernelParams, d=0):
-    """Fourier transform of `gamma_time`, Gamma_d(omega) = Gamma_m u^s.
+    """Memory kernel Gamma_d(omega) = Gamma_m u^s, the Fourier transform of
+    the causal Gamma_d(t) = Gamma_m s J_s(omega_max t)/t (t >= 0): s = 1
+    for a molecule's own kernel (d = 0) and s = 2d for the mutual kernel of
+    two molecules d lattice sites apart.  The time form has no caller in a
+    run; the tests' oracles hold it.
 
     In band (|omega| <= omega_max) u = e^{i theta}, theta =
     arcsin(omega/omega_max), so that |Gamma_d| = Gamma_m and

@@ -15,8 +15,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft, special
 
+from . import special
 from .errors import (
     DivergenceError,
     DomainError,
@@ -78,7 +78,8 @@ def debye_waller(sd: SpectralDensity, thermal: ThermalState):
 
     On `_density_rule` (panels at most pi/8 wide, graded toward omega = 0):
     80 nodes for a 3d density, 300 for the 1d density with omega_min =
-    1e-4 omega_max; within 6e-14 of adaptive quadrature at T = 0.3 to 1.0.
+    1e-4 omega_max; within 1.2e-13 of adaptive quadrature (tolerance 1e-13)
+    at T = 0.3 to 1.0.
     """
     if sd.coupling == 0:
         return 1.0
@@ -94,7 +95,7 @@ def debye_waller(sd: SpectralDensity, thermal: ThermalState):
 
 def polaron_shift(sd: SpectralDensity):
     """Electronic frequency renormalization int J(w)/w dw, on
-    `_density_rule` as `debye_waller`; within 3e-16 of adaptive quadrature
+    `_density_rule` as `debye_waller`; within 4e-16 of adaptive quadrature
     for the 3d and the regularized 1d density."""
     if sd.coupling == 0:
         return 0.0
@@ -161,11 +162,11 @@ def _phase_sum(t, h, omega, weights):
     by the Gaussian's, sqrt(tau/pi) e^{-k^2 tau}, leaves S.  M is at least
     _OVERSAMPLE n, rounded up to a fast FFT length, and
     tau = pi _SPREAD / (n^2 r (r - 1/2)) follows the actual oversampling
-    r = M/n.  `np.bincount` accumulates in input order and the FFT runs on
-    one worker, so the bytes do not depend on the thread count.
+    r = M/n.  `np.bincount` accumulates in input order and numpy's FFT is
+    single-threaded, so the bytes do not depend on the thread count.
     """
     n, half = len(t), len(t) // 2
-    size = max(2 * _SPREAD, fft.next_fast_len(_OVERSAMPLE * n))
+    size = max(2 * _SPREAD, special.next_fast_len(_OVERSAMPLE * n))
     tau = math.pi * _SPREAD / (size * (size - 0.5 * n))
     u = omega * (h * size / (2.0 * math.pi))
     base = np.floor(u).astype(np.int64)
@@ -177,13 +178,19 @@ def _phase_sum(t, h, omega, weights):
     spread = np.exp(-(math.pi**2 / (size * size * tau))
                     * (offset - frac[:, None]) ** 2)
     idx = ((base[:, None] + offset) % size).ravel()
-    grid = np.stack([np.bincount(idx, (spread * col.real[:, None]).ravel(),
-                                 minlength=size)
-                     + 1j * np.bincount(idx, (spread * col.imag[:, None])
-                                        .ravel(), minlength=size)
-                     for col in src.T], axis=1)
     k = np.arange(-half, n - half)
-    s = fft.ifft(grid, axis=0)[k % size] \
+
+    def modes(col):
+        # one column's grid through its own 1-D FFT, cut to the n modes at
+        # once: numpy's FFT of the whole (M x K) grid along axis 0 held about
+        # 1.6 MB of fresh pages a call in the wing workload
+        grid = np.bincount(idx, (spread * col.real[:, None]).ravel(),
+                           minlength=size) \
+            + 1j * np.bincount(idx, (spread * col.imag[:, None]).ravel(),
+                               minlength=size)
+        return np.fft.ifft(grid)[k % size]
+
+    s = np.stack([modes(col) for col in src.T], axis=1) \
         * (math.sqrt(math.pi / tau) * np.exp(tau * k * k))[:, None]
     return s.reshape(-1, *weights.shape[1:])
 
@@ -309,9 +316,8 @@ def choose_n_max(lam, nbar):
 
 def _weight_tail(lam, nbar, n_max):
     """1 - sum_{n<=n_max} sum_l w(n, l) (exact completeness complement)."""
-    s = lam * lam * (1.0 + 2.0 * nbar)
-    # P(Poisson(s) >= n_max+1) = regularized lower incomplete gamma P(n_max+1, s)
-    return float(special.gammainc(n_max + 1, s)) if s > 0 else 0.0
+    s = lam * lam * (1.0 + 2.0 * nbar)  # NaN at lam = 0, nbar = 1e308
+    return special.poisson_tail(n_max, s) if s > 0 else 0.0
 
 
 def _sideband_comb(lam, nbar):
@@ -326,9 +332,8 @@ def _sideband_comb(lam, nbar):
     """
     n, l = np.tril_indices(choose_n_max(lam, nbar) + 1)
     stokes, anti = lam**2 * (nbar + 1.0), lam**2 * nbar
-    w = np.exp(special.xlogy(n - l, stokes) - special.gammaln(n - l + 1)
-               + special.xlogy(l, anti) - special.gammaln(l + 1)
-               - lam**2 * (1.0 + 2.0 * nbar))
+    w = np.exp(special.log_poisson(n - l, stokes)
+               + special.log_poisson(l, anti))
     keep = w > 0
     return n[keep], l[keep], w[keep]
 
@@ -421,33 +426,59 @@ def response_transform(detuning, corr, gamma, dt):
         * np.exp((1j * detuning[0] - gamma) * t)
     j = np.arange(max(n, m), dtype=float)
     chirp = np.exp(0.5j * (step * dt) * j * j)
-    size = fft.next_fast_len(n + m - 1)
+    size = special.next_fast_len(n + m - 1)
     kernel = np.zeros(size, dtype=complex)
     kernel[:m] = chirp[:m].conj()
     kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
-    conv = fft.ifft(fft.fft(x * chirp[:n], size) * fft.fft(kernel))
+    conv = np.fft.ifft(np.fft.fft(x * chirp[:n], size) * np.fft.fft(kernel))
     out = chirp[:m] * conv[:m]
     return complex(out[0]) if scalar else out
+
+
+# the most points the full route's time grid may have, the bound of a
+# config's grids
+_TIME_POINTS_MAX = 10**7
+
+
+def time_grid(detuning, molecule: MoleculeParams, kp: KernelParams | None,
+              sd: SpectralDensity | None, thermal: ThermalState):
+    """Step and point count (dt, n) of the time grid on which
+    `_correlation_response` samples the product correlation: horizon
+    12/gamma, and dt that resolves the fastest of 32 gamma, nu and
+    omega_max, made finer where needed so that the Nyquist band pi/dt
+    covers the grid's largest |detuning| plus the vibron comb's reach, its
+    order `choose_n_max` times nu'.  A coarser dt folds the comb's far
+    sidebands onto the grid.  Over 10^7 points raise ResolutionError."""
+    gamma = molecule.gamma
+    scales = [32.0 * gamma]
+    reach = float(np.max(np.abs(detuning), initial=0.0))
+    if molecule.lam > 0 and kp is not None:
+        scales.append(kp.nu)
+        reach += choose_n_max(molecule.lam, thermal.occupation(kp.nu)) \
+            * relaxation_params(kp)[0]
+    if sd is not None and sd.coupling > 0:
+        scales.append(sd.omega_max)
+    dt = 1.0 / (8.0 * max(scales))
+    if reach * dt > math.pi:
+        dt = math.pi / reach
+    n = int(np.ceil(12.0 / gamma / dt)) + 1
+    if n > _TIME_POINTS_MAX:
+        raise ResolutionError(
+            f"the time grid needs {n} points (dt {dt:.3g} to 12/gamma), "
+            f"more than {_TIME_POINTS_MAX}")
+    return dt, n
 
 
 def _correlation_response(detuning, molecule: MoleculeParams,
                           kp: KernelParams | None, sd: SpectralDensity | None,
                           thermal: ThermalState):
     """Damped transform of the product correlation <B B^dag><D D^dag>,
-    each factor present when its coupling is.
-
-    dt resolves the fastest of 32 gamma, nu and omega_max; the horizon is
-    12/gamma.  Returns (H(detuning), dt, t_horizon).
+    each factor present when its coupling is, on the grid of `time_grid`.
+    Returns (H(detuning), dt, t_horizon).
     """
     gamma = molecule.gamma
-    scales = [32.0 * gamma]
-    if molecule.lam > 0 and kp is not None:
-        scales.append(kp.nu)
-    if sd is not None and sd.coupling > 0:
-        scales.append(sd.omega_max)
-    dt = min(2.0 * math.pi / (32.0 * max(scales)), 1.0 / (8.0 * max(scales)))
+    dt, n = time_grid(detuning, molecule, kp, sd, thermal)
     t_horizon = 12.0 / gamma
-    n = int(np.ceil(t_horizon / dt)) + 1
     t = np.arange(n) * dt
     corr = np.ones(n, dtype=complex)
     if molecule.lam > 0 and kp is not None:

@@ -1,14 +1,15 @@
-"""Reference formulas that only the tests call: a numeric kernel transform,
-the band form of the Markovian rate, a single-mode dephasing rate, the
-brute-force multimode sideband spectrum, first-order scattering amplitudes
-on the chain, the chain's RK4 step loop, the powers of one normal mode's
-RK4 map each from its own exp, cos and sin, and the per-value CSV and
-polyline formatters that the one-`%` emitters replace."""
+"""Reference formulas that only the tests call: the memory kernel in time
+(scipy's Bessel functions) and its numeric transform, the band form of the
+Markovian rate, a single-mode dephasing rate, the brute-force multimode
+sideband spectrum, first-order scattering amplitudes on the chain, the
+chain's RK4 step loop, the powers of one normal mode's RK4 map each from
+its own exp, cos and sin, and the per-value CSV and polyline formatters
+that the one-`%` emitters replace."""
 
 import io
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from vibrolang import (
     DiscreteBath,
@@ -17,10 +18,38 @@ from vibrolang import (
     MoleculeParams,
     ThermalState,
     chain_eigenmodes,
-    gamma_time,
     vibron_phonon_couplings,
 )
+from vibrolang.kernels import _order
 from vibrolang.spectra import LineSpectrum, _sideband_comb
+
+# below this value of omega_max*t the J1(x)/x kernels switch to their series
+_SMALL_X = 1e-3
+
+
+def _j1_over_x(x):
+    """J1(x)/x with the series limit 1/2 - x^2/16 + x^4/384 near x = 0."""
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < _SMALL_X
+    safe = np.where(small, 1.0, x)
+    return np.where(small, 0.5 - x**2 / 16.0 + x**4 / 384.0,
+                    special.j1(safe) / safe)
+
+
+def gamma_time(t, kp: KernelParams, d=0):
+    """Causal memory kernel Gamma_d(t) = Gamma_m s J_s(omega_max t)/t for
+    t >= 0, zero for t < 0: s = 1 for a molecule's own kernel (d = 0), whose
+    Gamma_0(0) is the limit Gamma_m omega_max / 2, and s = 2d for the mutual
+    kernel of two molecules d lattice sites apart, which vanishes at t = 0."""
+    s = _order(d)
+    t = np.asarray(t, dtype=float)
+    x = kp.omega_max * np.abs(t)
+    # special.j1, not jv(1, x), which is 2e-12 off near the zeros of J1
+    bessel = _j1_over_x(x) if s == 1 else \
+        special.jv(s, x) / np.where(x == 0, 1.0, x)
+    val = kp.gamma_m * s * kp.omega_max * bessel
+    out = np.where(t >= 0, val, 0.0)
+    return out if out.ndim else float(out)
 
 
 def kernel_fourier_numeric(omega, kp: KernelParams, d=0, t_max=None):

@@ -25,7 +25,6 @@ from vibrolang import (
     energy_envelope,
     fit_decay_rate,
     gamma_freq,
-    gamma_time,
     momentum_correlation,
     momentum_correlation_numeric,
     simulate,
@@ -49,7 +48,11 @@ from vibrolang.spectra import (
     vibron_lines,
 )
 
-from oracles import kernel_fourier_numeric, single_mode_dephasing_rate
+from oracles import (
+    gamma_time,
+    kernel_fourier_numeric,
+    single_mode_dephasing_rate,
+)
 
 warnings.filterwarnings("ignore", category=UserWarning)
 

@@ -15,7 +15,6 @@ from vibrolang import (
     ThermalState,
     effective_params,
     gamma_freq,
-    gamma_time,
     momentum_correlation,
     momentum_correlation_numeric,
     susceptibility,
@@ -23,7 +22,7 @@ from vibrolang import (
 )
 from vibrolang.kernels import relaxation_params
 
-from oracles import kernel_fourier_numeric
+from oracles import gamma_time, kernel_fourier_numeric
 
 KP = KernelParams(gamma_m=0.05, omega_max=7.0, nu=1.0)
 

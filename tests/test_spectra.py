@@ -221,6 +221,10 @@ class TestWeights:
         with pytest.raises(TruncationError):
             choose_n_max(1.0, 90.0)
 
+    def test_no_vibron_has_no_tail_at_any_occupation(self):
+        # lam^2 (1 + 2 nbar) is 0 * inf = NaN at nbar = 1e308
+        assert _weight_tail(0.0, 1e308, choose_n_max(0.0, 1e308)) == 0.0
+
     def test_uncapped_order_closes_the_tail(self):
         # below the cap the closed-form order leaves a tail of at most
         # 2e-20, so only a capped order can fail the 1e-8 check
@@ -606,6 +610,25 @@ class TestResponseTransform:
         ref = _simpson_response_transform(det, corr, 0.02, dt)
         err = _max_rel(response_transform(det, corr, 0.02, dt), ref)
         assert err <= 1e-12, err
+
+    @pytest.mark.parametrize("lam", [4.0, 6.0])
+    def test_full_route_matches_discrete_across_the_comb(self, lam):
+        # both routes sum one comb of Lorentzians: line by line, or as the
+        # Simpson transform of its correlation at step dt to 12/gamma.  The
+        # horizon leaves out e^{-12 - lam^2}/gamma^2.  Simpson's alternating
+        # weights put a copy of each line, a third of its size, pi/dt away,
+        # and pi/dt covers the grid plus the comb's order times nu'; so the
+        # copies of the lines that carry the weight (orders lam^2 +-
+        # 4 lam) stay >= 98 from this grid, where they sum to at most
+        # (gamma + lam^2 Gamma'/2) / (3 gamma 98^2) = 1.5e-3, against a
+        # peak near pi / (gamma sqrt(2 pi) lam) >= 8: 2e-4 of it.  At the
+        # fixed dt = 1/8 the routes parted by 33% and 31% of the peak.
+        mol = MoleculeParams(gamma=0.025, nu=1.0, lam=lam)
+        grid = np.linspace(-2.0, 60.0, 3101)
+        ref = absorption_discrete(grid, mol, KP, TH0).values
+        vals, _ = absorption_full(grid, mol, KP, None, TH0)
+        err = np.max(np.abs(vals - ref)) / np.max(ref)
+        assert err <= 1e-3, err
 
     def test_full_spectrum_resolution_guard(self):
         mol = MoleculeParams(gamma=1e-4, nu=1.0, lam=0.0)
