@@ -7,9 +7,10 @@ Usage:
 
 Commands: relaxation, collective, absorption, phonon-wing, cavity,
 polariton, preset.  Only relaxation and collective (or a preset of one)
-take --seed, the seed of the chain's thermal draw, which the bath's
-temperature alone asks for.  The points of a sweep are computed one after
-another.  Exit codes: 0 ok, 1 numeric failure, 2 config failure.
+take --seed, the one spelling of the seed of the chain's thermal draw (0
+without it), which the bath's temperature alone asks for.  The points of a
+sweep are computed one after another.  Exit codes: 0 ok, 1 numeric
+failure, 2 config failure.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import cavity as cavity_mod
 from . import kernels, microsim, spectra, svg
-from .errors import ConfigError, DomainError, VibrolangError
+from .errors import ConfigError, DomainError, RegimeError, VibrolangError
 from .model import (
     DiscreteBath,
     MoleculeParams,
@@ -189,13 +190,6 @@ def _build(make, section, **fixed):
     return _domain(section.key, make, **given, **fixed)
 
 
-# the most points a grid may have: a run keeps each point's values in a few
-# float64 arrays and its CSV row as text, about 190 bytes a point (an
-# absorption run of 10^6 points peaks 178 MiB above its start), so 10^7
-# points take about 2 GB; numpy refuses 2^60 points outright
-_GRID_MAX = 10**7
-
-
 @dataclasses.dataclass(frozen=True)
 class _Grid:
     """A grid, temp_grid or t_grid section: n points from min to max."""
@@ -205,8 +199,8 @@ class _Grid:
     n: int = dataclasses.field(metadata={"above": 0})
 
     def __post_init__(self):
-        if self.n > _GRID_MAX:
-            raise DomainError(f"n must be at most {_GRID_MAX}")
+        if self.n > spectra.GRID_MAX:
+            raise DomainError(f"n must be at most {spectra.GRID_MAX}")
 
     def points(self):
         return np.linspace(self.min, self.max, self.n)
@@ -230,11 +224,10 @@ def _molecule_kernel_thermal(cfg):
 def _check_pole(kp):
     """Refuse a vibron at or above the band edge on a route that relaxes it
     at the pole (nu', Gamma'), which lies only inside the band."""
-    if not kp.markovian and not kp.omega_max > kp.nu:
-        raise ConfigError(
-            f"config field kernel.omega_max: {kp.omega_max!r} must be > "
-            f"molecule.nu {kp.nu!r} for the pole approximation (or set "
-            "markovian)")
+    try:
+        kernels.relaxation_params(kp)
+    except RegimeError as exc:
+        raise ConfigError(f"config field kernel.omega_max: {exc}") from exc
 
 
 def _grid(cfg, key):
@@ -277,19 +270,14 @@ def _propagation(traj):
 
 def _bath_trajectory(cfg, seed, n_molecules, **start):
     """Bath and trajectory settings of a chain run of `n_molecules`, with
-    the step and the start checked; --seed and a collective excitation
-    override the trajectory section."""
+    the start checked; the seed is --seed's (0 without it), and a
+    collective excitation overrides the trajectory section's start."""
     section = cfg.typed("bath", "section")
     bath = _build(DiscreteBath, section, qfactor=float(
         section.typed("qfactor", "float or 'inf'", "inf")))
     traj = cfg.typed("trajectory", "section")
-    # --seed overrides trajectory.seed, which then counts as read
-    if seed is not None:
-        traj.typed("seed", "int", None)
-        start["seed"] = seed
-    tcfg = _build(microsim.TrajectoryConfig, traj, **start)
-    tcfg.resolved_dt(bath.omega_max)
-    tcfg.start(n_molecules)
+    tcfg = _build(microsim.TrajectoryConfig, traj, seed=seed or 0, **start)
+    _domain(traj.key, tcfg.start, n_molecules)
     return bath, tcfg
 
 
@@ -410,25 +398,20 @@ def _handle_phonon_wing(cfg, seed):
         -sd.omega_max, 2.0 * sd.omega_max, 1201)
     spectra.check_resolution(grid, mol.gamma)
     spectra.time_grid(grid, mol, None, sd, thermal)
-    correlation = cfg.typed("emit_correlation", "bool", False)
 
     def run():
         values, meta = spectra.absorption_full(grid, mol, None, sd, thermal)
         text, rows = _csv("detuning,value", [grid, values])
-        out = [Artifact("spectrum.csv", text, rows,
-                        curves=[(grid, values, "P_e/eta^2")],
-                        labels=("detuning", "P_e/eta^2"), logy=True),
-               _meta_artifact("spectrum.meta.json", {"config": cfg, **meta})]
-        if correlation:
-            t = np.arange(0.0, 30.0 / sd.omega_max, meta["dt"])
-            corr = np.atleast_1d(spectra.phonon_correlation(t, sd, thermal))
-            ctext, crows = _csv("t,re_corr,im_corr",
-                                [t, corr.real, corr.imag])
-            out.append(Artifact("correlation.csv", ctext, crows,
-                                curves=[(t, corr.real, "Re"),
-                                        (t, corr.imag, "Im")],
-                                labels=("t", "corr")))
-        return out
+        t = np.arange(0.0, 30.0 / sd.omega_max, meta["dt"])
+        corr = np.atleast_1d(spectra.phonon_correlation(t, sd, thermal))
+        ctext, crows = _csv("t,re_corr,im_corr", [t, corr.real, corr.imag])
+        return [Artifact("spectrum.csv", text, rows,
+                         curves=[(grid, values, "P_e/eta^2")],
+                         labels=("detuning", "P_e/eta^2"), logy=True),
+                _meta_artifact("spectrum.meta.json", {"config": cfg, **meta}),
+                Artifact("correlation.csv", ctext, crows,
+                         curves=[(t, corr.real, "Re"), (t, corr.imag, "Im")],
+                         labels=("t", "corr"))]
     return run
 
 
@@ -598,8 +581,8 @@ def build_config(cfg, seed=None):
     point.  Every config error is raised here, before any point computes,
     so that it is reported whatever the other points would do.  A preset
     config names a bundled config, whose own sweep a sweep given with the
-    name replaces.  `seed` overrides the trajectory seed of the commands in
-    SEEDED; any other command refuses it."""
+    name replaces.  `seed` is the trajectory seed of the commands in SEEDED
+    (0 when None); any other command refuses it."""
     cfg = copy.deepcopy(validate_config(cfg))
     sweep = _pop_sweep(cfg)
     if cfg["command"] == "preset":

@@ -133,8 +133,8 @@ def effective_params(kp: KernelParams):
     """
     if kp.omega_max <= kp.nu:
         raise RegimeError(
-            "effective_params requires omega_max > nu (pole approximation)"
-        )
+            f"omega_max {kp.omega_max!r} must be > nu {kp.nu!r} for the pole "
+            "approximation (or set markovian)")
     gamma_i_nu = kp.gamma_m * kp.nu / kp.omega_max
     nu_prime = np.sqrt(kp.nu**2 + gamma_i_nu * kp.nu)
     gamma_prime = float(np.real(gamma_freq(float(nu_prime), kp)))

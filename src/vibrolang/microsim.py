@@ -7,12 +7,14 @@ The linear equations of motion of M vibrons (m = 1..M) are
     qdot_k = omega_k p_k,
     pdot_k = -omega_k q_k + sum_m alpha_mk Q_m - gamma_k^ph p_k,
 
-integrated with fixed-step RK4 (the system is linear; the stability region
-is well characterized and RK4 keeps the brute-force oracle simple).  The
-phonons start at rest at bath temperature 0 and from a classical thermal
-draw, seeded by `TrajectoryConfig.seed`, above it.  The trajectory is the
-RK4 step loop's up to rounding, but no run steps it; the loop stays in the
-tests as the oracle.  Two routes evaluate its map:
+integrated with fixed-step RK4 at dt = 2 pi / (40 max(omega_max, nu)), 40
+steps per period of the fastest of the band edge and the vibron (the system
+is linear; the stability region is well characterized and RK4 keeps the
+brute-force oracle simple).  The phonons start at rest at bath temperature
+0 and from a classical thermal draw, seeded by `TrajectoryConfig.seed`,
+above it.  The trajectory is the RK4 step loop's up to rounding, but no run
+steps it; the loop stays in the tests as the oracle.  Two routes evaluate
+its map:
 
 - Undamped runs of one vibron or of a mirror pair (-j, j) take
   `_mode_rows`: the map mode by mode from the normal modes of the
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, InstabilityError
+from .errors import DomainError, InstabilityError
 from .model import DiscreteBath, chain_eigenmodes, vibron_phonon_couplings
 
 
@@ -41,8 +43,7 @@ from .model import DiscreteBath, chain_eigenmodes, vibron_phonon_couplings
 class TrajectoryConfig:
     """Integration settings.
 
-    dt        : fixed RK4 step; must satisfy 0 < dt <= 2 pi / (20 omega_max)
-    t_max     : horizon
+    t_max     : horizon, > 0
     q0, p0    : initial vibron quadratures (one value, or one per molecule)
     seed      : seed of the phonons' thermal draw, >= 0; the phonons start
                 at rest at bath temperature 0 and from a classical thermal
@@ -50,7 +51,6 @@ class TrajectoryConfig:
     store_every : keep every n-th step in the output, >= 1
     """
 
-    dt: float | None = None
     t_max: float
     q0: float | tuple[float, ...] = 1.0
     p0: float | tuple[float, ...] = 0.0
@@ -58,22 +58,12 @@ class TrajectoryConfig:
     store_every: int = 1
 
     def __post_init__(self):
+        if not self.t_max > 0:
+            raise DomainError("t_max must be > 0")
         if self.seed < 0:
             raise DomainError("seed must be >= 0")
         if self.store_every < 1:
             raise DomainError("store_every must be >= 1")
-
-    def resolved_dt(self, omega_max: float) -> float:
-        dt = self.dt if self.dt is not None else 2.0 * np.pi / (40.0 * omega_max)
-        if not dt > 0:
-            raise ConfigError(f"dt={dt:g} must be > 0")
-        if dt > 2.0 * np.pi / (20.0 * omega_max):
-            raise ConfigError(
-                f"dt={dt:g} exceeds the stability bound 2pi/(20 omega_max)"
-            )
-        if self.t_max <= 0:
-            raise ConfigError("t_max must be > 0")
-        return dt
 
     def start(self, m: int):
         """Initial (Q, P) of m molecules, each of shape (m,)."""
@@ -81,7 +71,7 @@ class TrajectoryConfig:
             return tuple(np.broadcast_to(np.asarray(x, dtype=float), (m,))
                          for x in (self.q0, self.p0))
         except ValueError as exc:
-            raise ConfigError("q0 and p0 take one value or one per "
+            raise DomainError("q0 and p0 take one value or one per "
                               "molecule") from exc
 
 
@@ -101,7 +91,6 @@ class Trajectory:
     E: np.ndarray
     e_plus: np.ndarray | None = None
     e_minus: np.ndarray | None = None
-    total_energy: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -210,13 +199,13 @@ def _secular(head, d, z, xi, eta):
     return out
 
 
-# stored rows per block of `_modal_rows`: its complex and real (rows x
-# modes) tables take 24 B per entry, 1.9 MB for a fig3 run's 1,252 modes
+# stored rows per block of `_modal_rows`: its complex (rows x modes) table
+# takes 16 B per entry, 1.3 MB for a fig3 run's 1,252 modes
 _BLOCK = 64
 
 
 def _modal_rows(nu, lam, load, a, b, h, n_rows, s):
-    """Observer rows (Q, P, E, h_tot) at steps 0, s, .., (n_rows - 1) s of
+    """Observer rows (Q, P, E) at steps 0, s, .., (n_rows - 1) s of
     normal modes xi'' = -lam xi, each stepped with its RK4 map
     G = [[c, s_h], [-lam s_h, c]]: c = 1 - x/2 + x^2/24, s_h = h(1 - x/6),
     x = h^2 lam.  Mode k starts at (a_k, b_k); load (M, modes) maps the
@@ -229,10 +218,9 @@ def _modal_rows(nu, lam, load, a, b, h, n_rows, s):
     and of P sqrt(nu) Re e^{n mu} (b + i r a).  Rows come in blocks of
     _BLOCK from n0 = first s: one table E[j, k] = e^{j s mu_k}, built once,
     times the coupling columns with e^{n0 mu} folded in, gives a block in
-    one complex product and one exp per mode; det G^n = e^{n log_det}
-    weighs each mode's energy in h_tot the same way through a real table.
-    Modes with lam <= 0 (an unstable chain) have real eigenvalues
-    c -+ s_h r; their Q and P take the direct powers.
+    one complex product and one exp per mode.  Modes with lam <= 0 (an
+    unstable chain) have real eigenvalues c -+ s_h r; their Q and P take
+    the direct powers.
     """
     m = len(load)
     x = h * h * lam
@@ -248,18 +236,13 @@ def _modal_rows(nu, lam, load, a, b, h, n_rows, s):
     mu = 0.5 * log_det[cx] + 1j * np.arctan2(sh[cx] * r[cx], c[cx])
     coef = np.vstack((np.sqrt(nu) * (la[:, cx] - 1j * lb[:, cx] / r[cx]),
                       (lb[:, cx] + 1j * r[cx] * la[:, cx]) / np.sqrt(nu))).T
-    energy = 0.5 * (lam * a * a + b * b)
-    j = s * np.arange(min(_BLOCK, n_rows))[:, None]
-    E = j * mu
+    E = s * np.arange(min(_BLOCK, n_rows))[:, None] * mu
     np.exp(E, out=E)
-    Ed = j * log_det
-    np.exp(Ed, out=Ed)
-    rows = np.empty((n_rows, 3 * m + 1))
+    rows = np.empty((n_rows, 3 * m))
     for first in range(0, n_rows, _BLOCK):
         k, n0 = min(_BLOCK, n_rows - first), first * s
         blk = slice(first, first + k)
         rows[blk, :2 * m] = (E[:k] @ (np.exp(n0 * mu)[:, None] * coef)).real
-        rows[blk, -1] = Ed[:k] @ (np.exp(n0 * log_det) * energy)
         if np.any(real):
             n = (n0 + s * np.arange(k))[:, None]
             cr, sr, rr = c[real], sh[real], r[real]
@@ -271,12 +254,12 @@ def _modal_rows(nu, lam, load, a, b, h, n_rows, s):
             lr, br, lar = la[:, real].T, lb[:, real].T, (lam * la)[:, real].T
             rows[blk, :m] += np.sqrt(nu) * (C @ lr + S @ br)
             rows[blk, m:2 * m] += (C @ br - S @ lar) / np.sqrt(nu)
-    rows[:, 2 * m:3 * m] = 0.5 * (rows[:, :m] ** 2 + rows[:, m:2 * m] ** 2)
+    rows[:, 2 * m:] = 0.5 * (rows[:, :m] ** 2 + rows[:, m:2 * m] ** 2)
     return rows
 
 
 def _mode_rows(nu, w, A, y0, dt, n_steps, store_every):
-    """Observer rows (Q, P, E, h_tot) of the undamped RK4 loop, evaluated
+    """Observer rows (Q, P, E) of the undamped RK4 loop, evaluated
     mode by mode instead of step by step.
 
     In xi = (Q/sqrt(nu), q/sqrt(omega)), eta = xi' the chain is
@@ -286,8 +269,8 @@ def _mode_rows(nu, w, A, y0, dt, n_steps, store_every):
     `_modal_rows`.  A holds one vibron's couplings, or a mirror pair's,
     which agree on even k and are opposite on odd k: (Q1 +- Q2)/sqrt(2)
     then couple to the even and to the odd modes with beta = sqrt(2) alpha.
-    Modes with beta_k = 0 are deflated; they enter h_tot alone.  Returns the
-    rows and the largest |sum v0^2 - 1| of the arrowheads solved.
+    Modes with beta_k = 0 are deflated: the vibrons never see them.  Returns
+    the rows and the largest |sum v0^2 - 1| of the arrowheads solved.
     """
     m, nm = A.shape
     q0, p0, qph, pph = np.split(y0, [m, 2 * m, 2 * m + nm])
@@ -299,11 +282,12 @@ def _mode_rows(nu, w, A, y0, dt, n_steps, store_every):
         blocks = [(np.array([1.0, sign]) / np.sqrt(2.0),
                    np.where(even == (sign > 0), np.sqrt(2.0) * A[0], 0.0))
                   for sign in (1.0, -1.0)]
-    free = np.ones(nm, dtype=bool)
-    parts, errors = [], [0.0]  # (lam, load, a, b) per block of modes
+    # (lam, load, a, b) per block of modes, after an empty block that stands
+    # for the vibrons' rows when every block starts, and stays, at rest
+    none = np.empty(0)
+    parts, errors = [(none, np.empty((m, 0)), none, none)], [0.0]
     for u, beta in blocks:
         k = beta != 0
-        free &= ~k
         x0 = np.concatenate(([u @ q0 / np.sqrt(nu)], xi[k]))
         e0 = np.concatenate(([u @ p0 * np.sqrt(nu)], eta[k]))
         if not (np.any(x0) or np.any(e0)):
@@ -312,9 +296,6 @@ def _mode_rows(nu, w, A, y0, dt, n_steps, store_every):
                                      -np.sqrt(nu * w[k]) * beta[k], x0, e0)
         errors.append(abs(np.sum(v0 * v0) - 1.0))
         parts.append((roots, np.outer(u, v0), ak, bk))
-    free &= (xi != 0) | (eta != 0)
-    parts.append((w[free] ** 2, np.zeros((m, np.count_nonzero(free))),
-                  xi[free], eta[free]))
     lam, load, a, b = (np.concatenate(x, axis=-1) for x in zip(*parts))
     rows = _modal_rows(nu, lam, load, a, b, dt, n_steps // store_every + 1,
                        store_every)
@@ -408,7 +389,7 @@ def _composed_map(nu, A, D, h, s):
 
 
 def _map_rows(nu, w, A, gph, y0, dt, n_steps, store_every):
-    """Observer rows (Q, P, E, h_tot) of the RK4 loop, a stored row at a
+    """Observer rows (Q, P, E) of the RK4 loop, a stored row at a
     time: each row applies the composed maps of `_composed_map` over
     chunks of at most _STEPS steps."""
     m, nm = A.shape
@@ -420,8 +401,6 @@ def _map_rows(nu, w, A, gph, y0, dt, n_steps, store_every):
     n_rows = n_steps // store_every + 1
     v, ph = y0[:2 * m], y0[2 * m:].reshape(2, nm)
     vs = np.empty((n_rows, 2 * m))
-    aq = np.empty((n_rows, m))
-    e_ph = np.empty(n_rows)
     for row in range(n_rows):
         if row:
             for F, R, U, Ls in plan:
@@ -430,12 +409,8 @@ def _map_rows(nu, w, A, gph, y0, dt, n_steps, store_every):
                 ph = (Ls[:, 0] * ph[0] + Ls[:, 1] * ph[1]
                       + (z[2 * m:] @ U).reshape(2, nm))
         vs[row] = v
-        e_ph[row] = np.dot(w, ph[0] * ph[0] + ph[1] * ph[1])
-        aq[row] = np.dot(A, ph[0])
     Q, P = vs[:, :m], vs[:, m:]
-    e_vib = 0.5 * (Q * Q + P * P)
-    h_tot = nu * e_vib.sum(axis=1) + 0.5 * e_ph - np.sum(Q * aq, axis=1)
-    return np.column_stack((vs, e_vib, h_tot))
+    return np.column_stack((vs, 0.5 * (Q * Q + P * P)))
 
 
 def _setup(nu, bath, sites, cfg):
@@ -447,7 +422,7 @@ def _setup(nu, bath, sites, cfg):
     A = np.array([vibron_phonon_couplings(bath, nu, w, site=s) for s in sites])
     gph = np.zeros_like(w) if np.isinf(bath.qfactor) else w / bath.qfactor
 
-    dt = cfg.resolved_dt(bath.omega_max)
+    dt = 2.0 * np.pi / (40.0 * max(bath.omega_max, nu))
     n_steps = int(np.ceil(cfg.t_max / dt))
     q0, p0 = cfg.start(len(A))
     q0ph, p0ph = _thermal_phonon_sample(np.random.default_rng(cfg.seed), w,
@@ -479,7 +454,7 @@ def simulate(nu: float, bath: DiscreteBath, sites,
         rows = _map_rows(nu, w, A, gph, y0, dt, n_steps, cfg.store_every)
         meta["propagator"] = "rk4"
     times = np.arange(len(rows)) * dt * cfg.store_every
-    Q, P, E = rows[:, :m].T, rows[:, m:2 * m].T, rows[:, 2 * m:3 * m].T
+    Q, P, E = rows[:, :m].T, rows[:, m:2 * m].T, rows[:, 2 * m:].T
     e_sum = np.sum(E, axis=0)
     if not np.all(np.isfinite(e_sum)):
         raise InstabilityError("vibron energy is not finite")
@@ -491,11 +466,8 @@ def simulate(nu: float, bath: DiscreteBath, sites,
         e_minus = 0.25 * ((Q[0] - Q[1]) ** 2 + (P[0] - P[1]) ** 2)
     if m == 1:
         Q, P, E = Q[0], P[0], E[0]
-    return Trajectory(
-        times=times, Q=Q, P=P, E=E, e_plus=e_plus, e_minus=e_minus,
-        total_energy=rows[:, 3 * m],
-        meta=meta,
-    )
+    return Trajectory(times=times, Q=Q, P=P, E=E, e_plus=e_plus,
+                      e_minus=e_minus, meta=meta)
 
 
 def energy_envelope(times, energy, period):

@@ -435,9 +435,12 @@ def response_transform(detuning, corr, gamma, dt):
     return complex(out[0]) if scalar else out
 
 
-# the most points the full route's time grid may have, the bound of a
-# config's grids
-_TIME_POINTS_MAX = 10**7
+# the most points a config's grids and the full route's time grid may have:
+# a run keeps each point's values in a few float64 arrays and its CSV row as
+# text, about 190 bytes a point (an absorption run of 10^6 points peaks
+# 178 MiB above its start), so 10^7 points take about 2 GB; numpy refuses
+# 2^60 points outright
+GRID_MAX = 10**7
 
 
 def time_grid(detuning, molecule: MoleculeParams, kp: KernelParams | None,
@@ -462,10 +465,10 @@ def time_grid(detuning, molecule: MoleculeParams, kp: KernelParams | None,
     if reach * dt > math.pi:
         dt = math.pi / reach
     n = int(np.ceil(12.0 / gamma / dt)) + 1
-    if n > _TIME_POINTS_MAX:
+    if n > GRID_MAX:
         raise ResolutionError(
             f"the time grid needs {n} points (dt {dt:.3g} to 12/gamma), "
-            f"more than {_TIME_POINTS_MAX}")
+            f"more than {GRID_MAX}")
     return dt, n
 
 

@@ -192,8 +192,8 @@ def rk4_rows(nu, w, A, gph, y0, dt, n_steps, store_every):
 
 
 def map_powers(lam, h, n):
-    """Tables (C, S, D), rows n, columns lam, with G^n = [[C, S], [-lam S, C]]
-    and D = det G^n, for the RK4 map G = [[c, s], [-lam s, c]] of one
+    """Tables (C, S), rows n, columns lam, with G^n = [[C, S], [-lam S, C]]
+    for the RK4 map G = [[c, s], [-lam s, c]] of one
     normal mode xi'' = -lam xi: c = 1 - x/2 + x^2/24, s = h(1 - x/6),
     x = h^2 lam; each power from its own exp, cos and sin."""
     x = h * h * lam
@@ -215,18 +215,17 @@ def map_powers(lam, h, n):
             C[:, j] = 0.5 * (up + down)
             S[:, j] = np.where(r[j] > 0, 0.5 * (up - down) / r[j],
                                n * s[j] * c[j] ** (n - 1))
-    return C, S, half * half
+    return C, S
 
 
 def modal_rows(nu, lam, load, a, b, h, n_rows, s):
     """`microsim._modal_rows` from the direct powers of `map_powers` at
     every stored step."""
-    C, S, D = map_powers(lam, h, np.arange(n_rows) * s)
+    C, S = map_powers(lam, h, np.arange(n_rows) * s)
     la, lb, lla = (load * a).T, (load * b).T, (load * lam * a).T
     Q = np.sqrt(nu) * (C @ la + S @ lb)
     P = (C @ lb - S @ lla) / np.sqrt(nu)
-    h_tot = D @ (0.5 * (lam * a * a + b * b))
-    return np.column_stack((Q, P, 0.5 * (Q * Q + P * P), h_tot))
+    return np.column_stack((Q, P, 0.5 * (Q * Q + P * P)))
 
 
 def csv_per_value(header, columns):

@@ -109,6 +109,12 @@ PRESET_FILES = sorted(
     for entry in (resources.files("vibrolang") / "presets").iterdir()
     if entry.name.endswith(".json"))
 
+# the RK4 step of each chain preset, 2 pi/(40 omega_max): its vibron lies
+# inside the band (nu <= omega_max)
+CHAIN_PRESET_DT = {"fig2c": 2.0 * math.pi / 280.0,
+                   "fig2d": 2.0 * math.pi / 40.0,
+                   "fig3": 2.0 * math.pi / 960.0}
+
 
 # (config, dotted key) of keys that runs no longer read
 REMOVED_KEYS = [
@@ -122,6 +128,12 @@ REMOVED_KEYS = [
     (SMALL_RELAXATION, "trajectory.thermal_phonons"),
     # relaxation always writes theory.csv
     (SMALL_RELAXATION, "theory_overlay"),
+    # a chain run's step is 2 pi/(40 max(omega_max, nu)), and its seed
+    # --seed's
+    (SMALL_RELAXATION, "trajectory.dt"),
+    (SMALL_RELAXATION, "trajectory.seed"),
+    # a phonon-wing spectrum always writes correlation.csv
+    (SMALL_WING, "emit_correlation"),
 ]
 
 UNREAD_KEYS = [
@@ -138,8 +150,6 @@ UNREAD_KEYS = [
     pytest.param(SMALL_DEBYE_WALLER, "gamma", 0.05, id="dw-gamma"),
     pytest.param(SMALL_DEBYE_WALLER, "grid",
                  {"min": -1.0, "max": 2.0, "n": 31}, id="dw-grid"),
-    pytest.param(SMALL_DEBYE_WALLER, "emit_correlation", True,
-                 id="dw-emit_correlation"),
     pytest.param(SMALL_WING, "temp_grid", {"min": 0.0, "max": 1.0, "n": 3},
                  id="spectrum-temp_grid"),
     pytest.param(SMALL_COLLECTIVE, "trajectory.q0", [1.0, 1.0],
@@ -184,6 +194,8 @@ FAILED_RUNS = [
     pytest.param(dict(SMALL_RELAXATION,
                       trajectory={"t_max": 4.0, "store_every": 0}), 2,
                  id="store_every-0"),
+    # trajectory.seed is a removed key; a negative --seed is the
+    # seed-flag-negative row of CONFIG_ERRORS
     pytest.param(dict(SMALL_RELAXATION,
                       trajectory={"t_max": 4.0, "seed": -1}), 2,
                  id="seed-negative"),
@@ -201,17 +213,18 @@ FAILED_RUNS = [
     pytest.param(dict(SWEEP_1D_WING, grid={"min": -1.0, "max": 2.0, "n": 31},
                       sweep={"axis": "gamma", "values": [0.2, 0.05]}), 2,
                  id="coarse-grid-after-divergent-point"),
-    # the first point's vibron energy overflows, and the second's dt 1.0
-    # exceeds the chain's stability bound
+    # the first point's vibron energy overflows, and the second's
+    # store_every 0 stores no step
     pytest.param(dict(SMALL_RELAXATION,
                       trajectory=dict(SMALL_RELAXATION["trajectory"],
                                       q0=1e200),
-                      sweep={"axis": "trajectory.dt", "values": [0.01, 1.0]}),
-                 2, id="unstable-dt-after-overflowing-point"),
+                      sweep={"axis": "trajectory.store_every",
+                             "values": [4, 0]}),
+                 2, id="store_every-0-after-overflowing-point"),
 ]
 
 # sha256 of the trajectory.csv of SMALL_RELAXATION at bath temperature 1.0,
-# by --seed (None: the config's seed 0), on the normal-mode route by
+# by --seed (None: seed 0), on the normal-mode route by
 # factorised powers; the bytes written when a trajectory.thermal_phonons flag
 # asked for the thermal draw (by the direct powers) differ from these in two
 # cells per seed, by one unit in the last printed digit
@@ -222,7 +235,7 @@ THERMAL_TRAJECTORY_SHA256 = {
 
 # keys of integer fields, each with a config that reads it and an int value
 INTEGER_KEYS = [
-    pytest.param(SMALL_RELAXATION, "trajectory.seed", 2, id="trajectory.seed"),
+    pytest.param(SMALL_COLLECTIVE, "j", 1, id="j"),
     pytest.param(SMALL_ABSORPTION, "grid.n", 201, id="grid.n"),
     pytest.param(SMALL_DEBYE_WALLER, "temp_grid.n", 3, id="temp_grid.n"),
     pytest.param(SMALL_POLARITON, "t_grid.n", 50, id="t_grid.n"),
@@ -261,8 +274,6 @@ CONFIG_ERRORS = [
                  id="negative-nu-relaxation"),
     pytest.param(dict(SMALL_COLLECTIVE, nu=-1.0), None, None,
                  id="negative-nu-collective"),
-    *[pytest.param(_set(SMALL_RELAXATION, "trajectory.dt", dt), None, None,
-                   id=f"dt-{dt:g}") for dt in (0.0, -0.01)],
     pytest.param(dict(SMALL_COLLECTIVE,
                       j=SMALL_RELAXATION["bath"]["n_cells"] + 1), None, None,
                  id="pair-beyond-chain"),
@@ -280,7 +291,7 @@ CONFIG_ERRORS = [
     *[pytest.param(_set(SMALL_RELAXATION, f"bath.{key}", value), None, key,
                    id=f"bath-{key}-{value:g}")
       for key, value in BATH_OUT_OF_DOMAIN],
-    # --seed overrides the trajectory section after its schema check
+    # --seed is checked with the trajectory section it completes
     pytest.param(SMALL_RELAXATION, -1, "seed", id="seed-flag-negative"),
     *[pytest.param(param.values[0], int(param.values[1]), "--seed",
                    id=f"unread-seed-{param.id}") for param in UNREAD_SEEDS],
@@ -420,7 +431,7 @@ class TestValidation:
         (SMALL_ABSORPTION, "kernel", KernelParams, ("nu", "markovian")),
         (SMALL_WING, "sd", SpectralDensity, ()),
         (SMALL_CAVITY, "cavity", CavityParams, ()),
-        (SMALL_RELAXATION, "trajectory", TrajectoryConfig, ()),
+        (SMALL_RELAXATION, "trajectory", TrajectoryConfig, ("seed",)),
     ], ids=["bath", "molecule", "kernel", "sd", "cavity", "trajectory"])
     def test_section_builds_its_dataclass(self, cfg, section, make, supplied):
         # a section is passed to its dataclass field by field: a field
@@ -498,22 +509,6 @@ class TestExitCodes:
         self._config_error(tmp_path, cfg, capsys)
         assert time.perf_counter() - start < 2.0
 
-    def test_negative_nu_relaxation_is_config_error(self, tmp_path, capsys):
-        self._config_error(tmp_path, dict(SMALL_RELAXATION, nu=-1.0), capsys)
-
-    def test_negative_nu_collective_is_config_error(self, tmp_path, capsys):
-        self._config_error(tmp_path, dict(SMALL_COLLECTIVE, nu=-1.0), capsys)
-
-    @pytest.mark.parametrize("dt", [0.0, -0.01])
-    def test_non_positive_dt_is_config_error(self, tmp_path, capsys, dt):
-        cfg = copy.deepcopy(SMALL_RELAXATION)
-        cfg["trajectory"]["dt"] = dt
-        self._config_error(tmp_path, cfg, capsys)
-
-    def test_pair_beyond_chain_is_config_error(self, tmp_path, capsys):
-        cfg = dict(SMALL_COLLECTIVE, j=SMALL_RELAXATION["bath"]["n_cells"] + 1)
-        self._config_error(tmp_path, cfg, capsys)
-
     @pytest.mark.parametrize("cfg, key", REMOVED_KEYS,
                              ids=[key.split(".")[-1]
                                   for _, key in REMOVED_KEYS])
@@ -534,7 +529,7 @@ class TestExitCodes:
                                                             capsys)
 
     def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
-        # --seed overrides the trajectory section after its schema check;
+        # --seed is checked with the trajectory section it completes;
         # default_rng(-1) raised ValueError with a traceback
         path = _write(tmp_path, SMALL_RELAXATION)
         code = main(["relaxation", "--config", path, "--out",
@@ -563,15 +558,6 @@ class TestExitCodes:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         meta = json.loads((tmp_path / "o" / "run.meta.json").read_text())
         assert manifest["seed"] == meta["seed"] == 3
-
-    def test_seed_flag_overrides_config_seed(self, tmp_path):
-        # the config's seed counts as read: --seed is its override
-        path = _write(tmp_path, _set(SMALL_RELAXATION, "trajectory.seed", 5))
-        assert main(["relaxation", "--config", path, "--out",
-                     str(tmp_path / "o"), "--seed", "3"]) == 0
-        meta = json.loads((tmp_path / "o" / "run.meta.json").read_text())
-        assert meta["seed"] == 3
-        assert meta["config"]["trajectory"]["seed"] == 5
 
     def _cavity_g_eff(self, tmp_path, cfg):
         path = _write(tmp_path, cfg)
@@ -777,6 +763,11 @@ class TestArtifacts:
         for item in manifest["files"]:
             data = (out / item["file"]).read_bytes()
             assert hashlib.sha256(data).hexdigest() == item["sha256"]
+            if item["file"].endswith("run.meta.json"):
+                assert json.loads(data)["dt"] == CHAIN_PRESET_DT[name]
+        assert (name in CHAIN_PRESET_DT) == any(
+            item["file"].endswith("run.meta.json")
+            for item in manifest["files"])
 
     @pytest.mark.parametrize("cfg, key, value", INTEGER_KEYS)
     def test_integral_float_integer_key(self, tmp_path, cfg, key, value):
@@ -836,7 +827,7 @@ class TestArtifacts:
         cfg = {k: v for k, v in SMALL_WING.items() if k != "grid"}
         manifest = run_config(cfg, str(tmp_path))
         rows = {e["file"]: e["rows"] for e in manifest["files"]}
-        assert rows["spectrum.csv"] == 1201
+        assert rows["spectrum.csv"] == 1201 and rows["correlation.csv"]
         table = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",",
                            skiprows=1)
         assert table.shape == (1201, 2)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vibrolang import (
-    ConfigError,
     DiscreteBath,
     InstabilityError,
     Trajectory,
@@ -37,21 +36,25 @@ def _bath(n=80, k0=12.25, gamma_m=0.05, **kw):
     return DiscreteBath(n_cells=n, k0=k0, m0=1.0, dk=dk, **kw)
 
 
+def _loop_energy_drift(nu, bath, sites, cfg):
+    """Largest relative drift of the total energy of the RK4 step loop at
+    the step and from the state that `simulate` takes."""
+    h = rk4_rows(nu, *_setup(nu, bath, sites, cfg), cfg.store_every)[:, -1]
+    return np.max(np.abs(h - h[0])) / h[0]
+
+
 class TestIntegration:
     def test_total_energy_conserved_undamped(self):
         bath = _bath(n=120)
-        traj = simulate(1.0, bath, (0,), TrajectoryConfig(t_max=20.0))
-        h = traj.total_energy
-        drift = np.max(np.abs(h - h[0])) / h[0]
-        assert drift < 1e-5
+        cfg = TrajectoryConfig(t_max=20.0)
+        assert _loop_energy_drift(1.0, bath, (0,), cfg) < 1e-5
 
     def test_total_energy_conserved_undamped_three_molecules(self):
         bath = _bath(n=120)
-        traj = simulate(1.0, bath, (-3, 0, 3), TrajectoryConfig(t_max=20.0))
+        cfg = TrajectoryConfig(t_max=20.0)
+        traj = simulate(1.0, bath, (-3, 0, 3), cfg)
         assert traj.Q.shape == traj.E.shape == (3, len(traj.times))
-        h = traj.total_energy
-        drift = np.max(np.abs(h - h[0])) / h[0]
-        assert drift < 1e-5
+        assert _loop_energy_drift(1.0, bath, (-3, 0, 3), cfg) < 1e-5
         header = traj.to_csv().split("\n", 1)[0]
         assert header == "t,Q1,P1,Q2,P2,Q3,P3,E1,E2,E3"
 
@@ -60,11 +63,24 @@ class TestIntegration:
         traj = simulate(1.0, bath, (0,), TrajectoryConfig(t_max=30.0))
         assert traj.E[-1] < 0.5 * traj.E[0]
 
-    def test_dt_stability_bound_enforced(self):
-        bath = _bath(n=20)
-        cfg = TrajectoryConfig(dt=1.0, t_max=5.0)
-        with pytest.raises(ConfigError):
-            simulate(1.0, bath, (0,), cfg)
+    @pytest.mark.parametrize("qfactor, propagator",
+                             [(float("inf"), "modes"), (50.0, "rk4")])
+    def test_vibron_above_band_keeps_its_energy(self, qfactor, propagator):
+        # nu = 8 far above a band of omega_max = 1: the vibron decouples and
+        # keeps its energy.  A step sized by omega_max alone, 2 pi/40, left
+        # E(t_max)/E(0) = 0.0032 by RK4 damping; the step resolves the
+        # vibron too
+        bath = DiscreteBath(n_cells=40, k0=0.25, m0=1.0, dk=0.05,
+                            qfactor=qfactor)
+        cfg = TrajectoryConfig(t_max=20.0)
+        traj = simulate(8.0, bath, (0,), cfg)
+        assert traj.meta["propagator"] == propagator
+        assert traj.E[-1] >= 0.99 * traj.E[0]
+        # the step loop at 1/16 of the step
+        w, A, gph, y0, dt, n_steps = _setup(8.0, bath, (0,), cfg)
+        fine = rk4_rows(8.0, w, A, gph, y0, dt / 16, 16 * n_steps,
+                        16 * cfg.store_every)[:, 0]
+        assert np.max(np.abs(traj.Q - fine)) <= 2e-3 * np.max(np.abs(fine))
 
     def test_deterministic_given_seed(self):
         bath = _bath(n=30, temperature=2.0)
@@ -83,14 +99,11 @@ class TestIntegration:
     def test_instability_detected(self):
         # a stiff 10-cell chain (dk = 316) holding a nu = 1 vibron: the
         # vibron energy grows from the first steps, the same at a quarter of
-        # this dt, so the growth is in the equations, not in RK4.  It passes
+        # the step, so the growth is in the equations, not in RK4.  It passes
         # 10x E(0) near t = 0.6, so the run stops on the growth check long
         # before the energy turns non-finite
         bath = _bath(n=10, k0=10000.0)
-        cfg = TrajectoryConfig(
-            dt=2.0 * np.pi / (20.0 * bath.omega_max), t_max=2.0,
-            store_every=50,
-        )
+        cfg = TrajectoryConfig(t_max=2.0, store_every=50)
         with pytest.raises(InstabilityError, match="10x"):
             simulate(1.0, bath, (0,), cfg)
 
@@ -136,11 +149,11 @@ class TestPair:
 
 
 def _columns(traj):
-    """Q_m, P_m, E_m, then E+ and E- of a pair, then h_tot."""
+    """Q_m, P_m, E_m, then E+ and E- of a pair."""
     cols = [c for x in (traj.Q, traj.P, traj.E) for c in np.atleast_2d(x)]
     if traj.e_plus is not None:
         cols += [traj.e_plus, traj.e_minus]
-    return cols + [traj.total_energy]
+    return cols
 
 
 def _rk4_oracle(nu, bath, sites, cfg):
@@ -152,7 +165,7 @@ def _rk4_oracle(nu, bath, sites, cfg):
     if m == 2:
         cols += [0.25 * ((Q[0] + Q[1]) ** 2 + (P[0] + P[1]) ** 2),
                  0.25 * ((Q[0] - Q[1]) ** 2 + (P[0] - P[1]) ** 2)]
-    return cols + [rows[:, -1]]
+    return cols
 
 
 def _assert_same_run(traj, oracle, rel, per_column=False):
@@ -269,7 +282,7 @@ class TestModalRows:
         args = (1.3, lam, load, a, b, 0.05, n_rows, store_every)
         rows, ref = _modal_rows(*args), modal_rows(*args)
         assert n_rows < _BLOCK or n_rows % _BLOCK
-        assert rows.shape == ref.shape == (n_rows, 7)
+        assert rows.shape == ref.shape == (n_rows, 6)
         scale = np.max(np.abs(ref), axis=0)
         assert np.all(np.abs(rows - ref) <= 1e-13 * scale)
 
@@ -277,13 +290,11 @@ class TestModalRows:
         # the chain of test_instability_detected: its vibron sits almost
         # wholly in the one mode with lam < 0, which the direct powers take
         bath = _bath(n=10, k0=10000.0)
-        cfg = TrajectoryConfig(
-            dt=2.0 * np.pi / (20.0 * bath.omega_max), t_max=2.0,
-            store_every=50,
-        )
+        cfg = TrajectoryConfig(t_max=2.0, store_every=50)
         w, A, gph, y0, dt, n_steps = _setup(1.0, bath, (0,), cfg)
         rows, _ = _mode_rows(1.0, w, A, y0, dt, n_steps, cfg.store_every)
-        ref = rk4_rows(1.0, w, A, gph, y0, dt, n_steps, cfg.store_every)
+        ref = rk4_rows(1.0, w, A, gph, y0, dt, n_steps,
+                       cfg.store_every)[:, :3]
         assert np.max(ref[:, 2]) > 10.0 * ref[0, 2]
         scale = np.max(np.abs(ref), axis=0)
         assert np.all(np.abs(rows - ref) <= 1e-12 * scale)
