@@ -19,10 +19,9 @@ from .kernels import KernelParams, relaxation_params
 from .model import MoleculeParams, SpectralDensity, ThermalState
 from .spectra import (
     _correlation_response,
-    _line_sum,
+    absorption_discrete,
     debye_waller,
     franck_condon,
-    vibron_lines,
 )
 
 
@@ -52,27 +51,19 @@ def molecular_response(detuning, molecule: MoleculeParams, kp: KernelParams,
                        thermal: ThermalState, sd: SpectralDensity | None = None):
     """Complex molecular response H(delta).
 
-    Without phonons (sd=None) this is the sum over the vibron's sideband
-    comb (`spectra.vibron_lines`, the lines of `absorption_discrete`)
+    Without phonons (sd=None) this is the response of the vibron's sideband
+    comb (`spectra.absorption_discrete`)
 
         H = sum_{n,l} w(n,l) / [ (gamma + n Gamma'/2) - i(delta-(n-2l)nu') ],
 
-    so Re H/gamma is the discrete absorption spectrum; it reduces to the
-    two-level 1/(gamma - i delta) at lam = 0.  With a phonon spectral
-    density the damped transform of the product correlation
+    so Re H/gamma is the discrete absorption spectrum; at lam = 0 the comb
+    is the one line of the two-level 1/(gamma - i delta).  With a phonon
+    spectral density the damped transform of the product correlation
     <B B^dag><D D^dag> is used instead, on the time grid that
     `absorption_full` uses.
     """
-    detuning = np.asarray(detuning, dtype=float)
     if sd is None or sd.coupling == 0:
-        if molecule.lam == 0:
-            out = 1.0 / (molecule.gamma - 1j * detuning)
-            return out if out.ndim else complex(out)
-        lines = vibron_lines(molecule.lam, thermal.occupation(kp.nu),
-                             *relaxation_params(kp), molecule.gamma)
-        out = _line_sum(detuning, lines,
-                        lambda d, pos, wt, wid: wt / (wid - 1j * (d - pos)))
-        return out if out.ndim else complex(out)
+        return absorption_discrete(molecule, kp, thermal).response(detuning)
     return _correlation_response(detuning, molecule, kp, sd, thermal)[0]
 
 

@@ -352,8 +352,8 @@ def _handle_absorption(cfg, seed):
         if method in ("discrete", "bessel"):
             absorb = {"discrete": spectra.absorption_discrete,
                       "bessel": spectra.absorption_bessel}[method]
-            spec = absorb(grid, mol, kp, thermal)
-            values = spec.values
+            spec = absorb(mol, kp, thermal)
+            values = spec.evaluate(grid)
             meta.update({"n_lines": len(spec.lines), **spec.meta})
         else:
             values, full_meta = spectra.absorption_full(grid, mol, kp, sd,
@@ -606,11 +606,13 @@ def build_config(cfg, seed=None):
 
 
 def run_config(cfg, out_dir, fmt="csv", seed=None):
-    """Build a config (`build_config`), compute its points one after
-    another, and only then make `out_dir` and write the files, so a run
-    that fails writes nothing.  A plain run is a sweep of one point with no
-    file prefix.  Returns the manifest."""
+    """Build a config (`build_config`), refuse an `out_dir` that is a file,
+    compute its points one after another, and only then make `out_dir` and
+    write the files, so a run that fails writes nothing.  A plain run is a
+    sweep of one point with no file prefix.  Returns the manifest."""
     cfg, sweep, runs = build_config(cfg, seed)
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise ConfigError(f"--out {out_dir!r} exists and is not a directory")
     results = [run() for run in runs]
     manifest = {"command": cfg["command"], "config": cfg,
                 "seed": seed, "files": []}

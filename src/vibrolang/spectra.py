@@ -245,19 +245,19 @@ def dephasing_rate(t, sd: SpectralDensity, thermal: ThermalState):
 
 @dataclass
 class LineSpectrum:
-    """Lorentzian comb spectrum.
+    """Lorentzian comb and its response
+
+        H(D) = sum_lines w / (width - i (D - pos)),
+
+    read as Re H/gamma = P_e/eta^2 by absorption and as H by the cavity.
 
     lines    : array of shape (L, 3) with columns (position, weight, width);
                positions are detunings from the zero-phonon line
     gamma    : radiative half-linewidth (sets the P_e normalization)
-    grid     : detuning grid to sample the spectrum on (optional)
-    values   : P_e/eta^2 on the grid, filled in when a grid is given
     """
 
     lines: np.ndarray
     gamma: float
-    grid: np.ndarray | None = None
-    values: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -266,38 +266,40 @@ class LineSpectrum:
             raise DomainError("line weights must be >= 0")
         if np.any(self.lines[:, 2] <= 0):
             raise DomainError("line widths must be > 0")
-        if self.grid is not None:
-            self.grid = np.asarray(self.grid, dtype=float)
-            self.values = self.evaluate(self.grid)
+
+    def response(self, detuning):
+        """H(detuning) as sum_lines w (width + i x)/(width^2 + x^2),
+        x = D - pos, in real arithmetic, taken in blocks of detuning rows so
+        that memory stays bounded; each row is reduced as in a single pass,
+        so the values do not depend on the blocks.  A scalar detuning gives
+        a complex scalar."""
+        detuning = np.asarray(detuning, dtype=float)
+        pos, wt, wid = self.lines.T
+        wid2 = wid * wid
+        flat = detuning.ravel()
+        out = np.empty(len(flat), dtype=complex)
+        rows = max(1, _LINE_BLOCK // max(len(pos), 1))
+        for i in range(0, len(flat), rows):
+            x = flat[i:i + rows, None] - pos
+            f = x * x
+            f += wid2
+            np.divide(wt, f, out=f)
+            x *= f
+            f *= wid
+            out.real[i:i + rows] = np.sum(f, axis=-1)
+            out.imag[i:i + rows] = np.sum(x, axis=-1)
+        out = out.reshape(detuning.shape)
+        return out if out.ndim else complex(out)
 
     def evaluate(self, detuning):
-        """P_e/eta^2 = sum_lines w * width/gamma / (width^2 + (D - pos)^2)."""
-        out = _line_sum(
-            detuning, self.lines,
-            lambda d, pos, wt, wid:
-                wt * (wid / self.gamma) / (wid**2 + (d - pos) ** 2))
-        return out if out.ndim else float(out)
+        """P_e/eta^2 = Re H/gamma."""
+        return self.response(detuning).real / self.gamma
 
 
-# detuning x line elements that `_line_sum` forms at once: 512 kB per real
-# temporary, whatever the size of the comb (larger blocks measured slower)
+# detuning x line elements that `LineSpectrum.response` forms at once:
+# 512 kB per real temporary, whatever the size of the comb (larger blocks
+# measured slower)
 _LINE_BLOCK = 1 << 16
-
-
-def _line_sum(detuning, lines, term):
-    """Sum over the comb's (position, weight, width) lines of
-    term(d, pos, wt, wid), d a column of detunings, taken in blocks of
-    detuning rows so that memory stays bounded; each row is reduced as in a
-    single pass, so the values do not depend on the blocks.  A scalar
-    detuning gives a 0-d array."""
-    detuning = np.asarray(detuning, dtype=float)
-    pos, wt, wid = lines.T
-    flat = detuning.reshape(-1, 1)
-    rows = max(1, _LINE_BLOCK // max(len(pos), 1))
-    blocks = np.array_split(flat, max(1, -(-len(flat) // rows)))
-    return np.concatenate(
-        [np.sum(term(d, pos, wt, wid), axis=-1) for d in blocks]
-    ).reshape(detuning.shape)
 
 
 def choose_n_max(lam, nbar):
@@ -346,10 +348,10 @@ def vibron_lines(lam, nbar, nu_p, gamma_p, gamma):
     return np.column_stack(((n - 2 * l) * nu_p, w, gamma + 0.5 * n * gamma_p))
 
 
-def absorption_discrete(detuning_grid, molecule: MoleculeParams,
-                        kp: KernelParams,
+def absorption_discrete(molecule: MoleculeParams, kp: KernelParams,
                         thermal: ThermalState) -> LineSpectrum:
-    """Vibronic absorption spectrum as a double sum of Lorentzian lines,
+    """Vibronic sideband comb, whose absorption spectrum is a double sum of
+    Lorentzian lines,
 
     P_e/eta^2 = sum_{n,l} w(n,l) (gamma + n Gamma'/2)/gamma
                 / [ (gamma + n Gamma'/2)^2 + (Delta - (n-2l) nu')^2 ].
@@ -358,15 +360,14 @@ def absorption_discrete(detuning_grid, molecule: MoleculeParams,
     nbar = thermal.occupation(kp.nu)
     lam = molecule.lam
     lines = vibron_lines(lam, nbar, nu_p, gamma_p, molecule.gamma)
-    return LineSpectrum(lines=lines, gamma=molecule.gamma, grid=detuning_grid,
+    return LineSpectrum(lines=lines, gamma=molecule.gamma,
                         meta={"nbar": nbar, "nu_prime": nu_p,
                               "gamma_prime": gamma_p,
                               "tail": _weight_tail(lam, nbar,
                                                    choose_n_max(lam, nbar))})
 
 
-def absorption_bessel(detuning_grid, molecule: MoleculeParams,
-                      kp: KernelParams,
+def absorption_bessel(molecule: MoleculeParams, kp: KernelParams,
                       thermal: ThermalState) -> LineSpectrum:
     """Single-index sideband resummation: the comb's weights summed over
     equal k = n - 2l, the Skellam weights
@@ -393,7 +394,7 @@ def absorption_bessel(detuning_grid, molecule: MoleculeParams,
     k = np.flatnonzero(wk) + k_lo
     lines = np.column_stack((k * nu_p, wk[k - k_lo],
                              molecule.gamma + 0.5 * np.abs(k) * gamma_p))
-    return LineSpectrum(lines=lines, gamma=molecule.gamma, grid=detuning_grid,
+    return LineSpectrum(lines=lines, gamma=molecule.gamma,
                         meta={"nbar": nbar, "validity_arg": arg})
 
 
@@ -492,9 +493,11 @@ def _correlation_response(detuning, molecule: MoleculeParams,
 
 
 def check_resolution(detuning_grid, gamma):
-    """Raise ResolutionError where a detuning grid step exceeds gamma, the
-    zero-phonon line's half width, so the line falls between points."""
-    if len(detuning_grid) > 1 and np.min(np.diff(detuning_grid)) > gamma:
+    """Raise ResolutionError where a detuning grid step, ascending or
+    descending, exceeds gamma, the zero-phonon line's half width, so the
+    line falls between points."""
+    if len(detuning_grid) > 1 \
+            and np.min(np.abs(np.diff(detuning_grid))) > gamma:
         raise ResolutionError(
             "detuning grid spacing exceeds gamma: zero-phonon line "
             "unresolvable")

@@ -93,9 +93,8 @@ def single_mode_dephasing_rate(t, lam_k, omega_k, thermal: ThermalState):
     return out if out.ndim else float(out)
 
 
-def absorption_multimode_discrete(detuning_grid, molecule: MoleculeParams,
-                                  mode_table, thermal: ThermalState
-                                  ) -> LineSpectrum:
+def absorption_multimode_discrete(molecule: MoleculeParams, mode_table,
+                                  thermal: ThermalState) -> LineSpectrum:
     """Brute-force oracle: product over up to 4 explicit phonon/vibron modes.
 
     `mode_table` is a sequence of (omega_k, lam_k, gamma_k_ph) rows.  The
@@ -118,8 +117,7 @@ def absorption_multimode_discrete(detuning_grid, molecule: MoleculeParams,
         wid = np.add.outer(wid, n * gk).ravel()[keep]
         wt = wt[keep]
     return LineSpectrum(lines=np.column_stack((pos, wt, wid)),
-                        gamma=molecule.gamma, grid=detuning_grid,
-                        meta={"modes": mode_table})
+                        gamma=molecule.gamma, meta={"modes": mode_table})
 
 
 def dyson_first_order(t: float, bath: DiscreteBath, nu: float):

@@ -270,6 +270,10 @@ CONFIG_ERRORS = [
     # cannot be resolved, and both values come from the config
     pytest.param(dict(SMALL_WING, grid={"min": -1.0, "max": 2.0, "n": 31}),
                  None, "grid spacing exceeds gamma", id="coarse-grid"),
+    # the same grid from its top down: every step is negative
+    pytest.param(dict(SMALL_WING, grid={"min": 2.0, "max": -1.0, "n": 31}),
+                 None, "grid spacing exceeds gamma",
+                 id="coarse-grid-descending"),
     pytest.param(dict(SMALL_RELAXATION, nu=-1.0), None, None,
                  id="negative-nu-relaxation"),
     pytest.param(dict(SMALL_COLLECTIVE, nu=-1.0), None, None,
@@ -519,38 +523,6 @@ class TestExitCodes:
         err = self._config_error(tmp_path, _set(cfg, key, 1.0), capsys)
         assert f"config field {key} " in err and repr(name) in err
 
-    @pytest.mark.parametrize("cfg, key, value", UNREAD_KEYS)
-    def test_unread_key_is_config_error(self, tmp_path, capsys, cfg, key,
-                                        value):
-        # the other settings leave the key unread, so the run would write
-        # the bytes of the run without it
-        cfg = _set(validate_config(cfg), key, value)
-        assert f"config field {key} " in self._config_error(tmp_path, cfg,
-                                                            capsys)
-
-    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
-        # --seed is checked with the trajectory section it completes;
-        # default_rng(-1) raised ValueError with a traceback
-        path = _write(tmp_path, SMALL_RELAXATION)
-        code = main(["relaxation", "--config", path, "--out",
-                     str(tmp_path / "o"), "--seed", "-1"])
-        err = capsys.readouterr().err
-        assert code == 2, err
-        assert err.startswith("config error") and "seed" in err
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("cfg, seed", UNREAD_SEEDS)
-    def test_unread_seed_flag_is_config_error(self, tmp_path, capsys, cfg,
-                                              seed):
-        # the run never reads it, so it must not be recorded as if it did
-        path = _write(tmp_path, cfg)
-        code = main([cfg["command"], "--config", path, "--out",
-                     str(tmp_path / "o"), "--seed", seed])
-        err = capsys.readouterr().err
-        assert code == 2, err
-        assert err.startswith("config error:") and "--seed" in err
-        assert not (tmp_path / "o").exists()
-
     def test_seed_flag_reaches_chain_preset(self, tmp_path):
         path = _write(tmp_path, {"command": "preset", "name": "fig2d"})
         assert main(["preset", "--config", path, "--out",
@@ -590,6 +562,21 @@ class TestFailedRunWritesNothing:
         assert rc == code, err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys,
+                                               monkeypatch):
+        # refused before any point computes (a point that computed would
+        # call None), and the file is left as it is
+        out = tmp_path / "o"
+        out.write_bytes(b"kept")
+        monkeypatch.setattr(cli.spectra, "absorption_discrete", None)
+        path = _write(tmp_path, SMALL_ABSORPTION)
+        rc = main(["absorption", "--config", path, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("config error: --out ")
+        assert "Traceback" not in err
+        assert out.read_bytes() == b"kept"
 
     def test_existing_out_dir_left_as_is(self, tmp_path):
         out = tmp_path / "o"
