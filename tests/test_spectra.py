@@ -250,7 +250,7 @@ TH50 = ThermalState.from_occupation(50.0, 1.0)
 
 
 class TestDiscreteSpectra:
-    def test_blocked_response_is_one_pass_sum(self):
+    def test_blocked_line_sum_is_one_pass_sum(self):
         # the detuning rows are summed in blocks; each reduces as the same
         # expression over the whole grid at once
         sp = absorption_discrete(FIG4B_MOL, KP, TH50)
