@@ -606,13 +606,21 @@ def build_config(cfg, seed=None):
 
 
 def run_config(cfg, out_dir, fmt="csv", seed=None):
-    """Build a config (`build_config`), refuse an `out_dir` that is a file,
-    compute its points one after another, and only then make `out_dir` and
-    write the files, so a run that fails writes nothing.  A plain run is a
-    sweep of one point with no file prefix.  Returns the manifest."""
+    """Build a config (`build_config`), refuse an `out_dir` that is empty, a
+    file or beneath a file, compute its points one after another, and only then
+    make `out_dir` and write the files, so a run that fails writes nothing.
+    A plain run is a sweep of one point with no file prefix.  Returns the
+    manifest."""
     cfg, sweep, runs = build_config(cfg, seed)
-    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
-        raise ConfigError(f"--out {out_dir!r} exists and is not a directory")
+    if not out_dir:
+        raise ConfigError("--out is empty")
+    # the nearest part of the path that exists must be a directory
+    base = os.path.abspath(out_dir)
+    while not os.path.exists(base):
+        base = os.path.dirname(base)
+    if not os.path.isdir(base):
+        raise ConfigError(f"--out {out_dir!r}: {base!r} exists and is not "
+                          "a directory")
     results = [run() for run in runs]
     manifest = {"command": cfg["command"], "config": cfg,
                 "seed": seed, "files": []}

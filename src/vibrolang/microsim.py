@@ -127,9 +127,9 @@ def _thermal_phonon_sample(rng, omega, temperature):
     return rng.normal(0.0, sig), rng.normal(0.0, sig)
 
 
-# roots of the (root x pole) tables of `_secular` worked at once, which
-# keeps them at a few hundred kB each
-_ROWS = 16
+# roots of the (root x pole) tables of `_secular` worked at once: 320 kB
+# a table for a fig3 block of 1,251 poles
+_ROWS = 32
 
 
 def _secular(head, d, z, xi, eta):
@@ -140,19 +140,23 @@ def _secular(head, d, z, xi, eta):
     Root i of f(lam) = head - lam - sum z^2/(d - lam) lies between poles
     d_{i-1} and d_i (d_{-1} = -inf, d_n = inf) and is sought in
     tau = lam - o, o its left pole (d_0 for the root below the spectrum):
-    four bisection steps, then rational steps that match f and f' with a
-    pole at tau = 0 and, inside the spectrum, one at the right pole that
-    also takes the -lam slope; a step that leaves the bracket bisects, and
-    a root freezes once its step is below a few ulp.  Returns lam, the head
-    components v0 = (-1/f'(lam))^(1/2) and (a, b), with the eigenvector
-    components v0 z_k/(lam - d_k).
+    from the midpoint of its bracket, rational steps that match f and f'
+    with a pole at tau = 0 and, inside the spectrum, one at the right pole
+    that also takes the -lam slope; a step that leaves the bracket bisects.
+    A root freezes once |f| is within f's rounding bound (the stopping rule
+    of LAPACK's dlaed4), once its bracket is a few ulp wide, or once its
+    step is.  Returns lam, the head components v0 = (-1/f'(lam))^(1/2),
+    (a, b), with the eigenvector components v0 z_k/(lam - d_k), and the
+    most iterations a block of roots took.
     """
     n = len(d)
     if n == 0:
-        return np.array([head]), np.ones(1), xi[:1], eta[:1]
+        return np.array([head]), np.ones(1), xi[:1], eta[:1], 0
     zz = z * z
     reach = np.sqrt(np.sum(zz))
+    eps = np.finfo(float).eps
     out = np.empty((4, n + 1))
+    iterations = 0
     for first in range(0, n + 1, _ROWS):
         i = np.arange(first, min(first + _ROWS, n + 1))
         o = d[np.maximum(i - 1, 0)]
@@ -168,7 +172,7 @@ def _secular(head, d, z, xi, eta):
         hi = np.where(i == n, max(head - d[-1], 0.0) + reach, gap)
         tau = 0.5 * (lo + hi)
         done = np.zeros(len(i), dtype=bool)
-        for it in range(100):  # a guard: fig3's roots froze within 10
+        for it in range(100):  # a guard: fig3's blocks froze within 8
             r = 1.0 / (delta - tau[:, None])
             r2 = r * r
             f = head - o - tau - r @ zz
@@ -187,16 +191,21 @@ def _secular(head, d, z, xi, eta):
                     np.where(a <= 0, 2.0 * p * gap / (root - a),
                              (a + root) / (2.0 * c)),
                     -p / c)
-            done |= (it >= 4) & (np.abs(step - tau) <= 4e-16 * np.abs(tau))
-            bad = (it < 4) | ~((step > lo) & (step < hi))
-            step = np.where(bad, 0.5 * (lo + hi), step)
+            # f's rounding bound, with sum |r| z^2 <= reach ||r z||
+            # = reach (slope - 1)^(1/2) by Cauchy-Schwarz
+            noise = np.abs(head - o) + np.abs(tau) + reach * np.sqrt(slope - 1)
+            done |= ((np.abs(f) <= 8 * eps * noise)
+                     | (hi - lo <= 8 * eps * np.abs(tau))
+                     | (np.abs(step - tau) <= 4e-16 * np.abs(tau)))
+            step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
             if done.all():
                 break
             tau = np.where(done, tau, step)
+        iterations = max(iterations, it)
         v0 = 1.0 / np.sqrt(slope)
         out[:, i] = (o + tau, v0, v0 * (xi[0] - r @ (z * xi[1:])),
                      v0 * (eta[0] - r @ (z * eta[1:])))
-    return out
+    return (*out, iterations)
 
 
 # stored rows per block of `_modal_rows`: its complex (rows x modes) table
@@ -270,7 +279,8 @@ def _mode_rows(nu, w, A, y0, dt, n_steps, store_every):
     which agree on even k and are opposite on odd k: (Q1 +- Q2)/sqrt(2)
     then couple to the even and to the odd modes with beta = sqrt(2) alpha.
     Modes with beta_k = 0 are deflated: the vibrons never see them.  Returns
-    the rows and the largest |sum v0^2 - 1| of the arrowheads solved.
+    the rows, the largest |sum v0^2 - 1| of the arrowheads solved and the
+    most iterations `_secular` took for a block of their roots.
     """
     m, nm = A.shape
     q0, p0, qph, pph = np.split(y0, [m, 2 * m, 2 * m + nm])
@@ -286,20 +296,22 @@ def _mode_rows(nu, w, A, y0, dt, n_steps, store_every):
     # for the vibrons' rows when every block starts, and stays, at rest
     none = np.empty(0)
     parts, errors = [(none, np.empty((m, 0)), none, none)], [0.0]
+    iterations = 0
     for u, beta in blocks:
         k = beta != 0
         x0 = np.concatenate(([u @ q0 / np.sqrt(nu)], xi[k]))
         e0 = np.concatenate(([u @ p0 * np.sqrt(nu)], eta[k]))
         if not (np.any(x0) or np.any(e0)):
             continue  # this parity block starts, and stays, at rest
-        roots, v0, ak, bk = _secular(nu * nu, w[k] ** 2,
-                                     -np.sqrt(nu * w[k]) * beta[k], x0, e0)
+        roots, v0, ak, bk, its = _secular(
+            nu * nu, w[k] ** 2, -np.sqrt(nu * w[k]) * beta[k], x0, e0)
         errors.append(abs(np.sum(v0 * v0) - 1.0))
+        iterations = max(iterations, its)
         parts.append((roots, np.outer(u, v0), ak, bk))
     lam, load, a, b = (np.concatenate(x, axis=-1) for x in zip(*parts))
     rows = _modal_rows(nu, lam, load, a, b, dt, n_steps // store_every + 1,
                        store_every)
-    return rows, float(max(errors))
+    return rows, float(max(errors)), iterations
 
 
 # steps composed into one map of `_map_rows`: its two tables hold
@@ -447,8 +459,8 @@ def simulate(nu: float, bath: DiscreteBath, sites,
             "sites": [int(s) for s in sites]}
     mirror_pair = m == 2 and sites[0] == -sites[1]
     if np.isinf(bath.qfactor) and (m == 1 or mirror_pair):
-        rows, meta["weight_sum_error"] = _mode_rows(
-            nu, w, A, y0, dt, n_steps, cfg.store_every)
+        rows, meta["weight_sum_error"], meta["secular_iterations"] = (
+            _mode_rows(nu, w, A, y0, dt, n_steps, cfg.store_every))
         meta["propagator"] = "modes"
     else:
         rows = _map_rows(nu, w, A, gph, y0, dt, n_steps, cfg.store_every)

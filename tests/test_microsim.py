@@ -36,6 +36,23 @@ def _bath(n=80, k0=12.25, gamma_m=0.05, **kw):
     return DiscreteBath(n_cells=n, k0=k0, m0=1.0, dk=dk, **kw)
 
 
+def _fig3_bath():
+    return DiscreteBath(n_cells=1250, k0=144.0, m0=1.0, dk=8.313843876330611)
+
+
+def _arrowhead(bath, site, sign=None):
+    """(d, z) of an arrowhead `_mode_rows` solves at nu = 1: one molecule's
+    for sign None, else the mirror pair (site, -site)'s even block for sign
+    +1 and its odd block for -1."""
+    w = chain_eigenmodes(bath)
+    beta = vibron_phonon_couplings(bath, 1.0, w, site=site)
+    if sign is not None:
+        even = np.arange(1, len(w) + 1) % 2 == 0
+        beta = np.where(even == (sign > 0), np.sqrt(2.0) * beta, 0.0)
+    k = beta != 0
+    return w[k] ** 2, -np.sqrt(w[k]) * beta[k]
+
+
 def _loop_energy_drift(nu, bath, sites, cfg):
     """Largest relative drift of the total energy of the RK4 step loop at
     the step and from the state that `simulate` takes."""
@@ -183,6 +200,7 @@ def _assert_modes_match_loop(nu, bath, sites, cfg, rel):
     traj = simulate(nu, bath, sites, cfg)
     assert traj.meta["propagator"] == "modes"
     assert traj.meta["weight_sum_error"] < 1e-13
+    assert traj.meta["secular_iterations"] <= 10
     _assert_same_run(traj, _rk4_oracle(nu, bath, sites, cfg), rel)
 
 
@@ -214,25 +232,32 @@ class TestNormalModes:
 
     @pytest.mark.parametrize("q0", [(1.0, -1.0), (1.0, 1.0)])
     def test_fig3_pair_matches_rk4_loop(self, q0):
-        bath = DiscreteBath(n_cells=1250, k0=144.0, m0=1.0,
-                            dk=8.313843876330611)
+        bath = _fig3_bath()
         cfg = TrajectoryConfig(t_max=20.0, q0=q0, store_every=8)
         _assert_modes_match_loop(1.0, bath, (-1, 1), cfg, 1e-10)
 
-    def test_secular_roots_match_eigh(self):
-        bath = _bath(n=300)
-        w = chain_eigenmodes(bath)
-        alpha = vibron_phonon_couplings(bath, 1.0, w)
-        k = alpha != 0
-        d, z = w[k] ** 2, -np.sqrt(w[k]) * alpha[k]
+    # with a freeze on the step size alone, fig3's even block and the odd
+    # block of sites (-1, 1) on 200 cells ran a 16-root block to the guard
+    # of 100 iterations: at f's rounding floor the step never fell that low
+    @pytest.mark.parametrize("bath, site, sign", [
+        (_bath(n=300), 0, None),
+        (_fig3_bath(), -1, 1.0),
+        (_fig3_bath(), -1, -1.0),
+        (_bath(n=200), -3, -1.0),
+        (_bath(n=200), -1, -1.0),
+    ], ids=["n300-one", "fig3-even", "fig3-odd", "n200-sites3-odd",
+            "n200-sites1-odd"])
+    def test_secular_roots_match_eigh(self, bath, site, sign):
+        d, z = _arrowhead(bath, site, sign)
         rng = np.random.default_rng(0)
         xi, eta = rng.normal(size=(2, len(d) + 1))
-        lam, v0, a, b = _secular(1.0, d, z, xi, eta)
+        lam, v0, a, b, iterations = _secular(1.0, d, z, xi, eta)
         K = np.diag(np.concatenate(([1.0], d)))
         K[0, 1:] = K[1:, 0] = z
         ref, V = np.linalg.eigh(K)
         V *= np.sign(V[0])
-        assert len(d) >= 300
+        assert len(d) >= 200
+        assert iterations <= 10
         np.testing.assert_allclose(lam, ref, rtol=0,
                                    atol=1e-12 * np.max(np.abs(ref)))
         np.testing.assert_allclose(v0 ** 2, V[0] ** 2, rtol=0, atol=1e-12)
@@ -240,8 +265,7 @@ class TestNormalModes:
         np.testing.assert_allclose(b, V.T @ eta, rtol=0, atol=1e-10)
 
     def test_fig3_pair_memory_bounded(self):
-        bath = DiscreteBath(n_cells=1250, k0=144.0, m0=1.0,
-                            dk=8.313843876330611)
+        bath = _fig3_bath()
         cfg = TrajectoryConfig(t_max=150.0, q0=(1.0, -1.0), store_every=8)
         tracemalloc.start()
         try:
@@ -292,7 +316,7 @@ class TestModalRows:
         bath = _bath(n=10, k0=10000.0)
         cfg = TrajectoryConfig(t_max=2.0, store_every=50)
         w, A, gph, y0, dt, n_steps = _setup(1.0, bath, (0,), cfg)
-        rows, _ = _mode_rows(1.0, w, A, y0, dt, n_steps, cfg.store_every)
+        rows, _, _ = _mode_rows(1.0, w, A, y0, dt, n_steps, cfg.store_every)
         ref = rk4_rows(1.0, w, A, gph, y0, dt, n_steps,
                        cfg.store_every)[:, :3]
         assert np.max(ref[:, 2]) > 10.0 * ref[0, 2]
