@@ -18,7 +18,6 @@ from .model import (
     ThermalState,
     chain_eigenmodes,
     derived_markov_params,
-    kelvin_to_angfreq,
     vibron_phonon_couplings,
 )
 from .kernels import (
@@ -45,6 +44,7 @@ from .spectra import (
     dephasing_rate,
     franck_condon,
     mirror_emission,
+    molecular_response,
     phonon_correlation,
     polaron_shift,
     spectral_density,
@@ -52,7 +52,6 @@ from .spectra import (
 from .cavity import (
     CavityParams,
     effective_rabi,
-    molecular_response,
     polariton_populations,
     polariton_rates,
     transmission,

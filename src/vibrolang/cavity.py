@@ -1,4 +1,4 @@
-"""Cavity transmission with the full molecular response, effective Rabi
+"""Cavity transmission through the molecular response, effective Rabi
 splitting, Purcell antiresonance, and polariton cross-talk rates.
 
 All frequency axes are probe detunings delta = omega - omega0 from the
@@ -17,12 +17,7 @@ import numpy as np
 from .errors import DomainError
 from .kernels import KernelParams, relaxation_params
 from .model import MoleculeParams, SpectralDensity, ThermalState
-from .spectra import (
-    _correlation_response,
-    absorption_discrete,
-    debye_waller,
-    franck_condon,
-)
+from .spectra import debye_waller, franck_condon, molecular_response
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -47,26 +42,6 @@ class CavityParams:
             raise DomainError(f"g^2 = {self.g * self.g!r} is not finite")
 
 
-def molecular_response(detuning, molecule: MoleculeParams, kp: KernelParams,
-                       thermal: ThermalState, sd: SpectralDensity | None = None):
-    """Complex molecular response H(delta).
-
-    Without phonons (sd=None) this is the response of the vibron's sideband
-    comb (`spectra.absorption_discrete`)
-
-        H = sum_{n,l} w(n,l) / [ (gamma + n Gamma'/2) - i(delta-(n-2l)nu') ],
-
-    so Re H/gamma is the discrete absorption spectrum; at lam = 0 the comb
-    is the one line of the two-level 1/(gamma - i delta).  With a phonon
-    spectral density the damped transform of the product correlation
-    <B B^dag><D D^dag> is used instead, on the time grid that
-    `absorption_full` uses.
-    """
-    if sd is None or sd.coupling == 0:
-        return absorption_discrete(molecule, kp, thermal).response(detuning)
-    return _correlation_response(detuning, molecule, kp, sd, thermal)[0]
-
-
 def transmission(detuning, cavity: CavityParams, molecule: MoleculeParams,
                  kp: KernelParams, thermal: ThermalState,
                  sd: SpectralDensity | None = None):
@@ -74,7 +49,7 @@ def transmission(detuning, cavity: CavityParams, molecule: MoleculeParams,
 
         T(delta) = kappa / [ g^2 H(delta) + kappa - i(delta - delta_c) ],
 
-    returned as (T, |T|^2).  g = 0 gives the bare cavity Lorentzian.
+    with H of `spectra.molecular_response`, returned as (T, |T|^2).  g = 0 gives the bare cavity Lorentzian.
     """
     detuning = np.asarray(detuning, dtype=float)
     if cavity.g > 0:
@@ -85,7 +60,7 @@ def transmission(detuning, cavity: CavityParams, molecule: MoleculeParams,
                 "cavity; factorized response is approximate",
                 stacklevel=2,
             )
-        h = molecular_response(detuning, molecule, kp, thermal, sd=sd)
+        h, _ = molecular_response(detuning, molecule, kp, sd, thermal)
     else:
         h = 0.0
     den = (cavity.g * cavity.g * h + cavity.kappa

@@ -397,12 +397,15 @@ def _handle_phonon_wing(cfg, seed):
     grid = _grid(cfg, "grid") if "grid" in cfg else np.linspace(
         -sd.omega_max, 2.0 * sd.omega_max, 1201)
     spectra.check_resolution(grid, mol.gamma)
-    spectra.time_grid(grid, mol, None, sd, thermal)
+    # the correlation's step: the transform's, or the band's where the
+    # density does not couple and the correlation is 1
+    steps = spectra.time_grid(grid, mol, None, sd, thermal)
+    dt = steps[0] if steps else 1.0 / (8.0 * sd.omega_max)
 
     def run():
         values, meta = spectra.absorption_full(grid, mol, None, sd, thermal)
         text, rows = _csv("detuning,value", [grid, values])
-        t = np.arange(0.0, 30.0 / sd.omega_max, meta["dt"])
+        t = np.arange(0.0, 30.0 / sd.omega_max, dt)
         corr = np.atleast_1d(spectra.phonon_correlation(t, sd, thermal))
         ctext, crows = _csv("t,re_corr,im_corr", [t, corr.real, corr.imag])
         return [Artifact("spectrum.csv", text, rows,
@@ -423,9 +426,7 @@ def _handle_cavity(cfg, seed):
     grid = _grid(cfg, "grid")
     if cav.g > 0:  # the molecular response: its pole, comb order and times
         _check_pole(kp)
-        spectra.choose_n_max(mol.lam, thermal.occupation(kp.nu))
-        if sd is not None and sd.coupling > 0:
-            spectra.time_grid(grid, mol, kp, sd, thermal)
+        spectra.time_grid(grid, mol, kp, sd, thermal)
 
     def run():
         t_amp, t2 = cavity_mod.transmission(grid, cav, mol, kp, thermal,

@@ -14,15 +14,6 @@ import numpy as np
 
 from .errors import DomainError
 
-# hbar / k_B in K * ps; converts Kelvin to angular frequency in rad/ps
-HBAR_OVER_KB_K_PS = 7.638233
-
-
-def kelvin_to_angfreq(t_kelvin):
-    """Temperature in K -> equivalent energy/frequency in rad/ps (k_B T / hbar)."""
-    return t_kelvin / HBAR_OVER_KB_K_PS
-
-
 @dataclass(frozen=True, kw_only=True)
 class MoleculeParams:
     """Electronic transition + single vibron of a guest molecule.

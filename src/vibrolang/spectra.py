@@ -446,22 +446,29 @@ GRID_MAX = 10**7
 
 def time_grid(detuning, molecule: MoleculeParams, kp: KernelParams | None,
               sd: SpectralDensity | None, thermal: ThermalState):
-    """Step and point count (dt, n) of the time grid on which
-    `_correlation_response` samples the product correlation: horizon
-    12/gamma, and dt that resolves the fastest of 32 gamma, nu and
-    omega_max, made finer where needed so that the Nyquist band pi/dt
-    covers the grid's largest |detuning| plus the vibron comb's reach, its
-    order `choose_n_max` times nu'.  A coarser dt folds the comb's far
-    sidebands onto the grid.  Over 10^7 points raise ResolutionError."""
+    """The route of `molecular_response`, checked before any point computes.
+
+    None where no phonon density couples (no `sd`, or its coupling 0): the
+    response is then the sideband comb's and needs no time grid.  Else the
+    step and point count (dt, n) of the grid on which the product
+    correlation is sampled: horizon 12/gamma, and dt that resolves the
+    fastest of 32 gamma, nu and omega_max, made finer where needed so that
+    the Nyquist band pi/dt covers the grid's largest |detuning| plus the
+    vibron comb's reach, its order `choose_n_max` times nu'.  A coarser dt
+    folds the comb's far sidebands onto the grid.  Raises TruncationError
+    where the comb cannot close, on either route, and ResolutionError over
+    10^7 points."""
+    vibron = molecule.lam > 0 and kp is not None
+    if vibron:
+        n_max = choose_n_max(molecule.lam, thermal.occupation(kp.nu))
+    if sd is None or sd.coupling == 0:
+        return None
     gamma = molecule.gamma
-    scales = [32.0 * gamma]
+    scales = [32.0 * gamma, sd.omega_max]
     reach = float(np.max(np.abs(detuning), initial=0.0))
-    if molecule.lam > 0 and kp is not None:
+    if vibron:
         scales.append(kp.nu)
-        reach += choose_n_max(molecule.lam, thermal.occupation(kp.nu)) \
-            * relaxation_params(kp)[0]
-    if sd is not None and sd.coupling > 0:
-        scales.append(sd.omega_max)
+        reach += n_max * relaxation_params(kp)[0]
     dt = 1.0 / (8.0 * max(scales))
     if reach * dt > math.pi:
         dt = math.pi / reach
@@ -473,23 +480,38 @@ def time_grid(detuning, molecule: MoleculeParams, kp: KernelParams | None,
     return dt, n
 
 
-def _correlation_response(detuning, molecule: MoleculeParams,
-                          kp: KernelParams | None, sd: SpectralDensity | None,
-                          thermal: ThermalState):
-    """Damped transform of the product correlation <B B^dag><D D^dag>,
-    each factor present when its coupling is, on the grid of `time_grid`.
-    Returns (H(detuning), dt, t_horizon).
+def molecular_response(detuning, molecule: MoleculeParams,
+                       kp: KernelParams | None, sd: SpectralDensity | None,
+                       thermal: ThermalState):
+    """Complex molecular response H(Delta), the damped transform of the
+    product correlation <B B^dag><D D^dag>, each factor present when its
+    coupling is; absorption reads it as Re H/gamma, the cavity as H.
+    Returns (H, meta), on the route that `time_grid` picks:
+
+    - no phonon density couples: the vibron's sideband comb,
+      `absorption_discrete`'s `LineSpectrum.response`, which the pole
+      form's vibron factor generates exactly; without a kernel or at
+      lam = 0 it is the one line 1/(gamma - i Delta).  meta: n_lines and
+      the comb's meta.
+    - a density couples: `response_transform` of the correlation on the
+      time grid.  meta: dt and t_horizon.
     """
     gamma = molecule.gamma
-    dt, n = time_grid(detuning, molecule, kp, sd, thermal)
-    t_horizon = 12.0 / gamma
+    steps = time_grid(detuning, molecule, kp, sd, thermal)
+    vibron = molecule.lam > 0 and kp is not None
+    if steps is None:
+        spec = absorption_discrete(molecule, kp, thermal) if vibron \
+            else LineSpectrum(lines=[[0.0, 1.0, gamma]], gamma=gamma)
+        return spec.response(detuning), {"n_lines": len(spec.lines),
+                                         **spec.meta}
+    dt, n = steps
     t = np.arange(n) * dt
     corr = np.ones(n, dtype=complex)
-    if molecule.lam > 0 and kp is not None:
+    if vibron:
         corr *= displacement_correlation_vibron(t, molecule, kp, thermal)
-    if sd is not None and sd.coupling > 0:
-        corr *= phonon_correlation(t, sd, thermal)
-    return response_transform(detuning, corr, gamma, dt), dt, t_horizon
+    corr *= phonon_correlation(t, sd, thermal)
+    return response_transform(detuning, corr, gamma, dt), \
+        {"dt": dt, "t_horizon": 12.0 / gamma}
 
 
 def check_resolution(detuning_grid, gamma):
@@ -507,29 +529,25 @@ def absorption_full(detuning_grid, molecule: MoleculeParams,
                     kp: KernelParams | None, sd: SpectralDensity | None,
                     thermal: ThermalState):
     """Full absorption spectrum P_e/eta^2 including vibronic sidebands and
-    phonon wings, via the damped transform of the product correlation
-    <B B^dag><D D^dag> on the time grid that `_correlation_response`
-    resolves from the parameters.
+    phonon wings, Re H/gamma of `molecular_response`.
 
     Detuning is measured from the polaron-shifted transition.  Returns
-    (values, meta) with meta carrying the time grid and factors.
+    (values, meta) with meta carrying the response's meta and the
+    Franck-Condon, Debye-Waller and polaron-shift factors.
     """
     detuning_grid = np.asarray(detuning_grid, dtype=float)
     gamma = molecule.gamma
     check_resolution(detuning_grid, gamma)
-    h, dt, t_horizon = _correlation_response(
-        detuning_grid, molecule, kp, sd, thermal)
+    h, meta = molecular_response(detuning_grid, molecule, kp, sd, thermal)
     values = np.real(np.atleast_1d(h)) / gamma
-    meta = {
-        "dt": dt,
-        "t_horizon": t_horizon,
+    meta.update({
         "f_FC": franck_condon(molecule.lam, thermal.occupation(kp.nu))
         if kp is not None else 1.0,
         "f_DW": debye_waller(sd, thermal) if (sd is not None and
                                               not sd.infrared_divergent)
         else None,
         "polaron_shift": polaron_shift(sd) if sd is not None else 0.0,
-    }
+    })
     return values, meta
 
 

@@ -382,12 +382,13 @@ CONFIG_ERRORS = [
                    id=f"grid-n-{n:g}") for n in (1e300, 10**7 + 1)],
     pytest.param(_set(SMALL_ABSORPTION, "grid.min", -10**400), None,
                  "is not a finite number", id="grid-min-beyond-float"),
-    # the full route's time grid, 12/gamma long at a step that keeps the
-    # comb's reach inside its Nyquist band, would pass 10^7 points
+    # the full route's time grid with a coupled sd, 12/gamma long at a step
+    # that keeps the comb's reach inside its Nyquist band, would pass 10^7
+    # points
     *[pytest.param(cfg, None, "the time grid needs", id=f"time-grid-{name}")
       for name, cfg in [
           ("absorption-full", dict(
-              SMALL_ABSORPTION, method="full",
+              SMALL_ABSORPTION, method="full", sd=SMALL_WING["sd"],
               molecule={"gamma": 1e-5, "nu": 1.0, "lam": 2.0},
               grid={"min": -4e-3, "max": 4e-3, "n": 1001})),
           ("phonon-wing", dict(
@@ -827,8 +828,30 @@ class TestArtifacts:
         np.testing.assert_array_equal(
             table[:, 1], [float("%.12e" % v) for v in values])
         written = json.loads((out / "spectrum.meta.json").read_text())
-        for key in ("dt", "t_horizon", "f_FC", "f_DW", "polaron_shift"):
+        route = ("dt", "t_horizon") if sd is not None else (
+            "n_lines", "nbar", "nu_prime", "gamma_prime", "tail")
+        for key in (*route, "f_FC", "f_DW", "polaron_shift"):
             assert written[key] == meta[key]
+
+    @pytest.mark.parametrize("command, cfg, gamma", [
+        ("absorption", dict(SMALL_ABSORPTION, method="full",
+                            molecule={"gamma": 0.025, "nu": 2.0,
+                                      "lam": 0.0}), 0.025),
+        ("phonon-wing", dict(_set(SMALL_WING, "sd.coupling", 0.0),
+                             gamma=0.05), 0.05),
+    ], ids=["full-lam-0-nu-above-band", "wing-zero-coupling"])
+    def test_uncoupled_full_route_is_one_line(self, tmp_path, command, cfg,
+                                              gamma):
+        # nothing couples to the line, so the response is the two-level
+        # 1/(gamma - i D): no vibron pole (nu is above omega_max), no time
+        # grid
+        out = tmp_path / "o"
+        assert main([command, "--config", _write(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        det, value = np.loadtxt(out / "spectrum.csv", delimiter=",",
+                                skiprows=1).T
+        np.testing.assert_allclose(value, 1.0 / (gamma**2 + det**2),
+                                   rtol=1e-11)
 
     def test_wing_default_grid(self, tmp_path):
         # with no grid the wing spans [-omega_max, 2 omega_max] in 1,201 rows

@@ -10,10 +10,8 @@ from vibrolang import (
     ThermalState,
     chain_eigenmodes,
     derived_markov_params,
-    kelvin_to_angfreq,
     vibron_phonon_couplings,
 )
-from vibrolang.model import HBAR_OVER_KB_K_PS
 from vibrolang.microsim import TrajectoryConfig, simulate
 
 from oracles import markov_rate_band_form
@@ -124,11 +122,6 @@ class TestDerivedParams:
 
 
 class TestThermalState:
-    def test_kelvin_conversion(self):
-        np.testing.assert_allclose(
-            kelvin_to_angfreq(HBAR_OVER_KB_K_PS), 1.0, rtol=1e-12
-        )
-
     def test_occupation_zero_temperature(self):
         th = ThermalState(temperature=0.0)
         assert th.coth_half_beta(1.0) == 1.0

@@ -39,7 +39,9 @@ from vibrolang.spectra import (
     _sideband_comb,
     _weight_tail,
     choose_n_max,
+    displacement_correlation_vibron,
     response_transform,
+    time_grid,
     vibron_lines,
 )
 
@@ -626,13 +628,31 @@ class TestResponseTransform:
         # 4 lam) stay >= 98 from this grid, where they sum to at most
         # (gamma + lam^2 Gamma'/2) / (3 gamma 98^2) = 1.5e-3, against a
         # peak near pi / (gamma sqrt(2 pi) lam) >= 8: 2e-4 of it.  At the
-        # fixed dt = 1/8 the routes parted by 33% and 31% of the peak.
+        # fixed dt = 1/8 the routes parted by 33% and 31% of the peak.  The
+        # vibron factor is transformed as with an sd (fig6b, fig6c), on
+        # time_grid's grid for a coupled density; its omega_max of 1.3
+        # leaves dt to the comb's reach.
         mol = MoleculeParams(gamma=0.025, nu=1.0, lam=lam)
         grid = np.linspace(-2.0, 60.0, 3101)
         ref = absorption_discrete(mol, KP, TH0).evaluate(grid)
-        vals, _ = absorption_full(grid, mol, KP, None, TH0)
+        sd = SpectralDensity(kind="3d", coupling=0.02, omega_max=1.3)
+        dt, n = time_grid(grid, mol, KP, sd, TH0)
+        corr = displacement_correlation_vibron(np.arange(n) * dt, mol, KP,
+                                               TH0)
+        vals = response_transform(grid, corr, mol.gamma, dt).real / mol.gamma
         err = np.max(np.abs(vals - ref)) / np.max(ref)
         assert err <= 1e-3, err
+
+    @pytest.mark.parametrize("lam", [4.0, 6.0])
+    def test_full_route_without_sd_is_discrete(self, lam):
+        # without a phonon density the full route is the comb's response:
+        # one comb, one sum.  The Simpson transform would leave its images'
+        # tails on this grid, 4.2e-3 and 2.6e-2 of the peak.
+        mol = MoleculeParams(gamma=0.025, nu=1.0, lam=lam)
+        grid = np.linspace(-2.0, 3.0, 201)
+        vals, _ = absorption_full(grid, mol, KP, None, TH0)
+        np.testing.assert_array_equal(
+            vals, absorption_discrete(mol, KP, TH0).evaluate(grid))
 
     def test_full_spectrum_resolution_guard(self):
         mol = MoleculeParams(gamma=1e-4, nu=1.0, lam=0.0)
