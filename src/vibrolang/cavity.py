@@ -53,8 +53,8 @@ def transmission(detuning, cavity: CavityParams, molecule: MoleculeParams,
     """
     detuning = np.asarray(detuning, dtype=float)
     if cavity.g > 0:
-        _, gamma_p = relaxation_params(kp)
-        if gamma_p < cavity.kappa:
+        # a two-level molecule (lam = 0) has no vibron to relax
+        if molecule.lam > 0 and relaxation_params(kp)[1] < cavity.kappa:
             warnings.warn(
                 "Gamma' < kappa: vibrational relaxation slower than the "
                 "cavity; factorized response is approximate",

@@ -264,8 +264,12 @@ def _meta_artifact(name, payload):
 
 
 def _propagation(traj):
-    """How a chain run was propagated: step, step count and route."""
-    return {k: traj.meta[k] for k in ("dt", "n_steps", "propagator")}
+    """How a chain run was propagated: step, step count and route, and on
+    the normal-mode route the most iterations a secular root took and the
+    largest |sum v0^2 - 1| of its arrowheads."""
+    return {k: traj.meta[k] for k in ("dt", "n_steps", "propagator",
+                                      "secular_iterations",
+                                      "weight_sum_error") if k in traj.meta}
 
 
 def _bath_trajectory(cfg, seed, n_molecules, **start):
@@ -425,7 +429,8 @@ def _handle_cavity(cfg, seed):
         if "sd" in cfg else None
     grid = _grid(cfg, "grid")
     if cav.g > 0:  # the molecular response: its pole, comb order and times
-        _check_pole(kp)
+        if mol.lam > 0:
+            _check_pole(kp)
         spectra.time_grid(grid, mol, kp, sd, thermal)
 
     def run():

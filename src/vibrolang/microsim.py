@@ -18,10 +18,14 @@ its map:
 
 - Undamped runs of one vibron or of a mirror pair (-j, j) take
   `_mode_rows`: the map mode by mode from the normal modes of the
-  arrowhead matrix of the chain.  The powers of each mode's map factor
-  as e^{(n0 + j s) mu} = e^{n0 mu} e^{j s mu}, so one (rows x modes)
-  table of e^{j s mu} per run and one matrix product per block of stored
-  rows give every row (`_modal_rows`).
+  arrowhead matrix of the chain (a pair's splits by parity into two).
+  `_secular` finds each normal mode as a root of the arrowhead's secular
+  equation in O(1) per root and iteration: the chain is uniform with
+  fixed ends, so the equation's sum over every pole is the lattice
+  resolvent in closed form (`_Strain`).  The powers of each mode's map
+  factor as e^{(n0 + j s) mu} = e^{n0 mu} e^{j s mu}, so one
+  (rows x modes) table of e^{j s mu} per run and one matrix product per
+  block of stored rows give every row (`_modal_rows`).
 - Every other run (damped, or of any other site set) takes `_map_rows`:
   the phonon block of the map is one 2x2 matrix per mode, and the vibrons
   see the phonons only through 4M projections, so the store_every steps
@@ -127,85 +131,264 @@ def _thermal_phonon_sample(rng, omega, temperature):
     return rng.normal(0.0, sig), rng.normal(0.0, sig)
 
 
-# roots of the (root x pole) tables of `_secular` worked at once: 320 kB
-# a table for a fig3 block of 1,251 poles
+def _turns(k, n, delta, m):
+    """(sin, cos) of n q, q = pi k/(2m) + delta, for integers k, n, m: the
+    multiple of pi/2 nearest n pi k/(2m) comes off exactly, so each value
+    keeps its relative accuracy near its zeros."""
+    r = (k * n) % (4 * m)
+    j = (2 * r + m) // (2 * m)
+    x = np.pi * (r - j * m) / (2 * m) + n * delta
+    s, c = np.sin(x), np.cos(x)
+    odd = j % 2 == 1
+    s, c = np.where(odd, c, s), np.where(odd, s, c)
+    j %= 4
+    return np.where(j >= 2, -s, s), np.where((j == 1) | (j == 2), -c, c)
+
+
+@dataclass(frozen=True)
+class _Strain:
+    """S(lam) = sum_k z_k^2/(d_k - lam) of one arrowhead of `_mode_rows`,
+    from the chain's lattice resolvent in O(1) per lam, so all n roots of
+    the secular equation cost O(n) an iteration (cf. Livne & Brandt, SIAM
+    J. Matrix Anal. Appl. 24, 2002).
+
+    On the chain of 2m - 1 sites (m = N + 1) with fixed ends, mode k has
+    angle theta_k = pi k/(2m), d_k = 4c sin^2(theta_k/2), c = k0/m0, and
+    shape phi_k(a) = m^(-1/2) sin(a theta_k).  A vibron at site m + s sees
+    the strain g_k = phi_k(m+s+1) - phi_k(m+s-1), and z_k^2 = scale w g_k^2,
+    scale = dk^2/(4 m0 mu), with weight w = 1 for one vibron and 2 on the
+    modes of a mirror pair's block.  Odd k are the chain's symmetric modes
+    and even k its antisymmetric ones, so with cos q = 1 - lam/(2c) and
+    t = |s| the resolvent's parity blocks fold the strain's two sites into
+
+        sum_{k even} g_k^2/(d_k - lam) = (cos q + P_e)/c,
+            P_e = -2 sin q cos(qt) cos(q(m - t))/sin(qm),
+        sum_{k odd} g_k^2/(d_k - lam) = (cos q + P_o)/c,
+            P_o = 2 sin q sin(qt) cos(q(m - t))/cos(qm),
+
+    for t >= 1; at t = 0 the odd modes decouple and the even sum is
+    (2 cos q + P_e)/c.  So S = scale (2 cos q + w_e P_e + w_o P_o)/c, with
+    `weights` (w_e, w_o) = (1, 1) for one vibron, (2, 0) and (0, 2) for a
+    pair's even and odd block.  Where the strain misses a mode (a deflated
+    pole), cos(qt) cos(q(m - t)) or sin(qt) cos(q(m - t)) has a double
+    zero and the pole cancels.
+
+    Inside the band (0 < lam < 4c) each part is evaluated in the angle
+    q = theta_k + delta of its nearest zero of sin(qm) or cos(qm), with
+    sin(delta/2) = (lam - d_k)/(4c sin((q + theta_k)/2)), and its
+    denominator is then +-sin(m delta) exactly (`_turns`); lam - d_k comes
+    from tau, the offset of lam from the pole d_o it is measured from, and
+    the exact offset d_k - d_o = 4c sin((theta_k - theta_o)/2)
+    sin((theta_k + theta_o)/2).  Outside it q = i kappa below the band and
+    pi + i kappa above, and every ratio is taken in decaying exponentials
+    e_n = exp(-2 kappa n), so nothing overflows: sigma (2 cos q + sum w P)
+    = 2 e^-kappa - sinh(kappa) Y, sigma = +1 below and -1 above, with Y
+    from e_t, e_(m-t) and e_m.
+
+    Rounding: each factor of a part carries at most a few eps of relative
+    error, or a few eps absolute from its argument's n delta (|n delta| <=
+    pi), and the denominator a few eps relative, so S is correct to 16 eps
+    times `bound`: scale/c (2|cos q| + sum w 2|sin q/sin(qm)| (or
+    cos(qm))) inside the band, scale/c (2 e^-kappa + sinh(kappa) |Y|)
+    outside.  S' = sum z^2/(d - lam)^2 is the derivative in lam of the
+    same forms; near q = 0 or pi, away from every pole, its terms cancel
+    to within about eps/(m q)^2 (or eps/(m (pi - q))^2).
+    """
+
+    c: float
+    m: int
+    t: int
+    scale: float
+    weights: tuple
+
+    def exact_weights(self, modes):
+        """z_k^2 of `modes` (1-based) from the exact strain."""
+        m = self.m
+        g = (2.0 / np.sqrt(m) * _turns(modes, m + self.t, 0.0, m)[1]
+             * np.sin(np.pi * modes / (2 * m)))
+        return self.scale * np.where(modes % 2, self.weights[1],
+                                     self.weights[0]) * g * g
+
+    def offset(self, k, ko):
+        """d_k - d_ko, exact to rounding."""
+        m4 = 4 * self.m
+        return (4.0 * self.c * np.sin(np.pi * (k - ko) / m4)
+                * np.sin(np.pi * (k + ko) / m4))
+
+    def __call__(self, ko, tau):
+        """S, S' and S's rounding bound at lam = d_ko + tau."""
+        h = np.pi * ko / (4 * self.m)
+        x2 = np.sin(h) ** 2 + tau / (4.0 * self.c)
+        cx2 = np.cos(h) ** 2 - tau / (4.0 * self.c)
+        band = (x2 > 0) & (cx2 > 0)
+        out = np.empty((3, len(tau)))
+        if np.any(band):
+            out[:, band] = self._band(ko[band], tau[band], x2[band],
+                                      cx2[band])
+        if not np.all(band):
+            out[:, ~band] = self._outside(x2[~band], cx2[~band])
+        return out * (self.scale / self.c)
+
+    def _band(self, ko, tau, x2, cx2):
+        c, m, t = self.c, self.m, self.t
+        x, cx = np.sqrt(x2), np.sqrt(cx2)
+        u = np.arctan2(x, cx) * (4 * m / np.pi)  # q in units of pi/(2m)
+        sq, cq = 2.0 * x * cx, cx2 - x2  # sin q, cos q
+        s, bound = 2.0 * cq, 2.0 * np.abs(cq)
+        ds = np.full_like(tau, -1.0 / c)
+        for par, w in enumerate(self.weights):
+            if not w or (par and not t):
+                continue
+            k = np.clip(2 * np.round((u - par) / 2).astype(int) + par,
+                        2 - par, 2 * m - 2 + par)
+            y = np.pi * k / (4 * m)
+            delta = 2.0 * np.arcsin(
+                (tau - self.offset(k, ko)) / (4.0 * c)
+                / (x * np.cos(y) + cx * np.sin(y)))
+            # lam can sit on a deflated pole exactly, at the midpoint of
+            # its bracket; the part's limit there is its value a hair off
+            delta[delta == 0] = 1e-30 / m
+            sm, cm = _turns(k, m, delta, m)
+            st, ct = _turns(k, t, delta, m)
+            sb, cb = _turns(k, m - t, delta, m)
+            if par:
+                a, da, den, dden, sign = st, t * ct, cm, -m * sm, 1.0
+            else:
+                a, da, den, dden, sign = ct, -t * st, sm, m * cm, -1.0
+            s += w * sign * 2.0 * sq * a * cb / den
+            ds += w * sign * (cq / sq * a * cb / den
+                              + (da * cb - a * (m - t) * sb) / den
+                              - a * cb * dden / den ** 2) / c
+            bound += w * 2.0 * np.abs(sq / den)
+        return s, ds, bound
+
+    def _outside(self, x2, cx2):
+        m, t = self.m, self.t
+        w_e, w_o = self.weights
+        below = x2 <= 0
+        # kappa is kept off 0, where lam sits on a band edge exactly
+        kappa = np.maximum(
+            2.0 * np.arcsinh(np.sqrt(np.where(below, -x2, -cx2))), 1e-100)
+        e_m, e_t, e_b = (np.exp(-2.0 * kappa * n) for n in (m, t, m - t))
+        if w_e and w_o:  # one vibron: the two parities at once
+            den = -np.expm1(-4.0 * kappa * m)
+            y = 2.0 * (e_b + e_t * e_m + 2.0 * e_m * e_m) / den
+            dy = (-4.0 * ((m - t) * e_b + (t + m) * e_t * e_m
+                          + 4.0 * m * e_m * e_m)
+                  - 4.0 * m * e_m * e_m * y) / den
+        else:  # a pair's block: sign +1 for even modes, -1 for odd
+            sign = 1.0 if w_e else -1.0
+            den = -np.expm1(-2.0 * kappa * m) if w_e else 1.0 + e_m
+            y = (e_b + sign * (e_t + 2.0 * e_m)) / den
+            dy = (-2.0 * ((m - t) * e_b + sign * (t * e_t + 2.0 * m * e_m)
+                          + sign * m * e_m * y)) / den
+            y, dy = (w_e + w_o) * y, (w_e + w_o) * dy
+        sh, decay = np.sinh(kappa), np.exp(-kappa)
+        v = 2.0 * decay - sh * y
+        dv = (2.0 * decay + np.cosh(kappa) * y + sh * dy) / (2.0 * self.c * sh)
+        return np.where(below, v, -v), dv, 2.0 * decay + sh * np.abs(y)
+
+
+# roots of the (root x pole) table of `_secular`'s coordinates at T > 0
+# worked at once: 320 kB a table for a fig3 block of 1,251 poles
 _ROWS = 32
 
 
-def _secular(head, d, z, xi, eta):
+def _secular(head, d, z, xi, eta, strain, modes):
     """Normal modes of the arrowhead K = [[head, z^T], [z, diag(d)]] (d
-    strictly increasing, z nonzero) and the modal coordinates a = V^T xi,
-    b = V^T eta of a state whose head component comes first.
+    strictly increasing, z nonzero, d_k the chain's pole of mode
+    `modes`[k]) and the modal coordinates a = V^T xi, b = V^T eta of a
+    state whose head component comes first.
 
     Root i of f(lam) = head - lam - sum z^2/(d - lam) lies between poles
     d_{i-1} and d_i (d_{-1} = -inf, d_n = inf) and is sought in
-    tau = lam - o, o its left pole (d_0 for the root below the spectrum):
-    from the midpoint of its bracket, rational steps that match f and f'
-    with a pole at tau = 0 and, inside the spectrum, one at the right pole
-    that also takes the -lam slope; a step that leaves the bracket bisects.
-    A root freezes once |f| is within f's rounding bound (the stopping rule
-    of LAPACK's dlaed4), once its bracket is a few ulp wide, or once its
-    step is.  Returns lam, the head components v0 = (-1/f'(lam))^(1/2),
+    tau = lam - o, o its left pole (d_0 for the root below the spectrum).
+    f and f' take O(1) per root: `strain` sums every pole in closed form,
+    and the bracket's own poles are swapped for their terms from d and z,
+    so f's poles and residues are the arrowhead's as given, and the
+    closed form's terms come off at the same tau.  From the midpoint of
+    its bracket each root takes rational steps of Li's fixed-weight method
+    (LAPACK Working Note 89): the weight z^2 of the nearer pole is kept, a
+    pole at the other end (none outside the spectrum) takes the rest of
+    f', and a constant the rest of f; a step that leaves the bracket
+    bisects.  A root freezes, and leaves the roots still worked, once |f|
+    is within f's rounding bound 16 eps (|head - o| + |tau| + B), B the
+    closed form's bound (`_Strain`) plus the swapped terms, the stopping
+    rule of LAPACK's dlaed4; once its bracket is a few ulp wide; or once
+    its step is.  Returns lam, the head components v0 = (-1/f'(lam))^(1/2),
     (a, b), with the eigenvector components v0 z_k/(lam - d_k), and the
-    most iterations a block of roots took.
+    most iterations a root took.
     """
     n = len(d)
     if n == 0:
         return np.array([head]), np.ones(1), xi[:1], eta[:1], 0
     zz = z * z
-    reach = np.sqrt(np.sum(zz))
     eps = np.finfo(float).eps
-    out = np.empty((4, n + 1))
+    i = np.arange(n + 1)
+    left, right = np.maximum(i - 1, 0), np.minimum(i, n - 1)
+    o, ko, inner = d[left], modes[left], (i > 0) & (i < n)
+    # the bracket's own poles, each at its offset from o: their terms from
+    # d and z in, the closed form's out
+    exact = strain.exact_weights(modes)
+    near = np.stack((zz[left] - exact[left], np.where(inner, zz[right], 0.0),
+                     -np.where(inner, exact[right], 0.0)))
+    pole = np.stack((np.zeros(n + 1), d[right] - o,
+                     strain.offset(modes[right], ko)))
+    # beyond the spectrum f changes sign within sqrt(sum z^2) of
+    # min(head, d_0) below and of max(head, d_{n-1}) above
+    reach = np.sqrt(np.sum(zz))
+    lo = np.where(i == 0, -(max(d[0] - head, 0.0) + reach), 0.0)
+    hi = np.where(i == n, max(head - d[-1], 0.0) + reach, pole[1])
+    tau = 0.5 * (lo + hi)
+    slope = np.empty(n + 1)
     iterations = 0
+    work = i
+    for it in range(100):  # a guard: fig3's roots froze within 8
+        t, g, inn = tau[work], pole[1, work], inner[work]
+        s, ds, bound = strain(ko[work], t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = near[:, work] / (pole[:, work] - t)
+            s += np.sum(r, axis=0)
+            ds += np.sum(r / (pole[:, work] - t), axis=0)
+        f = head - o[work] - t - s
+        slope[work] = sl = 1.0 + ds
+        lo[work] = l = np.where(f > 0, t, lo[work])
+        hi[work] = h = np.where(f < 0, t, hi[work])
+        # the model c + p/tau - q/(g - tau) matches f and f': the nearer
+        # pole keeps its weight z^2 and the other takes the rest of f'
+        wl, wr = zz[left[work]], np.where(inn, zz[right[work]], 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rest_l = np.maximum(sl - wr / (g - t) ** 2, 0.0) * t * t
+            rest_r = np.maximum(sl - wl / (t * t), 0.0) * (g - t) ** 2
+            keep_left = t < g - t
+            p = np.where(inn, np.where(keep_left, wl, rest_l), t * t * sl)
+            q = np.where(inn, np.where(keep_left, rest_r, wr), 0.0)
+            c = f - p / t + np.where(inn, q / (g - t), 0.0)
+            a = c * g - p - q
+            root = np.sqrt(a * a + 4.0 * c * p * g)
+            step = np.where(inn, np.where(a <= 0, 2.0 * p * g / (root - a),
+                                          (a + root) / (2.0 * c)), -p / c)
+        noise = (np.abs(head - o[work]) + np.abs(t) + bound
+                 + np.sum(np.abs(r), axis=0))
+        done = ((np.abs(f) <= 16 * eps * noise)
+                | (h - l <= 8 * eps * np.abs(t))
+                | (np.abs(step - t) <= 4e-16 * np.abs(t)))
+        step = np.where((step > l) & (step < h), step, 0.5 * (l + h))
+        tau[work] = np.where(done, t, step)
+        iterations = it
+        work = work[~done]
+        if not len(work):
+            break
+    v0 = 1.0 / np.sqrt(slope)
+    if not (np.any(xi[1:]) or np.any(eta[1:])):
+        return o + tau, v0, v0 * xi[0], v0 * eta[0], iterations
+    a, b = np.empty(n + 1), np.empty(n + 1)
     for first in range(0, n + 1, _ROWS):
-        i = np.arange(first, min(first + _ROWS, n + 1))
-        o = d[np.maximum(i - 1, 0)]
-        gap = d[np.minimum(i, n - 1)] - o
-        inner = (i > 0) & (i < n)
-        # poles left of each root: all before the block, part of the block
-        near = slice(first, first + len(i))
-        left = np.arange(n)[near] < i[:, None]
-        delta = d - o[:, None]
-        # beyond the spectrum f changes sign within sqrt(sum z^2) of
-        # min(head, d_0) below and of max(head, d_{n-1}) above
-        lo = np.where(i == 0, -(max(d[0] - head, 0.0) + reach), 0.0)
-        hi = np.where(i == n, max(head - d[-1], 0.0) + reach, gap)
-        tau = 0.5 * (lo + hi)
-        done = np.zeros(len(i), dtype=bool)
-        for it in range(100):  # a guard: fig3's blocks froze within 8
-            r = 1.0 / (delta - tau[:, None])
-            r2 = r * r
-            f = head - o - tau - r @ zz
-            slope = 1.0 + r2 @ zz
-            wl = r2[:, :first] @ zz[:first] + (r2[:, near] * left) @ zz[near]
-            lo = np.where(f > 0, tau, lo)
-            hi = np.where(f < 0, tau, hi)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                p = tau * tau * np.where(inner, wl, slope)
-                q = (gap - tau) ** 2 * (slope - wl)
-                c = f - p / tau + np.where(inner, q / (gap - tau), 0.0)
-                a = c * gap - p - q
-                root = np.sqrt(a * a + 4.0 * c * p * gap)
-                step = np.where(
-                    inner,
-                    np.where(a <= 0, 2.0 * p * gap / (root - a),
-                             (a + root) / (2.0 * c)),
-                    -p / c)
-            # f's rounding bound, with sum |r| z^2 <= reach ||r z||
-            # = reach (slope - 1)^(1/2) by Cauchy-Schwarz
-            noise = np.abs(head - o) + np.abs(tau) + reach * np.sqrt(slope - 1)
-            done |= ((np.abs(f) <= 8 * eps * noise)
-                     | (hi - lo <= 8 * eps * np.abs(tau))
-                     | (np.abs(step - tau) <= 4e-16 * np.abs(tau)))
-            step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
-            if done.all():
-                break
-            tau = np.where(done, tau, step)
-        iterations = max(iterations, it)
-        v0 = 1.0 / np.sqrt(slope)
-        out[:, i] = (o + tau, v0, v0 * (xi[0] - r @ (z * xi[1:])),
-                     v0 * (eta[0] - r @ (z * eta[1:])))
-    return (*out, iterations)
+        rows = slice(first, first + _ROWS)
+        r = 1.0 / ((d - o[rows, None]) - tau[rows, None])
+        a[rows] = v0[rows] * (xi[0] - r @ (z * xi[1:]))
+        b[rows] = v0[rows] * (eta[0] - r @ (z * eta[1:]))
+    return o + tau, v0, a, b, iterations
 
 
 # stored rows per block of `_modal_rows`: its complex (rows x modes) table
@@ -267,7 +450,27 @@ def _modal_rows(nu, lam, load, a, b, h, n_rows, s):
     return rows
 
 
-def _mode_rows(nu, w, A, y0, dt, n_steps, store_every):
+def _blocks(bath, site, A):
+    """(u, beta, strain) of each arrowhead of one vibron at `site` (A one
+    row of couplings) or of the mirror pair (site, -site) (two rows): the
+    pair's (Q1 +- Q2)/sqrt(2), u, couple to the even and to the odd modes
+    with beta = sqrt(2) alpha, as their couplings agree on even k and are
+    opposite on odd k."""
+    def strain(weights):
+        return _Strain(c=bath.k0 / bath.m0, m=bath.n_cells + 1,
+                       t=abs(int(site)),
+                       scale=bath.dk ** 2 / (4.0 * bath.m0 * bath.mu),
+                       weights=weights)
+    if len(A) == 1:
+        return [(np.ones(1), A[0], strain((1, 1)))]
+    even = np.arange(1, A.shape[1] + 1) % 2 == 0
+    return [(np.array([1.0, sign]) / np.sqrt(2.0),
+             np.where(even == (sign > 0), np.sqrt(2.0) * A[0], 0.0),
+             strain((2, 0) if sign > 0 else (0, 2)))
+            for sign in (1.0, -1.0)]
+
+
+def _mode_rows(nu, bath, site, w, A, y0, dt, n_steps, store_every):
     """Observer rows (Q, P, E) of the undamped RK4 loop, evaluated
     mode by mode instead of step by step.
 
@@ -275,36 +478,29 @@ def _mode_rows(nu, w, A, y0, dt, n_steps, store_every):
     xi'' = -K xi with K the arrowhead of head nu^2, diagonal omega_k^2 and
     border -sqrt(nu omega_k) beta_k; RK4 is covariant under that change of
     variables, so it steps each normal mode of K with the map of
-    `_modal_rows`.  A holds one vibron's couplings, or a mirror pair's,
-    which agree on even k and are opposite on odd k: (Q1 +- Q2)/sqrt(2)
-    then couple to the even and to the odd modes with beta = sqrt(2) alpha.
-    Modes with beta_k = 0 are deflated: the vibrons never see them.  Returns
-    the rows, the largest |sum v0^2 - 1| of the arrowheads solved and the
-    most iterations `_secular` took for a block of their roots.
+    `_modal_rows`.  A holds the couplings of one vibron at `site`, or of a
+    mirror pair (site, -site), whose blocks `_blocks` splits by parity.
+    Modes with beta_k = 0 are deflated: the vibrons never see them.
+    Returns the rows, the largest |sum v0^2 - 1| of the arrowheads solved
+    and the most iterations `_secular` took for a root of them.
     """
     m, nm = A.shape
     q0, p0, qph, pph = np.split(y0, [m, 2 * m, 2 * m + nm])
     xi, eta = qph / np.sqrt(w), pph * np.sqrt(w)
-    if m == 1:
-        blocks = [(np.ones(1), A[0])]
-    else:
-        even = np.arange(1, nm + 1) % 2 == 0
-        blocks = [(np.array([1.0, sign]) / np.sqrt(2.0),
-                   np.where(even == (sign > 0), np.sqrt(2.0) * A[0], 0.0))
-                  for sign in (1.0, -1.0)]
     # (lam, load, a, b) per block of modes, after an empty block that stands
     # for the vibrons' rows when every block starts, and stays, at rest
     none = np.empty(0)
     parts, errors = [(none, np.empty((m, 0)), none, none)], [0.0]
     iterations = 0
-    for u, beta in blocks:
+    for u, beta, strain in _blocks(bath, site, A):
         k = beta != 0
         x0 = np.concatenate(([u @ q0 / np.sqrt(nu)], xi[k]))
         e0 = np.concatenate(([u @ p0 * np.sqrt(nu)], eta[k]))
         if not (np.any(x0) or np.any(e0)):
             continue  # this parity block starts, and stays, at rest
         roots, v0, ak, bk, its = _secular(
-            nu * nu, w[k] ** 2, -np.sqrt(nu * w[k]) * beta[k], x0, e0)
+            nu * nu, w[k] ** 2, -np.sqrt(nu * w[k]) * beta[k], x0, e0,
+            strain, np.flatnonzero(k) + 1)
         errors.append(abs(np.sum(v0 * v0) - 1.0))
         iterations = max(iterations, its)
         parts.append((roots, np.outer(u, v0), ak, bk))
@@ -460,7 +656,8 @@ def simulate(nu: float, bath: DiscreteBath, sites,
     mirror_pair = m == 2 and sites[0] == -sites[1]
     if np.isinf(bath.qfactor) and (m == 1 or mirror_pair):
         rows, meta["weight_sum_error"], meta["secular_iterations"] = (
-            _mode_rows(nu, w, A, y0, dt, n_steps, cfg.store_every))
+            _mode_rows(nu, bath, sites[0], w, A, y0, dt, n_steps,
+                       cfg.store_every))
         meta["propagator"] = "modes"
     else:
         rows = _map_rows(nu, w, A, gph, y0, dt, n_steps, cfg.store_every)

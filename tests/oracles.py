@@ -2,9 +2,10 @@
 (scipy's Bessel functions) and its numeric transform, the band form of the
 Markovian rate, a single-mode dephasing rate, the brute-force multimode
 sideband spectrum, first-order scattering amplitudes on the chain, the
-chain's RK4 step loop, the powers of one normal mode's RK4 map each from
-its own exp, cos and sin, and the per-value CSV and polyline formatters
-that the one-`%` emitters replace."""
+chain's RK4 step loop, the normal modes of a chain arrowhead from its
+secular equation summed pole by pole, the powers of one normal mode's RK4
+map each from its own exp, cos and sin, and the per-value CSV and polyline
+formatters that the one-`%` emitters replace."""
 
 import io
 
@@ -141,6 +142,87 @@ def dyson_first_order(t: float, bath: DiscreteBath, nu: float):
         return np.where(res, 1j * t, (np.exp(1j * safe * t) - 1.0) / safe)
 
     return a * amp(w - nu), np.sqrt(2.0) * a * amp(w + nu)
+
+
+# roots of the (root x pole) tables of `secular` worked at once: 320 kB
+# a table for a fig3 block of 1,251 poles
+_ROWS = 32
+
+
+def secular(head, d, z, xi, eta):
+    """Normal modes of the arrowhead K = [[head, z^T], [z, diag(d)]] (d
+    strictly increasing, z nonzero) and the modal coordinates a = V^T xi,
+    b = V^T eta of a state whose head component comes first.
+
+    Root i of f(lam) = head - lam - sum z^2/(d - lam) lies between poles
+    d_{i-1} and d_i (d_{-1} = -inf, d_n = inf) and is sought in
+    tau = lam - o, o its left pole (d_0 for the root below the spectrum):
+    from the midpoint of its bracket, rational steps that match f and f'
+    with a pole at tau = 0 and, inside the spectrum, one at the right pole
+    that also takes the -lam slope; a step that leaves the bracket bisects.
+    A root freezes once |f| is within f's rounding bound (the stopping rule
+    of LAPACK's dlaed4), once its bracket is a few ulp wide, or once its
+    step is.  Returns lam, the head components v0 = (-1/f'(lam))^(1/2),
+    (a, b), with the eigenvector components v0 z_k/(lam - d_k), and the
+    most iterations a block of roots took.
+    """
+    n = len(d)
+    if n == 0:
+        return np.array([head]), np.ones(1), xi[:1], eta[:1], 0
+    zz = z * z
+    reach = np.sqrt(np.sum(zz))
+    eps = np.finfo(float).eps
+    out = np.empty((4, n + 1))
+    iterations = 0
+    for first in range(0, n + 1, _ROWS):
+        i = np.arange(first, min(first + _ROWS, n + 1))
+        o = d[np.maximum(i - 1, 0)]
+        gap = d[np.minimum(i, n - 1)] - o
+        inner = (i > 0) & (i < n)
+        # poles left of each root: all before the block, part of the block
+        near = slice(first, first + len(i))
+        left = np.arange(n)[near] < i[:, None]
+        delta = d - o[:, None]
+        # beyond the spectrum f changes sign within sqrt(sum z^2) of
+        # min(head, d_0) below and of max(head, d_{n-1}) above
+        lo = np.where(i == 0, -(max(d[0] - head, 0.0) + reach), 0.0)
+        hi = np.where(i == n, max(head - d[-1], 0.0) + reach, gap)
+        tau = 0.5 * (lo + hi)
+        done = np.zeros(len(i), dtype=bool)
+        for it in range(100):  # a guard: fig3's blocks froze within 8
+            r = 1.0 / (delta - tau[:, None])
+            r2 = r * r
+            f = head - o - tau - r @ zz
+            slope = 1.0 + r2 @ zz
+            wl = r2[:, :first] @ zz[:first] + (r2[:, near] * left) @ zz[near]
+            lo = np.where(f > 0, tau, lo)
+            hi = np.where(f < 0, tau, hi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                p = tau * tau * np.where(inner, wl, slope)
+                q = (gap - tau) ** 2 * (slope - wl)
+                c = f - p / tau + np.where(inner, q / (gap - tau), 0.0)
+                a = c * gap - p - q
+                root = np.sqrt(a * a + 4.0 * c * p * gap)
+                step = np.where(
+                    inner,
+                    np.where(a <= 0, 2.0 * p * gap / (root - a),
+                             (a + root) / (2.0 * c)),
+                    -p / c)
+            # f's rounding bound, with sum |r| z^2 <= reach ||r z||
+            # = reach (slope - 1)^(1/2) by Cauchy-Schwarz
+            noise = np.abs(head - o) + np.abs(tau) + reach * np.sqrt(slope - 1)
+            done |= ((np.abs(f) <= 8 * eps * noise)
+                     | (hi - lo <= 8 * eps * np.abs(tau))
+                     | (np.abs(step - tau) <= 4e-16 * np.abs(tau)))
+            step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+            if done.all():
+                break
+            tau = np.where(done, tau, step)
+        iterations = max(iterations, it)
+        v0 = 1.0 / np.sqrt(slope)
+        out[:, i] = (o + tau, v0, v0 * (xi[0] - r @ (z * xi[1:])),
+                     v0 * (eta[0] - r @ (z * eta[1:])))
+    return (*out, iterations)
 
 
 def rk4_rows(nu, w, A, gph, y0, dt, n_steps, store_every):

@@ -230,10 +230,12 @@ FAILED_RUNS = [
 # cells per seed, by one unit in the last printed digit.  Secular roots
 # frozen at f's rounding floor moved 1 of the 180 cells at seed 0 and 3 at
 # seed 3 by one unit in the last printed digit, at most 1.0e-14 of a
-# column's scale
+# column's scale.  The secular equation from the chain's closed-form
+# resolvent moved 1 cell at seed 0 and 3 at seed 3 again, at most 1.2e-15
+# of a column's scale
 THERMAL_TRAJECTORY_SHA256 = {
-    None: "afa6566c37f1d5c9f50986d87a158828f7c04053c6be4b81af0d2ed784508772",
-    3: "6a91ac525949cb4735442c9ef7523f50584f1b8cdb8bb5ce77217e90c2851064",
+    None: "1f7246c467268ffb868cf682deb2468bb759ee85c7732175b8a017045b48c73d",
+    3: "184dff1d4ef1b8767f3b9592361898bc09e57cc49dd6ab6bf9dd1c023335e862",
 }
 
 # keys of integer fields, each with a config that reads it and an int value
@@ -698,6 +700,12 @@ class TestArtifacts:
         assert meta["propagator"] == propagator
         assert meta["n_steps"] == math.ceil(
             cfg["trajectory"]["t_max"] / meta["dt"])
+        # the normal-mode route also records how its secular roots fared
+        modal = {"secular_iterations", "weight_sum_error"}
+        assert (modal <= set(meta)) == (propagator == "modes")
+        if propagator == "modes":
+            assert 0 < meta["secular_iterations"] <= 10
+            assert 0 <= meta["weight_sum_error"] < 1e-13
 
     def test_byte_identical_reruns(self, tmp_path):
         # a chain run; fig5a's 1d density at two temperatures, whose
@@ -852,6 +860,24 @@ class TestArtifacts:
                                 skiprows=1).T
         np.testing.assert_allclose(value, 1.0 / (gamma**2 + det**2),
                                    rtol=1e-11)
+
+    def test_two_level_cavity_needs_no_pole(self, tmp_path):
+        # at lam = 0 nothing relaxes the vibron, so one above the band
+        # (nu 2 over omega_max 1.3, no markovian) is no reason to refuse
+        # the run: the response is the one line 1/(gamma - i D)
+        cfg = {k: v for k, v in SMALL_CAVITY.items() if k != "markovian"}
+        cfg = _set(_set(_set(cfg, "molecule.lam", 0.0), "molecule.nu", 2.0),
+                   "kernel.omega_max", 1.3)
+        out = tmp_path / "o"
+        assert main(["cavity", "--config", _write(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        det, re_t, im_t, t2 = np.loadtxt(out / "transmission.csv",
+                                         delimiter=",", skiprows=1).T
+        gamma = cfg["molecule"]["gamma"]
+        kappa, g = cfg["cavity"]["kappa"], cfg["cavity"]["g"]
+        t = kappa / (g * g / (gamma - 1j * det) + kappa - 1j * det)
+        np.testing.assert_allclose(re_t + 1j * im_t, t, rtol=1e-11)
+        np.testing.assert_allclose(t2, np.abs(t) ** 2, rtol=1e-11)
 
     def test_wing_default_grid(self, tmp_path):
         # with no grid the wing spans [-omega_max, 2 omega_max] in 1,201 rows

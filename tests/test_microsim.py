@@ -21,13 +21,15 @@ from vibrolang import (
 from vibrolang.cli import load_preset
 from vibrolang.microsim import (
     _BLOCK,
+    _Strain,
+    _blocks,
     _mode_rows,
     _modal_rows,
     _secular,
     _setup,
 )
 
-from oracles import dyson_first_order, modal_rows, rk4_rows
+from oracles import dyson_first_order, modal_rows, rk4_rows, secular
 
 
 def _bath(n=80, k0=12.25, gamma_m=0.05, **kw):
@@ -40,17 +42,19 @@ def _fig3_bath():
     return DiscreteBath(n_cells=1250, k0=144.0, m0=1.0, dk=8.313843876330611)
 
 
-def _arrowhead(bath, site, sign=None):
-    """(d, z) of an arrowhead `_mode_rows` solves at nu = 1: one molecule's
-    for sign None, else the mirror pair (site, -site)'s even block for sign
-    +1 and its odd block for -1."""
+def _arrowhead(bath, site, sign=None, nu=1.0):
+    """(d, z, strain, modes) of an arrowhead `_mode_rows` solves: one
+    molecule's for sign None, else the mirror pair (site, -site)'s even
+    block for sign +1 and its odd block for -1."""
     w = chain_eigenmodes(bath)
-    beta = vibron_phonon_couplings(bath, 1.0, w, site=site)
+    A = np.array([vibron_phonon_couplings(bath, nu, w, site=site)])
     if sign is not None:
-        even = np.arange(1, len(w) + 1) % 2 == 0
-        beta = np.where(even == (sign > 0), np.sqrt(2.0) * beta, 0.0)
+        A = np.vstack((A, vibron_phonon_couplings(bath, nu, w, site=-site)))
+    _, beta, strain = _blocks(bath, site, A)[0 if sign is None or sign > 0
+                                             else 1]
     k = beta != 0
-    return w[k] ** 2, -np.sqrt(w[k]) * beta[k]
+    return (w[k] ** 2, -np.sqrt(nu * w[k]) * beta[k], strain,
+            np.flatnonzero(k) + 1)
 
 
 def _loop_energy_drift(nu, bath, sites, cfg):
@@ -238,21 +242,27 @@ class TestNormalModes:
 
     # with a freeze on the step size alone, fig3's even block and the odd
     # block of sites (-1, 1) on 200 cells ran a 16-root block to the guard
-    # of 100 iterations: at f's rounding floor the step never fell that low
-    @pytest.mark.parametrize("bath, site, sign", [
-        (_bath(n=300), 0, None),
-        (_fig3_bath(), -1, 1.0),
-        (_fig3_bath(), -1, -1.0),
-        (_bath(n=200), -3, -1.0),
-        (_bath(n=200), -1, -1.0),
+    # of 100 iterations: at f's rounding floor the step never fell that low.
+    # Site 2 on 200 cells deflates one mode, at the midpoint of its bracket;
+    # a vibron at nu = 8 puts a root above the band.
+    @pytest.mark.parametrize("bath, site, sign, nu", [
+        (_bath(n=300), 0, None, 1.0),
+        (_fig3_bath(), -1, 1.0, 1.0),
+        (_fig3_bath(), -1, -1.0, 1.0),
+        (_bath(n=200), -3, -1.0, 1.0),
+        (_bath(n=200), -1, -1.0, 1.0),
+        (_fig3_bath(), 0, None, 1.0),
+        (_bath(n=200), 2, None, 1.0),
+        (_bath(n=200), 0, None, 8.0),
     ], ids=["n300-one", "fig3-even", "fig3-odd", "n200-sites3-odd",
-            "n200-sites1-odd"])
-    def test_secular_roots_match_eigh(self, bath, site, sign):
-        d, z = _arrowhead(bath, site, sign)
+            "n200-sites1-odd", "fig3-one", "n200-site2-one", "n200-nu8-one"])
+    def test_secular_roots_match_eigh(self, bath, site, sign, nu):
+        d, z, strain, modes = _arrowhead(bath, site, sign, nu)
         rng = np.random.default_rng(0)
         xi, eta = rng.normal(size=(2, len(d) + 1))
-        lam, v0, a, b, iterations = _secular(1.0, d, z, xi, eta)
-        K = np.diag(np.concatenate(([1.0], d)))
+        lam, v0, a, b, iterations = _secular(nu * nu, d, z, xi, eta, strain,
+                                             modes)
+        K = np.diag(np.concatenate(([nu * nu], d)))
         K[0, 1:] = K[1:, 0] = z
         ref, V = np.linalg.eigh(K)
         V *= np.sign(V[0])
@@ -263,6 +273,9 @@ class TestNormalModes:
         np.testing.assert_allclose(v0 ** 2, V[0] ** 2, rtol=0, atol=1e-12)
         np.testing.assert_allclose(a, V.T @ xi, rtol=0, atol=1e-10)
         np.testing.assert_allclose(b, V.T @ eta, rtol=0, atol=1e-10)
+        # the solver that summed every pole at every iteration finds them too
+        np.testing.assert_allclose(secular(nu * nu, d, z, xi, eta)[0], lam,
+                                   rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
     def test_fig3_pair_memory_bounded(self):
         bath = _fig3_bath()
@@ -286,6 +299,61 @@ class TestNormalModes:
                         cfg).meta["propagator"] == "rk4"
         assert simulate(1.0, _bath(n=20), (-2, 2, 0),
                         cfg).meta["propagator"] == "rk4"
+
+
+class TestStrainSum:
+    """The closed-form sum of `_Strain` against the direct sum over the
+    chain's exact poles and weights."""
+
+    @pytest.mark.parametrize("bath, site, weights", [
+        (_bath(n=200), 0, (1, 1)),
+        (_bath(n=200), 2, (1, 1)),
+        (_bath(n=200), 3, (2, 0)),
+        (_fig3_bath(), 1, (0, 2)),
+    ], ids=["n200-one-site0", "n200-one-site2", "n200-pair3-even",
+            "fig3-pair1-odd"])
+    def test_matches_direct_sum(self, bath, site, weights):
+        m, c = bath.n_cells + 1, bath.k0 / bath.m0
+        strain = _Strain(c=c, m=m, t=abs(site),
+                         scale=bath.dk ** 2 / (4.0 * bath.m0 * bath.mu),
+                         weights=weights)
+        k = np.arange(1, 2 * m)
+        # cos(pi r/(2m)) from a sine of an argument within pi/2, so small
+        # couplings keep their relative accuracy
+        r = (k * (m + site)) % (4 * m)
+        cos = np.where(r <= 2 * m, np.sin(np.pi * (m - r) / (2 * m)),
+                       np.sin(np.pi * (r - 3 * m) / (2 * m)))
+        g = 2.0 / np.sqrt(m) * cos * np.sin(np.pi * k / (2 * m))
+        zz = strain.scale * np.where(k % 2, *weights[::-1]) * g * g
+        top = 2 * m - 1
+        d = 4.0 * c * np.sin(np.pi * k / (4 * m)) ** 2
+        pole = [kk for kk in (m - 1, m, m + 1) if zz[kk - 1]][0]
+        gap = d[pole] - d[pole - 1]
+        # (pole lam is measured from, lam): below the band, near 0, within
+        # 1e-9 gap of a pole on either side, near and above 4c, and on
+        # mode m where the strain misses it (site 2)
+        points = [(1, -5.0), (1, -1e-3), (1, 1e-3), (1, 0.37 * d[0]),
+                  (pole, d[pole - 1] + 1e-9 * gap),
+                  (pole, d[pole - 1] - 1e-9 * gap),
+                  (top, 4.0 * c - 1e-3), (top, 4.0 * c + 1e-3),
+                  (top, 4.0 * c + 7.0), (top, 100.0 * c)]
+        if not zz[m - 1]:
+            points.append((m - 1, 2.0 * c))
+        eps = np.finfo(float).eps
+        for ko, lam in points:
+            tau = lam - d[ko - 1]
+            # d_k - lam from the exact offsets of the poles to d_ko
+            den = (4.0 * c * np.sin(np.pi * (k - ko) / (4 * m))
+                   * np.sin(np.pi * (k + ko) / (4 * m)) - tau)
+            terms = zz / den
+            s, ds, bound = (x[0] for x in strain(np.array([ko]),
+                                                  np.array([tau])))
+            # the closed form is good to 16 eps bound (`_Strain`), the
+            # direct pairwise sum to (3 + log2(2m)) eps of sum |terms|
+            absum = np.sum(np.abs(terms))
+            assert abs(s - np.sum(terms)) <= 16 * eps * (bound + absum), (
+                ko, lam, abs(s - np.sum(terms)) / (eps * absum))
+            np.testing.assert_allclose(ds, np.sum(terms / den), rtol=1e-12)
 
 
 class TestModalRows:
@@ -316,7 +384,8 @@ class TestModalRows:
         bath = _bath(n=10, k0=10000.0)
         cfg = TrajectoryConfig(t_max=2.0, store_every=50)
         w, A, gph, y0, dt, n_steps = _setup(1.0, bath, (0,), cfg)
-        rows, _, _ = _mode_rows(1.0, w, A, y0, dt, n_steps, cfg.store_every)
+        rows, _, _ = _mode_rows(1.0, bath, 0, w, A, y0, dt, n_steps,
+                                cfg.store_every)
         ref = rk4_rows(1.0, w, A, gph, y0, dt, n_steps,
                        cfg.store_every)[:, :3]
         assert np.max(ref[:, 2]) > 10.0 * ref[0, 2]
