@@ -37,6 +37,7 @@ from .model import (
     ThermalState,
     derived_markov_params,
 )
+from .text import csv_rows
 
 # the commands whose runs read --seed: the chain's thermal phonon draws
 SEEDED = ("relaxation", "collective")
@@ -252,10 +253,9 @@ class Artifact:
 
 
 def _csv(header, columns):
-    """Header line, then one `%.12e` row per sample, all rows in one `%`."""
+    """Header line, then one `%.12e` row per sample (`text.csv_rows`)."""
     table = np.column_stack(columns)
-    rows = (",".join(["%.12e"] * table.shape[1]) + "\n") * len(table)
-    return header + "\n" + rows % tuple(table.ravel().tolist()), len(table)
+    return header + "\n" + csv_rows(table), len(table)
 
 
 def _meta_artifact(name, payload):

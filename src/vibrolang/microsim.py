@@ -40,7 +40,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InstabilityError
-from .model import DiscreteBath, chain_eigenmodes, vibron_phonon_couplings
+from .model import (
+    DiscreteBath,
+    chain_eigenmodes,
+    reduced_sincos,
+    vibron_phonon_couplings,
+)
+from .text import csv_rows
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -116,9 +122,7 @@ class Trajectory:
         if m == 2:
             header += ["Eplus", "Eminus"]
             cols += [self.e_plus, self.e_minus]
-        table = np.column_stack(cols)
-        rows = (",".join(["%.12e"] * len(cols)) + "\n") * len(table)
-        return ",".join(header) + "\n" + rows % tuple(table.ravel().tolist())
+        return ",".join(header) + "\n" + csv_rows(np.column_stack(cols))
 
 
 def _thermal_phonon_sample(rng, omega, temperature):
@@ -129,20 +133,6 @@ def _thermal_phonon_sample(rng, omega, temperature):
         return np.zeros_like(omega), np.zeros_like(omega)
     sig = np.sqrt(temperature / omega)
     return rng.normal(0.0, sig), rng.normal(0.0, sig)
-
-
-def _turns(k, n, delta, m):
-    """(sin, cos) of n q, q = pi k/(2m) + delta, for integers k, n, m: the
-    multiple of pi/2 nearest n pi k/(2m) comes off exactly, so each value
-    keeps its relative accuracy near its zeros."""
-    r = (k * n) % (4 * m)
-    j = (2 * r + m) // (2 * m)
-    x = np.pi * (r - j * m) / (2 * m) + n * delta
-    s, c = np.sin(x), np.cos(x)
-    odd = j % 2 == 1
-    s, c = np.where(odd, c, s), np.where(odd, s, c)
-    j %= 4
-    return np.where(j >= 2, -s, s), np.where((j == 1) | (j == 2), -c, c)
 
 
 @dataclass(frozen=True)
@@ -176,9 +166,9 @@ class _Strain:
     Inside the band (0 < lam < 4c) each part is evaluated in the angle
     q = theta_k + delta of its nearest zero of sin(qm) or cos(qm), with
     sin(delta/2) = (lam - d_k)/(4c sin((q + theta_k)/2)), and its
-    denominator is then +-sin(m delta) exactly (`_turns`); lam - d_k comes
-    from tau, the offset of lam from the pole d_o it is measured from, and
-    the exact offset d_k - d_o = 4c sin((theta_k - theta_o)/2)
+    denominator is then +-sin(m delta) exactly (`reduced_sincos`); lam - d_k
+    comes from tau, the offset of lam from the pole d_o it is measured from,
+    and the exact offset d_k - d_o = 4c sin((theta_k - theta_o)/2)
     sin((theta_k + theta_o)/2).  Outside it q = i kappa below the band and
     pi + i kappa above, and every ratio is taken in decaying exponentials
     e_n = exp(-2 kappa n), so nothing overflows: sigma (2 cos q + sum w P)
@@ -204,8 +194,8 @@ class _Strain:
     def exact_weights(self, modes):
         """z_k^2 of `modes` (1-based) from the exact strain."""
         m = self.m
-        g = (2.0 / np.sqrt(m) * _turns(modes, m + self.t, 0.0, m)[1]
-             * np.sin(np.pi * modes / (2 * m)))
+        g = (2.0 / np.sqrt(m) * reduced_sincos(modes, m + self.t, 0.0, m)[1]
+             * reduced_sincos(modes, 1, 0.0, m)[0])
         return self.scale * np.where(modes % 2, self.weights[1],
                                      self.weights[0]) * g * g
 
@@ -248,9 +238,9 @@ class _Strain:
             # lam can sit on a deflated pole exactly, at the midpoint of
             # its bracket; the part's limit there is its value a hair off
             delta[delta == 0] = 1e-30 / m
-            sm, cm = _turns(k, m, delta, m)
-            st, ct = _turns(k, t, delta, m)
-            sb, cb = _turns(k, m - t, delta, m)
+            sm, cm = reduced_sincos(k, m, delta, m)
+            st, ct = reduced_sincos(k, t, delta, m)
+            sb, cb = reduced_sincos(k, m - t, delta, m)
             if par:
                 a, da, den, dden, sign = st, t * ct, cm, -m * sm, 1.0
             else:

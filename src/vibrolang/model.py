@@ -170,14 +170,25 @@ def vibron_phonon_couplings(bath: DiscreteBath, nu, modes=None,
     omega = chain_eigenmodes(bath) if modes is None else np.asarray(modes)
     x_zpm = 1.0 / np.sqrt(2.0 * bath.mu * nu)
     u_zpm = 1.0 / np.sqrt(2.0 * bath.m0 * omega)
-    k = np.arange(1, 2 * n + 2)
-    geometry = (2.0 * np.sqrt(1.0 / (n + 1))
-                * np.cos(np.pi * k * (n + 1 + site) / (2 * n + 2))
-                * np.sin(np.pi * k / (2 * n + 2)))
-    alpha = bath.dk * geometry * u_zpm * x_zpm
-    # kill the cosine's floating-point residues at its zeros exactly
-    alpha[k * (n + 1 + site) % (2 * n + 2) == n + 1] = 0.0
-    return alpha
+    k, m = np.arange(1, 2 * n + 2), n + 1
+    geometry = (2.0 * np.sqrt(1.0 / m) * reduced_sincos(k, m + site, 0.0, m)[1]
+                * reduced_sincos(k, 1, 0.0, m)[0])
+    return bath.dk * geometry * u_zpm * x_zpm
+
+
+def reduced_sincos(k, n, delta, m):
+    """(sin, cos) of n q, q = pi k/(2m) + delta, for integers k, n, m: the
+    multiple of pi/2 nearest n pi k/(2m) comes off exactly, so each value
+    keeps its relative accuracy near its zeros; at delta = 0 the zeros come
+    out as exact (signed) zeros."""
+    r = (k * n) % (4 * m)
+    j = (2 * r + m) // (2 * m)
+    x = np.pi * (r - j * m) / (2 * m) + n * delta
+    s, c = np.sin(x), np.cos(x)
+    odd = j % 2 == 1
+    s, c = np.where(odd, c, s), np.where(odd, s, c)
+    j %= 4
+    return np.where(j >= 2, -s, s), np.where((j == 1) | (j == 2), -c, c)
 
 
 def derived_markov_params(bath: DiscreteBath, nu):

@@ -269,31 +269,37 @@ class LineSpectrum:
 
     def response(self, detuning):
         """H(detuning) as sum_lines w (width + i x)/(width^2 + x^2),
-        x = D - pos, in real arithmetic, taken in blocks of detuning rows so
-        that memory stays bounded; each row is reduced as in a single pass,
-        so the values do not depend on the blocks.  A scalar detuning gives
-        a complex scalar."""
+        x = D - pos, in real arithmetic.  A scalar detuning gives a complex
+        scalar."""
+        return self._sum(detuning, complex)
+
+    def evaluate(self, detuning):
+        """P_e/eta^2 = Re H/gamma."""
+        return self._sum(detuning, float) / self.gamma
+
+    def _sum(self, detuning, dtype):
+        """H, or Re H when `dtype` is float, taken in blocks of detuning rows
+        so that memory stays bounded; each row is reduced as in a single
+        pass, so the values do not depend on the blocks, and Re H is the
+        same whether Im H is formed or not."""
         detuning = np.asarray(detuning, dtype=float)
         pos, wt, wid = self.lines.T
         wid2 = wid * wid
         flat = detuning.ravel()
-        out = np.empty(len(flat), dtype=complex)
+        out = np.empty(len(flat), dtype=dtype)
         rows = max(1, _LINE_BLOCK // max(len(pos), 1))
         for i in range(0, len(flat), rows):
             x = flat[i:i + rows, None] - pos
             f = x * x
             f += wid2
             np.divide(wt, f, out=f)
-            x *= f
+            if dtype is complex:
+                x *= f
+                out.imag[i:i + rows] = np.sum(x, axis=-1)
             f *= wid
             out.real[i:i + rows] = np.sum(f, axis=-1)
-            out.imag[i:i + rows] = np.sum(x, axis=-1)
         out = out.reshape(detuning.shape)
-        return out if out.ndim else complex(out)
-
-    def evaluate(self, detuning):
-        """P_e/eta^2 = Re H/gamma."""
-        return self.response(detuning).real / self.gamma
+        return out if out.ndim else dtype(out)
 
 
 # detuning x line elements that `LineSpectrum.response` forms at once:

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from .text import point_pairs
+
 _W, _H = 640, 440
 _ML, _MR, _MT, _MB = 70, 20, 25, 50
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
@@ -35,9 +37,8 @@ def _fmt(v):
 
 
 def _points(x, y, px, py):
-    """Polyline "x,y" pairs to two decimals, all pairs in one `%`."""
-    xy = np.column_stack([px(x), py(y)])
-    return " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
+    """Polyline "x,y" pairs to two decimals (`text.point_pairs`)."""
+    return point_pairs(px(x), py(y))
 
 
 def line_plot(curves, xlabel="", ylabel="", logy=False):

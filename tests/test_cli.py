@@ -232,10 +232,12 @@ FAILED_RUNS = [
 # seed 3 by one unit in the last printed digit, at most 1.0e-14 of a
 # column's scale.  The secular equation from the chain's closed-form
 # resolvent moved 1 cell at seed 0 and 3 at seed 3 again, at most 1.2e-15
-# of a column's scale
+# of a column's scale.  Couplings from the exactly reduced angle moved 1
+# cell per seed, P1 at t = 0, whose exact value is 0 (8.7e-17 -> 9.9e-17
+# and 1.8e-16 -> 1.5e-16, at most 3.2e-17 of the column's scale)
 THERMAL_TRAJECTORY_SHA256 = {
-    None: "1f7246c467268ffb868cf682deb2468bb759ee85c7732175b8a017045b48c73d",
-    3: "184dff1d4ef1b8767f3b9592361898bc09e57cc49dd6ab6bf9dd1c023335e862",
+    None: "90b21b979affbcb2cf4a5801a492756a8d6b7a6e3c09b7a3c9de096116932e82",
+    3: "30ba06dfe976e5789e589b0bcb9a57db5291e0756a40660ab4e8d55bccd1c1c6",
 }
 
 # keys of integer fields, each with a config that reads it and an int value

@@ -3,6 +3,7 @@ formatters they replace (`oracles.py`), bit for bit."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vibrolang import svg
 from vibrolang.cli import _csv
@@ -60,6 +61,82 @@ def test_csv_matches_per_value_oracle(name):
     columns = _csv_tables()[name]
     header = ",".join("c%d" % i for i in range(len(columns)))
     assert _csv(header, columns) == csv_per_value(header, columns)
+
+
+def _csv_equal(values, cols=1):
+    table = np.asarray(values, dtype=float).reshape(-1, cols)
+    columns = list(table.T)
+    return _csv("h", columns) == csv_per_value("h", columns)
+
+
+def test_csv_powers_of_ten_and_neighbours():
+    powers = [float("1e%d" % k) for k in range(-307, 309)]
+    assert _csv_equal(_with_neighbours(powers), cols=3)
+
+
+def test_csv_rounding_up_into_the_next_decade():
+    # 9.9999999999995e k is a decimal tie at the 13th digit: it and its
+    # neighbours round up to 1.000000000000e(k+1) or stay below, by the
+    # float's exact value; 9.99999999999996e k always rounds up
+    ties = [float("9.9999999999995e%d" % k) for k in range(-300, 300)]
+    ups = [float("9.99999999999996e%d" % k) for k in range(-300, 300)]
+    assert _csv_equal(np.concatenate([_with_neighbours(ties), ups]), cols=2)
+
+
+def test_csv_exponent_width_edges_and_subnormals():
+    edges = [float("%se%d" % (m, e)) for m in ("1", "1.5", "1.797693134862")
+             for e in (-100, -99, 99, 100, 307, 308)]
+    subnormals = 5e-324 * 2.0 ** np.arange(0, 53)
+    values = np.concatenate([_with_neighbours(edges), subnormals,
+                             -subnormals, [2.2250738585072014e-308]])
+    assert _csv_equal(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=60), st.integers(1, 4))
+@example([np.nan, np.inf, -np.inf, -0.0], 2)  # non-finite
+@example([1e-295, -5e-324, 1e300, -1.7976931348623157e308], 1)  # |x| range
+@example([1.0000000000005, 2.5e-7, 1.2345678901235e100], 3)  # near 1/2
+@example([9.99999999999996e-3, -9.99999999999996e5], 2)  # M reaches 10^13
+@example([1e23, 1e-5, 0.1], 1)  # log10 one off
+def test_csv_property(values, cols):
+    values = values[:len(values) // cols * cols]
+    assert _csv_equal(values, cols)
+
+
+def _points_equal(x, y):
+    def same(v):
+        return v
+    return (svg._points(x, y, same, same)
+            == polyline_points(x, y, same, same))
+
+
+@pytest.mark.parametrize("digits", [1, 2, 3, 4])
+def test_svg_halfway_pixels_by_integer_digits(digits):
+    # x.xx5 at integer parts of 1 to 4 digits, negative too, with neighbours
+    lead = 10 ** (digits - 1)
+    px = _with_neighbours(np.arange(lead, lead + 300) + 0.005
+                          + np.arange(300) % 100 / 100.0)
+    assert _points_equal(px, -px[::-1])
+    assert _points_equal(-px, px)
+
+
+def test_svg_negative_and_exact_tie_pixels():
+    ties = np.arange(-4000, 4000) / 8.0  # binary ties at the 3rd decimal
+    small = np.array([-0.0, 0.0, -0.004, -0.005, -0.0051, 0.005, 5e-324])
+    assert _points_equal(ties, ties[::-1])
+    assert _points_equal(small, -small)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(), st.floats()), max_size=40))
+@example([(np.nan, np.inf), (-np.inf, -0.0)])  # non-finite
+@example([(1e8, -99999999.995), (1e11, -1e11)])  # too wide for the path
+@example([(1e20, 0.125), (71.375, -0.375)])  # wider than a slot; ties
+def test_svg_points_property(pairs):
+    x = np.array([p[0] for p in pairs], dtype=float)
+    y = np.array([p[1] for p in pairs], dtype=float)
+    assert _points_equal(x, y)
 
 
 def _trajectory(m, n, rng):

@@ -85,6 +85,36 @@ class TestChainModes:
         with pytest.raises(DomainError):
             vibron_phonon_couplings(bath, 1.0, site=41)
 
+    @pytest.mark.parametrize("site", [0, 1, -1, -2])
+    def test_couplings_match_mpmath_on_fig3_chain(self, site):
+        # k (N+1+s) and k are reduced mod 4(N+1) in integers, so the cosine
+        # and the sine are each taken of |x| <= pi/4, where x carries the
+        # roundings of pi, one product and one quotient: each factor is then
+        # good to about 4u relative (u = 2^-53), and with 2 sqrt(1/(N+1)),
+        # the two zero-point factors and four products the coupling to
+        # under 32u.  The cosine's zeros come out exactly 0.
+        mpmath = pytest.importorskip("mpmath")
+        bath = DiscreteBath(n_cells=1250, k0=144.0, m0=1.0,
+                            dk=8.313843876330611)
+        nu = 1.0
+        w = chain_eigenmodes(bath)
+        alpha = vibron_phonon_couplings(bath, nu, w, site=site)
+        m = bath.n_cells + 1
+        k = np.arange(1, 2 * m)
+        with mpmath.workdps(40):
+            mpf = mpmath.mpf
+            ref = np.array([float(
+                2 * mpf(bath.dk) * mpmath.sqrt(mpf(1) / m)
+                * mpmath.cospi(mpf(int(kk) * (m + site)) / (2 * m))
+                * mpmath.sinpi(mpf(int(kk)) / (2 * m))
+                / mpmath.sqrt(2 * mpf(bath.m0) * mpf(wk))
+                / mpmath.sqrt(2 * mpf(bath.mu) * nu))
+                for kk, wk in zip(k, w)])
+        zero = k * (m + site) % (2 * m) == m
+        assert np.all(alpha[zero] == 0.0)
+        rel = np.abs(alpha[~zero] - ref[~zero]) / np.abs(ref[~zero])
+        assert rel.max() <= 32 * 2.0**-53
+
     def test_pair_coupling_weight_conserved(self):
         # the symmetric/antisymmetric split preserves the single-molecule
         # total weight: (a1^2 + a2^2)/1 = 2 alpha^2 summed over the band
