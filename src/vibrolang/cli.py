@@ -264,10 +264,12 @@ def _meta_artifact(name, payload):
 
 
 def _propagation(traj):
-    """How a chain run was propagated: step, step count and route, and on
-    the normal-mode route the most iterations a secular root took and the
-    largest |sum v0^2 - 1| of its arrowheads."""
+    """How a chain run was propagated: step, step count, route, the chain's
+    modes and how many of them a vibron couples to, and on the normal-mode
+    route the most iterations a secular root took and the largest
+    |sum v0^2 - 1| of its arrowheads."""
     return {k: traj.meta[k] for k in ("dt", "n_steps", "propagator",
+                                      "n_modes", "modes_felt",
                                       "secular_iterations",
                                       "weight_sum_error") if k in traj.meta}
 

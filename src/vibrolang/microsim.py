@@ -30,7 +30,8 @@ its map:
   the phonon block of the map is one 2x2 matrix per mode, and the vibrons
   see the phonons only through 4M projections, so the store_every steps
   between two stored rows compose into per-mode 2x2 blocks, two
-  (4M x 2 n_modes) tables and one small vibron matrix.
+  (4M x 2 n_modes) tables and one small vibron matrix.  It steps only the
+  felt modes, those some vibron couples to.
 """
 
 from __future__ import annotations
@@ -381,6 +382,22 @@ def _secular(head, d, z, xi, eta, strain, modes):
     return o + tau, v0, a, b, iterations
 
 
+def _factor_tables(mu, n, stride):
+    """(hi, lo) with e^{j stride mu} = hi[j // b] lo[j % b] for j < n, b =
+    len(lo) = ceil(sqrt(n)): about 2 sqrt(n) exps per mode instead of n.
+
+    Rounding: each factor is the exp of its own rounded argument, so an
+    entry is within about 3 eps of e^{x_hi + x_lo} relative (two exps and
+    a product).  x_hi + x_lo is j stride mu within |j stride mu| eps/2, as
+    np.exp(j stride mu)'s own rounded argument is, so an entry is within
+    (3 + |j stride mu|) eps of np.exp(j stride mu) relative.
+    """
+    b = int(np.ceil(np.sqrt(n)))
+    lo = np.exp(stride * np.arange(b)[:, None] * mu)
+    hi = np.exp(stride * b * np.arange(-(-n // b))[:, None] * mu)
+    return hi, lo
+
+
 # stored rows per block of `_modal_rows`: its complex (rows x modes) table
 # takes 16 B per entry, 1.3 MB for a fig3 run's 1,252 modes
 _BLOCK = 64
@@ -400,9 +417,10 @@ def _modal_rows(nu, lam, load, a, b, h, n_rows, s):
     and of P sqrt(nu) Re e^{n mu} (b + i r a).  Rows come in blocks of
     _BLOCK from n0 = first s: one table E[j, k] = e^{j s mu_k}, built once,
     times the coupling columns with e^{n0 mu} folded in, gives a block in
-    one complex product and one exp per mode.  Modes with lam <= 0 (an
-    unstable chain) have real eigenvalues c -+ s_h r; their Q and P take
-    the direct powers.
+    one complex product.  E and the block factors e^{n0 mu} are products
+    of two `_factor_tables` entries, about 16 + 2 sqrt(blocks) exps per
+    mode in all.  Modes with lam <= 0 (an unstable chain) have real
+    eigenvalues c -+ s_h r; their Q and P take the direct powers.
     """
     m = len(load)
     x = h * h * lam
@@ -418,13 +436,15 @@ def _modal_rows(nu, lam, load, a, b, h, n_rows, s):
     mu = 0.5 * log_det[cx] + 1j * np.arctan2(sh[cx] * r[cx], c[cx])
     coef = np.vstack((np.sqrt(nu) * (la[:, cx] - 1j * lb[:, cx] / r[cx]),
                       (lb[:, cx] + 1j * r[cx] * la[:, cx]) / np.sqrt(nu))).T
-    E = s * np.arange(min(_BLOCK, n_rows))[:, None] * mu
-    np.exp(E, out=E)
+    hi, lo = _factor_tables(mu, min(_BLOCK, n_rows), s)
+    E = (hi[:, None] * lo).reshape(-1, len(mu))
+    b_hi, b_lo = _factor_tables(mu, -(-n_rows // _BLOCK), _BLOCK * s)
     rows = np.empty((n_rows, 3 * m))
-    for first in range(0, n_rows, _BLOCK):
+    for i, first in enumerate(range(0, n_rows, _BLOCK)):
         k, n0 = min(_BLOCK, n_rows - first), first * s
         blk = slice(first, first + k)
-        rows[blk, :2 * m] = (E[:k] @ (np.exp(n0 * mu)[:, None] * coef)).real
+        f = b_hi[i // len(b_lo)] * b_lo[i % len(b_lo)]
+        rows[blk, :2 * m] = (E[:k] @ (f[:, None] * coef)).real
         if np.any(real):
             n = (n0 + s * np.arange(k))[:, None]
             cr, sr, rr = c[real], sh[real], r[real]
@@ -500,9 +520,9 @@ def _mode_rows(nu, bath, site, w, A, y0, dt, n_steps, store_every):
     return rows, float(max(errors)), iterations
 
 
-# steps composed into one map of `_map_rows`: its two tables hold
-# 4 M _STEPS rows of 2 n_modes values, 512 kB for one molecule on a
-# 500-cell chain
+# steps composed into one map of `_map_rows`: its two tables each hold
+# 4 M _STEPS rows of 2 values per felt mode, 256 kB for one molecule at
+# the centre of a 500-cell chain (500 of its 1,001 modes felt)
 _STEPS = 8
 
 
@@ -589,15 +609,21 @@ def _composed_map(nu, A, D, h, s):
 def _map_rows(nu, w, A, gph, y0, dt, n_steps, store_every):
     """Observer rows (Q, P, E) of the RK4 loop, a stored row at a
     time: each row applies the composed maps of `_composed_map` over
-    chunks of at most _STEPS steps."""
-    m, nm = A.shape
+    chunks of at most _STEPS steps.  Only the felt modes, those some
+    vibron couples to, are stepped: a mode with a zero column of A never
+    feeds back into a vibron, and no row reads the phonons."""
+    m = len(A)
+    felt = np.any(A != 0, axis=0)
+    ph = y0[2 * m:].reshape(2, -1)[:, felt]
+    A, w, gph = A[:, felt], w[felt], gph[felt]
+    nm = len(w)
     D = np.zeros((nm, 2, 2))
     D[:, 0, 1], D[:, 1, 0], D[:, 1, 1] = w, -w, -gph
     chunks = [_STEPS] * (store_every // _STEPS) + [store_every % _STEPS]
     maps = {s: _composed_map(nu, A, D, dt, s) for s in set(chunks) if s}
     plan = [maps[s] for s in chunks if s]
     n_rows = n_steps // store_every + 1
-    v, ph = y0[:2 * m], y0[2 * m:].reshape(2, nm)
+    v = y0[:2 * m]
     vs = np.empty((n_rows, 2 * m))
     for row in range(n_rows):
         if row:
@@ -642,6 +668,7 @@ def simulate(nu: float, bath: DiscreteBath, sites,
     w, A, gph, y0, dt, n_steps = _setup(nu, bath, sites, cfg)
     m, nm = A.shape
     meta = {"dt": dt, "n_steps": n_steps, "seed": cfg.seed, "n_modes": nm,
+            "modes_felt": int(np.count_nonzero(np.any(A != 0, axis=0))),
             "sites": [int(s) for s in sites]}
     mirror_pair = m == 2 and sites[0] == -sites[1]
     if np.isinf(bath.qfactor) and (m == 1 or mirror_pair):

@@ -115,6 +115,11 @@ CHAIN_PRESET_DT = {"fig2c": 2.0 * math.pi / 280.0,
                    "fig2d": 2.0 * math.pi / 40.0,
                    "fig3": 2.0 * math.pi / 960.0}
 
+# (n_modes, modes_felt) of each chain preset: a vibron at the centre of the
+# chain misses its 501 odd modes, and the pair at -+1 feels every mode
+CHAIN_PRESET_MODES = {"fig2c": (1001, 500), "fig2d": (1001, 500),
+                      "fig3": (2501, 2501)}
+
 
 # (config, dotted key) of keys that runs no longer read
 REMOVED_KEYS = [
@@ -702,6 +707,9 @@ class TestArtifacts:
         assert meta["propagator"] == propagator
         assert meta["n_steps"] == math.ceil(
             cfg["trajectory"]["t_max"] / meta["dt"])
+        # 81 modes on 40 cells; a vibron at the centre misses the 41 odd ones
+        assert (meta["n_modes"], meta["modes_felt"]) == (
+            (81, 81) if cfg["command"] == "collective" else (81, 40))
         # the normal-mode route also records how its secular roots fared
         modal = {"secular_iterations", "weight_sum_error"}
         assert (modal <= set(meta)) == (propagator == "modes")
@@ -783,7 +791,10 @@ class TestArtifacts:
             data = (out / item["file"]).read_bytes()
             assert hashlib.sha256(data).hexdigest() == item["sha256"]
             if item["file"].endswith("run.meta.json"):
-                assert json.loads(data)["dt"] == CHAIN_PRESET_DT[name]
+                meta = json.loads(data)
+                assert meta["dt"] == CHAIN_PRESET_DT[name]
+                assert (meta["n_modes"], meta["modes_felt"]) == \
+                    CHAIN_PRESET_MODES[name]
         assert (name in CHAIN_PRESET_DT) == any(
             item["file"].endswith("run.meta.json")
             for item in manifest["files"])

@@ -23,6 +23,7 @@ from vibrolang.microsim import (
     _BLOCK,
     _Strain,
     _blocks,
+    _factor_tables,
     _mode_rows,
     _modal_rows,
     _secular,
@@ -378,6 +379,28 @@ class TestModalRows:
         scale = np.max(np.abs(ref), axis=0)
         assert np.all(np.abs(rows - ref) <= 1e-13 * scale)
 
+    @pytest.mark.parametrize("store_every", [1, 8])
+    @pytest.mark.parametrize("n_rows", [1, 7, 64, 65, 1338])
+    def test_factor_tables_match_exp(self, n_rows, store_every):
+        # the exponents of fig3's RK4 map: mu = log_det/2 + i phi for modes
+        # across its band, lam up to 4 k0/m0 = 576
+        h, lam = 2.0 * np.pi / 960.0, np.linspace(1e-3, 576.0, 257)
+        x = h * h * lam
+        c, s_h = 1.0 - x / 2.0 + x * x / 24.0, h * (1.0 - x / 6.0)
+        mu = (0.5 * np.log1p(x ** 3 * (x - 8.0) / 576.0)
+              + 1j * np.arctan2(s_h * np.sqrt(lam), c))
+        eps = np.finfo(float).eps
+        # `_modal_rows`' row table and its block factors
+        for n, stride in ((min(_BLOCK, n_rows), store_every),
+                          (-(-n_rows // _BLOCK), _BLOCK * store_every)):
+            hi, lo = _factor_tables(mu, n, stride)
+            assert len(hi) + len(lo) <= 2 * np.ceil(np.sqrt(n))
+            j = np.arange(n)
+            arg = stride * j[:, None] * mu
+            ref = np.exp(arg)
+            err = np.abs(hi[j // len(lo)] * lo[j % len(lo)] - ref)
+            assert np.all(err <= (3.0 + np.abs(arg)) * eps * np.abs(ref))
+
     def test_unstable_chain_matches_rk4_loop(self):
         # the chain of test_instability_detected: its vibron sits almost
         # wholly in the one mode with lam < 0, which the direct powers take
@@ -421,6 +444,22 @@ class TestComposedMap:
         cfg = TrajectoryConfig(t_max=15.0, q0=0.5, store_every=4, seed=3)
         traj = simulate(1.0, bath, sites, cfg)
         assert traj.meta["propagator"] == "rk4"
+        _assert_same_run(traj, _rk4_oracle(1.0, bath, sites, cfg), 1e-12,
+                         per_column=True)
+
+    @pytest.mark.parametrize("temperature", [0.0, 1.5])
+    @pytest.mark.parametrize("sites, q0", [((-2, 2), (0.7, -0.3)),
+                                           ((-2, 0, 2), (1.0, -0.5, 0.3))])
+    def test_mode_felt_by_no_molecule_matches_rk4_loop(self, sites, q0,
+                                                        temperature):
+        # sites -2, 0 and 2 all miss mode k = 101 of 201: the map drops
+        # it, and the step loop steps it with every other mode
+        bath = _bath(n=100, qfactor=50.0, temperature=temperature)
+        cfg = TrajectoryConfig(t_max=15.0, q0=q0, p0=0.1, store_every=4,
+                               seed=3)
+        traj = simulate(1.0, bath, sites, cfg)
+        assert traj.meta["propagator"] == "rk4"
+        assert (traj.meta["n_modes"], traj.meta["modes_felt"]) == (201, 200)
         _assert_same_run(traj, _rk4_oracle(1.0, bath, sites, cfg), 1e-12,
                          per_column=True)
 
