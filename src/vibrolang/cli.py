@@ -242,10 +242,11 @@ def _grid(cfg, key):
 
 @dataclasses.dataclass
 class Artifact:
-    """One output file plus an optional plot description for SVG emission."""
+    """One output file, its bytes, plus an optional plot description for
+    SVG emission."""
 
     name: str
-    text: str
+    data: bytes
     rows: int
     curves: list | None = None
     labels: tuple = ("x", "y")
@@ -253,14 +254,19 @@ class Artifact:
 
 
 def _csv(header, columns):
-    """Header line, then one `%.12e` row per sample (`text.csv_rows`)."""
+    """Header line, then one `%.12e` row per sample (`text.csv_rows`), as
+    bytes."""
     table = np.column_stack(columns)
-    return header + "\n" + csv_rows(table), len(table)
+    return (header + "\n").encode("ascii") + csv_rows(table), len(table)
+
+
+def _json_bytes(payload):
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n") \
+        .encode("utf-8")
 
 
 def _meta_artifact(name, payload):
-    return Artifact(name, json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    rows=0)
+    return Artifact(name, _json_bytes(payload), rows=0)
 
 
 def _propagation(traj):
@@ -295,12 +301,12 @@ def _handle_relaxation(cfg, seed):
         traj = microsim.simulate(nu, bath, (0,), tcfg)
         _, gm = derived_markov_params(bath, nu)
         e_th = traj.E[0] * np.exp(-gm * traj.times)
-        text, rows = _csv("t,E_theory", [traj.times, e_th])
+        data, rows = _csv("t,E_theory", [traj.times, e_th])
         return [
             Artifact("trajectory.csv", traj.to_csv(), len(traj.times),
                      curves=[(traj.times, traj.E, "E_nu")],
                      labels=("t", "E"), logy=True),
-            Artifact("theory.csv", text, rows,
+            Artifact("theory.csv", data, rows,
                      curves=[(traj.times, e_th, "exp(-Gamma_m t)")],
                      labels=("t", "E"), logy=True),
             _meta_artifact("run.meta.json",
@@ -365,15 +371,15 @@ def _handle_absorption(cfg, seed):
             values, full_meta = spectra.absorption_full(grid, mol, kp, sd,
                                                         thermal)
             meta.update(full_meta)
-        text, rows = _csv("detuning,value", [grid, values])
-        out = [Artifact("spectrum.csv", text, rows,
+        data, rows = _csv("detuning,value", [grid, values])
+        out = [Artifact("spectrum.csv", data, rows,
                         curves=[(grid, values, "P_e/eta^2")],
                         labels=("detuning", "P_e/eta^2")),
                _meta_artifact("spectrum.meta.json", meta)]
         if mirror:
             mg, mv = spectra.mirror_emission(grid, values)
-            mtext, mrows = _csv("detuning,value", [mg, mv])
-            out.append(Artifact("emission.csv", mtext, mrows,
+            mdata, mrows = _csv("detuning,value", [mg, mv])
+            out.append(Artifact("emission.csv", mdata, mrows,
                                 curves=[(mg, mv, "emission")],
                                 labels=("detuning", "value")))
         return out
@@ -390,8 +396,8 @@ def _handle_phonon_wing(cfg, seed):
 
         def debye_waller():
             vals = np.array([spectra.debye_waller(sd, s) for s in states])
-            text, rows = _csv("temperature,f_dw", [temps, vals])
-            return [Artifact("debye_waller.csv", text, rows,
+            data, rows = _csv("temperature,f_dw", [temps, vals])
+            return [Artifact("debye_waller.csv", data, rows,
                              curves=[(temps, vals, "f_DW")],
                              labels=("T", "f_DW")),
                     _meta_artifact("debye_waller.meta.json", {"config": cfg})]
@@ -410,15 +416,15 @@ def _handle_phonon_wing(cfg, seed):
 
     def run():
         values, meta = spectra.absorption_full(grid, mol, None, sd, thermal)
-        text, rows = _csv("detuning,value", [grid, values])
+        data, rows = _csv("detuning,value", [grid, values])
         t = np.arange(0.0, 30.0 / sd.omega_max, dt)
         corr = np.atleast_1d(spectra.phonon_correlation(t, sd, thermal))
-        ctext, crows = _csv("t,re_corr,im_corr", [t, corr.real, corr.imag])
-        return [Artifact("spectrum.csv", text, rows,
+        cdata, crows = _csv("t,re_corr,im_corr", [t, corr.real, corr.imag])
+        return [Artifact("spectrum.csv", data, rows,
                          curves=[(grid, values, "P_e/eta^2")],
                          labels=("detuning", "P_e/eta^2"), logy=True),
                 _meta_artifact("spectrum.meta.json", {"config": cfg, **meta}),
-                Artifact("correlation.csv", ctext, crows,
+                Artifact("correlation.csv", cdata, crows,
                          curves=[(t, corr.real, "Re"), (t, corr.imag, "Im")],
                          labels=("t", "corr"))]
     return run
@@ -439,10 +445,10 @@ def _handle_cavity(cfg, seed):
         t_amp, t2 = cavity_mod.transmission(grid, cav, mol, kp, thermal,
                                             sd=sd)
         g_eff = cavity_mod.effective_rabi_from_params(cav, mol, thermal, sd=sd)
-        text, rows = _csv("detuning,re_T,im_T,abs_T2",
+        data, rows = _csv("detuning,re_T,im_T,abs_T2",
                           [grid, np.real(t_amp), np.imag(t_amp), t2])
         return [
-            Artifact("transmission.csv", text, rows,
+            Artifact("transmission.csv", data, rows,
                      curves=[(grid, t2, "|T|^2")],
                      labels=("detuning", "|T|^2")),
             _meta_artifact("transmission.meta.json",
@@ -474,9 +480,9 @@ def _handle_polariton(cfg, seed):
         g_pm = cavity_mod.hybridized_decay(kappa, mol.gamma)
         p_u, p_l = cavity_mod.polariton_populations(
             t, init, (g_pm, g_pm), (k_plus, k_minus))
-        text, rows = _csv("t,P_U,P_L", [t, p_u, p_l])
+        data, rows = _csv("t,P_U,P_L", [t, p_u, p_l])
         return [
-            Artifact("polariton.csv", text, rows,
+            Artifact("polariton.csv", data, rows,
                      curves=[(t, p_u, "P_U"), (t, p_l, "P_L")],
                      labels=("t", "population")),
             _meta_artifact("polariton.meta.json",
@@ -553,13 +559,13 @@ def _check_swept(cfg, axis, read):
                      _Reads(cfg, {})).typed(leaf, *read[axis])
 
 
-def _write(out_dir, name, text, rows=0):
-    """Write one file through a temporary file in the same directory, moved
-    into place with os.replace, so that a failed write leaves the old file
-    intact and no temporary file behind.  Returns its manifest entry."""
+def _write(out_dir, name, data, rows=0):
+    """Write the bytes of one file through a temporary file in the same
+    directory, moved into place with os.replace, so that a failed write
+    leaves the old file intact and no temporary file behind.  Returns its
+    manifest entry."""
     path = os.path.join(out_dir, name)
     tmp = f"{path}.{os.getpid()}.tmp"
-    data = text.encode("utf-8")
     try:
         with open(tmp, "wb") as fh:
             fh.write(data)
@@ -575,11 +581,11 @@ def _emit(artifacts, out_dir, fmt, prefix=""):
     entries = []
     for art in artifacts:
         name = prefix + art.name
-        entries.append(_write(out_dir, name, art.text, art.rows))
+        entries.append(_write(out_dir, name, art.data, art.rows))
         if fmt == "csv+svg" and art.curves is not None:
             doc = svg.line_plot(art.curves, *art.labels, logy=art.logy)
             entries.append(_write(out_dir, os.path.splitext(name)[0] + ".svg",
-                                  doc))
+                                  doc.encode("utf-8")))
     return entries
 
 
@@ -639,8 +645,7 @@ def run_config(cfg, out_dir, fmt="csv", seed=None):
     os.makedirs(out_dir, exist_ok=True)
     for prefix, artifacts in zip(prefixes, results):
         manifest["files"] += _emit(artifacts, out_dir, fmt, prefix)
-    _write(out_dir, "manifest.json",
-           json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write(out_dir, "manifest.json", _json_bytes(manifest))
     return manifest
 
 

@@ -108,9 +108,9 @@ class Trajectory:
     def pair(self) -> bool:
         return self.Q.ndim == 2
 
-    def to_csv(self) -> str:
-        """Columns t, then Q_m,P_m for each molecule, then E_1..E_M, then
-        Eplus,Eminus for a pair."""
+    def to_csv(self) -> bytes:
+        """CSV bytes of columns t, then Q_m,P_m for each molecule, then
+        E_1..E_M, then Eplus,Eminus for a pair."""
         Q, P, E = (np.atleast_2d(x) for x in (self.Q, self.P, self.E))
         m = len(Q)
         header = ["t"]
@@ -123,7 +123,8 @@ class Trajectory:
         if m == 2:
             header += ["Eplus", "Eminus"]
             cols += [self.e_plus, self.e_minus]
-        return ",".join(header) + "\n" + csv_rows(np.column_stack(cols))
+        return (",".join(header) + "\n").encode("ascii") \
+            + csv_rows(np.column_stack(cols))
 
 
 def _thermal_phonon_sample(rng, omega, temperature):

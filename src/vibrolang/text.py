@@ -1,5 +1,6 @@
 """Float tables as text in a few numpy passes, byte for byte what Python's
-`%` gives: CSV rows of `%.12e` cells and SVG polyline `%.2f,%.2f` pairs.
+`%` gives: CSV rows of `%.12e` cells (as ASCII bytes, which go to a file
+as they are) and SVG polyline `%.2f,%.2f` pairs.
 
 A value's text is laid out in a fixed slot of 4-byte words taken from small
 tables (the digits of 0..9999, a sign and lead digit, an exponent), with
@@ -75,7 +76,8 @@ _FAST_MIN, _FAST_MAX = 1e-290, 1e290
 
 def csv_rows(table):
     """Rows of `%.12e` cells, joined by ',' and each ended by '\\n', of a
-    2-D float table, as `(row_format * rows) % tuple(cells)` gives them."""
+    2-D float table, as `(row_format * rows) % tuple(cells)` gives them,
+    encoded as ASCII bytes."""
     table = np.asarray(table, dtype=float)
     rows, cols = table.shape
     x = table.ravel()
@@ -166,7 +168,7 @@ def point_pairs(x, y):
     if not _fill(slots, ~fast, v, "%15.2f"):
         # a value wider than its slot (|v| >= 1e11): format them all
         return " ".join(["%.2f,%.2f"] * (len(v) // 2)) % tuple(v.tolist())
-    return _squeeze(slots)
+    return _squeeze(slots).decode("ascii")
 
 
 def _fill(slots, slow, values, fmt):
@@ -186,5 +188,5 @@ def _fill(slots, slow, values, fmt):
 
 
 def _squeeze(slots):
-    """The slots' text with the padding dropped."""
-    return slots.tobytes().translate(None, b"\0").decode("ascii")
+    """The slots' text, as bytes, with the padding dropped."""
+    return slots.tobytes().translate(None, b"\0")

@@ -1,11 +1,12 @@
 """Reference formulas that only the tests call: the memory kernel in time
 (scipy's Bessel functions) and its numeric transform, the band form of the
 Markovian rate, a single-mode dephasing rate, the brute-force multimode
-sideband spectrum, first-order scattering amplitudes on the chain, the
-chain's RK4 step loop, the normal modes of a chain arrowhead from its
-secular equation summed pole by pole, the powers of one normal mode's RK4
-map each from its own exp, cos and sin, and the per-value CSV and polyline
-formatters that the one-`%` emitters replace."""
+sideband spectrum, the comb response summed over every line at every
+point, first-order scattering amplitudes on the chain, the chain's RK4
+step loop, the normal modes of a chain arrowhead from its secular equation
+summed pole by pole, the powers of one normal mode's RK4 map each from its
+own exp, cos and sin, and the per-value CSV and polyline formatters that
+the one-`%` emitters replace."""
 
 import io
 
@@ -119,6 +120,31 @@ def absorption_multimode_discrete(molecule: MoleculeParams, mode_table,
         wt = wt[keep]
     return LineSpectrum(lines=np.column_stack((pos, wt, wid)),
                         gamma=molecule.gamma, meta={"modes": mode_table})
+
+
+def line_response(lines, detuning):
+    """H(D) = sum_lines w/(width - i (D - pos)) for lines (position, weight,
+    width), as `LineSpectrum.response` summed it before its panel split:
+    every line at every point, in real arithmetic, in blocks of detuning
+    rows, each row reduced as in a single pass.  A scalar detuning gives a
+    complex scalar."""
+    detuning = np.asarray(detuning, dtype=float)
+    pos, wt, wid = np.asarray(lines, dtype=float).T
+    wid2 = wid * wid
+    flat = detuning.ravel()
+    out = np.empty(len(flat), dtype=complex)
+    rows = max(1, (1 << 16) // max(len(pos), 1))
+    for i in range(0, len(flat), rows):
+        x = flat[i:i + rows, None] - pos
+        f = x * x
+        f += wid2
+        np.divide(wt, f, out=f)
+        x *= f
+        out.imag[i:i + rows] = np.sum(x, axis=-1)
+        f *= wid
+        out.real[i:i + rows] = np.sum(f, axis=-1)
+    out = out.reshape(detuning.shape)
+    return out if out.ndim else complex(out)
 
 
 def dyson_first_order(t: float, bath: DiscreteBath, nu: float):
@@ -309,17 +335,17 @@ def modal_rows(nu, lam, load, a, b, h, n_rows, s):
 
 
 def csv_per_value(header, columns):
-    """CSV text and row count with one `%.12e` call per cell."""
+    """CSV bytes and row count with one `%.12e` call per cell."""
     buf = io.StringIO()
     buf.write(header + "\n")
     cols = [np.asarray(c) for c in columns]
     for row in zip(*cols):
         buf.write(",".join("%.12e" % v for v in row) + "\n")
-    return buf.getvalue(), len(cols[0])
+    return buf.getvalue().encode("ascii"), len(cols[0])
 
 
 def trajectory_csv_per_row(traj):
-    """`Trajectory.to_csv` with one `%` per row."""
+    """`Trajectory.to_csv`'s bytes with one `%` per row."""
     Q, P, E = (np.atleast_2d(x) for x in (traj.Q, traj.P, traj.E))
     m = len(Q)
     header = ["t"]
@@ -337,7 +363,7 @@ def trajectory_csv_per_row(traj):
     buf.write(",".join(header) + "\n")
     for row in np.column_stack(cols).tolist():
         buf.write(fmt % tuple(row))
-    return buf.getvalue()
+    return buf.getvalue().encode("ascii")
 
 
 def polyline_points(x, y, px, py):

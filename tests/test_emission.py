@@ -167,7 +167,7 @@ def test_simulated_pair_trajectory_csv_matches_oracle():
     traj = simulate(1.0, bath, (-1, 1),
                     TrajectoryConfig(t_max=4.0, q0=(1.0, -1.0)))
     text = traj.to_csv()
-    assert text.split("\n", 1)[0] == "t,Q1,P1,Q2,P2,E1,E2,Eplus,Eminus"
+    assert text.split(b"\n", 1)[0] == b"t,Q1,P1,Q2,P2,E1,E2,Eplus,Eminus"
     assert text == trajectory_csv_per_row(traj)
 
 

@@ -77,7 +77,7 @@ class TestIntegration:
         traj = simulate(1.0, bath, (-3, 0, 3), cfg)
         assert traj.Q.shape == traj.E.shape == (3, len(traj.times))
         assert _loop_energy_drift(1.0, bath, (-3, 0, 3), cfg) < 1e-5
-        header = traj.to_csv().split("\n", 1)[0]
+        header = traj.to_csv().decode("ascii").split("\n", 1)[0]
         assert header == "t,Q1,P1,Q2,P2,Q3,P3,E1,E2,E3"
 
     def test_vibron_energy_decays(self):
@@ -488,7 +488,7 @@ class TestCsv:
     def test_single_schema(self):
         bath = _bath(n=20)
         traj = simulate(1.0, bath, (0,), TrajectoryConfig(t_max=1.0))
-        text = traj.to_csv()
+        text = traj.to_csv().decode("ascii")
         lines = text.strip().split("\n")
         assert lines[0] == "t,Q1,P1,E1"
         parsed = np.array(
@@ -502,14 +502,14 @@ class TestCsv:
         traj = simulate(
             1.0, bath, (-1, 1), TrajectoryConfig(t_max=1.0, q0=(1.0, 1.0))
         )
-        lines = traj.to_csv().strip().split("\n")
+        lines = traj.to_csv().decode("ascii").strip().split("\n")
         assert lines[0] == "t,Q1,P1,Q2,P2,E1,E2,Eplus,Eminus"
         assert len(lines[1].split(",")) == 9
 
     def test_csv_round_trip_bytes(self):
         bath = _bath(n=20)
         traj = simulate(1.0, bath, (0,), TrajectoryConfig(t_max=1.0))
-        text = traj.to_csv()
+        text = traj.to_csv().decode("ascii")
         lines = text.strip().split("\n")
         rebuilt = lines[0] + "\n" + "\n".join(
             ",".join("%.12e" % float(x) for x in ln.split(","))

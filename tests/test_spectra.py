@@ -1,7 +1,11 @@
 """Lineshapes: sideband combs, phonon wings, Debye-Waller/Franck-Condon
 factors, dephasing, and the damped response transform."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -33,6 +37,10 @@ from vibrolang import (
 )
 from vibrolang.kernels import relaxation_params
 from vibrolang.spectra import (
+    _FAR,
+    _PANEL,
+    _TERMS,
+    LineSpectrum,
     _density_rule,
     _even_grid,
     _phase_sum,
@@ -45,7 +53,11 @@ from vibrolang.spectra import (
     vibron_lines,
 )
 
-from oracles import absorption_multimode_discrete, single_mode_dephasing_rate
+from oracles import (
+    absorption_multimode_discrete,
+    line_response,
+    single_mode_dephasing_rate,
+)
 
 KP = KernelParams(gamma_m=0.1, omega_max=1.3, nu=1.0)
 TH0 = ThermalState(temperature=0.0)
@@ -278,6 +290,19 @@ class TestDiscreteSpectra:
         assert len(sp.lines) > 20000 and np.all(np.isfinite(values))
         assert peak < 64 * 2**20
 
+    def test_large_comb_on_large_grid_memory_bounded(self):
+        # the panel route on 79 panels of the 22,578-line comb
+        grid = np.linspace(-4.0, 6.0, 20001)
+        sp = absorption_discrete(FIG4B_MOL, KP, TH50)
+        tracemalloc.start()
+        try:
+            values = sp.evaluate(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sp.lines) > 20000 and np.all(np.isfinite(values))
+        assert peak < 64 * 2**20
+
     def test_two_level_limit(self):
         mol = MoleculeParams(gamma=0.025, nu=1.0, lam=0.0)
         grid = np.linspace(-2.0, 2.0, 401)
@@ -365,6 +390,155 @@ class TestDiscreteSpectra:
         g2, v2 = mirror_emission(g1, v1)
         np.testing.assert_allclose(g2, grid, atol=1e-12)
         np.testing.assert_allclose(v2, vals, atol=1e-12)
+
+
+# fig6a's molecule and kernel: its comb has 153, 171 and 190 lines at
+# nbar = 1, 2, 3 and 1,326 at nbar = 50
+FIG6A_MOL = MoleculeParams(gamma=0.02, nu=8.0, lam=0.3)
+FIG6A_KP = KernelParams(gamma_m=0.48, omega_max=3.0, nu=8.0, markovian=True)
+FIG6A_GRID = np.linspace(-0.6, 0.6, 4001)
+PANEL_COMBS = [
+    *[(f"fig4a-nbar{n}", FIG4B_MOL, KP, n, FIG4B_GRID) for n in (1, 2, 3, 50)],
+    *[(f"fig6a-nbar{n}", FIG6A_MOL, FIG6A_KP, n, FIG6A_GRID)
+      for n in (1, 2, 3, 50)],
+]
+EPS = np.finfo(float).eps
+
+
+def _abs_sum(lines, det):
+    """S(D) = sum_m w_m/|sigma_m - i D|, the size of every term at D, in
+    blocks of about 2^20 (point, line) pairs."""
+    pos, wt, wid = lines.T
+    parts = max(1, det.size * len(pos) >> 20)
+    return np.concatenate([np.sum(wt / np.hypot(wid, d[:, None] - pos),
+                                  axis=1)
+                           for d in np.array_split(det, parts)])
+
+
+def _most_far_lines(lines, det):
+    """The largest number of far lines any panel of `det` has, by the
+    split's own rule, or 0 for a grid of one panel."""
+    d = np.sort(det)
+    panels = -(-len(d) // _PANEL)
+    if panels < 2:
+        return 0
+    edges = np.arange(panels + 1) * len(d) // panels
+    lo, hi = d[edges[:-1]], d[edges[1:] - 1]
+    c, r = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    pos, _, wid = lines.T
+    far = np.hypot(wid, pos - c[:, None]) >= _FAR * r[:, None]
+    return int(np.max(np.count_nonzero(far, axis=1)))
+
+
+class TestPanelSum:
+    """`LineSpectrum._sum`'s panel route against `oracles.line_response`,
+    which sums every line at every point.
+
+    Bound, fixed before measuring: with S(D) = sum_m w_m/|sigma_m - i D|,
+    which bounds the size of every term, |H - oracle| <= 64 eps S at
+    every point.  The expansion's truncation leaves at most 3^-36 S < 0.05
+    eps S.  Each term of a direct sum is formed within about 4 eps of its
+    size, and numpy's pairwise reduction of L <= 22,578 terms adds an error
+    growing as eps log2 L <= 15 eps of the sum of the sizes: the oracle
+    and the route's near sum each stay within about 19 eps of their S.
+    A far line enters the expansion's coefficients through terms whose
+    sizes, summed over t, reach w/(|s| - r|u|) <= 2 w/|sigma - i D|
+    (s = sigma - i c, r|u| <= |s|/3), so its part stays within 38 eps of
+    S_far.  Together 19 + 38 + 0.05 < 64 eps S.
+    """
+
+    @pytest.mark.parametrize("name, mol, kp, nbar, grid", PANEL_COMBS,
+                             ids=[c[0] for c in PANEL_COMBS])
+    def test_panel_route_within_bound(self, name, mol, kp, nbar, grid):
+        sp = absorption_discrete(mol, kp, ThermalState.from_occupation(
+            nbar, mol.nu))
+        rng = np.random.default_rng(30)
+        lo, hi = grid[0], grid[-1]
+        grids = {"even": grid,
+                 "uneven": lo + (hi - lo) * np.linspace(0.0, 1.0,
+                                                        len(grid)) ** 3,
+                 "unsorted": rng.permutation(grid)}
+        worst = 0.0
+        for label, det in grids.items():
+            assert _most_far_lines(sp.lines, det) > _TERMS, label
+            h = sp.response(det)
+            ratio = np.abs(h - line_response(sp.lines, det)) \
+                / (EPS * _abs_sum(sp.lines, det))
+            assert np.all(ratio <= 64.0), (label, float(np.max(ratio)))
+            worst = max(worst, float(np.max(ratio)))
+            np.testing.assert_array_equal(sp.evaluate(det),
+                                          h.real / sp.gamma)
+            assert sp.response(det).tobytes() == h.tobytes()
+        point = grid[len(grid) // 3]
+        h = sp.response(point)
+        assert isinstance(h, complex)
+        assert abs(h - line_response(sp.lines, point)) \
+            <= 64.0 * EPS * _abs_sum(sp.lines, np.array([point]))[0]
+        print(f"{name}: {len(sp.lines)} lines, worst |H - oracle| = "
+              f"{worst:.2f} eps S")
+
+    def test_non_finite_points_summed_directly(self):
+        # a panel holding an infinite or NaN point sums every line, as a
+        # grid of one panel does; Re H at +-inf is 0, as before the split
+        sp = absorption_discrete(FIG4B_MOL, KP, ThermalState.from_occupation(
+            3.0, 1.0))
+        det = FIG4B_GRID.copy()
+        det[[5, 700, 1500]] = np.inf, np.nan, -np.inf
+        values = sp.evaluate(det)
+        assert values[5] == values[1500] == 0.0 and np.isnan(values[700])
+        ok = np.isfinite(det)
+        err = np.abs(values[ok] * sp.gamma
+                     - line_response(sp.lines, det[ok]).real)
+        assert np.all(err <= 64.0 * EPS * _abs_sum(sp.lines, det[ok]))
+
+    def test_bytes_do_not_depend_on_threads(self):
+        # fig4a at nbar = 3 in two interpreters, BLAS and OpenMP at one and
+        # at two threads: the route's reductions are numpy's own
+        code = ("import hashlib, numpy as np\n"
+                "from vibrolang import KernelParams, MoleculeParams, "
+                "ThermalState, absorption_discrete\n"
+                "sp = absorption_discrete(MoleculeParams(gamma=0.025, nu=1.0, "
+                "lam=1.0), KernelParams(gamma_m=0.1, omega_max=1.3, nu=1.0), "
+                "ThermalState.from_occupation(3.0, 1.0))\n"
+                "h = sp.response(np.linspace(-4.0, 6.0, 2001))\n"
+                "print(hashlib.sha256(h.tobytes()).hexdigest())\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            sys.modules["vibrolang"].__file__)))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=120,
+                                  check=True)
+            digests.append(proc.stdout.strip())
+        here = absorption_discrete(FIG4B_MOL, KP, ThermalState.from_occupation(
+            3.0, 1.0)).response(FIG4B_GRID)
+        assert digests == [hashlib.sha256(here.tobytes()).hexdigest()] * 2
+
+    @pytest.mark.parametrize("lines", [[[0.0, np.nan, 1.0]],
+                                       [[0.0, 1.0, np.nan]],
+                                       [[0.0, 1.0, np.inf]],
+                                       [[np.inf, 1.0, 1.0]],
+                                       [[np.nan, 1.0, 1.0]]])
+    def test_non_finite_lines_refused(self, lines):
+        with pytest.raises(DomainError):
+            LineSpectrum(lines=lines, gamma=0.1)
+
+    @pytest.mark.parametrize("lines", [[0.0, 1.0, 1.0], [[0.0, 1.0]],
+                                       [[[0.0, 1.0, 1.0]]], np.zeros((2, 4))])
+    def test_lines_of_wrong_shape_refused(self, lines):
+        with pytest.raises(DomainError):
+            LineSpectrum(lines=lines, gamma=0.1)
+
+    def test_empty_comb_is_zero(self):
+        sp = LineSpectrum(lines=np.empty((0, 3)), gamma=0.1)
+        np.testing.assert_array_equal(sp.response(FIG4B_GRID),
+                                      np.zeros(len(FIG4B_GRID), complex))
+        np.testing.assert_array_equal(sp.evaluate(FIG4B_GRID),
+                                      np.zeros(len(FIG4B_GRID)))
+        assert sp.response(0.5) == 0.0 and sp.evaluate(0.5) == 0.0
 
 
 class TestContinuum:
