@@ -12,13 +12,8 @@ import math
 
 import numpy as np
 
-from vibrolang import (
-    DiscreteBath,
-    TrajectoryConfig,
-    energy_envelope,
-    fit_decay_rate,
-    simulate,
-)
+from vibrolang import DiscreteBath, TrajectoryConfig, simulate
+from vibrolang.microsim import energy_envelope, fit_decay_rate
 
 
 def main():

@@ -25,15 +25,10 @@ from .kernels import (
     effective_params,
     gamma_freq,
     momentum_correlation,
-    momentum_correlation_numeric,
-    susceptibility,
-    thermal_spectrum,
 )
 from .microsim import (
     Trajectory,
     TrajectoryConfig,
-    energy_envelope,
-    fit_decay_rate,
     simulate,
 )
 from .spectra import (

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError
 from .kernels import KernelParams, relaxation_params
 from .model import MoleculeParams, SpectralDensity, ThermalState
-from .spectra import debye_waller, franck_condon, molecular_response
+from .spectra import franck_condon, molecular_response, zero_phonon_weight
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -80,13 +80,10 @@ def effective_rabi(g, f_fc, f_dw=1.0):
 def effective_rabi_from_params(cavity: CavityParams, molecule: MoleculeParams,
                                thermal: ThermalState,
                                sd: SpectralDensity | None = None):
-    """g_eff with f_FC from (lam, nbar(nu)) and f_DW from the spectral density;
-    f_DW = 0 where the Debye-Waller exponent diverges (1d, omega_min = 0)."""
-    nbar = thermal.occupation(molecule.nu)
-    f_fc = franck_condon(molecule.lam, nbar)
-    f_dw = 1.0 if sd is None else 0.0 if sd.infrared_divergent \
-        else debye_waller(sd, thermal)
-    return effective_rabi(cavity.g, f_fc, f_dw)
+    """g_eff with f_FC from (lam, nbar(nu)) and f_DW of
+    `spectra.zero_phonon_weight`."""
+    f_fc = franck_condon(molecule.lam, thermal.occupation(molecule.nu))
+    return effective_rabi(cavity.g, f_fc, zero_phonon_weight(sd, thermal))
 
 
 def peak_positions(grid, values):

@@ -173,10 +173,11 @@ def _refuse_unread(node, read):
 
 def _domain(key, make, *args, **kwargs):
     """make(*args, **kwargs), where a domain rule that the value of config
-    `key` breaks is a config error, not a numeric failure."""
+    `key` breaks, or a regime it leaves, is a config error, not a numeric
+    failure."""
     try:
         return make(*args, **kwargs)
-    except DomainError as exc:
+    except (DomainError, RegimeError) as exc:
         raise ConfigError(f"config field {key}: {exc}") from exc
 
 
@@ -220,15 +221,6 @@ def _molecule_kernel_thermal(cfg):
     kp = _build(kernels.KernelParams, cfg.typed("kernel", "section"),
                 nu=mol.nu, markovian=cfg.typed("markovian", "bool", False))
     return mol, kp, thermal
-
-
-def _check_pole(kp):
-    """Refuse a vibron at or above the band edge on a route that relaxes it
-    at the pole (nu', Gamma'), which lies only inside the band."""
-    try:
-        kernels.relaxation_params(kp)
-    except RegimeError as exc:
-        raise ConfigError(f"config field kernel.omega_max: {exc}") from exc
 
 
 def _grid(cfg, key):
@@ -349,28 +341,20 @@ def _handle_absorption(cfg, seed):
     mirror = cfg.typed("emit_mirror", "bool", False)
     sd = _build(SpectralDensity, cfg.typed("sd", "section")) \
         if method == "full" and "sd" in cfg else None
-    if method == "full":
-        spectra.check_resolution(grid, mol.gamma)
-    if method != "full" or mol.lam > 0:
-        _check_pole(kp)
-    # the order of the sideband comb, which every method's vibron factor
-    # sums, over lines or (full) in time
-    spectra.choose_n_max(mol.lam, thermal.occupation(kp.nu))
-    if method == "full":
-        spectra.time_grid(grid, mol, kp, sd, thermal)
+    spectra.check_resolution(grid, mol.gamma)
+    if method == "bessel":  # its comb reads nu' and Gamma' at every lam
+        _domain("kernel.omega_max", kernels.relaxation_params, kp)
+    # the vibron's pole and comb order, and the time grid with an sd
+    _domain("kernel.omega_max", spectra.time_grid, grid, mol, kp, sd, thermal)
 
     def run():
-        meta = {"config": cfg, "method": method}
-        if method in ("discrete", "bessel"):
-            absorb = {"discrete": spectra.absorption_discrete,
-                      "bessel": spectra.absorption_bessel}[method]
-            spec = absorb(mol, kp, thermal)
+        if method == "bessel":
+            spec = spectra.absorption_bessel(mol, kp, thermal)
             values = spec.evaluate(grid)
-            meta.update({"n_lines": len(spec.lines), **spec.meta})
+            meta = {"n_lines": len(spec.lines), **spec.meta}
         else:
-            values, full_meta = spectra.absorption_full(grid, mol, kp, sd,
-                                                        thermal)
-            meta.update(full_meta)
+            values, meta = spectra.absorption_full(grid, mol, kp, sd, thermal)
+        meta.update(config=cfg, method=method)
         data, rows = _csv("detuning,value", [grid, values])
         out = [Artifact("spectrum.csv", data, rows,
                         curves=[(grid, values, "P_e/eta^2")],
@@ -437,9 +421,8 @@ def _handle_cavity(cfg, seed):
         if "sd" in cfg else None
     grid = _grid(cfg, "grid")
     if cav.g > 0:  # the molecular response: its pole, comb order and times
-        if mol.lam > 0:
-            _check_pole(kp)
-        spectra.time_grid(grid, mol, kp, sd, thermal)
+        _domain("kernel.omega_max", spectra.time_grid, grid, mol, kp, sd,
+                thermal)
 
     def run():
         t_amp, t2 = cavity_mod.transmission(grid, cav, mol, kp, thermal,

@@ -93,6 +93,14 @@ def debye_waller(sd: SpectralDensity, thermal: ThermalState):
     return float(np.exp(-np.sum(big_w * coth / omega**2)))
 
 
+def zero_phonon_weight(sd: SpectralDensity | None, thermal: ThermalState):
+    """f_DW of an optional density: 1 without one, 0 where the Debye-Waller
+    exponent diverges (1d, omega_min = 0), else `debye_waller`."""
+    if sd is None:
+        return 1.0
+    return 0.0 if sd.infrared_divergent else debye_waller(sd, thermal)
+
+
 def polaron_shift(sd: SpectralDensity):
     """Electronic frequency renormalization int J(w)/w dw, on
     `_density_rule` as `debye_waller`; within 4e-16 of adaptive quadrature
@@ -250,11 +258,11 @@ class LineSpectrum:
         H(D) = sum_lines w / (width - i (D - pos)) = sum_lines w / (sigma - i D),
 
     sigma = width + i pos, read as Re H/gamma = P_e/eta^2 by absorption and
-    as H by the cavity.  `_sum` cuts a grid of over 256 points into panels
-    (centre c, half-width r) and sums a panel's far lines, |sigma - i c| >=
-    3 r, through one local expansion of 36 terms, truncated below 3^-36 of
-    their sum w/|sigma - i D|: H stays within 64 eps sum w/|sigma - i D| of
-    the sum over every line.
+    as H by the cavity.  `response` cuts a grid of over 256 points into
+    panels (centre c, half-width r) and sums a panel's far lines,
+    |sigma - i c| >= 3 r, through one local expansion of 36 terms,
+    truncated below 3^-36 of their sum w/|sigma - i D|: H stays within
+    64 eps sum w/|sigma - i D| of the sum over every line.
 
     lines    : array of shape (L, 3) with columns (position, weight, width);
                positions are detunings from the zero-phonon line
@@ -278,18 +286,9 @@ class LineSpectrum:
             raise DomainError("line widths must be > 0")
 
     def response(self, detuning):
-        """H(detuning) as sum_lines w (width + i x)/(width^2 + x^2),
-        x = D - pos, in real arithmetic.  A scalar detuning gives a complex
-        scalar."""
-        return self._sum(detuning, complex)
-
-    def evaluate(self, detuning):
-        """P_e/eta^2 = Re H/gamma."""
-        return self._sum(detuning, float) / self.gamma
-
-    def _sum(self, detuning, dtype):
-        """H, or Re H when `dtype` is float, at any detunings (a scalar is a
-        one-point grid); Re H is the same whether Im H is formed or not.
+        """H at any detunings (a scalar is a one-point grid, and gives a
+        complex scalar), as sum_lines w (width + i x)/(width^2 + x^2),
+        x = D - pos, in real arithmetic.
 
         A grid of one panel or a comb of at most _TERMS lines goes through
         `_line_rows` whole.  Else the sorted points are cut into panels of
@@ -308,14 +307,18 @@ class LineSpectrum:
         thread count."""
         detuning = np.asarray(detuning, dtype=float)
         flat = detuning.ravel()
-        out = np.empty(len(flat), dtype=dtype)
+        out = np.empty(len(flat), dtype=complex)
         panels = -(-len(flat) // _PANEL)
         if panels < 2 or len(self.lines) <= _TERMS:
             _line_rows(flat, self.lines, out)
         else:
             _panel_sum(flat, self.lines, panels, out)
         out = out.reshape(detuning.shape)
-        return out if out.ndim else dtype(out)
+        return out if out.ndim else complex(out)
+
+    def evaluate(self, detuning):
+        """P_e/eta^2 = Re H/gamma."""
+        return self.response(detuning).real / self.gamma
 
 
 # (detuning x line) elements that `_line_rows`, and (panel x line) ones that
@@ -332,9 +335,9 @@ _TERMS = 36
 
 def _line_rows(x_rows, lines, out):
     """out = sum_lines w (width + i x)/(width^2 + x^2), x = D - pos, at each
-    detuning of `x_rows`, or its real part for a float `out`, in blocks of
-    rows; each row is reduced as in a single pass, so the values depend
-    neither on the blocks nor on the other rows."""
+    detuning of `x_rows`, in blocks of rows; each row is reduced as in a
+    single pass, so the values depend neither on the blocks nor on the
+    other rows.  At D = +-inf, Re H is 0 and Im H is NaN (inf * 0)."""
     pos, wt, wid = lines.T
     wid2 = wid * wid
     rows = max(1, _LINE_BLOCK // max(len(pos), 1))
@@ -343,15 +346,15 @@ def _line_rows(x_rows, lines, out):
         f = x * x
         f += wid2
         np.divide(wt, f, out=f)
-        if out.dtype == complex:
+        with np.errstate(invalid="ignore"):
             x *= f
-            out.imag[i:i + rows] = np.sum(x, axis=-1)
+        out.imag[i:i + rows] = np.sum(x, axis=-1)
         f *= wid
         out.real[i:i + rows] = np.sum(f, axis=-1)
 
 
 def _panel_sum(flat, lines, panels, out):
-    """`LineSpectrum._sum` on `panels` panels of `flat`'s sorted points,
+    """`LineSpectrum.response` on `panels` panels of `flat`'s sorted points,
     written into `out` in the order of `flat`."""
     m, size = len(flat), -(-len(flat) // panels)
     edges = np.arange(panels + 1) * m // panels
@@ -374,7 +377,6 @@ def _panel_sum(flat, lines, panels, out):
         far = f >= (_FAR * rk) ** 2
         expand = (np.count_nonzero(far, axis=1) > _TERMS) & (rk[:, 0] > 0)
         far &= expand[:, None]
-        near = ~far
         # with s = sigma - i c = width + i x: p = w/s, z = i r/s
         g = np.where(far, wt, 0.0) / f
         p = wid * g - 1j * (x * g)
@@ -384,27 +386,22 @@ def _panel_sum(flat, lines, panels, out):
         for t in range(_TERMS):
             np.add.reduce(p, axis=1, out=coef[t])
             p *= z
-        # a_t (i u)^t = (a_t i^t) u^t: Horner in real u, part by part
+        # a_t (i u)^t = (a_t i^t) u^t: Horner in real u, on the real and
+        # imaginary parts side by side
         u = np.where(expand[:, None], d[k:k + step] - ck, 0.0) \
             / np.where(rk > 0, rk, 1.0)
-        parts = []
-        for a in (coef.real, coef.imag)[:2 if out.dtype == complex else 1]:
-            y = np.repeat(a[-1][:, None], size, axis=1)
-            for t in range(_TERMS - 2, -1, -1):
-                y *= u
-                y += a[t][:, None]
-            parts.append(y)
-        # consecutive panels with the same near lines share one direct sum
-        first = np.flatnonzero(np.r_[True, np.any(near[1:] != near[:-1],
-                                                  axis=1)])
-        for j0, j1 in zip(first, [*first[1:], len(x)]):
-            h = np.empty((j1 - j0) * size, dtype=out.dtype)
-            _line_rows(d[k + j0:k + j1].ravel(), lines[near[j0]], h)
-            if expand[j0]:
-                h.real += parts[0][j0:j1].ravel()
-                if len(parts) > 1:
-                    h.imag += parts[1][j0:j1].ravel()
-            out[idx[k + j0:k + j1].ravel()] = h
+        a = np.stack((coef.real, coef.imag), axis=1)[..., None]
+        y = np.repeat(a[-1], size, axis=2)
+        for t in range(_TERMS - 2, -1, -1):
+            y *= u
+            y += a[t]
+        for j in range(len(x)):
+            h = np.empty(size, dtype=complex)
+            _line_rows(d[k + j], lines[~far[j]], h)
+            if expand[j]:
+                h.real += y[0, j]
+                h.imag += y[1, j]
+            out[idx[k + j]] = h
 
 
 def choose_n_max(lam, nbar):
@@ -560,11 +557,13 @@ def time_grid(detuning, molecule: MoleculeParams, kp: KernelParams | None,
     fastest of 32 gamma, nu and omega_max, made finer where needed so that
     the Nyquist band pi/dt covers the grid's largest |detuning| plus the
     vibron comb's reach, its order `choose_n_max` times nu'.  A coarser dt
-    folds the comb's far sidebands onto the grid.  Raises TruncationError
-    where the comb cannot close, on either route, and ResolutionError over
-    10^7 points."""
+    folds the comb's far sidebands onto the grid.  On either route, where
+    a vibron couples (lam > 0 with a kernel), raises RegimeError where it
+    has no pole (nu', Gamma') and TruncationError where its comb cannot
+    close; ResolutionError over 10^7 points."""
     vibron = molecule.lam > 0 and kp is not None
     if vibron:
+        nu_p = relaxation_params(kp)[0]
         n_max = choose_n_max(molecule.lam, thermal.occupation(kp.nu))
     if sd is None or sd.coupling == 0:
         return None
@@ -573,7 +572,7 @@ def time_grid(detuning, molecule: MoleculeParams, kp: KernelParams | None,
     reach = float(np.max(np.abs(detuning), initial=0.0))
     if vibron:
         scales.append(kp.nu)
-        reach += n_max * relaxation_params(kp)[0]
+        reach += n_max * nu_p
     dt = 1.0 / (8.0 * max(scales))
     if reach * dt > math.pi:
         dt = math.pi / reach
@@ -648,9 +647,7 @@ def absorption_full(detuning_grid, molecule: MoleculeParams,
     meta.update({
         "f_FC": franck_condon(molecule.lam, thermal.occupation(kp.nu))
         if kp is not None else 1.0,
-        "f_DW": debye_waller(sd, thermal) if (sd is not None and
-                                              not sd.infrared_divergent)
-        else None,
+        "f_DW": zero_phonon_weight(sd, thermal),
         "polaron_shift": polaron_shift(sd) if sd is not None else 0.0,
     })
     return values, meta

@@ -22,11 +22,8 @@ from vibrolang import (
     TrajectoryConfig,
     chain_eigenmodes,
     effective_rabi,
-    energy_envelope,
-    fit_decay_rate,
     gamma_freq,
     momentum_correlation,
-    momentum_correlation_numeric,
     simulate,
     transmission,
     vibron_phonon_couplings,
@@ -37,7 +34,8 @@ from vibrolang.cavity import (
     polariton_populations,
     polariton_rates,
 )
-from vibrolang.kernels import effective_params
+from vibrolang.kernels import effective_params, momentum_correlation_numeric
+from vibrolang.microsim import energy_envelope, fit_decay_rate
 from vibrolang.spectra import (
     absorption_bessel,
     absorption_discrete,

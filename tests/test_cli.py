@@ -286,6 +286,11 @@ CONFIG_ERRORS = [
     pytest.param(dict(SMALL_WING, grid={"min": 2.0, "max": -1.0, "n": 31}),
                  None, "grid spacing exceeds gamma",
                  id="coarse-grid-descending"),
+    # and every absorption method: discrete and Bessel ran this grid
+    *[pytest.param(dict(SMALL_ABSORPTION, method=method,
+                        grid={"min": -2.0, "max": 3.0, "n": 51}), None,
+                   "grid spacing exceeds gamma", id=f"coarse-grid-{method}")
+      for method in ("discrete", "bessel")],
     pytest.param(dict(SMALL_RELAXATION, nu=-1.0), None, None,
                  id="negative-nu-relaxation"),
     pytest.param(dict(SMALL_COLLECTIVE, nu=-1.0), None, None,
@@ -558,11 +563,18 @@ class TestExitCodes:
         assert self._cavity_g_eff(tmp_path, cfg) == 0.0
 
     def test_divergent_debye_waller_exponent_gives_zero_g_eff(self, tmp_path):
-        # a 1d density with omega_min = 0 has f_DW = 0 at T = 0
+        # a 1d density with omega_min = 0 has f_DW = 0 at T = 0, and full
+        # absorption's meta records the same f_DW
         cfg = load_preset("fig6c")
         cfg["sd"] = {"kind": "1d", "coupling": 0.03, "omega_max": 3.0}
         cfg["temperature"] = 0.0
         assert self._cavity_g_eff(tmp_path, cfg) == 0.0
+        path = _write(tmp_path, dict(SMALL_ABSORPTION, method="full",
+                                     sd=cfg["sd"]), "absorb.json")
+        out = tmp_path / "a"
+        assert main(["absorption", "--config", path, "--out", str(out)]) == 0
+        meta = json.loads((out / "spectrum.meta.json").read_text())
+        assert meta["f_DW"] == 0.0
 
 
 class TestFailedRunWritesNothing:
@@ -829,11 +841,13 @@ class TestArtifacts:
             for cell in ln.split(","):
                 assert "%.12e" % float(cell) == cell
 
-    @pytest.mark.parametrize("sd", [None, SMALL_WING["sd"]],
-                             ids=["no-sd", "sd-3d"])
-    def test_absorption_full_method(self, tmp_path, sd):
-        # the CLI writes what absorption_full computes on the same objects
-        cfg = dict(SMALL_ABSORPTION, method="full")
+    @pytest.mark.parametrize("method, sd", [
+        ("full", None), ("full", SMALL_WING["sd"]), ("discrete", None)],
+        ids=["no-sd", "sd-3d", "discrete"])
+    def test_absorption_full_method(self, tmp_path, method, sd):
+        # the CLI writes what absorption_full computes on the same objects,
+        # for discrete absorption too
+        cfg = dict(SMALL_ABSORPTION, method=method)
         if sd is not None:
             cfg["sd"] = sd
         out = tmp_path / "o"
@@ -853,6 +867,7 @@ class TestArtifacts:
             "n_lines", "nbar", "nu_prime", "gamma_prime", "tail")
         for key in (*route, "f_FC", "f_DW", "polaron_shift"):
             assert written[key] == meta[key]
+        assert written["method"] == method
 
     @pytest.mark.parametrize("command, cfg, gamma", [
         ("absorption", dict(SMALL_ABSORPTION, method="full",
@@ -860,7 +875,11 @@ class TestArtifacts:
                                       "lam": 0.0}), 0.025),
         ("phonon-wing", dict(_set(SMALL_WING, "sd.coupling", 0.0),
                              gamma=0.05), 0.05),
-    ], ids=["full-lam-0-nu-above-band", "wing-zero-coupling"])
+        ("absorption", dict(SMALL_ABSORPTION, method="discrete",
+                            molecule={"gamma": 0.025, "nu": 2.0,
+                                      "lam": 0.0}), 0.025),
+    ], ids=["full-lam-0-nu-above-band", "wing-zero-coupling",
+            "discrete-lam-0-nu-above-band"])
     def test_uncoupled_full_route_is_one_line(self, tmp_path, command, cfg,
                                               gamma):
         # nothing couples to the line, so the response is the two-level

@@ -16,11 +16,13 @@ from vibrolang import (
     effective_params,
     gamma_freq,
     momentum_correlation,
+)
+from vibrolang.kernels import (
     momentum_correlation_numeric,
+    relaxation_params,
     susceptibility,
     thermal_spectrum,
 )
-from vibrolang.kernels import relaxation_params
 
 from oracles import gamma_time, kernel_fourier_numeric
 

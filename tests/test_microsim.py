@@ -13,8 +13,6 @@ from vibrolang import (
     Trajectory,
     TrajectoryConfig,
     chain_eigenmodes,
-    energy_envelope,
-    fit_decay_rate,
     simulate,
     vibron_phonon_couplings,
 )
@@ -28,6 +26,8 @@ from vibrolang.microsim import (
     _modal_rows,
     _secular,
     _setup,
+    energy_envelope,
+    fit_decay_rate,
 )
 
 from oracles import dyson_first_order, modal_rows, rk4_rows, secular

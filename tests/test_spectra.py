@@ -431,7 +431,7 @@ def _most_far_lines(lines, det):
 
 
 class TestPanelSum:
-    """`LineSpectrum._sum`'s panel route against `oracles.line_response`,
+    """`LineSpectrum.response`'s panel route against `oracles.line_response`,
     which sums every line at every point.
 
     Bound, fixed before measuring: with S(D) = sum_m w_m/|sigma_m - i D|,
@@ -486,6 +486,9 @@ class TestPanelSum:
         det[[5, 700, 1500]] = np.inf, np.nan, -np.inf
         values = sp.evaluate(det)
         assert values[5] == values[1500] == 0.0 and np.isnan(values[700])
+        h = sp.response(det)
+        np.testing.assert_array_equal(h.real / sp.gamma, values)
+        assert np.isnan(h[700].imag)
         ok = np.isfinite(det)
         err = np.abs(values[ok] * sp.gamma
                      - line_response(sp.lines, det[ok]).real)
