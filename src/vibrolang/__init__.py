@@ -16,16 +16,9 @@ from .model import (
     MoleculeParams,
     SpectralDensity,
     ThermalState,
-    chain_eigenmodes,
     derived_markov_params,
-    vibron_phonon_couplings,
 )
-from .kernels import (
-    KernelParams,
-    effective_params,
-    gamma_freq,
-    momentum_correlation,
-)
+from .kernels import KernelParams
 from .microsim import (
     Trajectory,
     TrajectoryConfig,
@@ -33,20 +26,13 @@ from .microsim import (
 )
 from .spectra import (
     absorption_bessel,
-    absorption_discrete,
     absorption_full,
     debye_waller,
-    dephasing_rate,
-    franck_condon,
     mirror_emission,
-    molecular_response,
     phonon_correlation,
-    polaron_shift,
-    spectral_density,
 )
 from .cavity import (
     CavityParams,
-    effective_rabi,
     polariton_populations,
     polariton_rates,
     transmission,

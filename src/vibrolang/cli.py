@@ -342,8 +342,6 @@ def _handle_absorption(cfg, seed):
     sd = _build(SpectralDensity, cfg.typed("sd", "section")) \
         if method == "full" and "sd" in cfg else None
     spectra.check_resolution(grid, mol.gamma)
-    if method == "bessel":  # its comb reads nu' and Gamma' at every lam
-        _domain("kernel.omega_max", kernels.relaxation_params, kp)
     # the vibron's pole and comb order, and the time grid with an sd
     _domain("kernel.omega_max", spectra.time_grid, grid, mol, kp, sd, thermal)
 

@@ -91,8 +91,8 @@ class Trajectory:
     """Sampled trajectory of the vibron observables.
 
     For single-molecule runs Q, P, E have shape (nt,); for M molecules they
-    have shape (M, nt), one row per molecule.  Pair runs also carry
-    e_plus/e_minus, the energies of the collective quadratures
+    have shape (M, nt), one row per molecule.  Runs of two molecules also
+    carry e_plus/e_minus, the energies of the collective quadratures
     (Q1 +- Q2)/sqrt(2), (P1 +- P2)/sqrt(2).
     """
 
@@ -106,6 +106,7 @@ class Trajectory:
 
     @property
     def pair(self) -> bool:
+        """True at any M >= 2; e_plus/e_minus exist only at M = 2."""
         return self.Q.ndim == 2
 
     def to_csv(self) -> bytes:
@@ -174,8 +175,8 @@ class _Strain:
     sin((theta_k + theta_o)/2).  Outside it q = i kappa below the band and
     pi + i kappa above, and every ratio is taken in decaying exponentials
     e_n = exp(-2 kappa n), so nothing overflows: sigma (2 cos q + sum w P)
-    = 2 e^-kappa - sinh(kappa) Y, sigma = +1 below and -1 above, with Y
-    from e_t, e_(m-t) and e_m.
+    = 2 e^-kappa - sinh(kappa) Y, sigma = +1 below and -1 above, with
+    Y = w_e Y_e + w_o Y_o, each parity's part from e_t, e_(m-t) and e_m.
 
     Rounding: each factor of a part carries at most a few eps of relative
     error, or a few eps absolute from its argument's n delta (|n delta| <=
@@ -256,25 +257,21 @@ class _Strain:
 
     def _outside(self, x2, cx2):
         m, t = self.m, self.t
-        w_e, w_o = self.weights
         below = x2 <= 0
         # kappa is kept off 0, where lam sits on a band edge exactly
         kappa = np.maximum(
             2.0 * np.arcsinh(np.sqrt(np.where(below, -x2, -cx2))), 1e-100)
         e_m, e_t, e_b = (np.exp(-2.0 * kappa * n) for n in (m, t, m - t))
-        if w_e and w_o:  # one vibron: the two parities at once
-            den = -np.expm1(-4.0 * kappa * m)
-            y = 2.0 * (e_b + e_t * e_m + 2.0 * e_m * e_m) / den
-            dy = (-4.0 * ((m - t) * e_b + (t + m) * e_t * e_m
-                          + 4.0 * m * e_m * e_m)
-                  - 4.0 * m * e_m * e_m * y) / den
-        else:  # a pair's block: sign +1 for even modes, -1 for odd
-            sign = 1.0 if w_e else -1.0
-            den = -np.expm1(-2.0 * kappa * m) if w_e else 1.0 + e_m
-            y = (e_b + sign * (e_t + 2.0 * e_m)) / den
-            dy = (-2.0 * ((m - t) * e_b + sign * (t * e_t + 2.0 * m * e_m)
-                          + sign * m * e_m * y)) / den
-            y, dy = (w_e + w_o) * y, (w_e + w_o) * dy
+        y = dy = 0.0
+        for sign, w in zip((1.0, -1.0), self.weights):  # even, odd modes
+            if not w:
+                continue
+            den = -np.expm1(-2.0 * kappa * m) if sign > 0 else 1.0 + e_m
+            part = (e_b + sign * (e_t + 2.0 * e_m)) / den
+            y = y + w * part
+            dy = dy + w * (-2.0 * ((m - t) * e_b
+                                   + sign * (t * e_t + 2.0 * m * e_m)
+                                   + sign * m * e_m * part)) / den
         sh, decay = np.sinh(kappa), np.exp(-kappa)
         v = 2.0 * decay - sh * y
         dv = (2.0 * decay + np.cosh(kappa) * y + sh * dy) / (2.0 * self.c * sh)
@@ -644,7 +641,7 @@ def _setup(nu, bath, sites, cfg):
     if len(sites) == 0 or len(set(sites)) != len(sites):
         raise DomainError("sites must be non-empty and distinct")
     w = chain_eigenmodes(bath)
-    A = np.array([vibron_phonon_couplings(bath, nu, w, site=s) for s in sites])
+    A = np.array([vibron_phonon_couplings(bath, nu, site=s) for s in sites])
     gph = np.zeros_like(w) if np.isinf(bath.qfactor) else w / bath.qfactor
 
     dt = 2.0 * np.pi / (40.0 * max(bath.omega_max, nu))

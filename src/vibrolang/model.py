@@ -154,8 +154,7 @@ def chain_eigenmodes(bath: DiscreteBath) -> np.ndarray:
     return bath.omega_max * np.sin(np.pi * k / (2.0 * (2 * n + 2)))
 
 
-def vibron_phonon_couplings(bath: DiscreteBath, nu, modes=None,
-                            site=0) -> np.ndarray:
+def vibron_phonon_couplings(bath: DiscreteBath, nu, site=0) -> np.ndarray:
     """Couplings alpha_k between a vibron at site N+1+site and each chain mode.
 
     alpha_k = 2 dk sqrt(1/(N+1)) cos(pi k (N+1+site)/(2N+2)) sin(pi k/(2N+2))
@@ -167,7 +166,7 @@ def vibron_phonon_couplings(bath: DiscreteBath, nu, modes=None,
     n = bath.n_cells
     if int(site) != site or abs(site) > n:
         raise DomainError(f"site offset {site} is not an integer in [-N, N]")
-    omega = chain_eigenmodes(bath) if modes is None else np.asarray(modes)
+    omega = chain_eigenmodes(bath)
     x_zpm = 1.0 / np.sqrt(2.0 * bath.mu * nu)
     u_zpm = 1.0 / np.sqrt(2.0 * bath.m0 * omega)
     k, m = np.arange(1, 2 * n + 2), n + 1

@@ -479,9 +479,10 @@ def absorption_bessel(molecule: MoleculeParams, kp: KernelParams,
     lines at k nu' with width gamma + |k| Gamma'/2.  Valid when
     2 lam^2 sqrt(nbar(nbar+1)) << 1; a warning flags the opposite case.
     """
-    nu_p, gamma_p = relaxation_params(kp)
-    nbar = thermal.occupation(kp.nu)
     lam = molecule.lam
+    # at lam = 0 the one line k = 0 reads nu' and Gamma' only times 0
+    nu_p, gamma_p = relaxation_params(kp) if lam > 0 else (0.0, 0.0)
+    nbar = thermal.occupation(kp.nu)
     arg = 2.0 * lam * lam * math.sqrt(nbar * (nbar + 1.0))
     if arg > 0.1:
         warnings.warn(
@@ -545,6 +546,9 @@ def response_transform(detuning, corr, gamma, dt):
 # 2^60 points outright
 GRID_MAX = 10**7
 
+# the full route's time horizon in units of 1/gamma: e^{-gamma t} is e^-12
+_HORIZON = 12.0
+
 
 def time_grid(detuning, molecule: MoleculeParams, kp: KernelParams | None,
               sd: SpectralDensity | None, thermal: ThermalState):
@@ -553,8 +557,8 @@ def time_grid(detuning, molecule: MoleculeParams, kp: KernelParams | None,
     None where no phonon density couples (no `sd`, or its coupling 0): the
     response is then the sideband comb's and needs no time grid.  Else the
     step and point count (dt, n) of the grid on which the product
-    correlation is sampled: horizon 12/gamma, and dt that resolves the
-    fastest of 32 gamma, nu and omega_max, made finer where needed so that
+    correlation is sampled: horizon `_HORIZON`/gamma, and dt that resolves
+    the fastest of 32 gamma, nu and omega_max, made finer where needed so that
     the Nyquist band pi/dt covers the grid's largest |detuning| plus the
     vibron comb's reach, its order `choose_n_max` times nu'.  A coarser dt
     folds the comb's far sidebands onto the grid.  On either route, where
@@ -576,11 +580,11 @@ def time_grid(detuning, molecule: MoleculeParams, kp: KernelParams | None,
     dt = 1.0 / (8.0 * max(scales))
     if reach * dt > math.pi:
         dt = math.pi / reach
-    n = int(np.ceil(12.0 / gamma / dt)) + 1
+    n = int(np.ceil(_HORIZON / gamma / dt)) + 1
     if n > GRID_MAX:
         raise ResolutionError(
-            f"the time grid needs {n} points (dt {dt:.3g} to 12/gamma), "
-            f"more than {GRID_MAX}")
+            f"the time grid needs {n} points (dt {dt:.3g} to "
+            f"{_HORIZON:g}/gamma), more than {GRID_MAX}")
     return dt, n
 
 
@@ -615,7 +619,7 @@ def molecular_response(detuning, molecule: MoleculeParams,
         corr *= displacement_correlation_vibron(t, molecule, kp, thermal)
     corr *= phonon_correlation(t, sd, thermal)
     return response_transform(detuning, corr, gamma, dt), \
-        {"dt": dt, "t_horizon": 12.0 / gamma}
+        {"dt": dt, "t_horizon": _HORIZON / gamma}
 
 
 def check_resolution(detuning_grid, gamma):

@@ -19,10 +19,9 @@ from vibrolang import (
     KernelParams,
     MoleculeParams,
     ThermalState,
-    chain_eigenmodes,
-    vibron_phonon_couplings,
 )
 from vibrolang.kernels import _order
+from vibrolang.model import chain_eigenmodes, vibron_phonon_couplings
 from vibrolang.spectra import LineSpectrum, _sideband_comb
 
 # below this value of omega_max*t the J1(x)/x kernels switch to their series
@@ -160,7 +159,7 @@ def dyson_first_order(t: float, bath: DiscreteBath, nu: float):
     if t < 0:
         raise DomainError("t must be >= 0")
     w = chain_eigenmodes(bath)
-    a = vibron_phonon_couplings(bath, nu, w)
+    a = vibron_phonon_couplings(bath, nu)
 
     def amp(delta):
         res = np.abs(delta) < 1e-12

@@ -20,22 +20,24 @@ from vibrolang import (
     SpectralDensity,
     ThermalState,
     TrajectoryConfig,
-    chain_eigenmodes,
-    effective_rabi,
-    gamma_freq,
-    momentum_correlation,
     simulate,
     transmission,
-    vibron_phonon_couplings,
 )
 from vibrolang.cavity import (
     dip_width,
+    effective_rabi,
     peak_separation,
     polariton_populations,
     polariton_rates,
 )
-from vibrolang.kernels import effective_params, momentum_correlation_numeric
+from vibrolang.kernels import (
+    effective_params,
+    gamma_freq,
+    momentum_correlation,
+    momentum_correlation_numeric,
+)
 from vibrolang.microsim import energy_envelope, fit_decay_rate
+from vibrolang.model import chain_eigenmodes, vibron_phonon_couplings
 from vibrolang.spectra import (
     absorption_bessel,
     absorption_discrete,

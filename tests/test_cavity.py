@@ -11,21 +11,23 @@ from vibrolang import (
     KernelParams,
     MoleculeParams,
     ThermalState,
-    absorption_discrete,
-    effective_rabi,
-    molecular_response,
     polariton_populations,
     polariton_rates,
     transmission,
 )
 from vibrolang.cavity import (
     dip_width,
+    effective_rabi,
     effective_rabi_from_params,
     hybridized_decay,
     peak_positions,
     peak_separation,
 )
-from vibrolang.spectra import franck_condon
+from vibrolang.spectra import (
+    absorption_discrete,
+    franck_condon,
+    molecular_response,
+)
 
 KP = KernelParams(gamma_m=0.48, omega_max=3.0, nu=6.0, markovian=True)
 TH0 = ThermalState(temperature=0.0)

@@ -4,12 +4,14 @@ determinism, exit codes."""
 import copy
 import dataclasses
 import hashlib
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import types
 from importlib import resources
 
 import numpy as np
@@ -27,7 +29,7 @@ from vibrolang.model import (
     SpectralDensity,
     ThermalState,
 )
-from vibrolang.spectra import absorption_full
+from vibrolang.spectra import absorption_bessel, absorption_full, debye_waller
 
 
 def _write(tmp_path, cfg, name="cfg.json"):
@@ -256,6 +258,27 @@ INTEGER_KEYS = [
                  "trajectory.store_every", 4, id="damped-store_every"),
 ]
 
+# a value that breaks a domain rule of a section's dataclass, of nbar, of a
+# temperature or of a temp_grid point, and the message the config exits 2
+# with
+DOMAIN_RULES = [
+    (SMALL_CAVITY, "cavity.kappa", 0.0, "cavity: kappa must be > 0"),
+    (SMALL_CAVITY, "cavity.g", -1.0, "cavity: g must be >= 0"),
+    (SMALL_RELAXATION, "trajectory.t_max", 0.0,
+     "trajectory: t_max must be > 0"),
+    (SMALL_ABSORPTION, "kernel.gamma_m", -0.1, "kernel: gamma_m must be >= 0"),
+    (SMALL_ABSORPTION, "kernel.omega_max", 0.0,
+     "kernel: omega_max and nu must be > 0"),
+    (SMALL_ABSORPTION, "molecule.lam", -1.0, "molecule: lambda must be >= 0"),
+    (SMALL_ABSORPTION, "molecule.nu", 0.0, "molecule: nu must be > 0"),
+    (SMALL_ABSORPTION, "nbar", -1.0, "nbar: nbar must be >= 0"),
+    (SMALL_WING, "temperature", -1.0,
+     "temperature: temperature must be >= 0"),
+    (SMALL_WING, "sd.coupling", -0.01, "sd: coupling must be >= 0"),
+    (SMALL_DEBYE_WALLER, "temp_grid.min", -1.0,
+     "temp_grid: temperature must be >= 0"),
+]
+
 # every config that exits 2 in this file, with the --seed it is given and a
 # substring its message must hold (or None); the errors of the command line
 # itself (an unreadable file, an unknown or mismatched command) have no
@@ -274,6 +297,9 @@ CONFIG_ERRORS = [
                  id="negative-gamma"),
     pytest.param(_set(SMALL_ABSORPTION, "molecule.nu", math.inf), None, None,
                  id="infinite-nu"),
+    *[pytest.param(_set(cfg, key, value), None, f"config field {expect}",
+                   id=f"domain-{cfg['command']}-{key}-{value:g}")
+      for cfg, key, value, expect in DOMAIN_RULES],
     *[pytest.param({k: v for k, v in load_preset(preset).items()
                     if k != "sweep"} | {"nbar": nbar}, None, None,
                    id=f"unclosable-comb-{preset}-{nbar:g}")
@@ -869,6 +895,27 @@ class TestArtifacts:
             assert written[key] == meta[key]
         assert written["method"] == method
 
+    def test_absorption_bessel_method(self, tmp_path):
+        # the CLI writes what the Bessel comb evaluates on the same grid,
+        # cell by cell, and the comb's meta
+        cfg = dict(SMALL_ABSORPTION, method="bessel", nbar=0.01)
+        out = tmp_path / "o"
+        assert main(["absorption", "--config", _write(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        mol = MoleculeParams(**cfg["molecule"])
+        spec = absorption_bessel(
+            mol, KernelParams(**cfg["kernel"], nu=mol.nu),
+            ThermalState.from_occupation(cfg["nbar"], mol.nu))
+        rows = (out / "spectrum.csv").read_text().strip().split("\n")[1:]
+        assert [row.split(",")[1] for row in rows] == [
+            "%.12e" % v for v in spec.evaluate(np.linspace(-2.0, 3.0, 201))]
+        written = json.loads((out / "spectrum.meta.json").read_text())
+        assert written["n_lines"] == len(spec.lines) > 1
+        for key in ("nbar", "validity_arg"):
+            assert written[key] == spec.meta[key]
+        assert written["validity_arg"] > 0
+        assert written["method"] == "bessel"
+
     @pytest.mark.parametrize("command, cfg, gamma", [
         ("absorption", dict(SMALL_ABSORPTION, method="full",
                             molecule={"gamma": 0.025, "nu": 2.0,
@@ -878,8 +925,11 @@ class TestArtifacts:
         ("absorption", dict(SMALL_ABSORPTION, method="discrete",
                             molecule={"gamma": 0.025, "nu": 2.0,
                                       "lam": 0.0}), 0.025),
+        ("absorption", dict(SMALL_ABSORPTION, method="bessel",
+                            molecule={"gamma": 0.025, "nu": 2.0,
+                                      "lam": 0.0}), 0.025),
     ], ids=["full-lam-0-nu-above-band", "wing-zero-coupling",
-            "discrete-lam-0-nu-above-band"])
+            "discrete-lam-0-nu-above-band", "bessel-lam-0-nu-above-band"])
     def test_uncoupled_full_route_is_one_line(self, tmp_path, command, cfg,
                                               gamma):
         # nothing couples to the line, so the response is the two-level
@@ -921,6 +971,23 @@ class TestArtifacts:
                            skiprows=1)
         assert table.shape == (1201, 2)
         assert (table[0, 0], table[-1, 0]) == (-3.0, 6.0)
+
+    def test_debye_waller_default_temperatures(self, tmp_path):
+        # with no temp_grid the Debye-Waller factor is written on T = 0..4
+        # in 41 rows
+        cfg = {k: v for k, v in SMALL_DEBYE_WALLER.items()
+               if k != "temp_grid"}
+        manifest = run_config(cfg, str(tmp_path))
+        rows = {e["file"]: e["rows"] for e in manifest["files"]}
+        assert rows["debye_waller.csv"] == 41
+        temps = np.linspace(0.0, 4.0, 41)
+        sd = SpectralDensity(**cfg["sd"])
+        table = np.loadtxt(tmp_path / "debye_waller.csv", delimiter=",",
+                           skiprows=1)
+        np.testing.assert_array_equal(table, [
+            [float("%.12e" % t),
+             float("%.12e" % debye_waller(sd, ThermalState(t)))]
+            for t in temps])
 
     def test_cavity_csv_schema(self, tmp_path):
         cfg = {
@@ -1046,6 +1113,38 @@ class TestImports:
     def test_package_import_leaves_out_scipy(self):
         assert _run_python("import sys, vibrolang; "
                            "sys.exit('scipy' in sys.modules)") == 0
+
+    def test_root_namespace(self):
+        # the root holds the parameter, result and error types and the
+        # functions a command's handler calls to make its files
+        import vibrolang
+        public = {name for name, value in vars(vibrolang).items()
+                  if not name.startswith("_")
+                  and not isinstance(value, types.ModuleType)}
+        assert public == {
+            "CavityParams", "ConfigError", "DiscreteBath", "DivergenceError",
+            "DomainError", "InstabilityError", "KernelParams",
+            "MoleculeParams", "RegimeError", "ResolutionError",
+            "SpectralDensity", "ThermalState", "Trajectory",
+            "TrajectoryConfig", "TruncationError", "VibrolangError",
+            "absorption_bessel", "absorption_full", "debye_waller",
+            "derived_markov_params", "mirror_emission", "phonon_correlation",
+            "polariton_populations", "polariton_rates", "simulate",
+            "transmission"}
+
+    @pytest.mark.parametrize("module, name", [
+        ("model", "chain_eigenmodes"), ("model", "vibron_phonon_couplings"),
+        ("kernels", "gamma_freq"), ("kernels", "effective_params"),
+        ("kernels", "momentum_correlation"),
+        ("spectra", "absorption_discrete"), ("spectra", "dephasing_rate"),
+        ("spectra", "franck_condon"), ("spectra", "molecular_response"),
+        ("spectra", "polaron_shift"), ("spectra", "spectral_density"),
+        ("cavity", "effective_rabi")])
+    def test_module_name_not_at_root(self, module, name):
+        import vibrolang
+        assert callable(getattr(importlib.import_module(f"vibrolang.{module}"),
+                                name))
+        assert not hasattr(vibrolang, name)
 
     def test_commands_run_without_scipy(self, tmp_path):
         # numpy is the one runtime dependency: with scipy unimportable,

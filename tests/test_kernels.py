@@ -8,16 +8,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate, special
 
-from vibrolang import (
-    DomainError,
-    KernelParams,
-    RegimeError,
-    ThermalState,
+from vibrolang import DomainError, KernelParams, RegimeError, ThermalState
+from vibrolang.kernels import (
     effective_params,
     gamma_freq,
     momentum_correlation,
-)
-from vibrolang.kernels import (
     momentum_correlation_numeric,
     relaxation_params,
     susceptibility,
@@ -197,6 +192,12 @@ class TestEffectiveParams:
     def test_markovian_fallback(self):
         nu_p, gamma_p = relaxation_params(replace(KP, markovian=True))
         assert (nu_p, gamma_p) == (KP.nu, KP.gamma_m)
+
+    def test_strong_damping_warns(self):
+        # Gamma_m above nu breaks the good-oscillator assumption of the
+        # pole form
+        with pytest.warns(UserWarning, match="gamma_m > nu"):
+            KernelParams(gamma_m=1.5, omega_max=2.0, nu=1.0)
 
     def test_vibron_outside_band_rejected(self):
         kp = KernelParams(gamma_m=0.05, omega_max=0.9, nu=1.0)

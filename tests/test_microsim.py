@@ -12,9 +12,7 @@ from vibrolang import (
     InstabilityError,
     Trajectory,
     TrajectoryConfig,
-    chain_eigenmodes,
     simulate,
-    vibron_phonon_couplings,
 )
 from vibrolang.cli import load_preset
 from vibrolang.microsim import (
@@ -29,6 +27,7 @@ from vibrolang.microsim import (
     energy_envelope,
     fit_decay_rate,
 )
+from vibrolang.model import chain_eigenmodes, vibron_phonon_couplings
 
 from oracles import dyson_first_order, modal_rows, rk4_rows, secular
 
@@ -48,9 +47,9 @@ def _arrowhead(bath, site, sign=None, nu=1.0):
     molecule's for sign None, else the mirror pair (site, -site)'s even
     block for sign +1 and its odd block for -1."""
     w = chain_eigenmodes(bath)
-    A = np.array([vibron_phonon_couplings(bath, nu, w, site=site)])
+    A = np.array([vibron_phonon_couplings(bath, nu, site=site)])
     if sign is not None:
-        A = np.vstack((A, vibron_phonon_couplings(bath, nu, w, site=-site)))
+        A = np.vstack((A, vibron_phonon_couplings(bath, nu, site=-site)))
     _, beta, strain = _blocks(bath, site, A)[0 if sign is None or sign > 0
                                              else 1]
     k = beta != 0

@@ -8,11 +8,10 @@ from vibrolang import (
     DiscreteBath,
     DomainError,
     ThermalState,
-    chain_eigenmodes,
     derived_markov_params,
-    vibron_phonon_couplings,
 )
 from vibrolang.microsim import TrajectoryConfig, simulate
+from vibrolang.model import chain_eigenmodes, vibron_phonon_couplings
 
 from oracles import markov_rate_band_form
 
@@ -98,7 +97,7 @@ class TestChainModes:
                             dk=8.313843876330611)
         nu = 1.0
         w = chain_eigenmodes(bath)
-        alpha = vibron_phonon_couplings(bath, nu, w, site=site)
+        alpha = vibron_phonon_couplings(bath, nu, site=site)
         m = bath.n_cells + 1
         k = np.arange(1, 2 * m)
         with mpmath.workdps(40):

@@ -25,15 +25,10 @@ from vibrolang import (
     ThermalState,
     TruncationError,
     absorption_bessel,
-    absorption_discrete,
     absorption_full,
     debye_waller,
-    dephasing_rate,
-    franck_condon,
     mirror_emission,
     phonon_correlation,
-    polaron_shift,
-    spectral_density,
 )
 from vibrolang.kernels import relaxation_params
 from vibrolang.spectra import (
@@ -46,9 +41,14 @@ from vibrolang.spectra import (
     _phase_sum,
     _sideband_comb,
     _weight_tail,
+    absorption_discrete,
     choose_n_max,
+    dephasing_rate,
     displacement_correlation_vibron,
+    franck_condon,
+    polaron_shift,
     response_transform,
+    spectral_density,
     time_grid,
     vibron_lines,
 )
@@ -499,7 +499,8 @@ class TestPanelSum:
         # at two threads: the route's reductions are numpy's own
         code = ("import hashlib, numpy as np\n"
                 "from vibrolang import KernelParams, MoleculeParams, "
-                "ThermalState, absorption_discrete\n"
+                "ThermalState\n"
+                "from vibrolang.spectra import absorption_discrete\n"
                 "sp = absorption_discrete(MoleculeParams(gamma=0.025, nu=1.0, "
                 "lam=1.0), KernelParams(gamma_m=0.1, omega_max=1.3, nu=1.0), "
                 "ThermalState.from_occupation(3.0, 1.0))\n"
