@@ -49,7 +49,9 @@ def transmission(detuning, cavity: CavityParams, molecule: MoleculeParams,
 
         T(delta) = kappa / [ g^2 H(delta) + kappa - i(delta - delta_c) ],
 
-    with H of `spectra.molecular_response`, returned as (T, |T|^2).  g = 0 gives the bare cavity Lorentzian.
+    with H of `spectra.molecular_response`, returned as (T, |T|^2, meta),
+    meta that response's meta.  g = 0 gives the bare cavity Lorentzian and
+    an empty meta.
     """
     detuning = np.asarray(detuning, dtype=float)
     if cavity.g > 0:
@@ -60,13 +62,13 @@ def transmission(detuning, cavity: CavityParams, molecule: MoleculeParams,
                 "cavity; factorized response is approximate",
                 stacklevel=2,
             )
-        h, _ = molecular_response(detuning, molecule, kp, sd, thermal)
+        h, meta = molecular_response(detuning, molecule, kp, sd, thermal)
     else:
-        h = 0.0
+        h, meta = 0.0, {}
     den = (cavity.g * cavity.g * h + cavity.kappa
            - 1j * (detuning - cavity.delta_c))
     t_amp = cavity.kappa / den
-    return t_amp, np.abs(t_amp) ** 2
+    return t_amp, np.abs(t_amp) ** 2, meta
 
 
 def effective_rabi(g, f_fc, f_dw=1.0):

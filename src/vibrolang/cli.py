@@ -394,7 +394,7 @@ def _handle_phonon_wing(cfg, seed):
     # the correlation's step: the transform's, or the band's where the
     # density does not couple and the correlation is 1
     steps = spectra.time_grid(grid, mol, None, sd, thermal)
-    dt = steps[0] if steps else 1.0 / (8.0 * sd.omega_max)
+    dt = steps.dt if steps else 1.0 / (8.0 * sd.omega_max)
 
     def run():
         values, meta = spectra.absorption_full(grid, mol, None, sd, thermal)
@@ -423,8 +423,8 @@ def _handle_cavity(cfg, seed):
                 thermal)
 
     def run():
-        t_amp, t2 = cavity_mod.transmission(grid, cav, mol, kp, thermal,
-                                            sd=sd)
+        t_amp, t2, meta = cavity_mod.transmission(grid, cav, mol, kp,
+                                                  thermal, sd=sd)
         g_eff = cavity_mod.effective_rabi_from_params(cav, mol, thermal, sd=sd)
         data, rows = _csv("detuning,re_T,im_T,abs_T2",
                           [grid, np.real(t_amp), np.imag(t_amp), t2])
@@ -433,7 +433,7 @@ def _handle_cavity(cfg, seed):
                      curves=[(grid, t2, "|T|^2")],
                      labels=("detuning", "|T|^2")),
             _meta_artifact("transmission.meta.json",
-                           {"config": cfg, "g_eff": g_eff}),
+                           {"config": cfg, "g_eff": g_eff, **meta}),
         ]
     return run
 

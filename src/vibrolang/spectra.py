@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,9 +155,9 @@ _SPREAD = 16
 _OVERSAMPLE = 3
 
 
-def _phase_sum(t, h, omega, weights):
-    """S_j = sum_i weights_i e^{i omega_i t_j} on the even grid t_j = t_0 + j h;
-    weights of shape (len(omega), K) give K sums side by side.
+def _phase_sum(t, h, omega, weights, mirror=None):
+    """S_j = sum_i weights_i e^{i omega_i t_j} on the even grid t_j = t_0 + j h,
+    plus sum_i mirror_i e^{-i omega_i t_j} where `mirror` is given.
 
     A type-1 nonuniform FFT by Gaussian gridding (Dutt & Rokhlin 1993;
     Greengard & Lee 2004).  Source i sits at x_i = omega_i h, u_i = x_i M /
@@ -166,9 +167,11 @@ def _phase_sum(t, h, omega, weights):
     taken from u_i's integer and fractional parts, so that at every j the
     phase is rounded as little as omega_i t_j is.  Each v_i is spread by
     e^{-(x - x_i)^2 / 4 tau} onto the 2 _SPREAD grid points nearest x_i;
-    one FFT per column gives the grid's Fourier coefficients, and dividing
-    by the Gaussian's, sqrt(tau/pi) e^{-k^2 tau}, leaves S.  M is at least
-    _OVERSAMPLE n, rounded up to a fast FFT length, and
+    one FFT gives the grid's Fourier coefficients, and dividing by the
+    Gaussian's, sqrt(tau/pi) e^{-k^2 tau}, leaves S.  The mirror source at
+    -u_i = (-floor u_i - 1) + (1 - frac u_i) reuses node i's spread at
+    offsets 1 - o, its row reversed, and the conjugate of its phase.  M is
+    at least _OVERSAMPLE n, rounded up to a fast FFT length, and
     tau = pi _SPREAD / (n^2 r (r - 1/2)) follows the actual oversampling
     r = M/n.  `np.bincount` accumulates in input order and numpy's FFT is
     single-threaded, so the bytes do not depend on the thread count.
@@ -179,28 +182,40 @@ def _phase_sum(t, h, omega, weights):
     u = omega * (h * size / (2.0 * math.pi))
     base = np.floor(u).astype(np.int64)
     frac = u - base
-    phase = omega * t[0] \
-        + (2.0 * math.pi / size) * ((half * base) % size + half * frac)
-    src = weights.reshape(len(omega), -1) * np.exp(1j * phase)[:, None]
+    phase = np.exp(1j * (omega * t[0] + (2.0 * math.pi / size)
+                         * ((half * base) % size + half * frac)))
     offset = np.arange(1 - _SPREAD, _SPREAD + 1)
     spread = np.exp(-(math.pi**2 / (size * size * tau))
                     * (offset - frac[:, None]) ** 2)
-    idx = ((base[:, None] + offset) % size).ravel()
-    k = np.arange(-half, n - half)
 
-    def modes(col):
-        # one column's grid through its own 1-D FFT, cut to the n modes at
-        # once: numpy's FFT of the whole (M x K) grid along axis 0 held about
-        # 1.6 MB of fresh pages a call in the wing workload
-        grid = np.bincount(idx, (spread * col.real[:, None]).ravel(),
+    def gridded(idx, spread, src):
+        idx = (idx % size).ravel()
+        return np.bincount(idx, (spread * src.real[:, None]).ravel(),
                            minlength=size) \
-            + 1j * np.bincount(idx, (spread * col.imag[:, None]).ravel(),
+            + 1j * np.bincount(idx, (spread * src.imag[:, None]).ravel(),
                                minlength=size)
-        return np.fft.ifft(grid)[k % size]
 
-    s = np.stack([modes(col) for col in src.T], axis=1) \
-        * (math.sqrt(math.pi / tau) * np.exp(tau * k * k))[:, None]
-    return s.reshape(-1, *weights.shape[1:])
+    grid = gridded(base[:, None] + offset, spread, weights * phase)
+    if mirror is not None:
+        grid += gridded(offset - 1 - base[:, None], spread[:, ::-1],
+                        mirror * phase.conj())
+    k = np.arange(-half, n - half)
+    return np.fft.ifft(grid)[k % size] \
+        * (math.sqrt(math.pi / tau) * np.exp(tau * k * k))
+
+
+def _phonon_exponent(tau, h, sd: SpectralDensity, thermal: ThermalState):
+    """(S, W) with <D(tau) D^dag(0)> = exp(S(tau) - W) on the even grid tau:
+    W = sum w_re and S = sum w_re cos(omega tau) - i w_im sin(omega tau) on
+    `_density_rule`'s nodes for max|tau|, w_re = J coth(beta omega/2)
+    domega/omega^2 and w_im = J domega/omega^2.  S is one `_phase_sum`,
+    sum 1/2 [(w_re - w_im) e^{i omega tau} + (w_re + w_im) e^{-i omega tau}]
+    on the nodes +-omega; exp(-W) is f_DW on these nodes."""
+    omega, big_w = _density_rule(sd, thermal, float(np.max(np.abs(tau))))
+    w_re = big_w * thermal.coth_half_beta(omega) / omega**2
+    w_im = big_w / omega**2
+    s = _phase_sum(tau, h, omega, 0.5 * (w_re - w_im), 0.5 * (w_re + w_im))
+    return s, np.sum(w_re)
 
 
 def phonon_correlation(tau, sd: SpectralDensity, thermal: ThermalState):
@@ -208,23 +223,20 @@ def phonon_correlation(tau, sd: SpectralDensity, thermal: ThermalState):
     exp[ int J(w)/w^2 (coth(beta w/2)(cos w tau - 1) - i sin w tau) dw ]
     on an evenly spaced tau grid (scalar in, scalar out).
 
-    |value| <= 1; tends to the Debye-Waller factor at long delay and T = 0.
-    On `_density_rule`, 12 rad of phase omega_max max|tau| dtheta a panel:
+    |value| <= 1; tends to the Debye-Waller factor at long delay.  On
+    `_density_rule`, 12 rad of phase omega_max max|tau| dtheta a panel:
     1,580 nodes at omega_max max|tau| = 600 (3d); a 12x finer rule moves
-    the exponent by under 4e-15 of its largest value.  The cos and sin
-    band sums are the real and imaginary parts of `_phase_sum`, a
-    nonuniform FFT of O(N_omega + N_tau log N_tau) operations; the exponent
-    is within 1e-13 of sum |w| of the dense (tau x omega) sums.
+    the exponent by under 4e-15 of its largest value.  The exponent is
+    `_phonon_exponent`: the cos and sin band sums as one nonuniform FFT of
+    one complex column on the nodes +-omega, O(N_omega + N_tau log N_tau)
+    operations, within 1e-13 of sum |w| of the dense (tau x omega) sums.
     """
     tau, h, scalar = _even_grid(tau, "tau")
     if sd.coupling == 0 or len(tau) == 0:
         out = np.ones(len(tau), dtype=complex)
     else:
-        omega, big_w = _density_rule(sd, thermal, float(np.max(np.abs(tau))))
-        w_re = big_w * thermal.coth_half_beta(omega) / omega**2
-        w_im = big_w / omega**2
-        s = _phase_sum(tau, h, omega, np.column_stack((w_re, w_im)))
-        out = np.exp(s[:, 0].real - np.sum(w_re) - 1j * s[:, 1].imag)
+        s, big_w = _phonon_exponent(tau, h, sd, thermal)
+        out = np.exp(s - big_w)
     return complex(out[0]) if scalar else out
 
 
@@ -546,8 +558,66 @@ def response_transform(detuning, corr, gamma, dt):
 # 2^60 points outright
 GRID_MAX = 10**7
 
-# the full route's time horizon in units of 1/gamma: e^{-gamma t} is e^-12
+# the wing's longest time horizon in units of 1/gamma, and the tail it may
+# leave: e^{-gamma T} = e^-12
 _HORIZON = 12.0
+
+
+class TimeGrid(NamedTuple):
+    """The wing's time grid: n points at step dt to the horizon t_horizon,
+    and the a priori bound on the wing's damped tail beyond it."""
+
+    dt: float
+    n: int
+    t_horizon: float
+    tail_bound: float
+
+
+def _band_variation(sd: SpectralDensity, thermal: ThermalState):
+    """(V, W) on `debye_waller`'s rule, W = -ln f_DW and V the sum over
+    g = J coth(beta omega/2)/omega^2 and J/omega^2 of |g(omega_min)| +
+    |g(omega_max)| + TV(g), the total variation taken over the band's ends
+    and the rule's nodes (exact where g is monotone between neighbours).
+    Integration by parts gives |int g e^{i omega tau} domega| <= V/|tau|
+    for each, so the exponent of `_phonon_exponent` stays within V/tau of
+    -W."""
+    omega, big_w = _density_rule(sd, thermal, 0.0)
+    x = np.concatenate(([sd.omega_min], omega, [sd.omega_max]))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        g_im = spectral_density(x, sd) / x**2
+        g_re = g_im * thermal.coth_half_beta(x)
+    if sd.omega_min == 0:  # 3d: J/omega^2 -> 0, J coth/omega^2 -> 2 T lam
+        g_im[0], g_re[0] = 0.0, 2.0 * thermal.temperature * sd.coupling
+    v = sum(abs(g[0]) + abs(g[-1]) + float(np.sum(np.abs(np.diff(g))))
+            for g in (g_re, g_im))
+    return v, float(np.sum(big_w * thermal.coth_half_beta(omega) / omega**2))
+
+
+def _wing_horizon(sd: SpectralDensity, thermal: ThermalState, gamma):
+    """(T, bound): the shortest T = k/(2 gamma), k = 1 .. 2 _HORIZON, whose
+
+        bound = min(f_DW expm1(V/T), 1 - f_DW) e^{-gamma T} <= e^{-_HORIZON},
+
+    V and f_DW = e^-W of `_band_variation`.  For tau >= T
+    it bounds e^{-gamma tau} |B (D - f_DW)|: |B| <= 1, |D - f_DW| <= 1 - f_DW
+    everywhere and <= f_DW expm1(V/tau) by `_band_variation`.  At k =
+    2 _HORIZON the bound holds whatever V, and with omega_min = 0 on a 1d
+    density (f_DW = 0, V infinite) T is that cap."""
+    if sd.infrared_divergent:
+        return _HORIZON / gamma, math.exp(-_HORIZON)
+    v, w = _band_variation(sd, thermal)
+    f = math.exp(-w)
+
+    def bound(gt):  # at T = gt/gamma
+        x = v * gamma / gt
+        # f expm1(x) >= 1 - f once f e^x >= 1
+        zpl = 1.0 - f if x >= w else min(
+            f * math.expm1(x) if x < 700 else math.exp(x - w), 1.0 - f)
+        return zpl * math.exp(-gt)
+
+    gt = next(0.5 * k for k in range(1, int(2 * _HORIZON) + 1)
+              if bound(0.5 * k) <= math.exp(-_HORIZON))
+    return gt / gamma, bound(gt)
 
 
 def time_grid(detuning, molecule: MoleculeParams, kp: KernelParams | None,
@@ -556,15 +626,16 @@ def time_grid(detuning, molecule: MoleculeParams, kp: KernelParams | None,
 
     None where no phonon density couples (no `sd`, or its coupling 0): the
     response is then the sideband comb's and needs no time grid.  Else the
-    step and point count (dt, n) of the grid on which the product
-    correlation is sampled: horizon `_HORIZON`/gamma, and dt that resolves
-    the fastest of 32 gamma, nu and omega_max, made finer where needed so that
-    the Nyquist band pi/dt covers the grid's largest |detuning| plus the
-    vibron comb's reach, its order `choose_n_max` times nu'.  A coarser dt
-    folds the comb's far sidebands onto the grid.  On either route, where
-    a vibron couples (lam > 0 with a kernel), raises RegimeError where it
-    has no pole (nu', Gamma') and TruncationError where its comb cannot
-    close; ResolutionError over 10^7 points."""
+    `TimeGrid` on which the wing B (D - f_DW) is sampled: the horizon T of
+    `_wing_horizon`, the shortest whose a priori tail bound is e^-12 (at
+    most `_HORIZON`/gamma), and dt that resolves the fastest of 32 gamma,
+    nu and omega_max, made finer where needed so that the Nyquist band pi/dt
+    covers the grid's largest |detuning| plus the vibron comb's reach, its
+    order `choose_n_max` times nu'.  A coarser dt folds the comb's far
+    sidebands onto the grid.  On either route, where a vibron couples
+    (lam > 0 with a kernel), raises RegimeError where it has no pole
+    (nu', Gamma') and TruncationError where its comb cannot close;
+    ResolutionError over 10^7 points."""
     vibron = molecule.lam > 0 and kp is not None
     if vibron:
         nu_p = relaxation_params(kp)[0]
@@ -580,46 +651,59 @@ def time_grid(detuning, molecule: MoleculeParams, kp: KernelParams | None,
     dt = 1.0 / (8.0 * max(scales))
     if reach * dt > math.pi:
         dt = math.pi / reach
-    n = int(np.ceil(_HORIZON / gamma / dt)) + 1
+    t_horizon, bound = _wing_horizon(sd, thermal, gamma)
+    n = int(np.ceil(t_horizon / dt)) + 1
     if n > GRID_MAX:
         raise ResolutionError(
             f"the time grid needs {n} points (dt {dt:.3g} to "
-            f"{_HORIZON:g}/gamma), more than {GRID_MAX}")
-    return dt, n
+            f"{t_horizon * gamma:g}/gamma), more than {GRID_MAX}")
+    return TimeGrid(dt, n, t_horizon, bound)
 
 
 def molecular_response(detuning, molecule: MoleculeParams,
                        kp: KernelParams | None, sd: SpectralDensity | None,
                        thermal: ThermalState):
     """Complex molecular response H(Delta), the damped transform of the
-    product correlation <B B^dag><D D^dag>, each factor present when its
-    coupling is; absorption reads it as Re H/gamma, the cavity as H.
-    Returns (H, meta), on the route that `time_grid` picks:
+    product correlation B D = <B B^dag><D D^dag>, each factor present when
+    its coupling is; absorption reads it as Re H/gamma, the cavity as H.
+    It is split as the paper splits a lineshape,
 
-    - no phonon density couples: the vibron's sideband comb,
-      `absorption_discrete`'s `LineSpectrum.response`, which the pole
-      form's vibron factor generates exactly; without a kernel or at
-      lam = 0 it is the one line 1/(gamma - i Delta).  meta: n_lines and
-      the comb's meta.
-    - a density couples: `response_transform` of the correlation on the
-      time grid.  meta: dt and t_horizon.
+        H = f_DW C(Delta) + int_0^T e^{(i Delta - gamma) tau} B (D - f_DW),
+
+    into the zero-phonon part and the phonon wing.  C is the vibron's
+    sideband comb, `absorption_discrete`'s `LineSpectrum.response`, which
+    the pole form's B generates exactly; without a kernel or at lam = 0 it
+    is the one line 1/(gamma - i Delta).  It is summed exactly, with no
+    horizon and no Simpson images.  Returns (H, meta):
+
+    - no phonon density couples (`time_grid` is None): f_DW = 1 and no wing,
+      H = C.  meta: n_lines and the comb's meta.
+    - a density couples: f_DW = exp(-W) of `_phonon_exponent` on D's own
+      nodes, so that D - f_DW tends to 0 on the grid (0 where the 1d
+      density's f_DW diverges to 0), and the wing through
+      `response_transform` on `time_grid`'s grid.  meta adds dt,
+      t_horizon, the tail bound at T and the measured |D(T) - f_DW|
+      (wing_tail).
     """
     gamma = molecule.gamma
     steps = time_grid(detuning, molecule, kp, sd, thermal)
     vibron = molecule.lam > 0 and kp is not None
+    spec = absorption_discrete(molecule, kp, thermal) if vibron \
+        else LineSpectrum(lines=[[0.0, 1.0, gamma]], gamma=gamma)
+    comb = spec.response(detuning)
+    meta = {"n_lines": len(spec.lines), **spec.meta}
     if steps is None:
-        spec = absorption_discrete(molecule, kp, thermal) if vibron \
-            else LineSpectrum(lines=[[0.0, 1.0, gamma]], gamma=gamma)
-        return spec.response(detuning), {"n_lines": len(spec.lines),
-                                         **spec.meta}
-    dt, n = steps
-    t = np.arange(n) * dt
-    corr = np.ones(n, dtype=complex)
+        return comb, meta
+    t = np.arange(steps.n) * steps.dt
+    s, big_w = _phonon_exponent(t, steps.dt, sd, thermal)
+    f_dw = 0.0 if sd.infrared_divergent else math.exp(-big_w)
+    wing = np.exp(s - big_w) - f_dw
+    meta.update(dt=steps.dt, t_horizon=steps.t_horizon,
+                tail_bound=steps.tail_bound, wing_tail=float(abs(wing[-1])))
     if vibron:
-        corr *= displacement_correlation_vibron(t, molecule, kp, thermal)
-    corr *= phonon_correlation(t, sd, thermal)
-    return response_transform(detuning, corr, gamma, dt), \
-        {"dt": dt, "t_horizon": _HORIZON / gamma}
+        wing *= displacement_correlation_vibron(t, molecule, kp, thermal)
+    h = response_transform(detuning, wing, gamma, steps.dt)
+    return (h + f_dw * comb if f_dw > 0 else h), meta
 
 
 def check_resolution(detuning_grid, gamma):

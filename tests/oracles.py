@@ -2,7 +2,8 @@
 (scipy's Bessel functions) and its numeric transform, the band form of the
 Markovian rate, a single-mode dephasing rate, the brute-force multimode
 sideband spectrum, the comb response summed over every line at every
-point, first-order scattering amplitudes on the chain, the chain's RK4
+point, the molecular response as the transform of the whole product
+correlation, first-order scattering amplitudes on the chain, the chain's RK4
 step loop, the normal modes of a chain arrowhead from its secular equation
 summed pole by pole, the powers of one normal mode's RK4 map each from its
 own exp, cos and sin, and the per-value CSV and polyline formatters that
@@ -22,7 +23,13 @@ from vibrolang import (
 )
 from vibrolang.kernels import _order
 from vibrolang.model import chain_eigenmodes, vibron_phonon_couplings
-from vibrolang.spectra import LineSpectrum, _sideband_comb
+from vibrolang.spectra import (
+    LineSpectrum,
+    _sideband_comb,
+    displacement_correlation_vibron,
+    phonon_correlation,
+    response_transform,
+)
 
 # below this value of omega_max*t the J1(x)/x kernels switch to their series
 _SMALL_X = 1e-3
@@ -144,6 +151,22 @@ def line_response(lines, detuning):
         out.real[i:i + rows] = np.sum(f, axis=-1)
     out = out.reshape(detuning.shape)
     return out if out.ndim else complex(out)
+
+
+def whole_product_response(detuning, molecule: MoleculeParams,
+                           kp: KernelParams | None, sd, thermal: ThermalState,
+                           dt, t_horizon):
+    """H(Delta) as the composite-Simpson transform of the whole product
+    B(tau) D(tau) at step dt to t_horizon, each factor present when its
+    coupling is: the molecular response before its zero-phonon comb was
+    split off (dt of `spectra.time_grid`, t_horizon 12/gamma), and the
+    fine reference at a smaller step and a longer horizon."""
+    t = np.arange(int(np.ceil(t_horizon / dt)) + 1) * dt
+    corr = np.ones(len(t), dtype=complex)
+    if molecule.lam > 0 and kp is not None:
+        corr *= displacement_correlation_vibron(t, molecule, kp, thermal)
+    corr *= phonon_correlation(t, sd, thermal)
+    return response_transform(detuning, corr, molecule.gamma, dt)
 
 
 def dyson_first_order(t: float, bath: DiscreteBath, nu: float):

@@ -296,11 +296,11 @@ def test_criterion_9_cavity():
     for nbar in (0.0, 1.0, 2.0, 3.0):
         th = (ThermalState.from_occupation(nbar, nu) if nbar > 0
               else ThermalState(temperature=0.0))
-        _, t2 = transmission(grid, cav, mol, kp, th)
+        _, t2, _ = transmission(grid, cav, mol, kp, th)
         g_eff = effective_rabi(cav.g, franck_condon(lam_v, nbar))
         worst = max(worst, abs(peak_separation(grid, t2) - 2 * g_eff)
                     / (2 * g_eff))
-        _, t2p = transmission(grid, cav, mol, kp, th, sd=sd)
+        _, t2p, _ = transmission(grid, cav, mol, kp, th, sd=sd)
         g_eff_p = effective_rabi(cav.g, franck_condon(lam_v, nbar),
                                  debye_waller(sd, th))
         worst = max(worst, abs(peak_separation(grid, t2p) - 2 * g_eff_p)
@@ -314,8 +314,8 @@ def test_criterion_9_cavity():
     th_p = ThermalState(temperature=1.309235)
     sd_p = SpectralDensity(kind="3d", coupling=0.2, omega_max=3.0)
     pg = np.linspace(-0.6, 0.6, 1201)
-    _, t2_2l = transmission(pg, cav_p, mol_2l, kp6, th_p)
-    _, t2_ph = transmission(pg, cav_p, mol_p, kp6, th_p, sd=sd_p)
+    _, t2_2l, _ = transmission(pg, cav_p, mol_2l, kp6, th_p)
+    _, t2_ph, _ = transmission(pg, cav_p, mol_p, kp6, th_p, sd=sd_p)
     c_eff = cav_p.g**2 * franck_condon(0.8, th_p.occupation(6.0)) \
         * debye_waller(sd_p, th_p) / (cav_p.kappa * gam)
     width = dip_width(pg, t2_ph)

@@ -81,7 +81,7 @@ class TestTransmission:
     def test_bare_cavity_lorentzian(self):
         cav = CavityParams(delta_c=0.3, kappa=0.5, g=0.0)
         det = np.linspace(-3, 3, 301)
-        _, t2 = transmission(det, cav, MOL, KP, TH0)
+        _, t2, _ = transmission(det, cav, MOL, KP, TH0)
         expect = 0.5**2 / (0.5**2 + (det - 0.3) ** 2)
         np.testing.assert_allclose(t2, expect, rtol=1e-10)
 
@@ -100,7 +100,7 @@ class TestTransmission:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            t_amp, t2 = transmission(det, cav, mol, KP, TH0)
+            t_amp, t2, _ = transmission(det, cav, mol, KP, TH0)
         assert np.all(np.abs(t_amp) <= 1.0 + 1e-9)
 
     def test_paper_figure_splitting_nbar0(self):
@@ -111,7 +111,7 @@ class TestTransmission:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _, t2 = transmission(det, cav, MOL, KP, TH0)
+            _, t2, _ = transmission(det, cav, MOL, KP, TH0)
         sep = peak_separation(det, t2)
         g_eff = effective_rabi(3.0, franck_condon(0.8, 0.0))
         assert abs(sep - 2.0 * g_eff) / (2.0 * g_eff) < 0.05

@@ -29,7 +29,12 @@ from vibrolang.model import (
     SpectralDensity,
     ThermalState,
 )
-from vibrolang.spectra import absorption_bessel, absorption_full, debye_waller
+from vibrolang.spectra import (
+    absorption_bessel,
+    absorption_full,
+    debye_waller,
+    molecular_response,
+)
 
 
 def _write(tmp_path, cfg, name="cfg.json"):
@@ -422,15 +427,15 @@ CONFIG_ERRORS = [
                    id=f"grid-n-{n:g}") for n in (1e300, 10**7 + 1)],
     pytest.param(_set(SMALL_ABSORPTION, "grid.min", -10**400), None,
                  "is not a finite number", id="grid-min-beyond-float"),
-    # the full route's time grid with a coupled sd, 12/gamma long at a step
-    # that keeps the comb's reach inside its Nyquist band, would pass 10^7
-    # points
+    # the wing's time grid with a coupled sd, at least 1/(2 gamma) long at a
+    # step that keeps the comb's reach inside its Nyquist band, would pass
+    # 10^7 points
     *[pytest.param(cfg, None, "the time grid needs", id=f"time-grid-{name}")
       for name, cfg in [
           ("absorption-full", dict(
               SMALL_ABSORPTION, method="full", sd=SMALL_WING["sd"],
-              molecule={"gamma": 1e-5, "nu": 1.0, "lam": 2.0},
-              grid={"min": -4e-3, "max": 4e-3, "n": 1001})),
+              molecule={"gamma": 1e-7, "nu": 1.0, "lam": 2.0},
+              grid={"min": -4e-5, "max": 4e-5, "n": 1001})),
           ("phonon-wing", dict(
               SMALL_WING, gamma=1e-6,
               grid={"min": -4e-4, "max": 4e-4, "n": 1001}))]],
@@ -889,11 +894,30 @@ class TestArtifacts:
         np.testing.assert_array_equal(
             table[:, 1], [float("%.12e" % v) for v in values])
         written = json.loads((out / "spectrum.meta.json").read_text())
-        route = ("dt", "t_horizon") if sd is not None else (
-            "n_lines", "nbar", "nu_prime", "gamma_prime", "tail")
-        for key in (*route, "f_FC", "f_DW", "polaron_shift"):
+        route = ("dt", "t_horizon", "tail_bound", "wing_tail") \
+            if sd is not None else ()
+        for key in (*route, "n_lines", "nbar", "nu_prime", "gamma_prime",
+                    "tail", "f_FC", "f_DW", "polaron_shift"):
             assert written[key] == meta[key]
         assert written["method"] == method
+
+    @pytest.mark.parametrize("sd", [None, SMALL_WING["sd"]],
+                             ids=["no-sd", "sd-3d"])
+    def test_cavity_meta_records_the_response(self, tmp_path, sd):
+        # transmission.meta.json carries molecular_response's meta: the
+        # comb's, and with an sd the wing's dt, horizon and tails
+        cfg = dict(SMALL_CAVITY) if sd is None else dict(SMALL_CAVITY, sd=sd)
+        out = tmp_path / "o"
+        assert main(["cavity", "--config", _write(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        mol = MoleculeParams(**cfg["molecule"])
+        _, meta = molecular_response(
+            np.linspace(-2.0, 2.0, 101), mol,
+            KernelParams(**cfg["kernel"], nu=mol.nu, markovian=True),
+            None if sd is None else SpectralDensity(**sd), ThermalState(0.0))
+        written = json.loads((out / "transmission.meta.json").read_text())
+        assert {key: written[key] for key in meta} == meta
+        assert ("tail_bound" in written) == (sd is not None)
 
     def test_absorption_bessel_method(self, tmp_path):
         # the CLI writes what the Bessel comb evaluates on the same grid,

@@ -30,12 +30,15 @@ from vibrolang import (
     mirror_emission,
     phonon_correlation,
 )
+from vibrolang.cli import load_preset
 from vibrolang.kernels import relaxation_params
 from vibrolang.spectra import (
     _FAR,
+    _HORIZON,
     _PANEL,
     _TERMS,
     LineSpectrum,
+    _band_variation,
     _density_rule,
     _even_grid,
     _phase_sum,
@@ -46,6 +49,7 @@ from vibrolang.spectra import (
     dephasing_rate,
     displacement_correlation_vibron,
     franck_condon,
+    molecular_response,
     polaron_shift,
     response_transform,
     spectral_density,
@@ -57,6 +61,7 @@ from oracles import (
     absorption_multimode_discrete,
     line_response,
     single_mode_dephasing_rate,
+    whole_product_response,
 )
 
 KP = KernelParams(gamma_m=0.1, omega_max=1.3, nu=1.0)
@@ -670,12 +675,22 @@ class TestBandSum:
         (SD_6C, T_6C, TAU_6C, slice(None, None, 61)),
     ], ids=["fig5a-0.3", "fig5a-1.0", "fig5a-corr", "fig6c"])
     def test_exponent_within_gridding_bound(self, sd, temp, t, rows):
+        # each weight column alone, as `dephasing_rate` sums it, and the
+        # exponent's one column on the nodes +-omega, as
+        # `phonon_correlation` sums it; the bound is on the weight gridded
         omega, w = _band_weights(sd, ThermalState(temperature=temp), t)
         _, h, _ = _even_grid(t, "t")
-        err = np.max(np.abs(_phase_sum(t, h, omega, w)[rows]
-                            - _dense_phase_sum(t[rows], omega, w)), axis=0)
-        bound = GRIDDING_BOUND * np.sum(np.abs(w), axis=0)
-        assert np.all(err <= bound), err / bound * GRIDDING_BOUND
+        for col in w.T:
+            err = np.max(np.abs(_phase_sum(t, h, omega, col)[rows]
+                                - _dense_phase_sum(t[rows], omega, col)))
+            bound = GRIDDING_BOUND * np.sum(np.abs(col))
+            assert err <= bound, err / bound * GRIDDING_BOUND
+        a, b = 0.5 * (w[:, 0] - w[:, 1]), 0.5 * (w[:, 0] + w[:, 1])
+        err = np.max(np.abs(_phase_sum(t, h, omega, a, b)[rows]
+                            - _dense_phase_sum(t[rows], omega, a)
+                            - _dense_phase_sum(t[rows], -omega, b)))
+        bound = GRIDDING_BOUND * (np.sum(np.abs(a)) + np.sum(np.abs(b)))
+        assert err <= bound, err / bound * GRIDDING_BOUND
 
     @pytest.mark.parametrize("grid", [
         np.array([2.5]), np.array([0.0, 0.75]), np.linspace(-1.0, 2.0, 3),
@@ -814,7 +829,8 @@ class TestResponseTransform:
         grid = np.linspace(-2.0, 60.0, 3101)
         ref = absorption_discrete(mol, KP, TH0).evaluate(grid)
         sd = SpectralDensity(kind="3d", coupling=0.02, omega_max=1.3)
-        dt, n = time_grid(grid, mol, KP, sd, TH0)
+        dt = time_grid(grid, mol, KP, sd, TH0).dt
+        n = int(np.ceil(_HORIZON / mol.gamma / dt)) + 1
         corr = displacement_correlation_vibron(np.arange(n) * dt, mol, KP,
                                                TH0)
         vals = response_transform(grid, corr, mol.gamma, dt).real / mol.gamma
@@ -845,3 +861,139 @@ class TestResponseTransform:
         np.testing.assert_allclose(
             vals, 1.0 / (0.05**2 + grid**2), rtol=1e-4
         )
+
+
+# ---------------------------------------------------------------------------
+# the zero-phonon comb summed exactly, the phonon wing transformed
+
+
+def _preset_points():
+    """(id, grid, molecule, kernel, sd, thermal) of every preset point with
+    an sd, and of the cavity workload's two shortened configs at the ends
+    of its ranges."""
+    def grid(cfg):
+        g = cfg["grid"]
+        return np.linspace(g["min"], g["max"], g["n"])
+
+    def cavity(cfg, **mol):
+        m = MoleculeParams(**dict(cfg["molecule"], **mol))
+        return m, KernelParams(**cfg["kernel"], nu=m.nu,
+                               markovian=cfg["markovian"])
+
+    points = []
+    for name in ("fig5a", "fig5b"):
+        cfg = load_preset(name)
+        mol = MoleculeParams(gamma=cfg["gamma"], nu=1.0, lam=0.0)
+        points += [(f"{name}-T{t:g}", grid(cfg), mol, None,
+                    SpectralDensity(**cfg["sd"]), ThermalState(t))
+                   for t in cfg["sweep"]["values"]]
+    cfg = load_preset("fig6b")
+    mol, kp = cavity(cfg)
+    points += [(f"fig6b-nbar{nbar:g}", grid(cfg), mol, kp,
+                SpectralDensity(**cfg["sd"]),
+                ThermalState.from_occupation(nbar, mol.nu))
+               for nbar in cfg["sweep"]["values"]]
+    points.append(("cavity-fig6b", grid(cfg), *cavity(cfg, gamma=0.08),
+                   SpectralDensity(**cfg["sd"]),
+                   ThermalState.from_occupation(0.5, mol.nu)))
+    cfg = load_preset("fig6c")
+    points.append(("fig6c", grid(cfg), *cavity(cfg),
+                   SpectralDensity(**cfg["sd"]),
+                   ThermalState(cfg["temperature"])))
+    points.append(("cavity-fig6c", grid(cfg), *cavity(cfg, gamma=0.06),
+                   SpectralDensity(**cfg["sd"]), ThermalState(1.6)))
+    return points
+
+
+PRESET_POINTS = _preset_points()
+# old ROADMAP item 5's comb, lam = 4 and 6 on -2...3, now with a coupled sd
+COMB_POINTS = [
+    (f"comb-lam{lam:g}", np.linspace(-2.0, 3.0, 201),
+     MoleculeParams(gamma=0.025, nu=1.0, lam=lam), KP,
+     SpectralDensity(kind="3d", coupling=0.03, omega_max=1.3), TH0)
+    for lam in (4.0, 6.0)]
+
+
+def _oracle_bound(grid, mol, kp, sd, thermal, steps, scale):
+    """The largest |H - H_ref| that the argument allows, H the split route
+    and H_ref the whole-product oracle at dt/8 to 24/gamma:
+
+    - the wing's cut tail beyond T', the last point Simpson reaches:
+      int_T'^inf e^{-gamma tau} min(f expm1(V/tau), 1 - f) dtau, at most
+      the bracket at T' times e^{-gamma T'}/gamma; the oracle's tail,
+      e^{-gamma T_o}/gamma;
+    - Simpson's error, its images included: at most (dt^4/72) int |y^(4)|
+      for each real part (Peano kernel).  y = e^{(i Delta - gamma) tau}
+      B (D - f) is a positive mixture of e^{(i(Delta - p + x) - g) tau}:
+      the comb's lines (position p, weight w, width g >= gamma) times the
+      phonon measure of D - f, of mass 1 - f and fourth moment at most
+      D's, m4 (a compound Poisson measure, from its cumulants).  With
+      |a + b|^4 <= 8 (|a|^4 + |b|^4), int |y^(4)| <= (8/gamma) sum w
+      ((1 - f) ((|Delta| + |p|)^2 + g^2)^2 + m4).  The oracle's whole
+      product has mass 1 in place of 1 - f, at dt/8;
+    - the chirp-z transform's rounding, 1e-12 of the scale
+      (`test_chirp_z_matches_dense_simpson`)."""
+    gamma, dt = mol.gamma, steps.dt
+    lines = absorption_discrete(mol, kp, thermal).lines \
+        if mol.lam > 0 and kp is not None else np.array([[0.0, 1.0, gamma]])
+    pos, w, g = lines.T
+    omega, big_w = _density_rule(sd, thermal, (steps.n - 1) * dt)
+    w_re = big_w * thermal.coth_half_beta(omega) / omega**2
+    w_im = big_w / omega**2
+    f = math.exp(-np.sum(w_re))
+    k1, k2, k3, k4 = (-np.sum(w_im * omega), np.sum(w_re * omega**2),
+                      -np.sum(w_im * omega**3), np.sum(w_re * omega**4))
+    m4 = k4 + 4 * k3 * k1 + 3 * k2**2 + 6 * k2 * k1**2 + k1**4
+    a = ((np.max(np.abs(grid)) + np.abs(pos)) ** 2 + g * g) ** 2
+    peano = math.sqrt(2.0) * 8.0 / (72.0 * gamma)
+    simpson = peano * dt**4 * (np.sum(w * ((1 - f) * a + m4))
+                               + np.sum(w * (a + m4)) / 8**4)
+    t_cut = ((steps.n if steps.n % 2 else steps.n - 1) - 1) * dt
+    with np.errstate(over="ignore"):
+        zpl = min(f * np.expm1(_band_variation(sd, thermal)[0] / t_cut),
+                  1 - f)
+    tails = (zpl * math.exp(-gamma * t_cut)
+             + math.exp(-24.0 + gamma * dt / 8)) / gamma
+    return tails + simpson + 1e-12 * scale
+
+
+class TestWingSplit:
+    @pytest.mark.parametrize("case", PRESET_POINTS + COMB_POINTS,
+                             ids=lambda c: c[0])
+    def test_matches_whole_product_oracle(self, case):
+        # the split route within its bound of the whole-product oracle at
+        # dt/8 to 24/gamma, and no further from it than the whole product
+        # at the same dt to 12/gamma
+        _, grid, mol, kp, sd, th = case
+        steps = time_grid(grid, mol, kp, sd, th)
+        h, meta = molecular_response(grid, mol, kp, sd, th)
+        ref = whole_product_response(grid, mol, kp, sd, th, steps.dt / 8,
+                                     24.0 / mol.gamma)
+        whole = whole_product_response(grid, mol, kp, sd, th, steps.dt,
+                                       _HORIZON / mol.gamma)
+        scale = np.max(np.abs(ref))
+        err = np.max(np.abs(h - ref))
+        assert err <= _oracle_bound(grid, mol, kp, sd, th, steps, scale), \
+            err / scale
+        assert err <= np.max(np.abs(whole - ref)), err / scale
+        assert meta["t_horizon"] == steps.t_horizon <= _HORIZON / mol.gamma
+        assert meta["tail_bound"] == steps.tail_bound <= math.exp(-_HORIZON)
+
+    @pytest.mark.parametrize("case", PRESET_POINTS, ids=lambda c: c[0])
+    def test_tail_bound_against_dense_sum(self, case):
+        # |D(tau) - f_DW| <= f_DW expm1(V/tau) on [T, 24/gamma], D from the
+        # uniform midpoint sum and V from the band rule's nodes; with
+        # |B| <= 1 the horizon's bound covers the wing's last point
+        _, grid, mol, kp, sd, th = case
+        steps = time_grid(grid, mol, kp, sd, th)
+        tau = np.linspace(steps.t_horizon, 24.0 / mol.gamma, 49)
+        corr = np.concatenate([_riemann_phonon_correlation(
+            tau[i:i + 7], sd, th, n_mid=200000) for i in range(0, 49, 7)])
+        f = debye_waller(sd, th)
+        with np.errstate(over="ignore"):
+            bound = f * np.expm1(_band_variation(sd, th)[0] / tau)
+        assert np.all(np.abs(corr - f) <= bound), \
+            np.max(np.abs(corr - f) / bound)
+        _, meta = molecular_response(grid, mol, kp, sd, th)
+        assert meta["wing_tail"] * math.exp(-mol.gamma * steps.t_horizon) \
+            <= steps.tail_bound
