@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernels import KernelParams, relaxation_params
-from .model import MoleculeParams, SpectralDensity, ThermalState
-from .spectra import franck_condon, molecular_response, zero_phonon_weight
+from .kernels import KernelParams
+from .model import MoleculeParams, ThermalState
+from .spectra import Response, molecular_response
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -42,29 +42,25 @@ class CavityParams:
             raise DomainError(f"g^2 = {self.g * self.g!r} is not finite")
 
 
-def transmission(detuning, cavity: CavityParams, molecule: MoleculeParams,
-                 kp: KernelParams, thermal: ThermalState,
-                 sd: SpectralDensity | None = None):
+def transmission(detuning, cavity: CavityParams, route: Response | None):
     """Normalized cavity transmission amplitude
 
         T(delta) = kappa / [ g^2 H(delta) + kappa - i(delta - delta_c) ],
 
-    with H of `spectra.molecular_response`, returned as (T, |T|^2, meta),
-    meta that response's meta.  g = 0 gives the bare cavity Lorentzian and
-    an empty meta.
+    with H of `spectra.molecular_response` on the molecule's route over
+    `detuning`, returned as (T, |T|^2, meta), meta that response's meta.
+    No route (as at g = 0) gives the bare cavity Lorentzian and an empty
+    meta.
     """
     detuning = np.asarray(detuning, dtype=float)
-    if cavity.g > 0:
-        # a two-level molecule (lam = 0) has no vibron to relax
-        if molecule.lam > 0 and relaxation_params(kp)[1] < cavity.kappa:
-            warnings.warn(
-                "Gamma' < kappa: vibrational relaxation slower than the "
-                "cavity; factorized response is approximate",
-                stacklevel=2,
-            )
-        h, meta = molecular_response(detuning, molecule, kp, sd, thermal)
-    else:
-        h, meta = 0.0, {}
+    # Gamma' is in the meta of a vibron's comb; a two-level molecule has none
+    if route and route.comb.meta.get("gamma_prime", math.inf) < cavity.kappa:
+        warnings.warn(
+            "Gamma' < kappa: vibrational relaxation slower than the "
+            "cavity; factorized response is approximate",
+            stacklevel=2,
+        )
+    h, meta = molecular_response(route) if route else (0.0, {})
     den = (cavity.g * cavity.g * h + cavity.kappa
            - 1j * (detuning - cavity.delta_c))
     t_amp = cavity.kappa / den
@@ -77,15 +73,6 @@ def effective_rabi(g, f_fc, f_dw=1.0):
     if not (0 <= f_fc <= 1 and 0 <= f_dw <= 1):
         raise DomainError("Franck-Condon / Debye-Waller factors must be in [0,1]")
     return g * math.sqrt(f_fc * f_dw)
-
-
-def effective_rabi_from_params(cavity: CavityParams, molecule: MoleculeParams,
-                               thermal: ThermalState,
-                               sd: SpectralDensity | None = None):
-    """g_eff with f_FC from (lam, nbar(nu)) and f_DW of
-    `spectra.zero_phonon_weight`."""
-    f_fc = franck_condon(molecule.lam, thermal.occupation(molecule.nu))
-    return effective_rabi(cavity.g, f_fc, zero_phonon_weight(sd, thermal))
 
 
 def peak_positions(grid, values):

@@ -342,16 +342,20 @@ def _handle_absorption(cfg, seed):
     sd = _build(SpectralDensity, cfg.typed("sd", "section")) \
         if method == "full" and "sd" in cfg else None
     spectra.check_resolution(grid, mol.gamma)
-    # the vibron's pole and comb order, and the time grid with an sd
-    _domain("kernel.omega_max", spectra.time_grid, grid, mol, kp, sd, thermal)
+    # the vibron's pole and comb, and the time grid with an sd
+    if method == "bessel":
+        spec = _domain("kernel.omega_max", spectra.absorption_bessel, mol, kp,
+                       thermal)
+    else:
+        route = _domain("kernel.omega_max", spectra.response_route, grid,
+                        mol, kp, sd, thermal)
 
     def run():
         if method == "bessel":
-            spec = spectra.absorption_bessel(mol, kp, thermal)
             values = spec.evaluate(grid)
             meta = {"n_lines": len(spec.lines), **spec.meta}
         else:
-            values, meta = spectra.absorption_full(grid, mol, kp, sd, thermal)
+            values, meta = spectra.absorption_full(route)
         meta.update(config=cfg, method=method)
         data, rows = _csv("detuning,value", [grid, values])
         out = [Artifact("spectrum.csv", data, rows,
@@ -393,11 +397,11 @@ def _handle_phonon_wing(cfg, seed):
     spectra.check_resolution(grid, mol.gamma)
     # the correlation's step: the transform's, or the band's where the
     # density does not couple and the correlation is 1
-    steps = spectra.time_grid(grid, mol, None, sd, thermal)
-    dt = steps.dt if steps else 1.0 / (8.0 * sd.omega_max)
+    route = spectra.response_route(grid, mol, None, sd, thermal)
+    dt = route.steps.dt if route.steps else 1.0 / (8.0 * sd.omega_max)
 
     def run():
-        values, meta = spectra.absorption_full(grid, mol, None, sd, thermal)
+        values, meta = spectra.absorption_full(route)
         data, rows = _csv("detuning,value", [grid, values])
         t = np.arange(0.0, 30.0 / sd.omega_max, dt)
         corr = np.atleast_1d(spectra.phonon_correlation(t, sd, thermal))
@@ -418,14 +422,14 @@ def _handle_cavity(cfg, seed):
     sd = _build(SpectralDensity, cfg.typed("sd", "section")) \
         if "sd" in cfg else None
     grid = _grid(cfg, "grid")
-    if cav.g > 0:  # the molecular response: its pole, comb order and times
-        _domain("kernel.omega_max", spectra.time_grid, grid, mol, kp, sd,
-                thermal)
+    # the molecular response: its pole, comb and times
+    route = _domain("kernel.omega_max", spectra.response_route, grid, mol,
+                    kp, sd, thermal) if cav.g > 0 else None
 
     def run():
-        t_amp, t2, meta = cavity_mod.transmission(grid, cav, mol, kp,
-                                                  thermal, sd=sd)
-        g_eff = cavity_mod.effective_rabi_from_params(cav, mol, thermal, sd=sd)
+        t_amp, t2, meta = cavity_mod.transmission(grid, cav, route)
+        g_eff = cavity_mod.effective_rabi(cav.g, route.f_fc, route.f_dw) \
+            if route else 0.0
         data, rows = _csv("detuning,re_T,im_T,abs_T2",
                           [grid, np.real(t_amp), np.imag(t_amp), t2])
         return [

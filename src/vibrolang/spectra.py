@@ -94,14 +94,6 @@ def debye_waller(sd: SpectralDensity, thermal: ThermalState):
     return float(np.exp(-np.sum(big_w * coth / omega**2)))
 
 
-def zero_phonon_weight(sd: SpectralDensity | None, thermal: ThermalState):
-    """f_DW of an optional density: 1 without one, 0 where the Debye-Waller
-    exponent diverges (1d, omega_min = 0), else `debye_waller`."""
-    if sd is None:
-        return 1.0
-    return 0.0 if sd.infrared_divergent else debye_waller(sd, thermal)
-
-
 def polaron_shift(sd: SpectralDensity):
     """Electronic frequency renormalization int J(w)/w dw, on
     `_density_rule` as `debye_waller`; within 4e-16 of adaptive quadrature
@@ -195,7 +187,8 @@ def _phase_sum(t, h, omega, weights, mirror=None):
             + 1j * np.bincount(idx, (spread * src.imag[:, None]).ravel(),
                                minlength=size)
 
-    grid = gridded(base[:, None] + offset, spread, weights * phase)
+    grid = gridded(base[:, None] + offset, spread, weights * phase) \
+        if np.any(weights) else np.zeros(size, dtype=complex)
     if mirror is not None:
         grid += gridded(offset - 1 - base[:, None], spread[:, ::-1],
                         mirror * phase.conj())
@@ -210,7 +203,8 @@ def _phonon_exponent(tau, h, sd: SpectralDensity, thermal: ThermalState):
     `_density_rule`'s nodes for max|tau|, w_re = J coth(beta omega/2)
     domega/omega^2 and w_im = J domega/omega^2.  S is one `_phase_sum`,
     sum 1/2 [(w_re - w_im) e^{i omega tau} + (w_re + w_im) e^{-i omega tau}]
-    on the nodes +-omega; exp(-W) is f_DW on these nodes."""
+    on the nodes +-omega, the first all 0 at T = 0 and then not gridded;
+    exp(-W) is f_DW on these nodes."""
     omega, big_w = _density_rule(sd, thermal, float(np.max(np.abs(tau))))
     w_re = big_w * thermal.coth_half_beta(omega) / omega**2
     w_im = big_w / omega**2
@@ -573,6 +567,22 @@ class TimeGrid(NamedTuple):
     tail_bound: float
 
 
+class Response(NamedTuple):
+    """One point's molecular response as `response_route` builds it: its
+    objects (kp and sd where they couple, else None), its zero-phonon comb,
+    the wing's `TimeGrid` (None without a density), f_FC and f_DW."""
+
+    detuning: np.ndarray
+    molecule: MoleculeParams
+    kp: KernelParams | None
+    sd: SpectralDensity | None
+    thermal: ThermalState
+    comb: LineSpectrum
+    steps: TimeGrid | None
+    f_fc: float
+    f_dw: float
+
+
 def _band_variation(sd: SpectralDensity, thermal: ThermalState):
     """(V, W) on `debye_waller`'s rule, W = -ln f_DW and V the sum over
     g = J coth(beta omega/2)/omega^2 and J/omega^2 of |g(omega_min)| +
@@ -594,7 +604,7 @@ def _band_variation(sd: SpectralDensity, thermal: ThermalState):
 
 
 def _wing_horizon(sd: SpectralDensity, thermal: ThermalState, gamma):
-    """(T, bound): the shortest T = k/(2 gamma), k = 1 .. 2 _HORIZON, whose
+    """(T, bound, W): the shortest T = k/(2 gamma), k = 1 .. 2 _HORIZON, whose
 
         bound = min(f_DW expm1(V/T), 1 - f_DW) e^{-gamma T} <= e^{-_HORIZON},
 
@@ -602,9 +612,9 @@ def _wing_horizon(sd: SpectralDensity, thermal: ThermalState, gamma):
     it bounds e^{-gamma tau} |B (D - f_DW)|: |B| <= 1, |D - f_DW| <= 1 - f_DW
     everywhere and <= f_DW expm1(V/tau) by `_band_variation`.  At k =
     2 _HORIZON the bound holds whatever V, and with omega_min = 0 on a 1d
-    density (f_DW = 0, V infinite) T is that cap."""
+    density (W and V infinite, f_DW = 0) T is that cap."""
     if sd.infrared_divergent:
-        return _HORIZON / gamma, math.exp(-_HORIZON)
+        return _HORIZON / gamma, math.exp(-_HORIZON), math.inf
     v, w = _band_variation(sd, thermal)
     f = math.exp(-w)
 
@@ -617,79 +627,79 @@ def _wing_horizon(sd: SpectralDensity, thermal: ThermalState, gamma):
 
     gt = next(0.5 * k for k in range(1, int(2 * _HORIZON) + 1)
               if bound(0.5 * k) <= math.exp(-_HORIZON))
-    return gt / gamma, bound(gt)
+    return gt / gamma, bound(gt), w
 
 
-def time_grid(detuning, molecule: MoleculeParams, kp: KernelParams | None,
-              sd: SpectralDensity | None, thermal: ThermalState):
-    """The route of `molecular_response`, checked before any point computes.
+def response_route(detuning, molecule: MoleculeParams,
+                   kp: KernelParams | None, sd: SpectralDensity | None,
+                   thermal: ThermalState) -> Response:
+    """The `Response` of one point, every choice of its route made once.
 
-    None where no phonon density couples (no `sd`, or its coupling 0): the
-    response is then the sideband comb's and needs no time grid.  Else the
-    `TimeGrid` on which the wing B (D - f_DW) is sampled: the horizon T of
-    `_wing_horizon`, the shortest whose a priori tail bound is e^-12 (at
-    most `_HORIZON`/gamma), and dt that resolves the fastest of 32 gamma,
-    nu and omega_max, made finer where needed so that the Nyquist band pi/dt
-    covers the grid's largest |detuning| plus the vibron comb's reach, its
-    order `choose_n_max` times nu'.  A coarser dt folds the comb's far
-    sidebands onto the grid.  On either route, where a vibron couples
-    (lam > 0 with a kernel), raises RegimeError where it has no pole
-    (nu', Gamma') and TruncationError where its comb cannot close;
-    ResolutionError over 10^7 points."""
-    vibron = molecule.lam > 0 and kp is not None
-    if vibron:
-        nu_p = relaxation_params(kp)[0]
-        n_max = choose_n_max(molecule.lam, thermal.occupation(kp.nu))
-    if sd is None or sd.coupling == 0:
-        return None
+    The comb is `absorption_discrete`'s where a vibron couples (lam > 0
+    with a kernel), else the one line 1/(gamma - i Delta), and f_FC is
+    `franck_condon`'s at the kernel's nu.  Without a coupled density (no
+    sd, or coupling 0) f_DW = 1 and there is no wing.  Else f_DW = e^-W of
+    `_wing_horizon`, `debye_waller`'s sum (0 where the 1d density
+    diverges), and the wing runs to that horizon, the shortest whose a
+    priori tail bound is e^-12, at the dt that resolves the fastest of
+    32 gamma, nu and omega_max, made finer where needed so that the Nyquist
+    band pi/dt covers the grid's largest |detuning| plus the comb's reach,
+    its order `choose_n_max` times nu'; a coarser dt folds the comb's far
+    sidebands onto the grid.  Raises RegimeError where a coupled vibron has
+    no pole (nu', Gamma'), TruncationError where its comb cannot close and
+    ResolutionError where the wing needs over 10^7 points."""
+    detuning = np.asarray(detuning, dtype=float)
     gamma = molecule.gamma
+    f_fc = franck_condon(molecule.lam, thermal.occupation(kp.nu)) \
+        if kp is not None else 1.0
+    kp = kp if molecule.lam > 0 else None
+    comb = absorption_discrete(molecule, kp, thermal) if kp is not None \
+        else LineSpectrum(lines=[[0.0, 1.0, gamma]], gamma=gamma)
+    if sd is None or sd.coupling == 0:
+        return Response(detuning, molecule, kp, None, thermal, comb, None,
+                        f_fc, 1.0)
     scales = [32.0 * gamma, sd.omega_max]
     reach = float(np.max(np.abs(detuning), initial=0.0))
-    if vibron:
+    if kp is not None:
         scales.append(kp.nu)
-        reach += n_max * nu_p
+        reach += choose_n_max(molecule.lam, comb.meta["nbar"]) \
+            * comb.meta["nu_prime"]
     dt = 1.0 / (8.0 * max(scales))
     if reach * dt > math.pi:
         dt = math.pi / reach
-    t_horizon, bound = _wing_horizon(sd, thermal, gamma)
+    t_horizon, bound, big_w = _wing_horizon(sd, thermal, gamma)
     n = int(np.ceil(t_horizon / dt)) + 1
     if n > GRID_MAX:
         raise ResolutionError(
             f"the time grid needs {n} points (dt {dt:.3g} to "
             f"{t_horizon * gamma:g}/gamma), more than {GRID_MAX}")
-    return TimeGrid(dt, n, t_horizon, bound)
+    return Response(detuning, molecule, kp, sd, thermal, comb,
+                    TimeGrid(dt, n, t_horizon, bound), f_fc,
+                    float(np.exp(-big_w)))
 
 
-def molecular_response(detuning, molecule: MoleculeParams,
-                       kp: KernelParams | None, sd: SpectralDensity | None,
-                       thermal: ThermalState):
-    """Complex molecular response H(Delta), the damped transform of the
-    product correlation B D = <B B^dag><D D^dag>, each factor present when
-    its coupling is; absorption reads it as Re H/gamma, the cavity as H.
-    It is split as the paper splits a lineshape,
+def molecular_response(route: Response):
+    """Complex molecular response H(Delta) of a `response_route`, the damped
+    transform of the product correlation B D = <B B^dag><D D^dag>, each
+    factor present when its coupling is; absorption reads it as Re H/gamma,
+    the cavity as H.  It is split as the paper splits a lineshape,
 
         H = f_DW C(Delta) + int_0^T e^{(i Delta - gamma) tau} B (D - f_DW),
 
-    into the zero-phonon part and the phonon wing.  C is the vibron's
-    sideband comb, `absorption_discrete`'s `LineSpectrum.response`, which
-    the pole form's B generates exactly; without a kernel or at lam = 0 it
-    is the one line 1/(gamma - i Delta).  It is summed exactly, with no
+    into the zero-phonon part and the phonon wing.  C is the route's comb,
+    whose response the pole form's B generates exactly, summed with no
     horizon and no Simpson images.  Returns (H, meta):
 
-    - no phonon density couples (`time_grid` is None): f_DW = 1 and no wing,
-      H = C.  meta: n_lines and the comb's meta.
+    - no density couples (no time grid): f_DW = 1 and no wing, H = C.
+      meta: n_lines and the comb's meta.
     - a density couples: f_DW = exp(-W) of `_phonon_exponent` on D's own
       nodes, so that D - f_DW tends to 0 on the grid (0 where the 1d
       density's f_DW diverges to 0), and the wing through
-      `response_transform` on `time_grid`'s grid.  meta adds dt,
+      `response_transform` on the route's time grid.  meta adds dt,
       t_horizon, the tail bound at T and the measured |D(T) - f_DW|
       (wing_tail).
     """
-    gamma = molecule.gamma
-    steps = time_grid(detuning, molecule, kp, sd, thermal)
-    vibron = molecule.lam > 0 and kp is not None
-    spec = absorption_discrete(molecule, kp, thermal) if vibron \
-        else LineSpectrum(lines=[[0.0, 1.0, gamma]], gamma=gamma)
+    detuning, molecule, kp, sd, thermal, spec, steps, _, _ = route
     comb = spec.response(detuning)
     meta = {"n_lines": len(spec.lines), **spec.meta}
     if steps is None:
@@ -700,9 +710,9 @@ def molecular_response(detuning, molecule: MoleculeParams,
     wing = np.exp(s - big_w) - f_dw
     meta.update(dt=steps.dt, t_horizon=steps.t_horizon,
                 tail_bound=steps.tail_bound, wing_tail=float(abs(wing[-1])))
-    if vibron:
+    if kp is not None:
         wing *= displacement_correlation_vibron(t, molecule, kp, thermal)
-    h = response_transform(detuning, wing, gamma, steps.dt)
+    h = response_transform(detuning, wing, molecule.gamma, steps.dt)
     return (h + f_dw * comb if f_dw > 0 else h), meta
 
 
@@ -717,27 +727,15 @@ def check_resolution(detuning_grid, gamma):
             "unresolvable")
 
 
-def absorption_full(detuning_grid, molecule: MoleculeParams,
-                    kp: KernelParams | None, sd: SpectralDensity | None,
-                    thermal: ThermalState):
+def absorption_full(route: Response):
     """Full absorption spectrum P_e/eta^2 including vibronic sidebands and
-    phonon wings, Re H/gamma of `molecular_response`.
-
-    Detuning is measured from the polaron-shifted transition.  Returns
-    (values, meta) with meta carrying the response's meta and the
-    Franck-Condon, Debye-Waller and polaron-shift factors.
-    """
-    detuning_grid = np.asarray(detuning_grid, dtype=float)
-    gamma = molecule.gamma
-    check_resolution(detuning_grid, gamma)
-    h, meta = molecular_response(detuning_grid, molecule, kp, sd, thermal)
-    values = np.real(np.atleast_1d(h)) / gamma
-    meta.update({
-        "f_FC": franck_condon(molecule.lam, thermal.occupation(kp.nu))
-        if kp is not None else 1.0,
-        "f_DW": zero_phonon_weight(sd, thermal),
-        "polaron_shift": polaron_shift(sd) if sd is not None else 0.0,
-    })
+    phonon wings, Re H/gamma of `molecular_response`, with detuning measured
+    from the polaron-shifted transition.  Returns (values, meta), meta the
+    response's with the route's f_FC and f_DW and the polaron shift."""
+    h, meta = molecular_response(route)
+    values = np.real(np.atleast_1d(h)) / route.molecule.gamma
+    shift = polaron_shift(route.sd) if route.sd is not None else 0.0
+    meta.update(f_FC=route.f_fc, f_DW=route.f_dw, polaron_shift=shift)
     return values, meta
 
 

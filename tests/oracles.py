@@ -159,8 +159,8 @@ def whole_product_response(detuning, molecule: MoleculeParams,
     """H(Delta) as the composite-Simpson transform of the whole product
     B(tau) D(tau) at step dt to t_horizon, each factor present when its
     coupling is: the molecular response before its zero-phonon comb was
-    split off (dt of `spectra.time_grid`, t_horizon 12/gamma), and the
-    fine reference at a smaller step and a longer horizon."""
+    split off (dt of `spectra.response_route`, t_horizon 12/gamma), and
+    the fine reference at a smaller step and a longer horizon."""
     t = np.arange(int(np.ceil(t_horizon / dt)) + 1) * dt
     corr = np.ones(len(t), dtype=complex)
     if molecule.lam > 0 and kp is not None:

@@ -45,6 +45,7 @@ from vibrolang.spectra import (
     debye_waller,
     dephasing_rate,
     franck_condon,
+    response_route,
     vibron_lines,
 )
 
@@ -239,7 +240,8 @@ def test_criterion_7_phonon_wing():
     w0 = 10.0 * gam
 
     def wing_sides(thermal):
-        vals, meta = absorption_full(grid, mol, kp, sd, thermal)
+        vals, meta = absorption_full(response_route(grid, mol, kp, sd,
+                                                    thermal))
         wing = vals - meta["f_DW"] / (gam**2 + grid**2)
         red = np.trapezoid(np.abs(wing[grid < -w0]), grid[grid < -w0])
         blue = np.trapezoid(np.abs(wing[grid > w0]), grid[grid > w0])
@@ -296,11 +298,13 @@ def test_criterion_9_cavity():
     for nbar in (0.0, 1.0, 2.0, 3.0):
         th = (ThermalState.from_occupation(nbar, nu) if nbar > 0
               else ThermalState(temperature=0.0))
-        _, t2, _ = transmission(grid, cav, mol, kp, th)
+        _, t2, _ = transmission(grid, cav,
+                                response_route(grid, mol, kp, None, th))
         g_eff = effective_rabi(cav.g, franck_condon(lam_v, nbar))
         worst = max(worst, abs(peak_separation(grid, t2) - 2 * g_eff)
                     / (2 * g_eff))
-        _, t2p, _ = transmission(grid, cav, mol, kp, th, sd=sd)
+        _, t2p, _ = transmission(grid, cav,
+                                 response_route(grid, mol, kp, sd, th))
         g_eff_p = effective_rabi(cav.g, franck_condon(lam_v, nbar),
                                  debye_waller(sd, th))
         worst = max(worst, abs(peak_separation(grid, t2p) - 2 * g_eff_p)
@@ -314,8 +318,10 @@ def test_criterion_9_cavity():
     th_p = ThermalState(temperature=1.309235)
     sd_p = SpectralDensity(kind="3d", coupling=0.2, omega_max=3.0)
     pg = np.linspace(-0.6, 0.6, 1201)
-    _, t2_2l, _ = transmission(pg, cav_p, mol_2l, kp6, th_p)
-    _, t2_ph, _ = transmission(pg, cav_p, mol_p, kp6, th_p, sd=sd_p)
+    _, t2_2l, _ = transmission(pg, cav_p,
+                               response_route(pg, mol_2l, kp6, None, th_p))
+    _, t2_ph, _ = transmission(pg, cav_p,
+                               response_route(pg, mol_p, kp6, sd_p, th_p))
     c_eff = cav_p.g**2 * franck_condon(0.8, th_p.occupation(6.0)) \
         * debye_waller(sd_p, th_p) / (cav_p.kappa * gam)
     width = dip_width(pg, t2_ph)

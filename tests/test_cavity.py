@@ -10,6 +10,7 @@ from vibrolang import (
     DomainError,
     KernelParams,
     MoleculeParams,
+    SpectralDensity,
     ThermalState,
     polariton_populations,
     polariton_rates,
@@ -18,20 +19,31 @@ from vibrolang import (
 from vibrolang.cavity import (
     dip_width,
     effective_rabi,
-    effective_rabi_from_params,
     hybridized_decay,
     peak_positions,
     peak_separation,
 )
 from vibrolang.spectra import (
     absorption_discrete,
+    debye_waller,
     franck_condon,
     molecular_response,
+    response_route,
 )
 
 KP = KernelParams(gamma_m=0.48, omega_max=3.0, nu=6.0, markovian=True)
 TH0 = ThermalState(temperature=0.0)
 MOL = MoleculeParams(gamma=0.02, nu=6.0, lam=0.8)
+
+
+def _response(det, mol, kp, th):
+    """H of the molecule's route on `det`, without a phonon density."""
+    return molecular_response(response_route(det, mol, kp, None, th))[0]
+
+
+def _transmission(det, cav, mol, kp=KP, th=TH0):
+    """`transmission` through the molecule's route, without a density."""
+    return transmission(det, cav, response_route(det, mol, kp, None, th))
 
 
 class TestResponse:
@@ -40,13 +52,13 @@ class TestResponse:
     def test_two_level_response(self):
         mol = MoleculeParams(gamma=0.1, nu=6.0, lam=0.0)
         det = np.linspace(-2, 2, 41)
-        h, _ = molecular_response(det, mol, KP, None, TH0)
+        h = _response(det, mol, KP, TH0)
         np.testing.assert_allclose(h, 1.0 / (0.1 - 1j * det), rtol=1e-12)
 
     def test_kramers_kronig_at_band_center(self):
         # Re H at 0 from the Hilbert transform of Im H (principal value)
         det = np.linspace(-40.0, 40.0, 160001)
-        h, _ = molecular_response(det, MOL, KP, None, TH0)
+        h = _response(det, MOL, KP, TH0)
         im = h.imag
         with np.errstate(divide="ignore", invalid="ignore"):
             integrand = np.where(det != 0.0, im / det, 0.0)
@@ -58,7 +70,7 @@ class TestResponse:
         # one sideband comb, two evaluations: Re H / gamma is the spectrum
         th = ThermalState.from_occupation(1.0, MOL.nu)
         det = np.linspace(-10.0, 10.0, 2001)
-        h, _ = molecular_response(det, MOL, KP, None, th)
+        h = _response(det, MOL, KP, th)
         ref = absorption_discrete(MOL, KP, th).evaluate(det)
         np.testing.assert_array_equal(h.real / MOL.gamma, ref)
 
@@ -73,15 +85,15 @@ class TestResponse:
         f = wt / (x * x + wid * wid)
         one_pass = np.sum(f * wid, axis=-1) + 1j * np.sum(x * f, axis=-1)
         np.testing.assert_array_equal(
-            molecular_response(det, mol, kp, None, th)[0], one_pass)
-        assert molecular_response(det[3], mol, kp, None, th)[0] == one_pass[3]
+            _response(det, mol, kp, th), one_pass)
+        assert _response(det[3], mol, kp, th) == one_pass[3]
 
 
 class TestTransmission:
     def test_bare_cavity_lorentzian(self):
         cav = CavityParams(delta_c=0.3, kappa=0.5, g=0.0)
         det = np.linspace(-3, 3, 301)
-        _, t2, _ = transmission(det, cav, MOL, KP, TH0)
+        _, t2, _ = transmission(det, cav, None)
         expect = 0.5**2 / (0.5**2 + (det - 0.3) ** 2)
         np.testing.assert_allclose(t2, expect, rtol=1e-10)
 
@@ -100,7 +112,7 @@ class TestTransmission:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            t_amp, t2, _ = transmission(det, cav, mol, KP, TH0)
+            t_amp, t2, _ = _transmission(det, cav, mol)
         assert np.all(np.abs(t_amp) <= 1.0 + 1e-9)
 
     def test_paper_figure_splitting_nbar0(self):
@@ -111,7 +123,7 @@ class TestTransmission:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _, t2, _ = transmission(det, cav, MOL, KP, TH0)
+            _, t2, _ = _transmission(det, cav, MOL)
         sep = peak_separation(det, t2)
         g_eff = effective_rabi(3.0, franck_condon(0.8, 0.0))
         assert abs(sep - 2.0 * g_eff) / (2.0 * g_eff) < 0.05
@@ -119,7 +131,7 @@ class TestTransmission:
     def test_factorization_warning_when_cavity_fast(self):
         cav = CavityParams(delta_c=0.0, kappa=5.0, g=1.0)
         with pytest.warns(UserWarning):
-            transmission(np.linspace(-1, 1, 11), cav, MOL, KP, TH0)
+            _transmission(np.linspace(-1, 1, 11), cav, MOL)
 
 
 class TestPeakUtilities:
@@ -163,12 +175,19 @@ class TestEffectiveRabi:
         )
 
     def test_monotone_decreasing_in_temperature(self):
-        cav = CavityParams(delta_c=0.0, kappa=1.0, g=1.0)
-        vals = [
-            effective_rabi_from_params(cav, MOL, ThermalState(temperature=t))
-            for t in (0.0, 2.0, 5.0, 10.0)
-        ]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
+        # g_eff of the route's f_FC and, with a density, its f_DW
+        det = np.linspace(-1.0, 1.0, 201)
+        for sd in (None, SpectralDensity(kind="3d", coupling=0.02,
+                                         omega_max=3.0)):
+            vals = []
+            for t in (0.0, 2.0, 5.0, 10.0):
+                th = ThermalState(temperature=t)
+                route = response_route(det, MOL, KP, sd, th)
+                assert route.f_fc == franck_condon(MOL.lam,
+                                                   th.occupation(MOL.nu))
+                assert route.f_dw == (debye_waller(sd, th) if sd else 1.0)
+                vals.append(effective_rabi(1.0, route.f_fc, route.f_dw))
+            assert all(b < a for a, b in zip(vals, vals[1:])), sd
 
     def test_rejects_unphysical_factors(self):
         with pytest.raises(DomainError):

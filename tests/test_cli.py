@@ -17,9 +17,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from vibrolang import cli
+from vibrolang import cli, spectra
 from vibrolang.cli import load_preset, main, run_config, validate_config
-from vibrolang.cavity import CavityParams
+from vibrolang.cavity import CavityParams, effective_rabi
 from vibrolang.errors import ConfigError
 from vibrolang.kernels import KernelParams
 from vibrolang.microsim import TrajectoryConfig
@@ -33,7 +33,9 @@ from vibrolang.spectra import (
     absorption_bessel,
     absorption_full,
     debye_waller,
+    franck_condon,
     molecular_response,
+    response_route,
 )
 
 
@@ -438,7 +440,11 @@ CONFIG_ERRORS = [
               grid={"min": -4e-5, "max": 4e-5, "n": 1001})),
           ("phonon-wing", dict(
               SMALL_WING, gamma=1e-6,
-              grid={"min": -4e-4, "max": 4e-4, "n": 1001}))]],
+              grid={"min": -4e-4, "max": 4e-4, "n": 1001})),
+          ("cavity-sd", dict(
+              SMALL_CAVITY, sd=SMALL_WING["sd"],
+              molecule=dict(SMALL_CAVITY["molecule"], gamma=1e-7),
+              grid={"min": -4e-5, "max": 4e-5, "n": 1001}))]],
 ]
 
 
@@ -625,7 +631,7 @@ class TestFailedRunWritesNothing:
         # call None), and the file is left as it is
         out = tmp_path / "o"
         out.write_bytes(b"kept")
-        monkeypatch.setattr(cli.spectra, "absorption_discrete", None)
+        monkeypatch.setattr(cli.spectra, "molecular_response", None)
         path = _write(tmp_path, SMALL_ABSORPTION)
         rc = main(["absorption", "--config", path, "--out", str(out)])
         err = capsys.readouterr().err
@@ -642,7 +648,7 @@ class TestFailedRunWritesNothing:
         # refused before any does
         monkeypatch.chdir(tmp_path)
         (tmp_path / "afile").write_bytes(b"kept")
-        monkeypatch.setattr(cli.spectra, "absorption_discrete", None)
+        monkeypatch.setattr(cli.spectra, "molecular_response", None)
         path = _write(tmp_path, SMALL_ABSORPTION)
         rc = main(["absorption", "--config", path, "--out", out])
         err = capsys.readouterr().err
@@ -885,11 +891,11 @@ class TestArtifacts:
         assert main(["absorption", "--config", _write(tmp_path, cfg),
                      "--out", str(out)]) == 0
         mol = MoleculeParams(**cfg["molecule"])
-        values, meta = absorption_full(
+        values, meta = absorption_full(response_route(
             np.linspace(-2.0, 3.0, 201), mol,
             KernelParams(**cfg["kernel"], nu=mol.nu),
             None if sd is None else SpectralDensity(**sd),
-            ThermalState.from_occupation(cfg["nbar"], mol.nu))
+            ThermalState.from_occupation(cfg["nbar"], mol.nu)))
         table = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)
         np.testing.assert_array_equal(
             table[:, 1], [float("%.12e" % v) for v in values])
@@ -911,13 +917,37 @@ class TestArtifacts:
         assert main(["cavity", "--config", _write(tmp_path, cfg),
                      "--out", str(out)]) == 0
         mol = MoleculeParams(**cfg["molecule"])
-        _, meta = molecular_response(
+        _, meta = molecular_response(response_route(
             np.linspace(-2.0, 2.0, 101), mol,
             KernelParams(**cfg["kernel"], nu=mol.nu, markovian=True),
-            None if sd is None else SpectralDensity(**sd), ThermalState(0.0))
+            None if sd is None else SpectralDensity(**sd), ThermalState(0.0)))
         written = json.loads((out / "transmission.meta.json").read_text())
         assert {key: written[key] for key in meta} == meta
         assert ("tail_bound" in written) == (sd is not None)
+
+    def test_zero_phonon_factors_of_the_route(self, tmp_path):
+        # at T > 0 with an sd, the cavity's g_eff and full absorption's
+        # f_FC and f_DW are franck_condon's and debye_waller's, exactly
+        th, sd = ThermalState(0.7), SpectralDensity(**SMALL_WING["sd"])
+        cavity = dict(SMALL_CAVITY, sd=SMALL_WING["sd"], temperature=0.7)
+        absorb = {k: v for k, v in SMALL_ABSORPTION.items() if k != "nbar"}
+        absorb.update(method="full", sd=SMALL_WING["sd"], temperature=0.7)
+        metas = {}
+        for cfg, name in ((cavity, "transmission"), (absorb, "spectrum")):
+            out = tmp_path / name
+            assert main([cfg["command"], "--config",
+                         _write(tmp_path, cfg, f"{name}.json"),
+                         "--out", str(out)]) == 0
+            metas[name] = json.loads(
+                (out / f"{name}.meta.json").read_text())
+        mol = cavity["molecule"]
+        f_fc = franck_condon(mol["lam"], th.occupation(mol["nu"]))
+        assert metas["transmission"]["g_eff"] == effective_rabi(
+            cavity["cavity"]["g"], f_fc, debye_waller(sd, th))
+        mol = absorb["molecule"]
+        assert metas["spectrum"]["f_FC"] == franck_condon(
+            mol["lam"], th.occupation(mol["nu"]))
+        assert metas["spectrum"]["f_DW"] == debye_waller(sd, th) < 1.0
 
     def test_absorption_bessel_method(self, tmp_path):
         # the CLI writes what the Bessel comb evaluates on the same grid,
@@ -1034,6 +1064,37 @@ class TestArtifacts:
         assert lines[0] == "t,P_U,P_L"
         meta = json.loads((out / "polariton.meta.json").read_text())
         assert meta["kappa_plus"] > meta["kappa_minus"] > 0
+
+
+class TestOneRoutePerPoint:
+    # the points of each preset whose response couples a phonon density,
+    # and the band rules that spectra builds for them: the route's, D's
+    # exponent's, and for a wing spectrum its polaron shift's and
+    # correlation.csv's
+    COUPLED_POINTS = {"fig5a": 3, "fig5b": 3, "fig6b": 4, "fig6c": 1}
+    BAND_RULES = {"fig5a": 12, "fig5b": 12, "fig6b": 8, "fig6c": 2}
+
+    def test_each_point_builds_its_route_once(self, tmp_path, monkeypatch):
+        calls = {}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in ("_wing_horizon", "_band_rule"):
+            monkeypatch.setattr(spectra, name,
+                                counting(name, getattr(spectra, name)))
+        for name, entry in PRESET_FILES:
+            calls.update(_wing_horizon=0, _band_rule=0)
+            assert main(["preset", "--config",
+                         _write(tmp_path, {"command": "preset", "name": name}),
+                         "--out", str(tmp_path / name)]) == 0
+            assert calls["_wing_horizon"] == \
+                self.COUPLED_POINTS.get(name, 0), name
+            if name in self.BAND_RULES:
+                assert calls["_band_rule"] == self.BAND_RULES[name], name
 
 
 class TestSweep:

@@ -45,15 +45,16 @@ from vibrolang.spectra import (
     _sideband_comb,
     _weight_tail,
     absorption_discrete,
+    check_resolution,
     choose_n_max,
     dephasing_rate,
     displacement_correlation_vibron,
     franck_condon,
     molecular_response,
     polaron_shift,
+    response_route,
     response_transform,
     spectral_density,
-    time_grid,
     vibron_lines,
 )
 
@@ -823,13 +824,13 @@ class TestResponseTransform:
         # peak near pi / (gamma sqrt(2 pi) lam) >= 8: 2e-4 of it.  At the
         # fixed dt = 1/8 the routes parted by 33% and 31% of the peak.  The
         # vibron factor is transformed as with an sd (fig6b, fig6c), on
-        # time_grid's grid for a coupled density; its omega_max of 1.3
+        # response_route's grid for a coupled density; its omega_max of 1.3
         # leaves dt to the comb's reach.
         mol = MoleculeParams(gamma=0.025, nu=1.0, lam=lam)
         grid = np.linspace(-2.0, 60.0, 3101)
         ref = absorption_discrete(mol, KP, TH0).evaluate(grid)
         sd = SpectralDensity(kind="3d", coupling=0.02, omega_max=1.3)
-        dt = time_grid(grid, mol, KP, sd, TH0).dt
+        dt = response_route(grid, mol, KP, sd, TH0).steps.dt
         n = int(np.ceil(_HORIZON / mol.gamma / dt)) + 1
         corr = displacement_correlation_vibron(np.arange(n) * dt, mol, KP,
                                                TH0)
@@ -844,20 +845,22 @@ class TestResponseTransform:
         # tails on this grid, 4.2e-3 and 2.6e-2 of the peak.
         mol = MoleculeParams(gamma=0.025, nu=1.0, lam=lam)
         grid = np.linspace(-2.0, 3.0, 201)
-        vals, _ = absorption_full(grid, mol, KP, None, TH0)
+        vals, _ = absorption_full(response_route(grid, mol, KP, None, TH0))
         np.testing.assert_array_equal(
             vals, absorption_discrete(mol, KP, TH0).evaluate(grid))
 
     def test_full_spectrum_resolution_guard(self):
+        # check_resolution, which the CLI runs once for each absorption or
+        # wing point, refuses a grid step over the line's half width gamma
         mol = MoleculeParams(gamma=1e-4, nu=1.0, lam=0.0)
-        sd = SpectralDensity(kind="3d", coupling=0.02, omega_max=3.0)
         with pytest.raises(ResolutionError):
-            absorption_full(np.linspace(-1, 1, 11), mol, KP, sd, TH0)
+            check_resolution(np.linspace(-1, 1, 11), mol.gamma)
 
     def test_full_spectrum_two_level_limit(self):
         mol = MoleculeParams(gamma=0.05, nu=1.0, lam=0.0)
         grid = np.linspace(-0.5, 0.5, 101)
-        vals, meta = absorption_full(grid, mol, None, None, TH0)
+        vals, meta = absorption_full(response_route(grid, mol, None, None,
+                                                    TH0))
         np.testing.assert_allclose(
             vals, 1.0 / (0.05**2 + grid**2), rtol=1e-4
         )
@@ -965,8 +968,9 @@ class TestWingSplit:
         # dt/8 to 24/gamma, and no further from it than the whole product
         # at the same dt to 12/gamma
         _, grid, mol, kp, sd, th = case
-        steps = time_grid(grid, mol, kp, sd, th)
-        h, meta = molecular_response(grid, mol, kp, sd, th)
+        route = response_route(grid, mol, kp, sd, th)
+        steps = route.steps
+        h, meta = molecular_response(route)
         ref = whole_product_response(grid, mol, kp, sd, th, steps.dt / 8,
                                      24.0 / mol.gamma)
         whole = whole_product_response(grid, mol, kp, sd, th, steps.dt,
@@ -985,7 +989,8 @@ class TestWingSplit:
         # uniform midpoint sum and V from the band rule's nodes; with
         # |B| <= 1 the horizon's bound covers the wing's last point
         _, grid, mol, kp, sd, th = case
-        steps = time_grid(grid, mol, kp, sd, th)
+        route = response_route(grid, mol, kp, sd, th)
+        steps = route.steps
         tau = np.linspace(steps.t_horizon, 24.0 / mol.gamma, 49)
         corr = np.concatenate([_riemann_phonon_correlation(
             tau[i:i + 7], sd, th, n_mid=200000) for i in range(0, 49, 7)])
@@ -994,6 +999,6 @@ class TestWingSplit:
             bound = f * np.expm1(_band_variation(sd, th)[0] / tau)
         assert np.all(np.abs(corr - f) <= bound), \
             np.max(np.abs(corr - f) / bound)
-        _, meta = molecular_response(grid, mol, kp, sd, th)
+        _, meta = molecular_response(route)
         assert meta["wing_tail"] * math.exp(-mol.gamma * steps.t_horizon) \
             <= steps.tail_bound
