@@ -263,13 +263,15 @@ def _meta_artifact(name, payload):
 
 def _propagation(traj):
     """How a chain run was propagated: step, step count, route, the chain's
-    modes and how many of them a vibron couples to, and on the normal-mode
+    modes and how many of them a vibron couples to; on the normal-mode
     route the most iterations a secular root took and the largest
-    |sum v0^2 - 1| of its arrowheads."""
+    |sum v0^2 - 1| of its arrowheads, on the RK4 map the steps of its
+    composed map and the stored rows each use of it emits."""
     return {k: traj.meta[k] for k in ("dt", "n_steps", "propagator",
                                       "n_modes", "modes_felt",
                                       "secular_iterations",
-                                      "weight_sum_error") if k in traj.meta}
+                                      "weight_sum_error", "map_steps",
+                                      "map_rows") if k in traj.meta}
 
 
 def _bath_trajectory(cfg, seed, n_molecules, **start):

@@ -28,15 +28,17 @@ its map:
   block of stored rows give every row (`_modal_rows`).
 - Every other run (damped, or of any other site set) takes `_map_rows`:
   the phonon block of the map is one 2x2 matrix per mode, and the vibrons
-  see the phonons only through 4M projections, so the store_every steps
-  between two stored rows compose into per-mode 2x2 blocks, two
-  (4M x 2 n_modes) tables and one small vibron matrix.  It steps only the
-  felt modes, those some vibron couples to.
+  see the phonons only through 4M projections, so s steps compose into
+  per-mode 2x2 blocks, two (4M s x 2 n_modes) tables and one small vibron
+  matrix that emits every stored row within them.  One such map, of as
+  many whole rows as a budget on its tables allows (`_ENTRIES`), serves
+  the run.  It steps only the felt modes, those some vibron couples to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -298,7 +300,7 @@ def _secular(head, d, z, xi, eta, strain, modes):
     closed form's terms come off at the same tau.  From the midpoint of
     its bracket each root takes rational steps of Li's fixed-weight method
     (LAPACK Working Note 89): the weight z^2 of the nearer pole is kept, a
-    pole at the other end (none outside the spectrum) takes the rest of
+    pole at the other end (outside the spectrum, a line) takes the rest of
     f', and a constant the rest of f; a step that leaves the bracket
     bisects.  A root freezes, and leaves the roots still worked, once |f|
     is within f's rounding bound 16 eps (|head - o| + |tau| + B), B the
@@ -332,7 +334,7 @@ def _secular(head, d, z, xi, eta, strain, modes):
     slope = np.empty(n + 1)
     iterations = 0
     work = i
-    for it in range(100):  # a guard: fig3's roots froze within 8
+    for it in range(100):  # a guard: fig3's roots froze within 5
         t, g, inn = tau[work], pole[1, work], inner[work]
         s, ds, bound = strain(ko[work], t)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -344,19 +346,23 @@ def _secular(head, d, z, xi, eta, strain, modes):
         lo[work] = l = np.where(f > 0, t, lo[work])
         hi[work] = h = np.where(f < 0, t, hi[work])
         # the model c + p/tau - q/(g - tau) matches f and f': the nearer
-        # pole keeps its weight z^2 and the other takes the rest of f'
+        # pole keeps its weight z^2 and the other takes the rest of f';
+        # outside the spectrum it is c - e tau + p/tau, its root beyond o
         wl, wr = zz[left[work]], np.where(inn, zz[right[work]], 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
+            e = np.maximum(sl - wl / (t * t), 0.0)
             rest_l = np.maximum(sl - wr / (g - t) ** 2, 0.0) * t * t
-            rest_r = np.maximum(sl - wl / (t * t), 0.0) * (g - t) ** 2
-            keep_left = t < g - t
-            p = np.where(inn, np.where(keep_left, wl, rest_l), t * t * sl)
-            q = np.where(inn, np.where(keep_left, rest_r, wr), 0.0)
-            c = f - p / t + np.where(inn, q / (g - t), 0.0)
+            keep_left = (t < g - t) | ~inn
+            p = np.where(keep_left, wl, rest_l)
+            q = np.where(keep_left, e * (g - t) ** 2, wr)
+            c = f - p / t + np.where(inn, q / (g - t), e * t)
             a = c * g - p - q
             root = np.sqrt(a * a + 4.0 * c * p * g)
+            line = np.sign(t) * np.sqrt(c * c + 4.0 * e * p)
             step = np.where(inn, np.where(a <= 0, 2.0 * p * g / (root - a),
-                                          (a + root) / (2.0 * c)), -p / c)
+                                          (a + root) / (2.0 * c)),
+                            np.where(c * t > 0, (c + line) / (2.0 * e),
+                                     -2.0 * p / (c - line)))
         noise = (np.abs(head - o[work]) + np.abs(t) + bound
                  + np.sum(np.abs(r), axis=0))
         done = ((np.abs(f) <= 16 * eps * noise)
@@ -518,18 +524,13 @@ def _mode_rows(nu, bath, site, w, A, y0, dt, n_steps, store_every):
     return rows, float(max(errors)), iterations
 
 
-# steps composed into one map of `_map_rows`: its two tables each hold
-# 4 M _STEPS rows of 2 values per felt mode, 256 kB for one molecule at
-# the centre of a 500-cell chain (500 of its 1,001 modes felt)
-_STEPS = 8
+# entries of each table of an s-step map of `_map_rows`, 512 kB: R and U
+# hold 8 M s per felt mode and F about (4 M s)^2 (fig2c: s = 16); a map
+# of min(store_every, 8) steps is taken whatever its tables hold
+_ENTRIES = 2 ** 16
 
-
-def _horner4(X, eye):
-    """sum_{j<=4} X^j/j!, the RK4 polynomial, for stacked square X."""
-    out = eye
-    for j in (4, 3, 2, 1):
-        out = eye + (X / j) @ out
-    return out
+# per-mode 2x2 products of (2, 2, n_modes) stacks, entry by entry
+_mul = partial(np.einsum, "ilx,ljx->ijx")
 
 
 def _step_map(nu, A, Dp, h):
@@ -552,87 +553,94 @@ def _step_map(nu, A, Dp, h):
     J[0, :, 1] = nu * eye
     J[1, :, 0] = -nu * eye
     J[1, :, 2] = eye
-    for a in range(4):
-        J[1, :, 6 + a] = (A * Dp[a, :, 0, 1]) @ A.T
+    J[1, :, 6:] = np.einsum("mx,ax,nx->man", A, Dp[:, 0, 1], A)
     for b in range(3):
         J[2 + b, :, 3 + b] = eye
         J[7 + b, :, 6 + b] = eye
     J[6, :, 0] = eye
-    G = _horner4(h * J.reshape(10 * m, 10 * m), np.eye(10 * m))
+    X, G = h * J.reshape(10 * m, 10 * m), np.eye(10 * m)
+    for j in (4, 3, 2, 1):  # the RK4 polynomial p(X)
+        G = np.eye(10 * m) + (X / j) @ G
     return G[np.r_[:2 * m, 6 * m:10 * m], :6 * m]
 
 
-def _composed_map(nu, A, D, h, s):
-    """(F_s, R_s, U_s, L^s) of s RK4 steps with L = p(hD) per mode.
+def _composed_map(nu, A, D, h, s, every):
+    """(F, R, U, L^s) of s RK4 steps with L = p(hD) per mode, that emit the
+    vibrons' v = (Q, P) after every `every` steps (`every` divides s).
 
-    With c_{n,a} = A (D^a L^n ph)_q for n < s, s steps are
-    [v_s; g] = F_s [v; c] and ph_s = L^s ph + sum_{n,a} L^{s-1-n} D^a
+    With c_{n,a} = A (D^a L^n ph)_q for n < s, s steps are [v_every; ..;
+    v_s; g] = F [v; c] and ph_s = L^s ph + sum_{n,a} L^{s-1-n} D^a
     (0, A^T g_{n,a}).  Each step sees the free projections c_n plus those
-    of the earlier steps' feedback, R L^k U; F_s chains the one-step map
-    through them.  R_s maps ph to c, and U_s^T maps g to the fed-back
-    phonons: both are (4 M s, 2 n_modes) tables, rows (n, a, m), columns
-    q then p.  L^s is (2, 2, n_modes).
+    of the earlier steps' feedback, R L^k U; F chains the one-step map
+    through them.  R maps ph to c, and U^T maps g to the fed-back phonons:
+    both are (4 M s, 2 n_modes) tables, rows (n, a, m), columns q then p,
+    built entry by entry from (2, 2, n_modes) stacks of D^a and L^n.
     """
     m, nm = A.shape
-    eye = np.broadcast_to(np.eye(2), D.shape)
-    Dp = [eye]
+    Dp = [np.eye(2)[..., None] * np.ones(nm)]
     for _ in range(3):
-        Dp.append(D @ Dp[-1])
-    Dp = np.array(Dp)                                    # (4, nm, 2, 2)
-    Lp = [eye, _horner4(h * D, eye)]
+        Dp.append(_mul(D, Dp[-1]))
+    Lp = [Dp[0], Dp[0]]
+    for j in (4, 3, 2, 1):
+        Lp[1] = Dp[0] + _mul(h * D / j, Lp[1])
     for _ in range(s - 1):
-        Lp.append(Lp[1] @ Lp[-1])
-    Lp = np.array(Lp)                                    # (s + 1, nm, 2, 2)
-    rq = (Dp[:, :, :1] @ Lp[:s, None])[..., 0, :]        # (s, 4, nm, 2)
-    up = (Lp[s - 1::-1, None] @ Dp[..., 1:])[..., 0]
-    R, U = ((x.transpose(0, 1, 3, 2)[:, :, None] * A[:, None])
-            .reshape(4 * m * s, 2 * nm) for x in (rq, up))
-    # R L^k U, k < s - 1: entry (a, b) per mode is rq[k, a] . Dp[b]_p
-    t = np.einsum("kaxi,bxi->kabx", rq[:s - 1], Dp[..., 1])
-    feed = np.einsum("mx,kabx,nx->kambn", A, t, A).reshape(-1, 4 * m, 4 * m)
+        Lp.append(_mul(Lp[1], Lp[-1]))
+    Dp, Lp = np.array(Dp), np.array(Lp)  # (4 or s + 1, 2, 2, nm)
+    R = np.einsum("alx,nlix,mx->namix", Dp[:, 0], Lp[:s], A)
+    U = np.einsum("nilx,alx,mx->namix", Lp[s - 1::-1], Dp[:, :, 1], A)
+    R, U = (x.reshape(4 * m * s, 2 * nm) for x in (R, U))
+    # R L^k U = R_k U_{s-1}^T as blocks (a m, k b n), k from s - 2 down to 0
+    feed = (R[:-4 * m] @ U[-4 * m:].T).reshape(-1, 4 * m, 4 * m)[::-1]
+    feed = feed.transpose(1, 0, 2).reshape(4 * m, -1)
     F = _step_map(nu, A, Dp, h)
     n_in = 2 * m + 4 * m * s
-    V = np.eye(2 * m, n_in)
-    gs = []
+    vs, g = np.empty((s, 2 * m, n_in)), np.empty((4 * m * s, n_in))
+    x = np.eye(6 * m, n_in)  # [v; c] of step n; g's rows are (n, a, m)
     for n in range(s):
-        c = np.zeros((4 * m, n_in))
-        c[:, 2 * m + 4 * m * n:2 * m + 4 * m * (n + 1)] = np.eye(4 * m)
-        for j, g in enumerate(gs):
-            c += feed[n - 1 - j] @ g
-        V, g = np.split(F @ np.vstack((V, c)), [2 * m])
-        gs.append(g)
-    return np.vstack([V] + gs), R, U, np.moveaxis(Lp[s], 0, -1).copy()
+        x[2 * m:] = feed[:, 4 * m * (s - 1 - n):] @ g[:4 * m * n]
+        x[2 * m:, 2 * m + 4 * m * n:2 * m + 4 * m * (n + 1)] += np.eye(4 * m)
+        z = F @ x
+        vs[n] = x[:2 * m] = z[:2 * m]
+        g[4 * m * n:4 * m * (n + 1)] = z[2 * m:]
+    return np.vstack((vs[every - 1::every].reshape(-1, n_in), g)), R, U, Lp[s]
 
 
 def _map_rows(nu, w, A, gph, y0, dt, n_steps, store_every):
-    """Observer rows (Q, P, E) of the RK4 loop, a stored row at a
-    time: each row applies the composed maps of `_composed_map` over
-    chunks of at most _STEPS steps.  Only the felt modes, those some
-    vibron couples to, are stepped: a mode with a zero column of A never
-    feeds back into a vibron, and no row reads the phonons."""
-    m = len(A)
+    """Observer rows (Q, P, E) of the RK4 loop, k stored rows at a time:
+    one map (`_composed_map`) of k store_every <= s_max steps (`_ENTRIES`,
+    s_max >= min(store_every, 8)), k = min(s_max, n_steps) // store_every,
+    serves the run, and its last use's rows past n_steps are dropped; a row
+    of over s_max steps (k = 1) is cut across maps.  Only the felt modes,
+    those some vibron couples to, are stepped: no other feeds back into a
+    vibron, and no row reads the phonons.  Returns the rows, the steps of
+    the largest map and k."""
     felt = np.any(A != 0, axis=0)
+    m, nm = len(A), int(np.count_nonzero(felt))
     ph = y0[2 * m:].reshape(2, -1)[:, felt]
     A, w, gph = A[:, felt], w[felt], gph[felt]
-    nm = len(w)
-    D = np.zeros((nm, 2, 2))
-    D[:, 0, 1], D[:, 1, 0], D[:, 1, 1] = w, -w, -gph
-    chunks = [_STEPS] * (store_every // _STEPS) + [store_every % _STEPS]
-    maps = {s: _composed_map(nu, A, D, dt, s) for s in set(chunks) if s}
+    D = np.array([[np.zeros(nm), w], [-w, -gph]])
+    s_max = max(min(_ENTRIES // (8 * m * max(nm, 1)),
+                    int(np.sqrt(_ENTRIES)) // (4 * m)), min(store_every, 8))
+    k = max(min(s_max, n_steps) // store_every, 1)
+    chunks = [s_max] * (k * store_every // s_max) + [k * store_every % s_max]
+    maps = {s: _composed_map(nu, A, D, dt, s, min(s, store_every))
+            for s in set(chunks) if s}
     plan = [maps[s] for s in chunks if s]
     n_rows = n_steps // store_every + 1
-    v = y0[:2 * m]
-    vs = np.empty((n_rows, 2 * m))
-    for row in range(n_rows):
-        if row:
+    vs = np.empty((n_rows + k - 1, 2 * m))
+    vs[0] = v = y0[:2 * m]
+    # the rows past n_steps of a growing chain may overflow unread
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(1, n_rows, k):
             for F, R, U, Ls in plan:
                 z = F @ np.concatenate((v, R @ ph.ravel()))
-                v = z[:2 * m]
+                n_out = len(F) - len(R)
+                v = z[n_out - 2 * m:n_out]
                 ph = (Ls[:, 0] * ph[0] + Ls[:, 1] * ph[1]
-                      + (z[2 * m:] @ U).reshape(2, nm))
-        vs[row] = v
-    Q, P = vs[:, :m], vs[:, m:]
-    return np.column_stack((vs, 0.5 * (Q * Q + P * P)))
+                      + (z[n_out:] @ U).reshape(2, nm))
+            vs[first:first + k] = z[:n_out].reshape(k, 2 * m)
+    Q, P = vs[:n_rows, :m], vs[:n_rows, m:]
+    return np.column_stack((Q, P, 0.5 * (Q * Q + P * P))), max(chunks), k
 
 
 def _setup(nu, bath, sites, cfg):
@@ -675,7 +683,8 @@ def simulate(nu: float, bath: DiscreteBath, sites,
                        cfg.store_every))
         meta["propagator"] = "modes"
     else:
-        rows = _map_rows(nu, w, A, gph, y0, dt, n_steps, cfg.store_every)
+        rows, meta["map_steps"], meta["map_rows"] = _map_rows(
+            nu, w, A, gph, y0, dt, n_steps, cfg.store_every)
         meta["propagator"] = "rk4"
     times = np.arange(len(rows)) * dt * cfg.store_every
     Q, P, E = rows[:, :m].T, rows[:, m:2 * m].T, rows[:, 2 * m:].T

@@ -430,8 +430,8 @@ def _weight_tail(lam, nbar, n_max):
     return special.poisson_tail(n_max, s) if s > 0 else 0.0
 
 
-def _sideband_comb(lam, nbar):
-    """(n, l, w) of the vibron's Franck-Condon comb to order choose_n_max:
+def _sideband_comb(lam, nbar, n_max):
+    """(n, l, w) of the vibron's Franck-Condon comb to order n_max:
     n - l Stokes and l anti-Stokes quanta with weight
 
         w = e^{-s} (lam^2 (nbar+1))^{n-l}/(n-l)! (lam^2 nbar)^l/l!,
@@ -440,7 +440,7 @@ def _sideband_comb(lam, nbar):
     space so that no factor over- or underflows.  Pairs run n = 0..n_max,
     l = 0..n; zero weights are dropped.
     """
-    n, l = np.tril_indices(choose_n_max(lam, nbar) + 1)
+    n, l = np.tril_indices(n_max + 1)
     stokes, anti = lam**2 * (nbar + 1.0), lam**2 * nbar
     w = np.exp(special.log_poisson(n - l, stokes)
                + special.log_poisson(l, anti))
@@ -448,11 +448,11 @@ def _sideband_comb(lam, nbar):
     return n[keep], l[keep], w[keep]
 
 
-def vibron_lines(lam, nbar, nu_p, gamma_p, gamma):
-    """(position, weight, width) rows of the vibronic sideband comb: weight
-    w(n, l) of `_sideband_comb` at detuning (n-2l) nu', width
+def vibron_lines(lam, nbar, nu_p, gamma_p, gamma, n_max):
+    """(position, weight, width) rows of the vibronic sideband comb to order
+    n_max: weight w(n, l) of `_sideband_comb` at detuning (n-2l) nu', width
     gamma + n Gamma'/2."""
-    n, l, w = _sideband_comb(lam, nbar)
+    n, l, w = _sideband_comb(lam, nbar, n_max)
     return np.column_stack(((n - 2 * l) * nu_p, w, gamma + 0.5 * n * gamma_p))
 
 
@@ -464,15 +464,21 @@ def absorption_discrete(molecule: MoleculeParams, kp: KernelParams,
     P_e/eta^2 = sum_{n,l} w(n,l) (gamma + n Gamma'/2)/gamma
                 / [ (gamma + n Gamma'/2)^2 + (Delta - (n-2l) nu')^2 ].
     """
+    return _discrete_comb(molecule, kp, thermal)[0]
+
+
+def _discrete_comb(molecule, kp, thermal):
+    """`absorption_discrete`'s comb and its order `choose_n_max`, found once
+    for the lines, the tail in its meta and `response_route`'s reach."""
     nu_p, gamma_p = relaxation_params(kp)
     nbar = thermal.occupation(kp.nu)
     lam = molecule.lam
-    lines = vibron_lines(lam, nbar, nu_p, gamma_p, molecule.gamma)
+    n_max = choose_n_max(lam, nbar)
+    lines = vibron_lines(lam, nbar, nu_p, gamma_p, molecule.gamma, n_max)
     return LineSpectrum(lines=lines, gamma=molecule.gamma,
                         meta={"nbar": nbar, "nu_prime": nu_p,
                               "gamma_prime": gamma_p,
-                              "tail": _weight_tail(lam, nbar,
-                                                   choose_n_max(lam, nbar))})
+                              "tail": _weight_tail(lam, nbar, n_max)}), n_max
 
 
 def absorption_bessel(molecule: MoleculeParams, kp: KernelParams,
@@ -496,7 +502,7 @@ def absorption_bessel(molecule: MoleculeParams, kp: KernelParams,
             "its stated validity",
             stacklevel=2,
         )
-    n, l, w = _sideband_comb(lam, nbar)
+    n, l, w = _sideband_comb(lam, nbar, choose_n_max(lam, nbar))
     k = n - 2 * l
     k_lo = k.min()
     wk = np.bincount(k - k_lo, weights=w)
@@ -653,8 +659,8 @@ def response_route(detuning, molecule: MoleculeParams,
     f_fc = franck_condon(molecule.lam, thermal.occupation(kp.nu)) \
         if kp is not None else 1.0
     kp = kp if molecule.lam > 0 else None
-    comb = absorption_discrete(molecule, kp, thermal) if kp is not None \
-        else LineSpectrum(lines=[[0.0, 1.0, gamma]], gamma=gamma)
+    comb, n_max = _discrete_comb(molecule, kp, thermal) if kp is not None \
+        else (LineSpectrum(lines=[[0.0, 1.0, gamma]], gamma=gamma), 0)
     if sd is None or sd.coupling == 0:
         return Response(detuning, molecule, kp, None, thermal, comb, None,
                         f_fc, 1.0)
@@ -662,8 +668,7 @@ def response_route(detuning, molecule: MoleculeParams,
     reach = float(np.max(np.abs(detuning), initial=0.0))
     if kp is not None:
         scales.append(kp.nu)
-        reach += choose_n_max(molecule.lam, comb.meta["nbar"]) \
-            * comb.meta["nu_prime"]
+        reach += n_max * comb.meta["nu_prime"]
     dt = 1.0 / (8.0 * max(scales))
     if reach * dt > math.pi:
         dt = math.pi / reach

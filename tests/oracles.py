@@ -26,6 +26,7 @@ from vibrolang.model import chain_eigenmodes, vibron_phonon_couplings
 from vibrolang.spectra import (
     LineSpectrum,
     _sideband_comb,
+    choose_n_max,
     displacement_correlation_vibron,
     phonon_correlation,
     response_transform,
@@ -118,7 +119,7 @@ def absorption_multimode_discrete(molecule: MoleculeParams, mode_table,
     pos, wt, wid = np.zeros(1), np.ones(1), np.full(1, molecule.gamma)
     for (wk, lk, gk) in mode_table:
         nb = thermal.occupation(wk)
-        n, l, w = _sideband_comb(lk, nb)
+        n, l, w = _sideband_comb(lk, nb, choose_n_max(lk, nb))
         wt = np.multiply.outer(wt, w).ravel()
         keep = wt > 1e-14
         pos = np.add.outer(pos, (n - 2 * l) * wk).ravel()[keep]

@@ -42,6 +42,7 @@ from vibrolang.spectra import (
     absorption_bessel,
     absorption_discrete,
     absorption_full,
+    choose_n_max,
     debye_waller,
     dephasing_rate,
     franck_condon,
@@ -223,7 +224,7 @@ def test_criterion_6_spectrum_identities():
     b = absorption_bessel(molc, kp, thc).evaluate(g2)
     err_c = float(np.max(np.abs(d - b)) / np.max(d))
     # (d) weight completeness
-    lines = vibron_lines(1.0, 2.0, 1.0, 0.05, 0.01)
+    lines = vibron_lines(1.0, 2.0, 1.0, 0.05, 0.01, choose_n_max(1.0, 2.0))
     err_d = abs(float(np.sum(lines[:, 1])) - 1.0)
     ok = err_a <= 1e-10 and err_b <= 1e-3 and err_c <= 1e-3 and err_d <= 1e-8
     _report(6, "spectrum identities", ok,

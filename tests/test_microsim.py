@@ -2,6 +2,7 @@
 against the RK4 step loop, decay fits, CSV output."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from vibrolang.microsim import (
     _Strain,
     _blocks,
     _factor_tables,
+    _map_rows,
     _mode_rows,
     _modal_rows,
     _secular,
@@ -236,9 +238,13 @@ class TestNormalModes:
 
     @pytest.mark.parametrize("q0", [(1.0, -1.0), (1.0, 1.0)])
     def test_fig3_pair_matches_rk4_loop(self, q0):
+        # each start loads one parity block of fig3's pair, and its roots
+        # freeze within 5 iterations (8 when the outer roots took one pole)
         bath = _fig3_bath()
         cfg = TrajectoryConfig(t_max=20.0, q0=q0, store_every=8)
         _assert_modes_match_loop(1.0, bath, (-1, 1), cfg, 1e-10)
+        assert simulate(1.0, bath, (-1, 1),
+                        cfg).meta["secular_iterations"] <= 5
 
     # with a freeze on the step size alone, fig3's even block and the odd
     # block of sites (-1, 1) on 200 cells ran a 16-root block to the guard
@@ -267,7 +273,7 @@ class TestNormalModes:
         ref, V = np.linalg.eigh(K)
         V *= np.sign(V[0])
         assert len(d) >= 200
-        assert iterations <= 10
+        assert iterations <= (5 if bath.n_cells == 1250 else 10)
         np.testing.assert_allclose(lam, ref, rtol=0,
                                    atol=1e-12 * np.max(np.abs(ref)))
         np.testing.assert_allclose(v0 ** 2, V[0] ** 2, rtol=0, atol=1e-12)
@@ -417,7 +423,8 @@ class TestModalRows:
 
 class TestComposedMap:
     """Damped runs and every site set but one site or a mirror pair take the
-    RK4 map composed over each stored row; the step loop is its oracle."""
+    RK4 map composed over several stored rows, or over parts of one long
+    row; the step loop is its oracle."""
 
     @pytest.mark.parametrize("store_every", [1, 3, 4, 8, 50])
     @pytest.mark.parametrize("qfactor, sites, q0, p0", [
@@ -461,6 +468,77 @@ class TestComposedMap:
         assert (traj.meta["n_modes"], traj.meta["modes_felt"]) == (201, 200)
         _assert_same_run(traj, _rk4_oracle(1.0, bath, sites, cfg), 1e-12,
                          per_column=True)
+
+    @pytest.mark.parametrize("sites, q0", [((0,), 1.0),
+                                           ((-2, 0, 1), (1.0, -0.5, 0.3))])
+    def test_last_map_steps_past_the_horizon(self, sites, q0):
+        # 669 steps, 223 rows after the first: one map's rows (21 for one
+        # molecule, 4 for three) do not divide them, so the last map's
+        # rows past n_steps are dropped
+        bath = _bath(n=100, qfactor=50.0)
+        cfg = TrajectoryConfig(t_max=15.0, q0=q0, p0=0.1, store_every=3)
+        traj = simulate(1.0, bath, sites, cfg)
+        n_rows = traj.meta["n_steps"] // 3 + 1
+        k = traj.meta["map_rows"]
+        assert traj.meta["map_steps"] == 3 * k and k >= 2 and (n_rows - 1) % k
+        np.testing.assert_array_equal(
+            traj.times, np.arange(n_rows) * traj.meta["dt"] * 3)
+        _assert_same_run(traj, _rk4_oracle(1.0, bath, sites, cfg), 1e-12,
+                         per_column=True)
+
+    @pytest.mark.parametrize("sites, q0", [((0,), 1.0),
+                                           ((-2, 0, 1), (1.0, -0.5, 0.3))])
+    def test_rows_longer_than_one_map(self, sites, q0):
+        # a row of 100 steps spans maps of at most 64 steps for one
+        # molecule feeling 100 modes and 13 for three feeling 201
+        bath = _bath(n=100, qfactor=50.0)
+        cfg = TrajectoryConfig(t_max=15.0, q0=q0, p0=0.1, store_every=100)
+        traj = simulate(1.0, bath, sites, cfg)
+        assert traj.meta["map_rows"] == 1
+        assert traj.meta["map_steps"] == (64 if len(sites) == 1 else 13)
+        _assert_same_run(traj, _rk4_oracle(1.0, bath, sites, cfg), 1e-12,
+                         per_column=True)
+
+    @pytest.mark.parametrize("store_every, steps", [(3, 6), (8, 8), (64, 8)])
+    def test_map_of_eight_steps_whatever_its_tables_hold(self, store_every,
+                                                         steps):
+        # three molecules feel all 401 modes of 200 cells, where the table
+        # budget alone allows maps of 6 steps: a row of 8 or more steps
+        # still takes maps of 8, and shorter rows share maps of 6
+        bath = _bath(n=200, qfactor=50.0)
+        cfg = TrajectoryConfig(t_max=10.0, q0=(1.0, -0.5, 0.3), p0=0.1,
+                               store_every=store_every)
+        traj = simulate(1.0, bath, (-2, 0, 1), cfg)
+        assert traj.meta["modes_felt"] == 401
+        assert traj.meta["map_steps"] == steps
+        assert traj.meta["map_rows"] == max(steps // store_every, 1)
+        _assert_same_run(traj, _rk4_oracle(1.0, bath, (-2, 0, 1), cfg),
+                         1e-12, per_column=True)
+
+    def test_growing_chain_drops_overflowing_rows_unread(self):
+        # couplings of dk = 1e6 make the step loop grow Q about 4 decades a
+        # step, here from 1e-150: the 66 stored rows stay finite, the 63
+        # rows of the second 64-step map past n_steps overflow, and the
+        # run still stops on the growth check, at the step loop's row
+        bath = DiscreteBath(n_cells=100, k0=12.25, m0=1.0, dk=1e6,
+                            qfactor=50.0)
+        cfg = TrajectoryConfig(t_max=64.5 * 2.0 * np.pi / 280.0, q0=1e-150)
+        setup = _setup(1.0, bath, (0,), cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows, steps, k = _map_rows(1.0, *setup, 1)
+            with pytest.raises(InstabilityError, match="10x"):
+                simulate(1.0, bath, (0,), cfg)
+        assert (len(rows), steps, k) == (66, 64, 64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            whole = _map_rows(1.0, *setup[:-1], 2 * k, 1)[0]
+        assert not np.all(np.isfinite(whole))
+        ref = rk4_rows(1.0, *setup, 1)[:, :3]
+        assert np.all(np.isfinite(ref))
+        assert (np.argmax(rows[:, 2] > 10.0 * rows[0, 2])
+                == np.argmax(ref[:, 2] > 10.0 * ref[0, 2]))
+        scale = np.max(np.abs(ref), axis=0)
+        assert np.all(np.abs(rows - ref) <= 1e-12 * scale)
 
     @pytest.mark.parametrize("sites, store_every", [((0,), None),
                                                     ((-2, 0, 1), 64)])

@@ -188,14 +188,15 @@ class TestWeights:
     @given(st.floats(0.05, 1.6), st.floats(0.0, 3.0))
     @settings(max_examples=40, deadline=None)
     def test_weight_completeness(self, lam, nbar):
-        lines = vibron_lines(lam, nbar, 1.0, 0.05, 0.01)
+        lines = vibron_lines(lam, nbar, 1.0, 0.05, 0.01,
+                             choose_n_max(lam, nbar))
         assert abs(np.sum(lines[:, 1]) - 1.0) < 1e-7
 
     def test_comb_rows_sum_to_poisson(self):
         # summed over l, the Stokes x anti-Stokes product is Poisson(s) in n
         lam, nbar = 0.9, 1.3
         s = lam**2 * (1.0 + 2.0 * nbar)
-        n, _, w = _sideband_comb(lam, nbar)
+        n, _, w = _sideband_comb(lam, nbar, choose_n_max(lam, nbar))
         rows = np.bincount(n, weights=w)
         k = np.arange(len(rows))
         np.testing.assert_allclose(
@@ -204,7 +205,7 @@ class TestWeights:
     def test_comb_weight_scaling(self):
         # at nbar = 0 only Stokes quanta: w(n, 0) = e^{-lam^2} lam^(2n)/n!
         lam = 0.8
-        n, l, w = _sideband_comb(lam, 0.0)
+        n, l, w = _sideband_comb(lam, 0.0, choose_n_max(lam, 0.0))
         assert not np.any(l)
         np.testing.assert_allclose(
             w, np.exp(-lam**2) * lam ** (2 * n) / special.factorial(n),
@@ -212,8 +213,9 @@ class TestWeights:
 
     @pytest.mark.parametrize("lam, nbar", COMB_CASES)
     def test_comb_matches_double_loop(self, lam, nbar):
-        n, l, w = _sideband_comb(lam, nbar)
-        ref = _double_loop_comb(lam, nbar, choose_n_max(lam, nbar))
+        n_max = choose_n_max(lam, nbar)
+        n, l, w = _sideband_comb(lam, nbar, n_max)
+        ref = _double_loop_comb(lam, nbar, n_max)
         assert list(zip(n.tolist(), l.tolist())) == list(ref)
         np.testing.assert_allclose(w, list(ref.values()), rtol=1e-13)
 
@@ -258,7 +260,8 @@ class TestWeights:
     def test_large_occupation_comb_is_finite(self):
         # at nbar = 50, e^{-s} lam^(2n)/n! underflows where (nbar+1)^(n-l)
         # overflows: only the log-space product keeps every weight finite
-        lines = vibron_lines(1.0, 50.0, 1.0, 0.05, 0.01)
+        lines = vibron_lines(1.0, 50.0, 1.0, 0.05, 0.01,
+                             choose_n_max(1.0, 50.0))
         assert np.all(np.isfinite(lines))
         assert abs(np.sum(lines[:, 1]) - 1.0) < 1e-12
 
