@@ -261,19 +261,6 @@ def _meta_artifact(name, payload):
     return Artifact(name, _json_bytes(payload), rows=0)
 
 
-def _propagation(traj):
-    """How a chain run was propagated: step, step count, route, the chain's
-    modes and how many of them a vibron couples to; on the normal-mode
-    route the most iterations a secular root took and the largest
-    |sum v0^2 - 1| of its arrowheads, on the RK4 map the steps of its
-    composed map and the stored rows each use of it emits."""
-    return {k: traj.meta[k] for k in ("dt", "n_steps", "propagator",
-                                      "n_modes", "modes_felt",
-                                      "secular_iterations",
-                                      "weight_sum_error", "map_steps",
-                                      "map_rows") if k in traj.meta}
-
-
 def _bath_trajectory(cfg, seed, n_molecules, **start):
     """Bath and trajectory settings of a chain run of `n_molecules`, with
     the start checked; the seed is --seed's (0 without it), and a
@@ -305,8 +292,7 @@ def _handle_relaxation(cfg, seed):
                      labels=("t", "E"), logy=True),
             _meta_artifact("run.meta.json",
                            {"gamma_m": gm, "omega_max": bath.omega_max,
-                            "config": cfg, "seed": tcfg.seed,
-                            **_propagation(traj)}),
+                            "config": cfg, **traj.meta}),
         ]
     return run
 
@@ -329,8 +315,7 @@ def _handle_collective(cfg, seed):
                              (traj.times, traj.e_minus, "E-")],
                      labels=("t", "E"), logy=False),
             _meta_artifact("run.meta.json",
-                           {"config": cfg, "seed": tcfg.seed, "j": j,
-                            **_propagation(traj)}),
+                           {"config": cfg, "j": j, **traj.meta}),
         ]
     return run
 

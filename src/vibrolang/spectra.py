@@ -197,21 +197,6 @@ def _phase_sum(t, h, omega, weights, mirror=None):
         * (math.sqrt(math.pi / tau) * np.exp(tau * k * k))
 
 
-def _phonon_exponent(tau, h, sd: SpectralDensity, thermal: ThermalState):
-    """(S, W) with <D(tau) D^dag(0)> = exp(S(tau) - W) on the even grid tau:
-    W = sum w_re and S = sum w_re cos(omega tau) - i w_im sin(omega tau) on
-    `_density_rule`'s nodes for max|tau|, w_re = J coth(beta omega/2)
-    domega/omega^2 and w_im = J domega/omega^2.  S is one `_phase_sum`,
-    sum 1/2 [(w_re - w_im) e^{i omega tau} + (w_re + w_im) e^{-i omega tau}]
-    on the nodes +-omega, the first all 0 at T = 0 and then not gridded;
-    exp(-W) is f_DW on these nodes."""
-    omega, big_w = _density_rule(sd, thermal, float(np.max(np.abs(tau))))
-    w_re = big_w * thermal.coth_half_beta(omega) / omega**2
-    w_im = big_w / omega**2
-    s = _phase_sum(tau, h, omega, 0.5 * (w_re - w_im), 0.5 * (w_re + w_im))
-    return s, np.sum(w_re)
-
-
 def phonon_correlation(tau, sd: SpectralDensity, thermal: ThermalState):
     """Phonon displacement correlation <D(tau) D^dag(0)> =
     exp[ int J(w)/w^2 (coth(beta w/2)(cos w tau - 1) - i sin w tau) dw ]
@@ -221,16 +206,24 @@ def phonon_correlation(tau, sd: SpectralDensity, thermal: ThermalState):
     `_density_rule`, 12 rad of phase omega_max max|tau| dtheta a panel:
     1,580 nodes at omega_max max|tau| = 600 (3d); a 12x finer rule moves
     the exponent by under 4e-15 of its largest value.  The exponent is
-    `_phonon_exponent`: the cos and sin band sums as one nonuniform FFT of
-    one complex column on the nodes +-omega, O(N_omega + N_tau log N_tau)
-    operations, within 1e-13 of sum |w| of the dense (tau x omega) sums.
+    S(tau) - W, W = sum w_re and S = sum w_re cos(omega tau) - i w_im
+    sin(omega tau), w_re = J coth(beta omega/2) domega/omega^2 and w_im =
+    J domega/omega^2.  S is one `_phase_sum`, sum 1/2 [(w_re - w_im)
+    e^{i omega tau} + (w_re + w_im) e^{-i omega tau}] on the nodes +-omega
+    (the first all 0 at T = 0 and then not gridded), O(N_omega + N_tau log
+    N_tau) operations, within 1e-13 of sum |w| of the dense (tau x omega)
+    sums.
     """
     tau, h, scalar = _even_grid(tau, "tau")
     if sd.coupling == 0 or len(tau) == 0:
         out = np.ones(len(tau), dtype=complex)
     else:
-        s, big_w = _phonon_exponent(tau, h, sd, thermal)
-        out = np.exp(s - big_w)
+        omega, big_w = _density_rule(sd, thermal, float(np.max(np.abs(tau))))
+        w_re = big_w * thermal.coth_half_beta(omega) / omega**2
+        w_im = big_w / omega**2
+        s = _phase_sum(tau, h, omega, 0.5 * (w_re - w_im),
+                       0.5 * (w_re + w_im))
+        out = np.exp(s - np.sum(w_re))
     return complex(out[0]) if scalar else out
 
 
@@ -463,13 +456,11 @@ def absorption_discrete(molecule: MoleculeParams, kp: KernelParams,
 
     P_e/eta^2 = sum_{n,l} w(n,l) (gamma + n Gamma'/2)/gamma
                 / [ (gamma + n Gamma'/2)^2 + (Delta - (n-2l) nu')^2 ].
+
+    Its meta holds nbar, nu', Gamma', the order n_max of `choose_n_max`
+    and the weight tail beyond it; `response_route` reads its reach from
+    n_max nu'.
     """
-    return _discrete_comb(molecule, kp, thermal)[0]
-
-
-def _discrete_comb(molecule, kp, thermal):
-    """`absorption_discrete`'s comb and its order `choose_n_max`, found once
-    for the lines, the tail in its meta and `response_route`'s reach."""
     nu_p, gamma_p = relaxation_params(kp)
     nbar = thermal.occupation(kp.nu)
     lam = molecule.lam
@@ -477,8 +468,8 @@ def _discrete_comb(molecule, kp, thermal):
     lines = vibron_lines(lam, nbar, nu_p, gamma_p, molecule.gamma, n_max)
     return LineSpectrum(lines=lines, gamma=molecule.gamma,
                         meta={"nbar": nbar, "nu_prime": nu_p,
-                              "gamma_prime": gamma_p,
-                              "tail": _weight_tail(lam, nbar, n_max)}), n_max
+                              "gamma_prime": gamma_p, "n_max": n_max,
+                              "tail": _weight_tail(lam, nbar, n_max)})
 
 
 def absorption_bessel(molecule: MoleculeParams, kp: KernelParams,
@@ -595,8 +586,8 @@ def _band_variation(sd: SpectralDensity, thermal: ThermalState):
     |g(omega_max)| + TV(g), the total variation taken over the band's ends
     and the rule's nodes (exact where g is monotone between neighbours).
     Integration by parts gives |int g e^{i omega tau} domega| <= V/|tau|
-    for each, so the exponent of `_phonon_exponent` stays within V/tau of
-    -W."""
+    for each, so the exponent S(tau) - W of `phonon_correlation` stays
+    within V/tau of -W."""
     omega, big_w = _density_rule(sd, thermal, 0.0)
     x = np.concatenate(([sd.omega_min], omega, [sd.omega_max]))
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -659,8 +650,8 @@ def response_route(detuning, molecule: MoleculeParams,
     f_fc = franck_condon(molecule.lam, thermal.occupation(kp.nu)) \
         if kp is not None else 1.0
     kp = kp if molecule.lam > 0 else None
-    comb, n_max = _discrete_comb(molecule, kp, thermal) if kp is not None \
-        else (LineSpectrum(lines=[[0.0, 1.0, gamma]], gamma=gamma), 0)
+    comb = absorption_discrete(molecule, kp, thermal) if kp is not None \
+        else LineSpectrum(lines=[[0.0, 1.0, gamma]], gamma=gamma)
     if sd is None or sd.coupling == 0:
         return Response(detuning, molecule, kp, None, thermal, comb, None,
                         f_fc, 1.0)
@@ -668,7 +659,7 @@ def response_route(detuning, molecule: MoleculeParams,
     reach = float(np.max(np.abs(detuning), initial=0.0))
     if kp is not None:
         scales.append(kp.nu)
-        reach += n_max * comb.meta["nu_prime"]
+        reach += comb.meta["n_max"] * comb.meta["nu_prime"]
     dt = 1.0 / (8.0 * max(scales))
     if reach * dt > math.pi:
         dt = math.pi / reach
@@ -697,22 +688,18 @@ def molecular_response(route: Response):
 
     - no density couples (no time grid): f_DW = 1 and no wing, H = C.
       meta: n_lines and the comb's meta.
-    - a density couples: f_DW = exp(-W) of `_phonon_exponent` on D's own
-      nodes, so that D - f_DW tends to 0 on the grid (0 where the 1d
-      density's f_DW diverges to 0), and the wing through
-      `response_transform` on the route's time grid.  meta adds dt,
-      t_horizon, the tail bound at T and the measured |D(T) - f_DW|
-      (wing_tail).
+    - a density couples: f_DW is the route's, D is `phonon_correlation`
+      on the route's time grid, and the wing goes through
+      `response_transform` on that grid.  meta adds dt, t_horizon, the
+      tail bound at T and the measured |D(T) - f_DW| (wing_tail).
     """
-    detuning, molecule, kp, sd, thermal, spec, steps, _, _ = route
+    detuning, molecule, kp, sd, thermal, spec, steps, _, f_dw = route
     comb = spec.response(detuning)
     meta = {"n_lines": len(spec.lines), **spec.meta}
     if steps is None:
         return comb, meta
     t = np.arange(steps.n) * steps.dt
-    s, big_w = _phonon_exponent(t, steps.dt, sd, thermal)
-    f_dw = 0.0 if sd.infrared_divergent else math.exp(-big_w)
-    wing = np.exp(s - big_w) - f_dw
+    wing = phonon_correlation(t, sd, thermal) - f_dw
     meta.update(dt=steps.dt, t_horizon=steps.t_horizon,
                 tail_bound=steps.tail_bound, wing_tail=float(abs(wing[-1])))
     if kp is not None:

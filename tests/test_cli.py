@@ -17,12 +17,12 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from vibrolang import cli, spectra
+from vibrolang import cli, microsim, spectra
 from vibrolang.cli import load_preset, main, run_config, validate_config
 from vibrolang.cavity import CavityParams, effective_rabi
 from vibrolang.errors import ConfigError
 from vibrolang.kernels import KernelParams
-from vibrolang.microsim import TrajectoryConfig
+from vibrolang.microsim import TrajectoryConfig, simulate
 from vibrolang.model import (
     DiscreteBath,
     MoleculeParams,
@@ -30,8 +30,10 @@ from vibrolang.model import (
     ThermalState,
 )
 from vibrolang.spectra import (
+    _weight_tail,
     absorption_bessel,
     absorption_full,
+    choose_n_max,
     debye_waller,
     franck_condon,
     molecular_response,
@@ -753,9 +755,22 @@ class TestArtifacts:
         (dict(SMALL_RELAXATION,
               bath=dict(SMALL_RELAXATION["bath"], qfactor=50.0)), "rk4"),
     ], ids=["relaxation", "collective", "damped"])
-    def test_run_meta_records_propagation(self, tmp_path, cfg, propagator):
+    def test_run_meta_records_propagation(self, tmp_path, monkeypatch, cfg,
+                                          propagator):
+        trajs = []
+
+        def spy(*args):
+            trajs.append(simulate(*args))
+            return trajs[-1]
+
+        monkeypatch.setattr(microsim, "simulate", spy)
         run_config(cfg, str(tmp_path))
         meta = json.loads((tmp_path / "run.meta.json").read_text())
+        # the meta carries the trajectory's, the chain sites included
+        (traj,) = trajs
+        assert traj.meta.items() <= meta.items()
+        assert meta["sites"] == (
+            [-cfg["j"], cfg["j"]] if cfg["command"] == "collective" else [0])
         assert meta["propagator"] == propagator
         assert meta["n_steps"] == math.ceil(
             cfg["trajectory"]["t_max"] / meta["dt"])
@@ -911,9 +926,13 @@ class TestArtifacts:
         route = ("dt", "t_horizon", "tail_bound", "wing_tail") \
             if sd is not None else ()
         for key in (*route, "n_lines", "nbar", "nu_prime", "gamma_prime",
-                    "tail", "f_FC", "f_DW", "polaron_shift"):
+                    "n_max", "tail", "f_FC", "f_DW", "polaron_shift"):
             assert written[key] == meta[key]
         assert written["method"] == method
+        # the comb's order and the weight tail it leaves
+        lam, nbar = cfg["molecule"]["lam"], written["nbar"]
+        assert written["n_max"] == choose_n_max(lam, nbar)
+        assert written["tail"] == _weight_tail(lam, nbar, written["n_max"])
 
     @pytest.mark.parametrize("sd", [None, SMALL_WING["sd"]],
                              ids=["no-sd", "sd-3d"])
@@ -932,6 +951,10 @@ class TestArtifacts:
         written = json.loads((out / "transmission.meta.json").read_text())
         assert {key: written[key] for key in meta} == meta
         assert ("tail_bound" in written) == (sd is not None)
+        # the comb's order and the weight tail it leaves
+        lam, nbar = cfg["molecule"]["lam"], written["nbar"]
+        assert written["n_max"] == choose_n_max(lam, nbar)
+        assert written["tail"] == _weight_tail(lam, nbar, written["n_max"])
 
     def test_zero_phonon_factors_of_the_route(self, tmp_path):
         # at T > 0 with an sd, the cavity's g_eff and full absorption's

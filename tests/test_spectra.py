@@ -29,6 +29,7 @@ from vibrolang import (
     debye_waller,
     mirror_emission,
     phonon_correlation,
+    spectra,
 )
 from vibrolang.cli import load_preset
 from vibrolang.kernels import relaxation_params
@@ -985,6 +986,29 @@ class TestWingSplit:
         assert err <= np.max(np.abs(whole - ref)), err / scale
         assert meta["t_horizon"] == steps.t_horizon <= _HORIZON / mol.gamma
         assert meta["tail_bound"] == steps.tail_bound <= math.exp(-_HORIZON)
+
+    @pytest.mark.parametrize("case", [
+        case for case in PRESET_POINTS if case[0] in ("fig5b-T0", "fig6c")],
+        ids=lambda c: c[0])
+    def test_wing_reads_one_phonon_correlation(self, case, monkeypatch):
+        # the wing's D is phonon_correlation's, called once on the route's
+        # time grid, and split at the route's f_DW, with and without a
+        # vibron
+        _, grid, mol, kp, sd, th = case
+        route = response_route(grid, mol, kp, sd, th)
+        calls = []
+
+        def spy(tau, *args):
+            calls.append((tau, phonon_correlation(tau, *args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(spectra, "phonon_correlation", spy)
+        _, meta = molecular_response(route)
+        assert len(calls) == 1
+        tau, corr = calls[0]
+        np.testing.assert_array_equal(
+            tau, np.arange(route.steps.n) * route.steps.dt)
+        assert meta["wing_tail"] == abs(corr[-1] - route.f_dw)
 
     @pytest.mark.parametrize("case", PRESET_POINTS, ids=lambda c: c[0])
     def test_tail_bound_against_dense_sum(self, case):
